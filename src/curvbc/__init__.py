@@ -10,7 +10,12 @@ size correction.
 """
 from __future__ import annotations
 
+import logging
+
 __version__ = "0.1.0"
+
+# solver fallbacks are reported on this logger; silent unless configured
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .analytic_geometry import (AnalyticSurface, GeometryJet,
                                 adapted_coefficient_divergence,

@@ -10,7 +10,8 @@ Exit codes: 0 all requested checks passed, 1 a computation or check failed,
 
 Every output file starts with comment headers recording the tool version,
 a sha256 of the resolved config, and the RNG seed, so identical configs
-produce byte-identical outputs.
+produce byte-identical outputs; ``verify_report.json`` carries them in its
+``provenance`` object instead, so that it stays valid JSON.
 """
 from __future__ import annotations
 
@@ -154,10 +155,15 @@ def _out_dir(resolved):
     return out
 
 
+def _provenance(resolved):
+    return {"curvbc": __version__, "config_sha256": _config_sha(resolved),
+            "seed": resolved.get("seed", 0)}
+
+
 def _headers(resolved):
-    return (f"curvbc {__version__}",
-            f"config_sha256={_config_sha(resolved)}",
-            f"seed={resolved.get('seed', 0)}")
+    p = _provenance(resolved)
+    return (f"curvbc {p['curvbc']}", f"config_sha256={p['config_sha256']}",
+            f"seed={p['seed']}")
 
 
 def _write_lines(path, headers, lines):
@@ -302,11 +308,13 @@ def _run_tolman(cfg):
 def _run_verify(cfg):
     report = verify_reductions(trials=int(cfg["trials"]), seed=int(cfg["seed"]))
     out = _out_dir(cfg)
-    headers = _headers(cfg)
     txt_path = os.path.join(out, "verify_report.txt")
-    _write_lines(txt_path, headers, report.format_table().splitlines())
+    _write_lines(txt_path, _headers(cfg), report.format_table().splitlines())
     json_path = os.path.join(out, "verify_report.json")
-    _write_lines(json_path, headers, [report.to_json()])
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump({"provenance": _provenance(cfg), "rows": report.to_rows()},
+                  fh, indent=2)
+        fh.write("\n")
     print(report.format_table())
     print(f"wrote {txt_path}, {json_path}")
     return 0 if report.all_passed else 1

@@ -35,8 +35,8 @@ import numpy as np
 
 from .analytic_geometry import (AnalyticSurface, adapted_coefficient_divergence,
                                 evaluate_jet, expansion_terms)
-from .lagrangian_library import SurfaceLagrangian
-from .surface_mesh import build_icosphere, mean_curvature
+from .lagrangian_library import SurfaceLagrangian, make_isotropic_surface
+from .surface_mesh import build_icosphere
 
 
 # -- point data ---------------------------------------------------------------
@@ -76,10 +76,6 @@ class BoundaryPoint:
     def tangential_components(self, cart):
         """Contravariant tangential components of a Cartesian vector."""
         return self.metric_inv @ (self.tangents @ np.asarray(cart, dtype=float))
-
-
-def _pot_value(pot, phi):
-    return 0.0 if pot is None else float(pot.value(phi[None])[0])
 
 
 def _pot_grad(pot, phi):
@@ -444,14 +440,18 @@ class ReductionReport:
                          f"{tol:>9s}  {r.note}")
         return "\n".join(lines)
 
-    def to_json(self):
-        return json.dumps([{
+    def to_rows(self):
+        """The rows as plain dicts, ready for ``json.dump``."""
+        return [{
             "name": r.name,
             "passed": r.passed,
             "max_deviation": r.max_deviation,
             "tolerance": r.tolerance,
             "note": r.note,
-        } for r in self.rows], indent=2)
+        } for r in self.rows]
+
+    def to_json(self):
+        return json.dumps(self.to_rows(), indent=2)
 
 
 class _CubicPotential:
@@ -603,7 +603,7 @@ def verify_reductions(trials=25, seed=0):
         sigma, tau = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5)
         gbar = _random_potential(rng, 3)
         ghat = _random_potential(rng, 3)
-        spec_coeffs = coeffs_from_surface_isotropic(sigma, tau, point)
+        spec_coeffs = coeffs_from_surface(make_isotropic_surface(sigma, tau), point)
         spec_coeffs.gamma_bar = gbar
         spec_coeffs.gamma_hat = ghat
         g = general_bc_rhs(point, spec_coeffs)
@@ -624,7 +624,7 @@ def verify_reductions(trials=25, seed=0):
     # (metric-derivative terms vanish in the invariant evaluation).
     def check_tangential(point):
         sigma, tau = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5)
-        coeffs = coeffs_from_surface_isotropic(sigma, tau, point)
+        coeffs = coeffs_from_surface(make_isotropic_surface(sigma, tau), point)
         g = general_bc_rhs(point, coeffs)
         tang = point.tangential_components(g)
         expect = -2.0 * tau * point.raise_index(point.grad_H)
@@ -714,7 +714,6 @@ def verify_reductions(trials=25, seed=0):
 
     # 9. discrete route: mesh surface-action gradient reproduces the droplet
     # normal value under refinement.
-    from .lagrangian_library import make_isotropic_surface
     from .variational_engine import surface_action_gradient
     sigma, tau = 1.0, 0.05
     spec = make_isotropic_surface(sigma, tau)
@@ -735,21 +734,3 @@ def verify_reductions(trials=25, seed=0):
         f"mesh route vs closed form, refining {devs[0]:.3e} -> {devs[-1]:.3e}"))
 
     return ReductionReport(rows)
-
-
-def coeffs_from_surface_isotropic(sigma, tau, point):
-    """Chart coefficients of the uniform-tension pair at a point."""
-    tang = point.tangents
-    H = point.mean_curvature
-    n = point.normal
-
-    def project(c):
-        return point.metric_inv @ (tang @ c)
-
-    chi = np.stack([project(sigma * np.eye(3)[c]) for c in range(3)], axis=1)
-    kappa = np.stack([project(tau * np.eye(3)[c]) for c in range(3)], axis=1)
-    return RestrictedPointCoeffs(
-        3, chi=chi, kappa=kappa,
-        div_chi=-2.0 * H * sigma * n,
-        div_kappa=-2.0 * H * tau * n,
-    )

@@ -10,6 +10,10 @@ approximations: the gradient matches finite differences of the assembled
 action, stationarity of the total action encodes the curvature-dependent
 natural boundary condition, and a pure transport term integrates to zero.
 
+Tets and boundary triangles, gradients and residual reports, share one
+element-then-scatter path (:func:`_simplex_gradient`): an element corner
+array per simplex, added into the vertex rows by one bincount scatter.
+
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
 dividing boundary rows of the total gradient by boundary vertex areas
@@ -17,13 +21,19 @@ recovers flux minus the curvature boundary terms.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .surface_mesh import TriangleMesh, mean_curvature, shape_operator
-from .surface_mesh import build_icosphere
+from .surface_mesh import (TriangleMesh, _scatter, build_icosphere,
+                           shape_operator)
+# re-exported: the name is part of this module's namespace
+from .surface_mesh import mean_curvature  # noqa: F401
+
+
+_LOG = logging.getLogger("curvbc")
 
 
 class SingularProblemError(RuntimeError):
@@ -49,6 +59,7 @@ class TetMesh:
     ----------
     tet_volumes : (m,) positive volumes.
     tet_gradients : (m, 4, 3) gradients of the corner hat functions.
+    corner_weights : (m, 4) quarter volumes, the corner quadrature weights.
     dual_volumes : (n,) quarter-volume lumped vertex measures.
     """
 
@@ -73,13 +84,14 @@ class TetMesh:
         grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
         self.tet_gradients = grads
-        self.dual_volumes = np.zeros(len(self.vertices))
-        np.add.at(self.dual_volumes, tets.ravel(),
-                  np.repeat(self.tet_volumes / 4.0, 4))
+        self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
+        self.dual_volumes = _scatter(tets, len(self.vertices), self.corner_weights)
         self.boundary = boundary
         self.boundary_vertex_ids = np.asarray(boundary_vertex_ids, dtype=np.int64)
         if len(self.boundary_vertex_ids) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")
+        if len(np.unique(self.boundary_vertex_ids)) != boundary.n_vertices:
+            raise ValueError("boundary_vertex_ids must be distinct")
         mask = np.ones(len(self.vertices), dtype=bool)
         mask[self.boundary_vertex_ids] = False
         self.interior_mask = mask
@@ -213,55 +225,61 @@ def _check_components(mesh, bulk, surface, state):
         raise ValueError("surface lagrangian component count mismatch")
 
 
-def _bulk_pointwise(mesh, values, rates):
-    """Corner-expanded bulk quadrature inputs (phi, rate, grad, weights)."""
-    tets = mesh.tets
-    phi_c = values[tets]                                  # (m, 4, k)
-    rate_c = rates[tets]
-    grad = np.einsum("tck,tcj->tkj", phi_c, mesh.tet_gradients)
+def _pointwise(simplices, hat, values, rates):
+    """Corner-expanded quadrature inputs (phi, rate, grad), ``m * c`` rows."""
+    m, c = simplices.shape
     k = values.shape[1]
-    m = len(tets)
-    w = np.repeat(mesh.tet_volumes / 4.0, 4)
-    return (phi_c.reshape(m * 4, k), rate_c.reshape(m * 4, k),
-            np.repeat(grad, 4, axis=0), w)
+    phi_c = values[simplices]                             # (m, c, k)
+    grad = np.einsum("tck,tcj->tkj", phi_c, hat)
+    return (phi_c.reshape(m * c, k), rates[simplices].reshape(m * c, k),
+            np.repeat(grad, c, axis=0))
+
+
+def _simplex_gradient(simplices, hat, weights, n, phi, rate, grad, d_phi, d_grad):
+    """Gradient of ``sum weights * L`` over simplices, scattered to n vertices.
+
+    ``d_phi`` is weighted at the corners; ``d_grad`` rows are weighted and
+    summed over the corners of each simplex, then contracted once with the
+    hat gradients ``hat``.  Both parts add into one corner array that is
+    scattered once.  Either partial may be None; any corner partial (a rate
+    partial, say) can take the place of ``d_phi``.
+    """
+    m, c = weights.shape
+    k = phi.shape[1]
+    corner = 0.0
+    if d_phi is not None:
+        corner = d_phi(phi, rate, grad).reshape(m, c, k) * weights[:, :, None]
+    if d_grad is not None:
+        per_simplex = np.einsum("tc,tcx->tx", weights,
+                                d_grad(phi, rate, grad).reshape(m, c, k * 3))
+        corner = corner + np.einsum("tkx,tcx->tck", per_simplex.reshape(m, k, 3), hat)
+    return _scatter(simplices, n, corner)
+
+
+def _bulk_pointwise(mesh, values, rates):
+    return _pointwise(mesh.tets, mesh.tet_gradients, values, rates)
 
 
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    phi, rate, grad, w = _bulk_pointwise(mesh, state.values, state.rates())
-    return float(w @ bulk.density(phi, rate, grad))
+    phi, rate, grad = _bulk_pointwise(mesh, state.values, state.rates())
+    return float(mesh.corner_weights.ravel() @ bulk.density(phi, rate, grad))
 
 
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    values = state.values
-    k = values.shape[1]
-    phi, rate, grad, w = _bulk_pointwise(mesh, values, state.rates())
-    m = mesh.n_tets
-
-    out = np.zeros_like(values)
-    dphi = bulk.d_phi(phi, rate, grad) * w[:, None]
-    np.add.at(out, mesh.tets.ravel(), dphi.reshape(m * 4, k))
-
-    dgrad = (bulk.d_grad(phi, rate, grad) * w[:, None, None]).reshape(m, 4, k, 3)
-    per_tet = dgrad.sum(axis=1)                           # (m, k, 3)
-    corner = np.einsum("tkj,tcj->tck", per_tet, mesh.tet_gradients)
-    np.add.at(out, mesh.tets.ravel(), corner.reshape(m * 4, k))
-    return out
+    phi, rate, grad = _bulk_pointwise(mesh, state.values, state.rates())
+    return _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
+                             mesh.n_vertices, phi, rate, grad, bulk.d_phi, bulk.d_grad)
 
 
-def _surface_pointwise(mesh, values, rates, H):
-    faces = mesh.triangles
-    phi_c = values[faces]
-    rate_c = rates[faces]
-    grad = np.einsum("fck,fcj->fkj", phi_c, mesh.hat_gradients)
-    f = len(faces)
-    k = values.shape[1]
-    return (phi_c.reshape(f * 3, k), rate_c.reshape(f * 3, k),
-            np.repeat(grad, 3, axis=0), mesh.corner_areas.reshape(f * 3),
-            H[faces].reshape(f * 3))
+def _surface_weights(mesh, mean_curv=None):
+    """Corner weights of the plain (``w``) and curvature (``-2 H w``) terms."""
+    H = mesh.vertex_mean_curvature if mean_curv is None else mean_curv
+    w = mesh.corner_areas
+    return w, -2.0 * H[mesh.triangles] * w
 
 
 def surface_action(mesh, surface, values, rates=None, mean_curv=None):
@@ -272,10 +290,10 @@ def surface_action(mesh, surface, values, rates=None, mean_curv=None):
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     rates = np.zeros_like(values) if rates is None else np.atleast_2d(rates)
-    H = mean_curvature(mesh) if mean_curv is None else mean_curv
-    phi, rate, grad, w, Hc = _surface_pointwise(mesh, values, rates, H)
-    plain = float(w @ surface.gamma0(phi, rate, grad))
-    curv = float(-(w * 2.0 * Hc) @ surface.gamma_hat(phi, rate, grad))
+    w, wc = _surface_weights(mesh, mean_curv)
+    phi, rate, grad = _pointwise(mesh.triangles, mesh.hat_gradients, values, rates)
+    plain = float(w.ravel() @ surface.gamma0(phi, rate, grad))
+    curv = float(wc.ravel() @ surface.gamma_hat(phi, rate, grad))
     return plain, curv
 
 
@@ -283,22 +301,13 @@ def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
     """Exact gradient of the boundary action on a triangle mesh."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     rates = np.zeros_like(values) if rates is None else np.atleast_2d(rates)
-    H = mean_curvature(mesh) if mean_curv is None else mean_curv
-    phi, rate, grad, w, Hc = _surface_pointwise(mesh, values, rates, H)
-    f = mesh.n_faces
-    k = values.shape[1]
-
-    out = np.zeros_like(values)
-    dphi = (surface.gamma0_d_phi(phi, rate, grad) * w[:, None]
-            - surface.gamma_hat_d_phi(phi, rate, grad) * (2.0 * Hc * w)[:, None])
-    np.add.at(out, mesh.triangles.ravel(), dphi)
-
-    dgrad = (surface.gamma0_d_grad(phi, rate, grad) * w[:, None, None]
-             - surface.gamma_hat_d_grad(phi, rate, grad) * (2.0 * Hc * w)[:, None, None])
-    per_face = dgrad.reshape(f, 3, k, 3).sum(axis=1)
-    corner = np.einsum("fkj,fcj->fck", per_face, mesh.hat_gradients)
-    np.add.at(out, mesh.triangles.ravel(), corner.reshape(f * 3, k))
-    return out
+    w, wc = _surface_weights(mesh, mean_curv)
+    tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
+    phi, rate, grad = _pointwise(tri, hat, values, rates)
+    return (_simplex_gradient(tri, hat, w, n, phi, rate, grad,
+                              surface.gamma0_d_phi, surface.gamma0_d_grad)
+            + _simplex_gradient(tri, hat, wc, n, phi, rate, grad,
+                                surface.gamma_hat_d_phi, surface.gamma_hat_d_grad))
 
 
 @dataclass
@@ -355,8 +364,8 @@ def action_gradient(mesh, bulk, surface, state):
     out = bulk_action_gradient(mesh, bulk, state)
     bvals = state.values[mesh.boundary_vertex_ids]
     brates = state.rates()[mesh.boundary_vertex_ids]
-    gs = surface_action_gradient(mesh.boundary, surface, bvals, brates)
-    np.add.at(out, mesh.boundary_vertex_ids, gs)
+    out[mesh.boundary_vertex_ids] += surface_action_gradient(
+        mesh.boundary, surface, bvals, brates)
     return out
 
 
@@ -378,11 +387,10 @@ def euler_lagrange_residual(mesh, bulk, state):
         mid = state.trajectory.shape[0] // 2
         momenta = []
         for s in (mid - 1, mid + 1):
-            phi, rate, grad, w = _bulk_pointwise(mesh, state.trajectory[s],
-                                                 state.snapshot_rates(s))
-            p = np.zeros_like(state.values)
-            np.add.at(p, mesh.tets.ravel(),
-                      bulk.d_rate(phi, rate, grad) * w[:, None])
+            phi, rate, grad = _bulk_pointwise(mesh, state.trajectory[s],
+                                              state.snapshot_rates(s))
+            p = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
+                                  mesh.n_vertices, phi, rate, grad, bulk.d_rate, None)
             momenta.append(p / mesh.dual_volumes[:, None])
         # for a 3-snapshot trajectory the end rates are one-sided, which
         # places the momenta at the half-steps: a staggered first difference
@@ -434,47 +442,26 @@ def natural_bc_residual(mesh, bulk, surface, state):
     g_bulk = bulk_action_gradient(mesh, bulk, state)[ids]
     flux_weak = g_bulk / area[:, None]
 
-    bvals = state.values[ids]
-    brates = state.rates()[ids]
-    H = mean_curvature(B)
-    phi, rate, grad, w, Hc = _surface_pointwise(B, bvals, brates, H)
-    f = B.n_faces
-    tri = B.triangles
+    tri, hat, nb = B.triangles, B.hat_gradients, B.n_vertices
+    H = B.vertex_mean_curvature
+    w, wc = _surface_weights(B)
+    at_state = _pointwise(tri, hat, state.values[ids], state.rates()[ids])
 
-    def scatter_corner(arr):
-        out = np.zeros((B.n_vertices, k))
-        np.add.at(out, tri.ravel(), arr)
-        return out
-
-    def scatter_grad(arr):
-        per_face = arr.reshape(f, 3, k, 3).sum(axis=1)
-        corner = np.einsum("fkj,fcj->fck", per_face, B.hat_gradients)
-        out = np.zeros((B.n_vertices, k))
-        np.add.at(out, tri.ravel(), corner.reshape(f * 3, k))
-        return out
-
-    P = scatter_corner(surface.gamma0_d_phi(phi, rate, grad) * w[:, None])
-    Gm = scatter_grad(surface.gamma0_d_grad(phi, rate, grad) * w[:, None, None])
-    Q = scatter_corner(surface.gamma_hat_d_phi(phi, rate, grad)
-                       * (-2.0 * Hc * w)[:, None])
-    Rm = scatter_grad(surface.gamma_hat_d_grad(phi, rate, grad)
-                      * (-2.0 * Hc * w)[:, None, None])
+    def assemble(weights, d_phi=None, d_grad=None, inputs=at_state):
+        return _simplex_gradient(tri, hat, weights, nb, *inputs, d_phi, d_grad)
 
     a = area[:, None]
     terms = {
-        "gamma0_phi": -P / a,
-        "gamma0_div": -Gm / a,
-        "curv_phi": -Q / a,
-        "curv_div": -Rm / a,
+        "gamma0_phi": -assemble(w, d_phi=surface.gamma0_d_phi) / a,
+        "gamma0_div": -assemble(w, d_grad=surface.gamma0_d_grad) / a,
+        "curv_phi": -assemble(wc, d_phi=surface.gamma_hat_d_phi) / a,
+        "curv_div": -assemble(wc, d_grad=surface.gamma_hat_d_grad) / a,
     }
     # diagnostic split of the curvature gradient channel
-    R_frozen = scatter_grad(surface.gamma_hat_d_grad(phi, rate, grad)
-                            * w[:, None, None])
+    R_frozen = assemble(w, d_grad=surface.gamma_hat_d_grad)
     curv = shape_operator(B)
-    W = np.zeros((B.n_vertices, k, 3))
-    np.add.at(W, tri.ravel(),
-              surface.gamma_hat_d_grad(phi, rate, grad) * w[:, None, None])
-    W /= area[:, None, None]
+    W = _scatter(tri, nb, surface.gamma_hat_d_grad(*at_state).reshape(-1, 3, k, 3)
+                 * w[:, :, None, None]) / area[:, None, None]
     terms["curv_div_frozen"] = 2.0 * H[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, curv.grad_H)
 
@@ -486,16 +473,13 @@ def natural_bc_residual(mesh, bulk, surface, state):
         momenta = []
         mid = state.trajectory.shape[0] // 2
         for s in (mid - 1, mid + 1):
-            phi_s, rate_s, grad_s, w_s, Hc_s = _surface_pointwise(
-                B, state.trajectory[s][ids], state.snapshot_rates(s)[ids], H)
-            p = np.zeros((B.n_vertices, k))
+            at_s = _pointwise(tri, hat, state.trajectory[s][ids],
+                              state.snapshot_rates(s)[ids])
+            p = 0.0
             if surface.gamma0_d_rate is not None:
-                np.add.at(p, tri.ravel(),
-                          surface.gamma0_d_rate(phi_s, rate_s, grad_s) * w_s[:, None])
+                p = p + assemble(w, d_phi=surface.gamma0_d_rate, inputs=at_s)
             if surface.gamma_hat_d_rate is not None:
-                np.add.at(p, tri.ravel(),
-                          surface.gamma_hat_d_rate(phi_s, rate_s, grad_s)
-                          * (-2.0 * Hc_s * w_s)[:, None])
+                p = p + assemble(wc, d_phi=surface.gamma_hat_d_rate, inputs=at_s)
             momenta.append(p / a)
         span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
         terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
@@ -504,10 +488,9 @@ def natural_bc_residual(mesh, bulk, surface, state):
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
-    phi_b, rate_b, grad_b, w_b = _bulk_pointwise(mesh, state.values, state.rates())
-    mom = np.zeros((mesh.n_vertices, k, 3))
-    np.add.at(mom, mesh.tets.ravel(),
-              bulk.d_grad(phi_b, rate_b, grad_b) * w_b[:, None, None])
+    d_grad = bulk.d_grad(*_bulk_pointwise(mesh, state.values, state.rates()))
+    mom = _scatter(mesh.tets, mesh.n_vertices,
+                   d_grad.reshape(-1, 4, k, 3) * mesh.corner_weights[:, :, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 
@@ -577,6 +560,11 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     Convergence is measured in the max norm of the (gauge-projected)
     gradient.  A pure-Neumann problem whose data is incompatible with the
     constant nullspace raises :class:`SingularProblemError`.
+
+    Fallbacks are noted in the log and warned about on the ``curvbc``
+    logger: CG leaving for Newton when the operator is not positive
+    definite, and a line search that finds no Armijo decrease, which ends
+    the solve unconverged without taking the step.
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -634,7 +622,9 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             Ap = project(operator(p))
             pAp = p @ Ap
             if pAp <= 0:
-                log.notes.append("operator lost positive definiteness; switching to newton")
+                note = "operator lost positive definiteness; switching to newton"
+                log.notes.append(note)
+                _LOG.warning("solve_stationary: %s (CG iteration %d)", note, it)
                 quadratic = False
                 break
             alpha = rr / pAp
@@ -647,6 +637,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             log.residual_norms.append(float(np.abs(r).max()))
         phi = phi0 + x.reshape(phi0.shape)
 
+    line_search_failed = False
     if not quadratic:
         log.method = "newton"
         phi = phi0.copy()
@@ -667,11 +658,17 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 if action_of(phi + t * d.reshape(phi.shape)) <= a0 + options.armijo * t * slope:
                     break
                 t *= 0.5
+            else:
+                note = f"line search failed: no Armijo decrease at newton iteration {it}"
+                log.notes.append(note)
+                _LOG.warning("solve_stationary: %s", note)
+                line_search_failed = True
+                break
             phi = phi + t * d.reshape(phi.shape)
 
     g_final = project(grad_at(phi).ravel())
     log.final_residual = float(np.abs(g_final).max())
-    log.converged = log.final_residual <= options.tolerance
+    log.converged = log.final_residual <= options.tolerance and not line_search_failed
     state = FieldState(phi, initial.trajectory, initial.dt)
     return state, log
 

@@ -1,0 +1,372 @@
+"""The shared simplex assembler off the sphere.
+
+Every case runs on a radially perturbed ``(2, 3)`` ball built with
+``TetMesh(...)`` from perturbed vertices, so the boundary mean curvature is
+not constant and the curvature weights, corner areas and hat gradients of
+each simplex differ.  The assembled gradients are checked against central
+differences of the assembled action, and against an ``np.add.at``
+formulation of the same discrete chain rule written out here.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvbc import (
+    BulkLagrangian,
+    FieldState,
+    SurfaceLagrangian,
+    TetMesh,
+    TriangleMesh,
+    action_gradient,
+    assemble_action,
+    build_ball_tetmesh,
+    builtin_bulk,
+    euler_lagrange_residual,
+    make_isotropic_surface,
+    make_restricted_surface,
+    mean_curvature,
+    natural_bc_residual,
+    quadratic_potential,
+    robin_surface,
+    shape_operator,
+)
+from curvbc.surface_mesh import _scatter
+from curvbc.variational_engine import surface_action_gradient
+
+SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
+                    database=None)
+SEEDS = st.integers(0, 2**16)
+AMPLITUDES = st.floats(0.01, 0.05)
+
+
+def perturbed_ball(seed, amplitude):
+    """The (2, 3) ball with every vertex moved radially by up to ``amplitude``."""
+    base = build_ball_tetmesh(1.0, surface_level=2, radial_layers=3)
+    rng = np.random.default_rng(seed)
+    radii = 1.0 + amplitude * rng.uniform(-1.0, 1.0, base.n_vertices)
+    vertices = base.vertices * radii[:, None]
+    ids = base.boundary_vertex_ids
+    boundary = TriangleMesh(vertices[ids], base.boundary.triangles)
+    return TetMesh(vertices, base.tets, boundary, ids)
+
+
+# -- Lagrangians ---------------------------------------------------------------
+
+def curved_robin():
+    """Robin pair with a curvature-weighted potential and gradient couplings."""
+    return make_restricted_surface(
+        1, gamma_bar=quadratic_potential(1.0),
+        chi=[[0.3, -0.2, 0.5]],
+        gamma_hat_potential=quadratic_potential(0.4),
+        kappa=[[-0.1, 0.4, 0.2]], name="curved_robin")
+
+
+def rate_coupled_bulk(base, c=0.3):
+    """``base`` plus ``0.5 c |rate|^2 |phi|^2``: the rate enters every partial."""
+
+    def extra(phi, rate):
+        return 0.5 * c * np.einsum("mk,mk->m", rate, rate) * np.einsum("mk,mk->m", phi, phi)
+
+    return BulkLagrangian(
+        base.name + "+rate", base.n_components,
+        density=lambda p, r, g: base.density(p, r, g) + extra(p, r),
+        d_phi=lambda p, r, g: base.d_phi(p, r, g)
+        + c * np.einsum("mk,mk->m", r, r)[:, None] * p,
+        d_rate=lambda p, r, g: base.d_rate(p, r, g)
+        + c * np.einsum("mk,mk->m", p, p)[:, None] * r,
+        d_grad=lambda p, r, g: base.d_grad(p, r, g)
+        + c * np.einsum("mk,mk->m", r, r)[:, None, None] * g,
+        rate_dependent=True, quadratic=False)
+
+
+def rate_coupled_surface(base, c0=0.2, c1=0.5):
+    """``base`` plus rate terms in both channels, with rate partials."""
+
+    def sq(a):
+        return np.einsum("mk,mk->m", a, a)
+
+    def add(value, c):
+        return lambda p, r, g: value(p, r, g) + 0.5 * c * sq(r) * sq(p)
+
+    def add_d_phi(d_phi, c):
+        return lambda p, r, g: d_phi(p, r, g) + c * sq(r)[:, None] * p
+
+    def add_d_grad(d_grad, c):
+        return lambda p, r, g: d_grad(p, r, g) + c * sq(r)[:, None, None] * g
+
+    def d_rate(c):
+        return lambda p, r, g: c * sq(p)[:, None] * r
+
+    return SurfaceLagrangian(
+        base.name + "+rate", base.n_components,
+        gamma0=add(base.gamma0, c0),
+        gamma0_d_phi=add_d_phi(base.gamma0_d_phi, c0),
+        gamma0_d_grad=add_d_grad(base.gamma0_d_grad, c0),
+        gamma_hat=add(base.gamma_hat, c1),
+        gamma_hat_d_phi=add_d_phi(base.gamma_hat_d_phi, c1),
+        gamma_hat_d_grad=add_d_grad(base.gamma_hat_d_grad, c1),
+        rate_dependent=True, quadratic=False,
+        gamma0_d_rate=d_rate(c0), gamma_hat_d_rate=d_rate(c1))
+
+
+PAIRS = {
+    "poisson_source x robin": (lambda: builtin_bulk("poisson_source", source=6.0),
+                               lambda: robin_surface(1.0)),
+    "linear_elastic x isotropic": (lambda: builtin_bulk("linear_elastic", lam=1.0, mu=1.0),
+                                   lambda: make_isotropic_surface(1.0, 0.1)),
+    "poisson_source x curved_robin": (lambda: builtin_bulk("poisson_source", source=6.0),
+                                      curved_robin),
+}
+
+
+def random_state(mesh, k, rng):
+    return FieldState(rng.standard_normal((mesh.n_vertices, k)))
+
+
+def random_trajectory(mesh, k, rng, steps=5, dt=0.05):
+    times = (np.arange(steps) - steps // 2) * dt
+    a, b, c = rng.standard_normal((3, mesh.n_vertices, k))
+    return FieldState.from_trajectory(
+        np.stack([a + b * t + c * t**2 for t in times]), dt)
+
+
+# -- the np.add.at formulation ---------------------------------------------------
+
+def ref_pointwise(simplices, hat, values, rates):
+    m, c = simplices.shape
+    k = values.shape[1]
+    phi_c = values[simplices]
+    grad = np.einsum("tck,tcj->tkj", phi_c, hat)
+    return (phi_c.reshape(m * c, k), rates[simplices].reshape(m * c, k),
+            np.repeat(grad, c, axis=0))
+
+
+def ref_corner(n, simplices, arr):
+    out = np.zeros((n,) + arr.shape[1:])
+    np.add.at(out, simplices.ravel(), arr)
+    return out
+
+
+def ref_grad(n, simplices, hat, arr):
+    m, c = simplices.shape
+    k = arr.shape[1]
+    per = arr.reshape(m, c, k, 3).sum(axis=1)
+    corner = np.einsum("tkj,tcj->tck", per, hat)
+    return ref_corner(n, simplices, corner.reshape(m * c, k))
+
+
+def ref_bulk_gradient(mesh, bulk, values, rates):
+    args = ref_pointwise(mesh.tets, mesh.tet_gradients, values, rates)
+    w = np.repeat(mesh.tet_volumes / 4.0, 4)
+    n = mesh.n_vertices
+    return (ref_corner(n, mesh.tets, bulk.d_phi(*args) * w[:, None])
+            + ref_grad(n, mesh.tets, mesh.tet_gradients,
+                       bulk.d_grad(*args) * w[:, None, None]))
+
+
+def ref_surface_channels(B, surface, values, rates, H):
+    """Scattered channels P, G, Q, R of the plain and curvature terms."""
+    args = ref_pointwise(B.triangles, B.hat_gradients, values, rates)
+    w = B.corner_areas.ravel()
+    wc = -2.0 * H[B.triangles].ravel() * w
+    n, tri, hat = B.n_vertices, B.triangles, B.hat_gradients
+    return (ref_corner(n, tri, surface.gamma0_d_phi(*args) * w[:, None]),
+            ref_grad(n, tri, hat, surface.gamma0_d_grad(*args) * w[:, None, None]),
+            ref_corner(n, tri, surface.gamma_hat_d_phi(*args) * wc[:, None]),
+            ref_grad(n, tri, hat, surface.gamma_hat_d_grad(*args) * wc[:, None, None]))
+
+
+def ref_action_gradient(mesh, bulk, surface, state):
+    ids = mesh.boundary_vertex_ids
+    out = ref_bulk_gradient(mesh, bulk, state.values, state.rates())
+    H = mean_curvature(mesh.boundary)
+    gs = sum(ref_surface_channels(mesh.boundary, surface, state.values[ids],
+                                  state.rates()[ids], H))
+    np.add.at(out, ids, gs)
+    return out
+
+
+def ref_euler_lagrange(mesh, bulk, state):
+    res = ref_bulk_gradient(mesh, bulk, state.values, state.rates())
+    res /= mesh.dual_volumes[:, None]
+    mid = state.trajectory.shape[0] // 2
+    w = np.repeat(mesh.tet_volumes / 4.0, 4)
+    momenta = []
+    for s in (mid - 1, mid + 1):
+        args = ref_pointwise(mesh.tets, mesh.tet_gradients, state.trajectory[s],
+                             state.snapshot_rates(s))
+        p = ref_corner(mesh.n_vertices, mesh.tets, bulk.d_rate(*args) * w[:, None])
+        momenta.append(p / mesh.dual_volumes[:, None])
+    span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
+    return res - (momenta[1] - momenta[0]) / span
+
+
+def ref_natural_bc(mesh, bulk, surface, state):
+    B = mesh.boundary
+    ids = mesh.boundary_vertex_ids
+    a = B.vertex_areas[:, None]
+    H = mean_curvature(B)
+    n, tri = B.n_vertices, B.triangles
+    flux_weak = ref_bulk_gradient(mesh, bulk, state.values, state.rates())[ids] / a
+    bvals, brates = state.values[ids], state.rates()[ids]
+    P, G, Q, R = ref_surface_channels(B, surface, bvals, brates, H)
+    terms = {"gamma0_phi": -P / a, "gamma0_div": -G / a,
+             "curv_phi": -Q / a, "curv_div": -R / a}
+    args = ref_pointwise(tri, B.hat_gradients, bvals, brates)
+    w = B.corner_areas.ravel()
+    dg = surface.gamma_hat_d_grad(*args) * w[:, None, None]
+    R_frozen = ref_grad(n, tri, B.hat_gradients, dg)
+    W = ref_corner(n, tri, dg) / a[:, :, None]
+    terms["curv_div_frozen"] = 2.0 * H[:, None] * (R_frozen / a)
+    terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, shape_operator(B).grad_H)
+    rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
+    if state.trajectory is not None and surface.gamma0_d_rate is not None:
+        wc = -2.0 * H[tri].ravel() * w
+        mid = state.trajectory.shape[0] // 2
+        momenta = []
+        for s in (mid - 1, mid + 1):
+            args_s = ref_pointwise(tri, B.hat_gradients, state.trajectory[s][ids],
+                                   state.snapshot_rates(s)[ids])
+            p = (ref_corner(n, tri, surface.gamma0_d_rate(*args_s) * w[:, None])
+                 + ref_corner(n, tri, surface.gamma_hat_d_rate(*args_s) * wc[:, None]))
+            momenta.append(p / a)
+        span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
+        terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
+        rhs = rhs + terms["rate_bracket"]
+    args_b = ref_pointwise(mesh.tets, mesh.tet_gradients, state.values, state.rates())
+    wb = np.repeat(mesh.tet_volumes / 4.0, 4)
+    mom = ref_corner(mesh.n_vertices, mesh.tets, bulk.d_grad(*args_b) * wb[:, None, None])
+    mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
+    return {"residual": flux_weak - rhs, "flux_weak": flux_weak, "rhs": rhs,
+            "terms": terms,
+            "flux_pointwise": np.einsum("vkj,vj->vk", mom, B.vertex_normals)}
+
+
+def assert_close(actual, expected, scale=None, rtol=1e-12):
+    scale = np.abs(expected).max() if scale is None else scale
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * scale
+
+
+# -- tests -----------------------------------------------------------------------
+
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_perturbed_ball_is_off_the_sphere(seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    H = mesh.boundary.vertex_mean_curvature
+    assert np.ptp(H) > 0.1
+    assert mesh.tet_volumes.min() > 0
+
+
+@pytest.mark.parametrize("pair", ["poisson_source x robin", "linear_elastic x isotropic"])
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_gradient_matches_central_differences(pair, seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    bulk, surface = (make() for make in PAIRS[pair])
+    k = bulk.n_components
+    rng = np.random.default_rng(seed)
+    state = random_state(mesh, k, rng)
+    grad = action_gradient(mesh, bulk, surface, state)
+    # a full direction, one on the boundary only, one boundary coordinate
+    full = rng.standard_normal(state.values.shape)
+    on_boundary = np.zeros_like(full)
+    on_boundary[mesh.boundary_vertex_ids] = full[mesh.boundary_vertex_ids]
+    single = np.zeros_like(full)
+    single[mesh.boundary_vertex_ids[seed % mesh.boundary.n_vertices], seed % k] = 1.0
+    h = 1e-3
+    for d in (full, on_boundary, single):
+        plus = assemble_action(mesh, bulk, surface, FieldState(state.values + h * d)).total
+        minus = assemble_action(mesh, bulk, surface, FieldState(state.values - h * d)).total
+        fd = (plus - minus) / (2.0 * h)
+        assert abs(np.vdot(grad, d) - fd) <= 1e-8 * (1.0 + abs(fd))
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_gradient_equals_add_at_reference(pair, seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    bulk, surface = (make() for make in PAIRS[pair])
+    state = random_state(mesh, bulk.n_components, np.random.default_rng(seed))
+    assert_close(action_gradient(mesh, bulk, surface, state),
+                 ref_action_gradient(mesh, bulk, surface, state))
+
+
+@pytest.mark.parametrize("steps", [3, 5])
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_trajectory_gradient_equals_add_at_reference(steps, seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
+    surface = rate_coupled_surface(curved_robin())
+    state = random_trajectory(mesh, 1, np.random.default_rng(seed), steps)
+    assert_close(action_gradient(mesh, bulk, surface, state),
+                 ref_action_gradient(mesh, bulk, surface, state))
+    expected = ref_euler_lagrange(mesh, bulk, state)
+    assert_close(euler_lagrange_residual(mesh, bulk, state), expected)
+
+
+@pytest.mark.parametrize("case", ["static", "trajectory"])
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_bc_report_equals_add_at_reference(case, seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    rng = np.random.default_rng(seed)
+    if case == "static":
+        bulk = builtin_bulk("poisson_source", source=6.0)
+        surface = curved_robin()
+        state = random_state(mesh, 1, rng)
+    else:
+        bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
+        surface = rate_coupled_surface(curved_robin())
+        state = random_trajectory(mesh, 1, rng)
+    report = natural_bc_residual(mesh, bulk, surface, state)
+    expected = ref_natural_bc(mesh, bulk, surface, state)
+    # residual = flux_weak - rhs cancels; measure it on the scale of its parts
+    scale = max(np.abs(expected["flux_weak"]).max(), np.abs(expected["rhs"]).max())
+    assert_close(report.residual, expected["residual"], scale)
+    assert_close(report.flux_weak, expected["flux_weak"])
+    assert_close(report.rhs, expected["rhs"], scale)
+    assert sorted(report.terms) == sorted(expected["terms"])
+    for name, value in expected["terms"].items():
+        assert_close(report.terms[name], value, scale)
+    assert_close(report.flux_pointwise, expected["flux_pointwise"])
+
+
+def test_explicit_mean_curvature_wins():
+    mesh = perturbed_ball(3, 0.04)
+    B = mesh.boundary
+    surface = curved_robin()
+    values = np.random.default_rng(3).standard_normal((B.n_vertices, 1))
+    H_other = np.linspace(0.5, 1.5, B.n_vertices)
+    expected = sum(ref_surface_channels(B, surface, values, np.zeros_like(values), H_other))
+    assert_close(surface_action_gradient(B, surface, values, mean_curv=H_other), expected)
+    cached = surface_action_gradient(B, surface, values)
+    assert np.abs(cached - expected).max() > 1e-6
+
+
+def test_mean_curvature_cached_once_per_mesh():
+    B = perturbed_ball(5, 0.03).boundary
+    H = B.vertex_mean_curvature
+    assert H is B.vertex_mean_curvature
+    assert np.array_equal(H, mean_curvature(B))
+    assert not H.flags.writeable
+
+
+@given(data=st.data())
+@SETTINGS
+def test_scatter_equals_add_at(data):
+    n = data.draw(st.integers(1, 30))
+    shape = data.draw(st.sampled_from([(40,), (10, 4), (3, 7, 2)]))
+    tail = data.draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    index = rng.integers(0, n, shape)
+    values = rng.standard_normal(shape + tail)
+    expected = np.zeros((n,) + tail)
+    np.add.at(expected, index, values)
+    assert np.array_equal(_scatter(index, n, values), expected)

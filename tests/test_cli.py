@@ -96,9 +96,13 @@ def test_verify_reports(tmp_path):
     assert code == 0
     txt = read_lines(tmp_path / "verify_report.txt")
     assert_headers(txt)
-    payload_lines = read_lines(tmp_path / "verify_report.json")
-    body = "\n".join(l for l in payload_lines if not l.startswith("#"))
-    rows = json.loads(body)
+    with open(tmp_path / "verify_report.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    provenance = payload["provenance"]
+    assert provenance["curvbc"] == txt[0].removeprefix("# curvbc ")
+    assert f"config_sha256={provenance['config_sha256']}" == txt[1][2:]
+    assert provenance["seed"] == 0
+    rows = payload["rows"]
     assert all(row["passed"] in (True, None) for row in rows)
 
 

@@ -403,3 +403,46 @@ def test_bc_residual_small_at_discrete_solution():
     report = natural_bc_residual(mesh, POISSON, robin_surface(1.0), state)
     # the discrete solution satisfies the discrete BC to solver tolerance
     assert np.abs(report.residual).max() <= 1e-6
+
+
+def make_negated_bulk(flip_gradient_only):
+    """-(0.5 |grad phi|^2 + 0.5 phi^2): a quadratic, negative definite action.
+
+    With ``flip_gradient_only`` the density is the positive one while the
+    partials stay negated, so gradients disagree with the action.
+    """
+    sign = 1.0 if flip_gradient_only else -1.0
+    return BulkLagrangian(
+        "negated", 1,
+        density=lambda p, r, g: sign * 0.5 * (np.einsum("mkj,mkj->m", g, g)
+                                              + np.einsum("mk,mk->m", p, p)),
+        d_phi=lambda p, r, g: -p,
+        d_rate=lambda p, r, g: np.zeros_like(p),
+        d_grad=lambda p, r, g: -g,
+        quadratic=not flip_gradient_only,
+    )
+
+
+def test_cg_indefinite_operator_warns_and_switches(caplog):
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
+    with caplog.at_level("WARNING", logger="curvbc"):
+        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(),
+                                  initial, SolveOptions(newton_max=2))
+    assert log.method == "newton"
+    assert any("positive definiteness" in note for note in log.notes)
+    assert [r.name for r in caplog.records] == ["curvbc"]
+    assert "positive definiteness" in caplog.records[0].getMessage()
+
+
+def test_failed_line_search_is_not_converged(caplog):
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    initial = FieldState(np.random.default_rng(12).standard_normal((mesh.n_vertices, 1)))
+    with caplog.at_level("WARNING", logger="curvbc"):
+        state, log = solve_stationary(mesh, make_negated_bulk(True), zero_surface(),
+                                      initial)
+    assert not log.converged
+    assert any("line search failed" in note for note in log.notes)
+    assert any("line search failed" in r.getMessage() for r in caplog.records)
+    # the rejected step is not taken
+    assert np.array_equal(state.values, initial.values)
