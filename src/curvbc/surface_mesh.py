@@ -107,7 +107,7 @@ class TriangleMesh:
 
         self._compute_face_geometry()
         if validate:
-            self._check_face_quality()
+            _check_face_quality(self)
             self._check_closed_oriented()
         self._compute_corner_areas()
         self._compute_vertex_normals()
@@ -127,17 +127,6 @@ class TriangleMesh:
         self.face_areas = 0.5 * norm
         with np.errstate(invalid="ignore", divide="ignore"):
             self.face_normals = cross / np.where(norm > 0.0, norm, 1.0)[:, None]
-
-    def _check_face_quality(self):
-        if not len(self.face_areas):
-            raise MeshError("mesh has no faces")
-        mean_area = float(self.face_areas.mean())
-        bad = np.where(self.face_areas < DEGENERATE_AREA_REL * mean_area)[0]
-        if len(bad):
-            raise MeshQualityError(
-                f"degenerate face {bad[0]} (area {self.face_areas[bad[0]]:.3e}, "
-                f"mean {mean_area:.3e})"
-            )
 
     def _check_closed_oriented(self):
         n = len(self.vertices)
@@ -293,11 +282,17 @@ class CurvatureData:
         return np.linalg.eigvalsh(self.shape_op)
 
 
-def _require_clean_faces(mesh):
+def _check_face_quality(mesh):
+    """Reject an empty mesh or a face far below the mean face area."""
+    if not len(mesh.face_areas):
+        raise MeshError("mesh has no faces")
     mean_area = float(mesh.face_areas.mean())
     bad = np.where(mesh.face_areas < DEGENERATE_AREA_REL * mean_area)[0]
     if len(bad):
-        raise MeshQualityError(f"degenerate face {bad[0]} (area {mesh.face_areas[bad[0]]:.3e})")
+        raise MeshQualityError(
+            f"degenerate face {bad[0]} (area {mesh.face_areas[bad[0]]:.3e}, "
+            f"mean {mean_area:.3e})"
+        )
 
 
 def mean_curvature(mesh):
@@ -312,7 +307,7 @@ def mean_curvature(mesh):
     (n_vertices,) float array
         The H component of :class:`CurvatureData`.
     """
-    _require_clean_faces(mesh)
+    _check_face_quality(mesh)
     tri = mesh.triangles
     x = mesh.vertices
     index = np.empty((6, len(tri)), dtype=np.int64)
@@ -379,11 +374,22 @@ def shape_operator(mesh):
             S[i] = [[sol[0], sol[1]], [sol[1], sol[2]]]
             S[i] += 0.5 * (2.0 * H[i] - np.trace(S[i])) * np.eye(2)
 
-    gH_faces = surface_gradient(mesh, H)
-    gH = _scatter(mesh.triangles, n, mesh.corner_areas[:, :, None] * gH_faces[:, None, :])
+    return CurvatureData(mean=H, shape_op=S, frames=frames, grad_H=_vertex_grad_H(mesh),
+                         flagged=flagged)
+
+
+def _vertex_grad_H(mesh):
+    """Tangential vertex gradient of the cached H, shape (n, 3).
+
+    Per-face surface gradients, averaged back with corner-area weights.
+    """
+    vn = mesh.vertex_normals
+    gH_faces = surface_gradient(mesh, mesh.vertex_mean_curvature)
+    gH = _scatter(mesh.triangles, mesh.n_vertices,
+                  mesh.corner_areas[:, :, None] * gH_faces[:, None, :])
     gH /= mesh.vertex_areas[:, None]
     gH -= np.einsum("vj,vj->v", gH, vn)[:, None] * vn
-    return CurvatureData(mean=H, shape_op=S, frames=frames, grad_H=gH, flagged=flagged)
+    return gH
 
 
 def surface_gradient(mesh, values):

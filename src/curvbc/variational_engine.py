@@ -11,8 +11,9 @@ action, stationarity of the total action encodes the curvature-dependent
 natural boundary condition, and a pure transport term integrates to zero.
 
 Tets and boundary triangles, gradients and residual reports, share one
-element-then-scatter path (:func:`_simplex_gradient`): an element corner
-array per simplex, added into the vertex rows by one bincount scatter.
+element-then-scatter path (:func:`_simplex_gradient`): evaluated partial rows
+make an element corner array, added into the vertex rows by one bincount
+scatter.  The solve and its Newton steps share one CG routine (:func:`_cg`).
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -27,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .surface_mesh import (TriangleMesh, _scatter, build_icosphere,
-                           shape_operator)
+from .surface_mesh import (TriangleMesh, _scatter, _vertex_grad_H,
+                           build_icosphere)
 # re-exported: the name is part of this module's namespace
 from .surface_mesh import mean_curvature  # noqa: F401
 
@@ -235,24 +236,26 @@ def _pointwise(simplices, hat, values, rates):
             np.repeat(grad, c, axis=0))
 
 
-def _simplex_gradient(simplices, hat, weights, n, phi, rate, grad, d_phi, d_grad):
+def _simplex_gradient(simplices, hat, weights, n, corner_rows=None, grad_rows=None):
     """Gradient of ``sum weights * L`` over simplices, scattered to n vertices.
 
-    ``d_phi`` is weighted at the corners; ``d_grad`` rows are weighted and
-    summed over the corners of each simplex, then contracted once with the
-    hat gradients ``hat``.  Both parts add into one corner array that is
-    scattered once.  Either partial may be None; any corner partial (a rate
-    partial, say) can take the place of ``d_phi``.
+    ``corner_rows`` (``m * c``, k) are evaluated ``d_phi`` rows, weighted at
+    the corners; any corner partial (a rate partial, say) can take their
+    place.  ``grad_rows`` (``m * c``, k, 3) are evaluated ``d_grad`` rows,
+    weighted and summed over the corners of each simplex, then contracted
+    once with the hat gradients ``hat``.  Both parts add into one corner
+    array that is scattered once.  Either may be None.  Each is dropped once
+    used, so rows passed as temporaries do not stay alive to the scatter.
     """
     m, c = weights.shape
-    k = phi.shape[1]
     corner = 0.0
-    if d_phi is not None:
-        corner = d_phi(phi, rate, grad).reshape(m, c, k) * weights[:, :, None]
-    if d_grad is not None:
-        per_simplex = np.einsum("tc,tcx->tx", weights,
-                                d_grad(phi, rate, grad).reshape(m, c, k * 3))
-        corner = corner + np.einsum("tkx,tcx->tck", per_simplex.reshape(m, k, 3), hat)
+    if corner_rows is not None:
+        corner = corner_rows.reshape(m, c, -1) * weights[:, :, None]
+        del corner_rows
+    if grad_rows is not None:
+        per_simplex = np.einsum("tc,tcx->tx", weights, grad_rows.reshape(m, c, -1))
+        del grad_rows
+        corner = corner + np.einsum("tkx,tcx->tck", per_simplex.reshape(m, -1, 3), hat)
     return _scatter(simplices, n, corner)
 
 
@@ -270,9 +273,9 @@ def bulk_action(mesh, bulk, state):
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    phi, rate, grad = _bulk_pointwise(mesh, state.values, state.rates())
+    at = _bulk_pointwise(mesh, state.values, state.rates())
     return _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
-                             mesh.n_vertices, phi, rate, grad, bulk.d_phi, bulk.d_grad)
+                             mesh.n_vertices, bulk.d_phi(*at), bulk.d_grad(*at))
 
 
 def _surface_weights(mesh, mean_curv=None):
@@ -303,11 +306,11 @@ def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
     rates = np.zeros_like(values) if rates is None else np.atleast_2d(rates)
     w, wc = _surface_weights(mesh, mean_curv)
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
-    phi, rate, grad = _pointwise(tri, hat, values, rates)
-    return (_simplex_gradient(tri, hat, w, n, phi, rate, grad,
-                              surface.gamma0_d_phi, surface.gamma0_d_grad)
-            + _simplex_gradient(tri, hat, wc, n, phi, rate, grad,
-                                surface.gamma_hat_d_phi, surface.gamma_hat_d_grad))
+    at = _pointwise(tri, hat, values, rates)
+    return (_simplex_gradient(tri, hat, w, n, surface.gamma0_d_phi(*at),
+                              surface.gamma0_d_grad(*at))
+            + _simplex_gradient(tri, hat, wc, n, surface.gamma_hat_d_phi(*at),
+                                surface.gamma_hat_d_grad(*at)))
 
 
 @dataclass
@@ -387,10 +390,9 @@ def euler_lagrange_residual(mesh, bulk, state):
         mid = state.trajectory.shape[0] // 2
         momenta = []
         for s in (mid - 1, mid + 1):
-            phi, rate, grad = _bulk_pointwise(mesh, state.trajectory[s],
-                                              state.snapshot_rates(s))
+            at = _bulk_pointwise(mesh, state.trajectory[s], state.snapshot_rates(s))
             p = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
-                                  mesh.n_vertices, phi, rate, grad, bulk.d_rate, None)
+                                  mesh.n_vertices, bulk.d_rate(*at))
             momenta.append(p / mesh.dual_volumes[:, None])
         # for a 3-snapshot trajectory the end rates are one-sided, which
         # places the momenta at the half-steps: a staggered first difference
@@ -428,7 +430,11 @@ class BCResidualReport:
 
 
 def natural_bc_residual(mesh, bulk, surface, state):
-    """Evaluate the curvature-dependent natural boundary condition defect."""
+    """Evaluate the curvature-dependent natural boundary condition defect.
+
+    Each partial is evaluated once; ``grad_H_term`` uses the vertex gradient
+    of the cached H, not a shape-operator fit.
+    """
     _check_components(mesh, bulk, surface, state)
     if surface.rate_dependent and state.trajectory is None:
         raise ValueError(
@@ -437,33 +443,37 @@ def natural_bc_residual(mesh, bulk, surface, state):
     B = mesh.boundary
     ids = mesh.boundary_vertex_ids
     area = B.vertex_areas
+    a = area[:, None]
     k = state.n_components
 
-    g_bulk = bulk_action_gradient(mesh, bulk, state)[ids]
-    flux_weak = g_bulk / area[:, None]
+    bulk_at = _bulk_pointwise(mesh, state.values, state.rates())
+    bulk_d_phi, bulk_d_grad = bulk.d_phi(*bulk_at), bulk.d_grad(*bulk_at)
+    del bulk_at  # the d_grad rows outlive the inputs; keep the peak memory down
+    g_bulk = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
+                               mesh.n_vertices, bulk_d_phi, bulk_d_grad)
+    flux_weak = g_bulk[ids] / a
 
     tri, hat, nb = B.triangles, B.hat_gradients, B.n_vertices
     H = B.vertex_mean_curvature
     w, wc = _surface_weights(B)
-    at_state = _pointwise(tri, hat, state.values[ids], state.rates()[ids])
+    at = _pointwise(tri, hat, state.values[ids], state.rates()[ids])
+    hat_d_grad = surface.gamma_hat_d_grad(*at)
 
-    def assemble(weights, d_phi=None, d_grad=None, inputs=at_state):
-        return _simplex_gradient(tri, hat, weights, nb, *inputs, d_phi, d_grad)
+    def assemble(weights, corner_rows=None, grad_rows=None):
+        return _simplex_gradient(tri, hat, weights, nb, corner_rows, grad_rows)
 
-    a = area[:, None]
     terms = {
-        "gamma0_phi": -assemble(w, d_phi=surface.gamma0_d_phi) / a,
-        "gamma0_div": -assemble(w, d_grad=surface.gamma0_d_grad) / a,
-        "curv_phi": -assemble(wc, d_phi=surface.gamma_hat_d_phi) / a,
-        "curv_div": -assemble(wc, d_grad=surface.gamma_hat_d_grad) / a,
+        "gamma0_phi": -assemble(w, surface.gamma0_d_phi(*at)) / a,
+        "gamma0_div": -assemble(w, grad_rows=surface.gamma0_d_grad(*at)) / a,
+        "curv_phi": -assemble(wc, surface.gamma_hat_d_phi(*at)) / a,
+        "curv_div": -assemble(wc, grad_rows=hat_d_grad) / a,
     }
     # diagnostic split of the curvature gradient channel
-    R_frozen = assemble(w, d_grad=surface.gamma_hat_d_grad)
-    curv = shape_operator(B)
-    W = _scatter(tri, nb, surface.gamma_hat_d_grad(*at_state).reshape(-1, 3, k, 3)
+    R_frozen = assemble(w, grad_rows=hat_d_grad)
+    W = _scatter(tri, nb, hat_d_grad.reshape(-1, 3, k, 3)
                  * w[:, :, None, None]) / area[:, None, None]
     terms["curv_div_frozen"] = 2.0 * H[:, None] * (R_frozen / a)
-    terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, curv.grad_H)
+    terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(B))
 
     rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
 
@@ -477,9 +487,9 @@ def natural_bc_residual(mesh, bulk, surface, state):
                               state.snapshot_rates(s)[ids])
             p = 0.0
             if surface.gamma0_d_rate is not None:
-                p = p + assemble(w, d_phi=surface.gamma0_d_rate, inputs=at_s)
+                p = p + assemble(w, surface.gamma0_d_rate(*at_s))
             if surface.gamma_hat_d_rate is not None:
-                p = p + assemble(wc, d_phi=surface.gamma_hat_d_rate, inputs=at_s)
+                p = p + assemble(wc, surface.gamma_hat_d_rate(*at_s))
             momenta.append(p / a)
         span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
         terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
@@ -488,9 +498,8 @@ def natural_bc_residual(mesh, bulk, surface, state):
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
-    d_grad = bulk.d_grad(*_bulk_pointwise(mesh, state.values, state.rates()))
     mom = _scatter(mesh.tets, mesh.n_vertices,
-                   d_grad.reshape(-1, 4, k, 3) * mesh.corner_weights[:, :, None, None])
+                   bulk_d_grad.reshape(-1, 4, k, 3) * mesh.corner_weights[:, :, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 
@@ -508,7 +517,6 @@ class SolveOptions:
     force_newton: bool = False
     newton_max: int = 50
     armijo: float = 1e-4
-    verbose: bool = False
 
 
 @dataclass
@@ -522,33 +530,46 @@ class ConvergenceLog:
 
 
 def _gauge_basis(mesh, k, gauge):
-    n = mesh.n_vertices
     if gauge == "none":
         return None
-    if gauge == "zero_mean":
-        modes = np.zeros((n * k, k))
-        for c in range(k):
-            m = np.zeros((n, k))
-            m[:, c] = 1.0
-            modes[:, c] = m.ravel()
-    elif gauge == "rigid":
-        if k != 3:
-            raise ValueError("rigid gauge requires a 3-component field")
-        cols = []
-        for c in range(3):
-            m = np.zeros((n, 3))
-            m[:, c] = 1.0
-            cols.append(m.ravel())
-        x = mesh.vertices - mesh.vertices.mean(axis=0)
-        for c in range(3):
-            axis = np.zeros(3)
-            axis[c] = 1.0
-            cols.append(np.cross(axis, x).ravel())
-        modes = np.stack(cols, axis=1)
-    else:
+    if gauge not in ("zero_mean", "rigid"):
         raise ValueError(f"unknown gauge {gauge!r}")
+    if gauge == "rigid" and k != 3:
+        raise ValueError("rigid gauge requires a 3-component field")
+    # column c shifts component c by one at every vertex
+    modes = np.tile(np.eye(k), (mesh.n_vertices, 1))
+    if gauge == "rigid":
+        x = mesh.vertices - mesh.vertices.mean(axis=0)
+        modes = np.column_stack([modes] + [np.cross(axis, x).ravel() for axis in np.eye(3)])
     q, _ = np.linalg.qr(modes)
     return q
+
+
+def _cg(apply, b, done, max_iterations):
+    """Conjugate gradients for ``apply(x) = b`` from ``x = 0``.
+
+    Stops when ``done(r)`` holds (it sees the initial and every updated
+    residual), after ``max_iterations`` steps, or on ``p.Ap <= 0``.
+    Returns ``(x, iterations, definite)``, ``definite`` False on the last.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    iterations = 0
+    while not done(r) and iterations < max_iterations:
+        Ap = apply(p)
+        pAp = p @ Ap
+        if pAp <= 0:
+            return x, iterations, False
+        alpha = rr / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rr_new = r @ r
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+        iterations += 1
+    return x, iterations, True
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
@@ -556,15 +577,17 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
 
     Quadratic problems use matrix-free conjugate gradients on the exact
     operator (gradient differences); anything else, or ``force_newton``,
-    runs damped Newton with finite-difference curvature applications.
+    runs damped Newton with truncated-CG steps on finite-difference
+    curvature applications.  One CG routine, :func:`_cg`, serves both.
     Convergence is measured in the max norm of the (gauge-projected)
     gradient.  A pure-Neumann problem whose data is incompatible with the
     constant nullspace raises :class:`SingularProblemError`.
 
-    Fallbacks are noted in the log and warned about on the ``curvbc``
-    logger: CG leaving for Newton when the operator is not positive
-    definite, and a line search that finds no Armijo decrease, which ends
-    the solve unconverged without taking the step.
+    Fallbacks are noted in the log and reported on the ``curvbc`` logger:
+    CG leaving for Newton when the operator is not positive definite
+    (warning), a Newton step taken as steepest descent because its CG meets
+    ``p.Ap <= 0`` at once (info), and a line search that finds no Armijo
+    decrease, which ends the solve unconverged without the step (warning).
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -610,31 +633,18 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     log = ConvergenceLog(method="cg" if quadratic else "newton", iterations=0)
 
     if quadratic:
-        b = project(-g0)
-        x = np.zeros_like(b)
-        r = b.copy()
-        p = r.copy()
-        rr = r @ r
-        log.residual_norms.append(float(np.abs(r).max()))
-        for it in range(options.max_iterations):
-            if np.abs(r).max() <= options.tolerance:
-                break
-            Ap = project(operator(p))
-            pAp = p @ Ap
-            if pAp <= 0:
-                note = "operator lost positive definiteness; switching to newton"
-                log.notes.append(note)
-                _LOG.warning("solve_stationary: %s (CG iteration %d)", note, it)
-                quadratic = False
-                break
-            alpha = rr / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rr_new = r @ r
-            p = r + (rr_new / rr) * p
-            rr = rr_new
-            log.iterations = it + 1
+        def converged(r):
             log.residual_norms.append(float(np.abs(r).max()))
+            return log.residual_norms[-1] <= options.tolerance
+
+        x, its, definite = _cg(lambda p: project(operator(p)), project(-g0),
+                               converged, options.max_iterations)
+        if not definite:
+            note = "operator lost positive definiteness; switching to newton"
+            log.notes.append(note)
+            _LOG.warning("solve_stationary: %s (CG iteration %d)", note, its)
+            quadratic = False
+        log.iterations = its
         phi = phi0 + x.reshape(phi0.shape)
 
     line_search_failed = False
@@ -650,7 +660,26 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             log.iterations = it
             if gn <= options.tolerance:
                 break
-            d = _newton_direction(phi, g, grad_at, project, options)
+            # inexact Newton step: truncated CG on finite-difference Hessian applies
+            flat = phi.ravel()
+            fd_scale = 1.0 + float(np.abs(flat).max())
+
+            def hess_apply(v):
+                vn = np.linalg.norm(v)
+                if vn == 0:
+                    return np.zeros_like(v)
+                eps = 1e-7 * fd_scale / vn
+                gp = grad_at((flat + eps * v).reshape(phi.shape)).ravel()
+                return project((gp - g) / eps)
+
+            b = project(-g)
+            tol = max(1e-2 * np.linalg.norm(b), 1e-14)
+            d, its, definite = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
+            if not definite and its == 0:
+                d = b
+                note = f"steepest descent at newton iteration {it}"
+                log.notes.append(note)
+                _LOG.info("solve_stationary: %s", note)
             t = 1.0
             a0 = action_of(phi)
             slope = g @ d
@@ -672,39 +701,3 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     state = FieldState(phi, initial.trajectory, initial.dt)
     return state, log
 
-
-def _newton_direction(phi, g, grad_at, project, options):
-    """Inexact Newton step via CG with finite-difference Hessian applies."""
-    flat = phi.ravel()
-    scale = 1.0 + float(np.abs(flat).max())
-
-    def hess_apply(d):
-        dn = np.linalg.norm(d)
-        if dn == 0:
-            return np.zeros_like(d)
-        eps = 1e-7 * scale / dn
-        gp = grad_at((flat + eps * d).reshape(phi.shape)).ravel()
-        return project((gp - g) / eps)
-
-    b = project(-g)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    tol = max(1e-2 * np.linalg.norm(b), 1e-14)
-    for _ in range(200):
-        if np.linalg.norm(r) <= tol:
-            break
-        Ap = hess_apply(p)
-        pAp = p @ Ap
-        if pAp <= 0:
-            if np.allclose(x, 0):
-                return b
-            break
-        alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x

@@ -1,6 +1,9 @@
 """Tet meshes, action assembly, gradients, residuals, stationary solves."""
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from curvbc import (
     FieldState,
     SingularProblemError,
     SolveOptions,
+    TriangleMesh,
     action_gradient,
     assemble_action,
     build_ball_tetmesh,
@@ -24,6 +28,7 @@ from curvbc import (
     zero_surface,
 )
 from curvbc.lagrangian_library import BulkLagrangian, SurfaceLagrangian
+from curvbc.variational_engine import _cg
 
 POISSON = builtin_bulk("poisson_source", source=6.0)
 HARMONIC = builtin_bulk("harmonic")
@@ -277,6 +282,40 @@ def test_classical_robin_recovery():
         assert np.abs(report.terms[name]).max() == 0.0
 
 
+def counted(lagrangian, calls):
+    """Copy of ``lagrangian`` whose callable fields count their calls."""
+    def wrap(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    return dataclasses.replace(lagrangian, **{
+        f.name: wrap(f.name, getattr(lagrangian, f.name))
+        for f in dataclasses.fields(lagrangian) if callable(getattr(lagrangian, f.name))})
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (POISSON, robin_surface(1.0)),
+    lambda: (builtin_bulk("linear_elastic", mu=1.0, lam=1.0),
+             make_isotropic_surface(1.0, 0.1)),
+])
+def test_bc_report_evaluates_each_partial_once(pair, monkeypatch):
+    bulk, surface = pair()
+    mesh = small_ball(2, 3)
+    state = FieldState(np.random.default_rng(4).standard_normal(
+        (mesh.n_vertices, bulk.n_components)))
+    bulk_calls, surface_calls = Counter(), Counter()
+
+    def no_fit(mesh):
+        raise AssertionError("the report must not run the shape-operator fit")
+    monkeypatch.setattr(TriangleMesh, "vertex_adjacency", no_fit)
+    natural_bc_residual(mesh, counted(bulk, bulk_calls),
+                        counted(surface, surface_calls), state)
+    assert bulk_calls == Counter(d_phi=1, d_grad=1)
+    assert surface_calls == Counter(gamma0_d_phi=1, gamma0_d_grad=1,
+                                    gamma_hat_d_phi=1, gamma_hat_d_grad=1)
+
+
 def test_bc_residual_refines_at_oracle():
     devs = []
     for level, layers in ((2, 4), (3, 6)):
@@ -354,6 +393,32 @@ def test_solve_matches_radial_oracle():
     exact = 3.0 - r2
     err = weighted_l2(state.values[:, 0] - exact, mesh.dual_volumes)
     assert err / weighted_l2(exact, mesh.dual_volumes) <= 0.01
+
+
+def test_solve_log_has_one_norm_per_cg_iterate():
+    mesh = build_ball_tetmesh(1.0, surface_level=2, radial_layers=3)
+    _, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    assert log.method == "cg" and log.iterations > 0
+    assert len(log.residual_norms) == log.iterations + 1
+    assert log.residual_norms[-1] <= SolveOptions().tolerance < log.residual_norms[-2]
+
+
+def test_cg_matches_dense_solve():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((12, 12))
+    A = M @ M.T + 12.0 * np.eye(12)
+    b = rng.standard_normal(12)
+    x, iterations, definite = _cg(lambda p: A @ p, b,
+                                  lambda r: np.abs(r).max() <= 1e-13, 100)
+    assert definite and 0 < iterations < 100
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-12
+
+
+def test_cg_stops_on_negative_curvature():
+    A = np.diag([-3.0, 1.0, 1.0])
+    x, iterations, definite = _cg(lambda p: A @ p, np.ones(3), lambda r: False, 10)
+    assert not definite and iterations == 0
+    assert np.array_equal(x, np.zeros(3))
 
 
 def test_solve_zero_problem():
@@ -446,3 +511,14 @@ def test_failed_line_search_is_not_converged(caplog):
     assert any("line search failed" in r.getMessage() for r in caplog.records)
     # the rejected step is not taken
     assert np.array_equal(state.values, initial.values)
+
+
+def test_newton_steepest_descent_is_noted(caplog):
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
+    with caplog.at_level("INFO", logger="curvbc"):
+        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(),
+                                  initial, SolveOptions(newton_max=2))
+    note = "steepest descent at newton iteration 0"
+    assert note in log.notes
+    assert any(r.levelname == "INFO" and note in r.getMessage() for r in caplog.records)
