@@ -20,10 +20,10 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 from .analytic_geometry import (AnalyticSurface, GeometryJet,
                                 adapted_coefficient_divergence,
                                 evaluate_jet, expansion_terms, sample_mesh)
-from .lagrangian_library import (BulkLagrangian, SurfaceLagrangian,
-                                 QuadraticPotential, ZeroPotential,
-                                 builtin_bulk, check_partials, harmonic,
-                                 linear_elastic, make_isotropic_surface,
+from .lagrangian_library import (BulkLagrangian, IsotropicSurfaceParams,
+                                 SurfaceLagrangian, QuadraticPotential,
+                                 ZeroPotential, builtin_bulk, check_partials,
+                                 harmonic, linear_elastic, make_isotropic_surface,
                                  make_restricted_surface, poisson_source,
                                  quadratic_potential, robin_surface,
                                  zero_surface)
@@ -33,10 +33,9 @@ from .surface_mesh import (CurvatureData, MeshError, MeshQualityError,
                            curvature_identity_residual, integrate_surface,
                            mean_curvature, shape_operator,
                            surface_divergence, surface_gradient)
-from .tolman_reduction import (BoundaryPoint, IsotropicSurfaceParams,
-                               ReductionReport, RestrictedPointCoeffs,
-                               TolmanCurve, coeffs_from_surface,
-                               extended_bc_rhs, general_bc_rhs,
+from .tolman_reduction import (BoundaryPoint, ReductionReport,
+                               RestrictedPointCoeffs, TolmanCurve,
+                               coeffs_from_surface, extended_bc_rhs, general_bc_rhs,
                                isotropic_bc_values, reduced_bc_rhs,
                                tie_curvature_channel, tolman_curve,
                                tolman_pressure, verify_reductions)

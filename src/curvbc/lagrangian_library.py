@@ -298,57 +298,48 @@ def zero_surface(n_components=1):
     return make_restricted_surface(n_components, name="zero")
 
 
+@dataclass(frozen=True)
+class IsotropicSurfaceParams:
+    """Uniform tension pair (sigma, tau) with the derived length delta.
+
+    Requires sigma >= 0, with tau = 0 when sigma = 0, so that
+    ``delta = 2 tau / sigma`` is defined whenever tau is used.
+    """
+
+    sigma: float
+    tau: float
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise ValueError("surface tension sigma must be non-negative")
+        if self.sigma == 0.0 and self.tau != 0.0:
+            raise ValueError("tau requires a positive sigma")
+
+    @property
+    def delta(self):
+        if self.sigma == 0.0:
+            return 0.0
+        return 2.0 * self.tau / self.sigma
+
+
 def make_isotropic_surface(sigma, tau):
     """Uniform-tension surface pair for a 3-component displacement field.
 
-    Both densities are the trace of the tangential displacement gradient
-    (the first-order area dilation), weighted by the tension sigma and the
-    curvature-tension tau.  Requires sigma >= 0, with tau = 0 when sigma = 0
-    so the ratio ``delta = 2 tau / sigma`` is defined whenever tau is used.
+    The restricted pair with ``chi = sigma I`` and ``kappa = tau I``: both
+    densities are the trace of the tangential displacement gradient (the
+    first-order area dilation), weighted by the tension sigma and the
+    curvature-tension tau, as checked by :class:`IsotropicSurfaceParams`.
     """
-    sigma = float(sigma)
-    tau = float(tau)
-    if sigma < 0:
-        raise ValueError("surface tension sigma must be non-negative")
-    if sigma == 0.0 and tau != 0.0:
-        raise ValueError("tau requires a positive sigma")
-
-    def trace(grad):
-        return np.einsum("mkk->m", grad)
-
-    def zeros_phi(phi, rate, grad):
-        return np.zeros_like(phi)
-
-    def g0_dens(phi, rate, grad):
-        return sigma * trace(grad)
-
-    def g0_dgrad(phi, rate, grad):
-        out = np.zeros_like(grad)
-        out[:, np.arange(3), np.arange(3)] = sigma
-        return out
-
-    def gh_dens(phi, rate, grad):
-        return tau * trace(grad)
-
-    def gh_dgrad(phi, rate, grad):
-        out = np.zeros_like(grad)
-        out[:, np.arange(3), np.arange(3)] = tau
-        return out
-
-    spec = SurfaceLagrangian(
-        f"isotropic({sigma:g},{tau:g})",
+    params = IsotropicSurfaceParams(float(sigma), float(tau))
+    spec = make_restricted_surface(
         3,
-        g0_dens,
-        zeros_phi,
-        g0_dgrad,
-        gh_dens,
-        zeros_phi,
-        gh_dgrad,
-        quadratic=True,
-        meta={"sigma": sigma, "tau": tau},
+        chi=params.sigma * np.eye(3),
+        kappa=params.tau * np.eye(3),
+        name=f"isotropic({params.sigma:g},{params.tau:g})",
     )
-    if sigma > 0:
-        spec.meta["delta"] = 2.0 * tau / sigma
+    spec.meta.update(sigma=params.sigma, tau=params.tau)
+    if params.sigma > 0:
+        spec.meta["delta"] = params.delta
     return spec
 
 

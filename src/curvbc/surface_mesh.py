@@ -489,20 +489,20 @@ def build_icosphere(radius, level):
 
 
 def _subdivide_once(verts, faces):
-    verts = list(map(tuple, verts))
-    cache = {}
+    """Split every face into four at its edge midpoints, projected to the unit sphere.
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            p = np.array(verts[i]) + np.array(verts[j])
-            p /= np.linalg.norm(p)
-            cache[key] = len(verts)
-            verts.append(tuple(p))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts, dtype=float), np.array(out, dtype=np.int64)
+    Midpoints are numbered after the old vertices in the order their edges
+    are first met, scanning faces in order and edges ab, bc, ca in each.
+    """
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = edges[first[order]]
+    p = verts[ends[:, 0]] + verts[ends[:, 1]]
+    p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]   # sums as np.linalg.norm(row) does
+    corners = np.hstack([faces, len(verts) + rank[inverse].reshape(-1, 3)])  # a b c ab bc ca
+    split = [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]
+    return np.vstack([verts, p]), corners[:, split].reshape(-1, 3)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .analytic_geometry import (AnalyticSurface, adapted_coefficient_divergence,
                                 evaluate_jet, expansion_terms)
-from .lagrangian_library import SurfaceLagrangian, make_isotropic_surface
+from .lagrangian_library import (IsotropicSurfaceParams, SurfaceLagrangian,
+                                 make_isotropic_surface)
 from .surface_mesh import build_icosphere
 
 
@@ -186,15 +187,6 @@ def coeffs_from_surface(surf, point):
     def project(c):
         return point.metric_inv @ (tang @ c)
 
-    if "sigma" in meta:
-        sigma, tau = meta["sigma"], meta["tau"]
-        chi = np.stack([project(sigma * np.eye(3)[c]) for c in range(3)], axis=1)
-        kappa = np.stack([project(tau * np.eye(3)[c]) for c in range(3)], axis=1)
-        return RestrictedPointCoeffs(
-            3, chi=chi, kappa=kappa,
-            div_chi=-2.0 * H * sigma * n,
-            div_kappa=-2.0 * H * tau * n,
-        )
     if not {"chi", "chi_tilde", "kappa", "kappa_hat"} <= meta.keys():
         raise ValueError(f"surface Lagrangian {surf.name!r} is not in restricted form")
 
@@ -304,26 +296,6 @@ def extended_bc_rhs(point, coeffs, delta):
 
 
 # -- droplet laws --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IsotropicSurfaceParams:
-    """Uniform tension pair (sigma, tau) with the derived length delta."""
-
-    sigma: float
-    tau: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.sigma == 0.0 and self.tau != 0.0:
-            raise ValueError("tau requires a positive sigma")
-
-    @property
-    def delta(self):
-        if self.sigma == 0.0:
-            return 0.0
-        return 2.0 * self.tau / self.sigma
-
 
 def isotropic_bc_values(params, H, grad_H=None, metric_inv=None):
     """Droplet boundary values: (tangential 2-vector, normal scalar).

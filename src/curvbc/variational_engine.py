@@ -85,6 +85,7 @@ class TetMesh:
         grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
         self.tet_gradients = grads
+        del edge, inv   # (m, 3, 3) each; keeps them out of the boundary check's peak
         self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
         self.dual_volumes = _scatter(tets, len(self.vertices), self.corner_weights)
         self.boundary = boundary
@@ -93,6 +94,8 @@ class TetMesh:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")
         if len(np.unique(self.boundary_vertex_ids)) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must be distinct")
+        _check_boundary_faces(tets, self.n_vertices, boundary.triangles,
+                              self.boundary_vertex_ids)
         mask = np.ones(len(self.vertices), dtype=bool)
         mask[self.boundary_vertex_ids] = False
         self.interior_mask = mask
@@ -108,6 +111,46 @@ class TetMesh:
     @property
     def total_volume(self):
         return float(self.tet_volumes.sum())
+
+
+# faces of a positively oriented tet (0, 1, 2, 3), wound with outward normals
+_TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+
+def _check_boundary_faces(tets, n, triangles, ids):
+    """Raise ValueError unless the tet faces used once are the boundary triangles.
+
+    With every boundary triangle added reversed, each face must occur exactly
+    twice with opposite windings: an interior face between its two
+    positively oriented tets, a boundary face between its tet and the
+    outward boundary triangle.  Rows are slot-major tet faces, then triangles.
+    """
+    if n >= 2**21:
+        raise ValueError("the boundary check supports fewer than 2**21 vertices")
+    keys, odd = [], []
+    for table, cols in [(tets, f) for f in _TET_FACES] + [(ids[triangles], [2, 1, 0])]:
+        p = table[:, cols]
+        s = np.sort(p, axis=1)
+        keys.append((s[:, 0] * n + s[:, 1]) * n + s[:, 2])
+        # the row is an odd permutation of its sorted vertices
+        odd.append((p[:, 0] > p[:, 1]) ^ (p[:, 1] > p[:, 2]) ^ (p[:, 0] > p[:, 2]))
+    key, odd = np.concatenate(keys), np.concatenate(odd)
+    del keys
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    del key
+    sizes = np.diff(np.r_[starts, len(order)])
+    pair = order[np.minimum(starts + 1, len(order) - 1)]
+    bad = (sizes != 2) | (odd[order[starts]] == odd[pair])
+    if bad.any():
+        g, m = int(np.argmax(bad)), len(tets)
+        row = int(order[starts[g]:starts[g] + sizes[g]].max())   # a triangle if any
+        what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
+                else f"face {tets[row % m, _TET_FACES[row // m]].tolist()} of tet {row % m}")
+        why = {1: "is used once" if row < 4 * m else "is not a tet face",
+               2: "is wound inward"}.get(int(sizes[g]), f"is shared {sizes[g]} times")
+        raise ValueError(f"boundary mismatch: {what} {why}")
 
 
 def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
@@ -134,30 +177,21 @@ def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
     nd = len(dirs)
     faces = shell.triangles
 
-    verts = [center]
-    for layer in range(1, radial_layers + 1):
-        r = radius * (layer / radial_layers) ** grading
-        verts.append(center + r * dirs)
-    vertices = np.vstack([verts[0][None, :]] + verts[1:])
+    r = np.array([radius * (layer / radial_layers) ** grading
+                  for layer in range(1, radial_layers + 1)])
+    vertices = np.vstack([center, (center + r[:, None, None] * dirs).reshape(-1, 3)])
 
-    def vid(layer, i):
-        return 1 + (layer - 1) * nd + i
+    # shell l (1-based) holds vertices 1 + (l - 1) * nd + i; each prism's
+    # corners are its sorted bottom triangle b0 b1 b2, then the top t0 t1 t2
+    cone = np.column_stack([np.zeros(len(faces), dtype=np.int64), 1 + faces])
+    bottom = 1 + np.sort(faces, axis=1) + (nd * np.arange(radial_layers - 1))[:, None, None]
+    prism = np.concatenate([bottom, bottom + nd], axis=2)
+    split = [[0, 1, 2, 5], [0, 1, 4, 5], [0, 3, 4, 5]]   # b0b1b2t2, b0b1t1t2, b0t0t1t2
+    tets = np.vstack([cone, prism[:, :, split].reshape(-1, 4)])
 
-    tets = []
-    for p, q, r in faces:
-        tets.append((0, vid(1, p), vid(1, q), vid(1, r)))
-    for layer in range(1, radial_layers):
-        for tri in faces:
-            i0, i1, i2 = sorted(tri)
-            b0, b1, b2 = vid(layer, i0), vid(layer, i1), vid(layer, i2)
-            t0, t1, t2 = vid(layer + 1, i0), vid(layer + 1, i1), vid(layer + 1, i2)
-            tets.append((b0, b1, b2, t2))
-            tets.append((b0, b1, t1, t2))
-            tets.append((b0, t0, t1, t2))
-
-    boundary_ids = np.array([vid(radial_layers, i) for i in range(nd)])
+    boundary_ids = 1 + (radial_layers - 1) * nd + np.arange(nd)
     boundary = TriangleMesh(vertices[boundary_ids], faces)
-    return TetMesh(vertices, np.array(tets, dtype=np.int64), boundary, boundary_ids)
+    return TetMesh(vertices, tets, boundary, boundary_ids)
 
 
 # -- field states ------------------------------------------------------------
@@ -202,8 +236,11 @@ class FieldState:
         """Field rate at the middle snapshot; zeros for a static state."""
         if self.trajectory is None:
             return np.zeros_like(self.values)
-        mid = self.trajectory.shape[0] // 2
-        return (self.trajectory[mid + 1] - self.trajectory[mid - 1]) / (2.0 * self.dt)
+        return self.snapshot_rates(self.trajectory.shape[0] // 2)
+
+    def _rates_at(self, ids=slice(None)):
+        """Middle-snapshot rates at ``ids``; None for a static state."""
+        return None if self.trajectory is None else self.rates()[ids]
 
     def snapshot_rates(self, s):
         traj = self.trajectory
@@ -227,13 +264,15 @@ def _check_components(mesh, bulk, surface, state):
 
 
 def _pointwise(simplices, hat, values, rates):
-    """Corner-expanded quadrature inputs (phi, rate, grad), ``m * c`` rows."""
+    """Corner-expanded quadrature inputs (phi, rate, grad), ``m * c`` rows;
+    ``rates=None`` (a static state) gives zero rate rows."""
     m, c = simplices.shape
     k = values.shape[1]
     phi_c = values[simplices]                             # (m, c, k)
     grad = np.einsum("tck,tcj->tkj", phi_c, hat)
-    return (phi_c.reshape(m * c, k), rates[simplices].reshape(m * c, k),
-            np.repeat(grad, c, axis=0))
+    rate = (np.zeros((m * c, k)) if rates is None
+            else np.atleast_2d(rates)[simplices].reshape(m * c, k))
+    return phi_c.reshape(m * c, k), rate, np.repeat(grad, c, axis=0)
 
 
 def _simplex_gradient(simplices, hat, weights, n, corner_rows=None, grad_rows=None):
@@ -266,14 +305,14 @@ def _bulk_pointwise(mesh, values, rates):
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    phi, rate, grad = _bulk_pointwise(mesh, state.values, state.rates())
+    phi, rate, grad = _bulk_pointwise(mesh, state.values, state._rates_at())
     return float(mesh.corner_weights.ravel() @ bulk.density(phi, rate, grad))
 
 
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    at = _bulk_pointwise(mesh, state.values, state.rates())
+    at = _bulk_pointwise(mesh, state.values, state._rates_at())
     return _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
                              mesh.n_vertices, bulk.d_phi(*at), bulk.d_grad(*at))
 
@@ -292,7 +331,6 @@ def surface_action(mesh, surface, values, rates=None, mean_curv=None):
     :func:`assemble_action` for fields defined on a tet mesh.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    rates = np.zeros_like(values) if rates is None else np.atleast_2d(rates)
     w, wc = _surface_weights(mesh, mean_curv)
     phi, rate, grad = _pointwise(mesh.triangles, mesh.hat_gradients, values, rates)
     plain = float(w.ravel() @ surface.gamma0(phi, rate, grad))
@@ -303,7 +341,6 @@ def surface_action(mesh, surface, values, rates=None, mean_curv=None):
 def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
     """Exact gradient of the boundary action on a triangle mesh."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    rates = np.zeros_like(values) if rates is None else np.atleast_2d(rates)
     w, wc = _surface_weights(mesh, mean_curv)
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     at = _pointwise(tri, hat, values, rates)
@@ -343,9 +380,9 @@ def assemble_action(mesh, bulk, surface, state, surface_transport=None,
     """
     _check_components(mesh, bulk, surface, state)
     b = bulk_action(mesh, bulk, state)
-    bvals = state.values[mesh.boundary_vertex_ids]
-    brates = state.rates()[mesh.boundary_vertex_ids]
-    plain, curv = surface_action(mesh.boundary, surface, bvals, brates)
+    ids = mesh.boundary_vertex_ids
+    plain, curv = surface_action(mesh.boundary, surface, state.values[ids],
+                                 state._rates_at(ids))
 
     transport = 0.0
     if surface_transport is not None:
@@ -365,10 +402,9 @@ def action_gradient(mesh, bulk, surface, state):
     """Exact gradient of the total action with respect to vertex values."""
     _check_components(mesh, bulk, surface, state)
     out = bulk_action_gradient(mesh, bulk, state)
-    bvals = state.values[mesh.boundary_vertex_ids]
-    brates = state.rates()[mesh.boundary_vertex_ids]
-    out[mesh.boundary_vertex_ids] += surface_action_gradient(
-        mesh.boundary, surface, bvals, brates)
+    ids = mesh.boundary_vertex_ids
+    out[ids] += surface_action_gradient(mesh.boundary, surface, state.values[ids],
+                                        state._rates_at(ids))
     return out
 
 
@@ -446,7 +482,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     a = area[:, None]
     k = state.n_components
 
-    bulk_at = _bulk_pointwise(mesh, state.values, state.rates())
+    bulk_at = _bulk_pointwise(mesh, state.values, state._rates_at())
     bulk_d_phi, bulk_d_grad = bulk.d_phi(*bulk_at), bulk.d_grad(*bulk_at)
     del bulk_at  # the d_grad rows outlive the inputs; keep the peak memory down
     g_bulk = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
@@ -456,7 +492,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     tri, hat, nb = B.triangles, B.hat_gradients, B.n_vertices
     H = B.vertex_mean_curvature
     w, wc = _surface_weights(B)
-    at = _pointwise(tri, hat, state.values[ids], state.rates()[ids])
+    at = _pointwise(tri, hat, state.values[ids], state._rates_at(ids))
     hat_d_grad = surface.gamma_hat_d_grad(*at)
 
     def assemble(weights, corner_rows=None, grad_rows=None):

@@ -8,10 +8,12 @@ from curvbc import (
     AnalyticSurface,
     BoundaryPoint,
     BulkLagrangian,
+    IsotropicSurfaceParams,
     ZeroPotential,
     build_icosphere,
     builtin_bulk,
     check_partials,
+    coeffs_from_surface,
     evaluate_jet,
     harmonic,
     linear_elastic,
@@ -162,3 +164,86 @@ def test_isotropic_metadata():
     assert surf.meta["sigma"] == 2.0
     assert surf.meta["tau"] == 0.3
     assert abs(surf.meta["delta"] - 0.3) <= 1e-15
+
+
+def test_isotropic_metadata_without_tension():
+    surf = make_isotropic_surface(0.0, 0.0)
+    assert surf.meta["sigma"] == 0.0 and surf.meta["tau"] == 0.0
+    assert "delta" not in surf.meta
+
+
+# -- the uniform-tension pair is a restricted pair ------------------------------
+
+def reference_isotropic_coeffs(sigma, tau, point):
+    """Chart coefficients of the uniform-tension pair, written out directly.
+
+    ``chi[:, c]`` projects ``sigma e_c`` onto the chart and the divergence of
+    a tangentially projected constant field is ``-2 H (c . n)``; likewise for
+    ``kappa`` with tau.
+    """
+    def project(c):
+        return point.metric_inv @ (point.tangents @ c)
+
+    eye = np.eye(3)
+    H, n = point.mean_curvature, point.normal
+    return {
+        "chi": np.stack([project(sigma * eye[c]) for c in range(3)], axis=1),
+        "kappa": np.stack([project(tau * eye[c]) for c in range(3)], axis=1),
+        "div_chi": -2.0 * H * sigma * n,
+        "div_kappa": -2.0 * H * tau * n,
+    }
+
+
+def jet_points():
+    rng = np.random.default_rng(11)
+    sphere = AnalyticSurface.sphere(1.5)
+    torus = AnalyticSurface.torus(2.0, 0.5)
+    jets = [evaluate_jet(sphere, theta, phi) for theta in (0.4, 1.3, 2.6)
+            for phi in (0.2, 3.0)]
+    jets += [evaluate_jet(torus, u, v) for u in (0.3, 2.2, 4.0) for v in (0.9, 3.3, 5.5)]
+    return [BoundaryPoint.from_jet(jet, rng.standard_normal(3), rng.standard_normal((2, 3)))
+            for jet in jets]
+
+
+@pytest.mark.parametrize("sigma,tau", [(1.0, 0.1), (2.5, -0.4), (0.3, 0.0), (0.0, 0.0)])
+def test_isotropic_coeffs_match_reference(sigma, tau):
+    surf = make_isotropic_surface(sigma, tau)
+    for point in jet_points():
+        coeffs = coeffs_from_surface(surf, point)
+        ref = reference_isotropic_coeffs(sigma, tau, point)
+        for name, expect in ref.items():
+            assert np.abs(getattr(coeffs, name) - expect).max() <= 1e-14, name
+        assert coeffs.chi_tilde is None and coeffs.kappa_hat is None
+        assert coeffs.div_chi_tilde == 0.0 and coeffs.div_kappa_hat == 0.0
+
+
+def test_isotropic_densities_are_trace_weighted():
+    rng = np.random.default_rng(2)
+    phi, rate = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    grad = rng.standard_normal((30, 3, 3))
+    surf = make_isotropic_surface(1.7, 0.2)
+    trace = np.einsum("mkk->m", grad)
+    assert np.abs(surf.gamma0(phi, rate, grad) - 1.7 * trace).max() <= 1e-14
+    assert np.abs(surf.gamma_hat(phi, rate, grad) - 0.2 * trace).max() <= 1e-14
+    assert np.array_equal(surf.gamma0_d_grad(phi, rate, grad),
+                          np.broadcast_to(1.7 * np.eye(3), grad.shape))
+    assert np.array_equal(surf.gamma_hat_d_grad(phi, rate, grad),
+                          np.broadcast_to(0.2 * np.eye(3), grad.shape))
+    assert not surf.gamma0_d_phi(phi, rate, grad).any()
+    assert not surf.gamma_hat_d_phi(phi, rate, grad).any()
+
+
+@pytest.mark.parametrize("sigma,tau", [
+    (1.0, 0.1), (0.0, 0.0), (2.0, -0.5), (-1.0, 0.0), (-1e-300, 0.0),
+    (0.0, 0.1), (0.0, -1e-300), (-2.0, 0.3),
+])
+def test_isotropic_builder_and_params_reject_the_same_inputs(sigma, tau):
+    def rejects(build):
+        try:
+            build(sigma, tau)
+        except ValueError:
+            return True
+        return False
+
+    assert rejects(make_isotropic_surface) == rejects(IsotropicSurfaceParams)
+    assert rejects(make_isotropic_surface) == (sigma < 0 or (sigma == 0 and tau != 0))

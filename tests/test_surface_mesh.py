@@ -16,6 +16,7 @@ from curvbc import (
     surface_divergence,
     surface_gradient,
 )
+from curvbc.surface_mesh import _subdivide_once
 
 # roundoff floor for sequences that are already exact on sphere fixtures
 FLOOR = 1e-10
@@ -38,6 +39,36 @@ def test_icosphere_counts():
         m = build_icosphere(1.0, level)
         assert m.n_vertices == 10 * 4**level + 2
         assert m.n_faces == 20 * 4**level
+
+
+def loop_subdivide_once(verts, faces):
+    """Reference subdivision: one dict-cached midpoint per edge, in face order."""
+    verts = list(map(tuple, verts))
+    cache = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            p = np.array(verts[i]) + np.array(verts[j])
+            p /= np.linalg.norm(p)
+            cache[key] = len(verts)
+            verts.append(tuple(p))
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts, dtype=float), np.array(out, dtype=np.int64)
+
+
+def test_subdivision_matches_loop_reference():
+    for level in range(4):
+        m = build_icosphere(1.0, level)
+        verts, faces = _subdivide_once(m.vertices, m.triangles)
+        ref_verts, ref_faces = loop_subdivide_once(m.vertices, m.triangles)
+        assert np.array_equal(faces, ref_faces)
+        np.testing.assert_array_max_ulp(verts, ref_verts, maxulp=1)
 
 
 def test_icosphere_validation():

@@ -11,6 +11,7 @@ from curvbc import (
     FieldState,
     SingularProblemError,
     SolveOptions,
+    TetMesh,
     TriangleMesh,
     action_gradient,
     assemble_action,
@@ -81,6 +82,72 @@ def test_ball_mesh_volume_refines():
     assert abs(default.tet_volumes.sum() - exact) / exact <= 0.005
 
 
+def loop_ball_tets(faces, nd, radial_layers):
+    """Reference cone and prism split of ``build_ball_tetmesh``, one tet at a time."""
+    def vid(layer, i):
+        return 1 + (layer - 1) * nd + i
+
+    tets = [(0, vid(1, p), vid(1, q), vid(1, r)) for p, q, r in faces]
+    for layer in range(1, radial_layers):
+        for tri in faces:
+            i0, i1, i2 = sorted(tri)
+            b0, b1, b2 = vid(layer, i0), vid(layer, i1), vid(layer, i2)
+            t0, t1, t2 = vid(layer + 1, i0), vid(layer + 1, i1), vid(layer + 1, i2)
+            tets += [(b0, b1, b2, t2), (b0, b1, t1, t2), (b0, t0, t1, t2)]
+    return np.array(tets, dtype=np.int64)
+
+
+@pytest.mark.parametrize("level,layers", [(0, 1), (1, 2), (2, 3), (2, 5)])
+def test_ball_tets_match_loop_reference(level, layers):
+    mesh = build_ball_tetmesh(1.0, surface_level=level, radial_layers=layers)
+    b = mesh.boundary
+    ref = loop_ball_tets(b.triangles, b.n_vertices, layers)
+    expect = TetMesh(mesh.vertices, ref, b, mesh.boundary_vertex_ids).tets
+    assert np.array_equal(mesh.tets, expect)
+
+
+def boundary_variants():
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    b, ids = mesh.boundary, mesh.boundary_vertex_ids
+    perm = np.random.default_rng(0).permutation(len(ids))
+    return mesh, {
+        "flipped winding": (b.vertices, b.triangles[:, ::-1], ids, mesh.tets,
+                            r"boundary triangle \d+ is wound inward"),
+        "permuted ids": (mesh.vertices[ids[perm]], b.triangles, ids[perm], mesh.tets,
+                         r"boundary triangle \d+ is not a tet face"),
+        "missing boundary face": (b.vertices, b.triangles[1:], ids, mesh.tets,
+                                  r"face \[.*\] of tet \d+ is used once"),
+        "missing inner tet": (b.vertices, b.triangles, ids, mesh.tets[1:],
+                              r"face \[.*\] of tet \d+ is used once"),
+        "missing outer tet": (b.vertices, b.triangles, ids, mesh.tets[:-1],
+                              r"(boundary triangle \d+ is not a tet face"
+                              r"|face \[.*\] of tet \d+ is used once)"),
+        "repeated face": (b.vertices, np.vstack([b.triangles, b.triangles[:1]]), ids,
+                          mesh.tets, r"boundary triangle \d+ is shared 3 times"),
+    }
+
+
+@pytest.mark.parametrize("case", ["flipped winding", "permuted ids", "missing boundary face",
+                                  "missing inner tet", "missing outer tet", "repeated face"])
+def test_tet_mesh_rejects_mismatched_boundary(case):
+    mesh, variants = boundary_variants()
+    verts, tris, ids, tets, message = variants[case]
+    boundary = TriangleMesh(verts, tris, validate=False)
+    with pytest.raises(ValueError, match=f"^boundary mismatch: {message}$"):
+        TetMesh(mesh.vertices, tets, boundary, ids)
+
+
+def test_tet_mesh_accepts_unordered_and_rotated_faces():
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    b = mesh.boundary
+    rng = np.random.default_rng(3)
+    tris = np.roll(b.triangles[rng.permutation(b.n_faces)], 1, axis=1)
+    tets = mesh.tets[rng.permutation(mesh.n_tets)][:, [1, 0, 2, 3]]
+    rebuilt = TetMesh(mesh.vertices, tets, TriangleMesh(b.vertices, tris),
+                      mesh.boundary_vertex_ids)
+    assert abs(rebuilt.total_volume - mesh.total_volume) <= 1e-14
+
+
 def test_ball_mesh_validation():
     with pytest.raises(ValueError):
         build_ball_tetmesh(-1.0)
@@ -113,6 +180,31 @@ def test_field_state_rates():
 
 
 # ------------------------------------------------------------------ action
+
+@pytest.mark.parametrize("bulk,surface", [
+    (POISSON, robin_surface(1.0)),
+    (builtin_bulk("linear_elastic"), make_isotropic_surface(1.0, 0.1)),
+], ids=["poisson_robin", "elastic_isotropic"])
+def test_static_state_equals_still_trajectory(bulk, surface):
+    # a static state's zero rate rows are made, not gathered; the result is
+    # the same bit for bit as a trajectory that does not move
+    mesh = small_ball()
+    values = np.random.default_rng(8).standard_normal((mesh.n_vertices, bulk.n_components))
+    static = FieldState(values)
+    still = FieldState.from_trajectory(np.stack([values] * 3), 0.1)
+    assert np.array_equal(action_gradient(mesh, bulk, surface, static),
+                          action_gradient(mesh, bulk, surface, still))
+    assert (assemble_action(mesh, bulk, surface, static)
+            == assemble_action(mesh, bulk, surface, still))
+    a = natural_bc_residual(mesh, bulk, surface, static)
+    b = natural_bc_residual(mesh, bulk, surface, still)
+    assert np.array_equal(a.residual, b.residual)
+    assert np.array_equal(a.flux_pointwise, b.flux_pointwise)
+    assert a.terms.keys() == b.terms.keys()
+    assert all(np.array_equal(a.terms[k], b.terms[k]) for k in a.terms)
+    # a pure rate density sees zero rates on a static state
+    assert bulk_action(mesh, make_kinetic_bulk(), FieldState(values[:, :1])) == 0.0
+
 
 def test_bulk_action_linear_field():
     mesh = small_ball()
