@@ -96,81 +96,90 @@ def evaluate_jet(surface, u, v):
     Raises ValueError when (u, v) is outside the chart domain (sphere polar
     angle must lie strictly in (0, pi); cylinder height in [0, length]).
     """
-    u = float(u)
-    v = float(v)
+    return _jets(surface, np.array([float(u)]), np.array([float(v)]))[0]
+
+
+def _jets(surface, u, v):
+    """GeometryJets at the chart points ``(u[i], v[i])``, one array pass per field."""
     if surface.kind == "sphere":
-        return _sphere_jet(surface.params[0], u, v)
-    if surface.kind == "cylinder":
-        return _cylinder_jet(*surface.params, u, v)
-    if surface.kind == "torus":
-        return _torus_jet(*surface.params, u, v)
-    raise ValueError(f"unknown surface kind {surface.kind!r}")
+        fields = _sphere_jet(surface.params[0], u, v)
+    elif surface.kind == "cylinder":
+        fields = _cylinder_jet(*surface.params, u, v)
+    elif surface.kind == "torus":
+        fields = _torus_jet(*surface.params, u, v)
+    else:
+        raise ValueError(f"unknown surface kind {surface.kind!r}")
+    *arrays, H, d_H = fields
+    return [GeometryJet(*row, h, dh) for *row, h, dh in zip(*arrays, H.tolist(), d_H)]
 
 
 def _finish_jet(position, g1, g2, normal, metric, second_form, christoffel, H, d_H):
+    """Jet fields stacked over chart points, in :class:`GeometryJet` order."""
     metric_inv = np.linalg.inv(metric)
     shape_mixed = second_form @ metric_inv          # b_A^C = b_AB g^{BC}
-    return GeometryJet(
-        position=position,
-        g1=g1,
-        g2=g2,
-        normal=normal,
-        metric=metric,
-        metric_inv=metric_inv,
-        second_form=second_form,
-        shape_mixed=shape_mixed,
-        christoffel=christoffel,
-        mean_curvature=float(H),
-        d_H=np.asarray(d_H, dtype=float),
-    )
+    return (position, g1, g2, normal, metric, metric_inv, second_form,
+            shape_mixed, christoffel, H, d_H)
+
+
+def _vectors(*components):
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def _diagonals(a, b):
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = a, b
+    return out
 
 
 def _sphere_jet(R, theta, phi):
-    if not (0.0 < theta < np.pi):
+    if not np.all((0.0 < theta) & (theta < np.pi)):
         raise ValueError("sphere chart requires polar angle in (0, pi)")
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    x = R * np.array([st * cp, st * sp, ct])
-    g1 = R * np.array([ct * cp, ct * sp, -st])
-    g2 = R * np.array([-st * sp, st * cp, 0.0])
+    x = R * _vectors(st * cp, st * sp, ct)
+    g1 = R * _vectors(ct * cp, ct * sp, -st)
+    g2 = R * _vectors(-st * sp, st * cp, 0.0)
     n = x / R
-    metric = np.diag([R**2, (R * st) ** 2])
+    metric = _diagonals(np.full(theta.shape, R**2), (R * st) ** 2)
     b = metric / R
-    gamma = np.zeros((2, 2, 2))
-    gamma[0, 1, 1] = -st * ct            # Gamma^theta_phiphi
-    gamma[1, 0, 1] = gamma[1, 1, 0] = ct / st
-    return _finish_jet(x, g1, g2, n, metric, b, gamma, 1.0 / R, [0.0, 0.0])
+    gamma = np.zeros(theta.shape + (2, 2, 2))
+    gamma[:, 0, 1, 1] = -st * ct            # Gamma^theta_phiphi
+    gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
+    H = np.full(theta.shape, 1.0 / R)
+    return _finish_jet(x, g1, g2, n, metric, b, gamma, H, np.zeros(theta.shape + (2,)))
 
 
 def _cylinder_jet(R, L, u, v):
-    if not (0.0 <= v <= L):
+    if not np.all((0.0 <= v) & (v <= L)):
         raise ValueError("cylinder chart requires height in [0, length]")
     su, cu = np.sin(u), np.cos(u)
-    x = np.array([R * cu, R * su, v])
-    g1 = np.array([-R * su, R * cu, 0.0])
-    g2 = np.array([0.0, 0.0, 1.0])
-    n = np.array([cu, su, 0.0])
-    metric = np.diag([R**2, 1.0])
-    b = np.diag([R, 0.0])
-    gamma = np.zeros((2, 2, 2))
-    return _finish_jet(x, g1, g2, n, metric, b, gamma, 0.5 / R, [0.0, 0.0])
+    x = _vectors(R * cu, R * su, v)
+    g1 = _vectors(-R * su, R * cu, 0.0)
+    g2 = _vectors(np.zeros_like(u), 0.0, 1.0)
+    n = _vectors(cu, su, 0.0)
+    metric = _diagonals(np.full(u.shape, R**2), 1.0)
+    b = _diagonals(np.full(u.shape, R), 0.0)
+    gamma = np.zeros(u.shape + (2, 2, 2))
+    H = np.full(u.shape, 0.5 / R)
+    return _finish_jet(x, g1, g2, n, metric, b, gamma, H, np.zeros(u.shape + (2,)))
 
 
 def _torus_jet(A, r, u, v):
     su, cu = np.sin(u), np.cos(u)
     sv, cv = np.sin(v), np.cos(v)
     rho = A + r * cv
-    x = np.array([rho * cu, rho * su, r * sv])
-    g1 = np.array([-rho * su, rho * cu, 0.0])
-    g2 = np.array([-r * sv * cu, -r * sv * su, r * cv])
-    n = np.array([cv * cu, cv * su, sv])
-    metric = np.diag([rho**2, r**2])
-    b = np.diag([rho * cv, r])
-    gamma = np.zeros((2, 2, 2))
-    gamma[0, 0, 1] = gamma[0, 1, 0] = -r * sv / rho
-    gamma[1, 0, 0] = rho * sv / r
+    x = _vectors(rho * cu, rho * su, r * sv)
+    g1 = _vectors(-rho * su, rho * cu, 0.0)
+    g2 = _vectors(-r * sv * cu, -r * sv * su, r * cv)
+    n = _vectors(cv * cu, cv * su, sv)
+    metric = _diagonals(rho**2, r**2)
+    b = _diagonals(rho * cv, r)
+    gamma = np.zeros(u.shape + (2, 2, 2))
+    gamma[:, 0, 0, 1] = gamma[:, 0, 1, 0] = -r * sv / rho
+    gamma[:, 1, 0, 0] = rho * sv / r
     H = 0.5 * (cv / rho + 1.0 / r)
-    d_H = [0.0, -A * sv / (2.0 * rho**2)]
+    d_H = _vectors(0.0, -A * sv / (2.0 * rho**2))
     return _finish_jet(x, g1, g2, n, metric, b, gamma, H, d_H)
 
 
@@ -192,80 +201,58 @@ def sample_mesh(surface, resolution):
     raise ValueError(f"unknown surface kind {surface.kind!r}")
 
 
+def _ring_faces(i, n_cols, first=0):
+    """Corners a b c d of every quad from grid row ``i`` to ``i + 1`` (wrapping
+    columns), shape (len(i), n_cols, 4); row ``i`` starts at ``first + i * n_cols``."""
+    j = np.arange(n_cols)
+    row = first + np.asarray(i)[:, None] * n_cols
+    a, b = row + j, row + (j + 1) % n_cols
+    return np.stack([a, b, a + n_cols, b + n_cols], axis=-1)
+
+
 def _sample_sphere(surface, n_theta, n_phi):
     if n_theta < 3 or n_phi < 3:
         raise ValueError("sphere resolution must be at least (3, 3)")
     R = surface.params[0]
-    verts = [np.array([0.0, 0.0, R])]
-    jets = [None]
-    params = [None]
-    for i in range(1, n_theta):
-        theta = np.pi * i / n_theta
-        for j in range(n_phi):
-            phi = 2.0 * np.pi * j / n_phi
-            st = np.sin(theta)
-            verts.append(R * np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)]))
-            params.append((theta, phi))
-            jets.append(None)
-    verts.append(np.array([0.0, 0.0, -R]))
-    params.append(None)
-    jets.append(None)
+    theta = np.repeat(np.pi * np.arange(1, n_theta) / n_theta, n_phi)
+    phi = np.tile(2.0 * np.pi * np.arange(n_phi) / n_phi, n_theta - 1)
+    st = np.sin(theta)
+    ring = R * _vectors(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
+    verts = np.vstack([[0.0, 0.0, R], ring, [0.0, 0.0, -R]])
     south = len(verts) - 1
 
-    def ring(i, j):
-        return 1 + (i - 1) * n_phi + (j % n_phi)
-
-    faces = []
-    for j in range(n_phi):
-        faces.append((0, ring(1, j), ring(1, j + 1)))
-    for i in range(1, n_theta - 1):
-        for j in range(n_phi):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append((a, c, d))
-            faces.append((a, d, b))
-    for j in range(n_phi):
-        faces.append((south, ring(n_theta - 1, j + 1), ring(n_theta - 1, j)))
-
-    mesh = TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
-    for i, p in enumerate(params):
-        if p is not None:
-            jets[i] = evaluate_jet(surface, *p)
-    return mesh, jets
+    q = _ring_faces(np.arange(n_theta - 2), n_phi, first=1)
+    first, last = q[0], q[-1]
+    faces = np.vstack([
+        np.column_stack([np.zeros(n_phi, dtype=np.int64), first[:, 0], first[:, 1]]),
+        q[..., [0, 2, 3, 0, 3, 1]].reshape(-1, 3),                     # (a c d), (a d b)
+        np.column_stack([np.full(n_phi, south), last[:, 3], last[:, 2]]),
+    ])
+    mesh = TriangleMesh(verts, faces)
+    return mesh, [None] + _jets(surface, theta, phi) + [None]
 
 
 def _sample_cylinder(surface, n_u, n_v):
     if n_u < 3 or n_v < 2:
         raise ValueError("cylinder resolution must be at least (3, 2)")
     R, L = surface.params
-    verts, jets = [], []
-    for i in range(n_v + 1):
-        h = L * i / n_v
-        for j in range(n_u):
-            u = 2.0 * np.pi * j / n_u
-            verts.append([R * np.cos(u), R * np.sin(u), h])
-            jets.append(evaluate_jet(surface, u, h) if 0 < i < n_v else None)
-    bottom_c = len(verts)
-    verts.append([0.0, 0.0, 0.0])
-    jets.append(None)
-    top_c = len(verts)
-    verts.append([0.0, 0.0, L])
-    jets.append(None)
+    h = np.repeat(L * np.arange(n_v + 1) / n_v, n_u)
+    u = np.tile(2.0 * np.pi * np.arange(n_u) / n_u, n_v + 1)
+    verts = np.vstack([_vectors(R * np.cos(u), R * np.sin(u), h),
+                       [0.0, 0.0, 0.0], [0.0, 0.0, L]])
+    bottom_c, top_c = len(verts) - 2, len(verts) - 1
 
-    def ring(i, j):
-        return i * n_u + (j % n_u)
-
-    faces = []
-    for i in range(n_v):
-        for j in range(n_u):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    for j in range(n_u):
-        faces.append((bottom_c, ring(0, j + 1), ring(0, j)))
-        faces.append((top_c, ring(n_v, j), ring(n_v, j + 1)))
-    mesh = TriangleMesh(np.array(verts, dtype=float), np.array(faces, dtype=np.int64))
+    q = _ring_faces(np.arange(n_v), n_u)
+    first, last = q[0], q[-1]
+    caps = np.stack([
+        np.column_stack([np.full(n_u, bottom_c), first[:, 1], first[:, 0]]),
+        np.column_stack([np.full(n_u, top_c), last[:, 2], last[:, 3]]),
+    ], axis=1)                                                           # interleaved
+    faces = np.vstack([q[..., [0, 1, 3, 0, 3, 2]].reshape(-1, 3),     # (a b d), (a d c)
+                       caps.reshape(-1, 3)])
+    mesh = TriangleMesh(verts, faces)
+    side = slice(n_u, n_v * n_u)                                         # rims excluded
+    jets = [None] * n_u + _jets(surface, u[side], h[side]) + [None] * (n_u + 2)
     return mesh, jets
 
 
@@ -273,27 +260,16 @@ def _sample_torus(surface, n_u, n_v):
     if n_u < 3 or n_v < 3:
         raise ValueError("torus resolution must be at least (3, 3)")
     A, r = surface.params
-    verts, jets = [], []
-    for i in range(n_u):
-        u = 2.0 * np.pi * i / n_u
-        for j in range(n_v):
-            v = 2.0 * np.pi * j / n_v
-            rho = A + r * np.cos(v)
-            verts.append([rho * np.cos(u), rho * np.sin(u), r * np.sin(v)])
-            jets.append(evaluate_jet(surface, u, v))
+    u = np.repeat(2.0 * np.pi * np.arange(n_u) / n_u, n_v)
+    v = np.tile(2.0 * np.pi * np.arange(n_v) / n_v, n_u)
+    rho = A + r * np.cos(v)
+    verts = _vectors(rho * np.cos(u), rho * np.sin(u), r * np.sin(v))
 
-    def vid(i, j):
-        return (i % n_u) * n_v + (j % n_v)
-
-    faces = []
-    for i in range(n_u):
-        for j in range(n_v):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    mesh = TriangleMesh(np.array(verts, dtype=float), np.array(faces, dtype=np.int64))
-    return mesh, jets
+    # quads (i, j) (i, j+1) (i+1, j) (i+1, j+1) with u index i; both wrap
+    q = _ring_faces(np.arange(n_u), n_v) % (n_u * n_v)
+    faces = q[..., [0, 2, 3, 0, 3, 1]].reshape(-1, 3)                 # (a c d), (a d b)
+    mesh = TriangleMesh(verts, faces)
+    return mesh, _jets(surface, u, v)
 
 
 # -- adapted-frame coefficient calculus ------------------------------------

@@ -36,23 +36,42 @@ def read_off(path, validate=True):
 
 
 def read_obj(path, validate=True):
-    """Read an ASCII OBJ file (v/f records, triangles only) into a TriangleMesh."""
-    verts, faces = [], []
+    """Read an ASCII OBJ file (v/f records, triangles only) into a TriangleMesh.
+
+    Face indices may take the ``v/vt/vn`` forms; a negative index counts
+    back from the vertices read so far.
+    """
+    coords, corners, seen = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
-            parts = raw.split("#", 1)[0].split()
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            parts = raw.split()
             if not parts:
                 continue
             if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
+                if len(parts) < 4:
+                    raise MeshError(f"{path}: vertex record with fewer than 3 coordinates")
+                coords += parts[1:4]
             elif parts[0] == "f":
                 if len(parts) != 4:
                     raise MeshError(f"{path}: only triangle faces supported")
-                idx = [int(p.split("/", 1)[0]) for p in parts[1:4]]
-                faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
-    if not verts or not faces:
+                corners += parts[1:4]
+                seen.append(len(coords) // 3)
+    if not coords or not corners:
         raise MeshError(f"{path}: no usable v/f records")
-    return TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64), validate=validate)
+    idx = np.array([c.split("/", 1)[0] for c in corners], dtype=np.int64).reshape(-1, 3)
+    faces = np.where(idx > 0, idx - 1, np.array(seen)[:, None] + idx)
+    verts = np.array(coords, dtype=float).reshape(-1, 3)
+    del coords, corners   # token strings outweigh the mesh; free them before building it
+    return TriangleMesh(verts, faces, validate=validate)
+
+
+def _format_rows(row, table):
+    """``row % r`` for the rows of a 2-d array, one format call per 4096 rows."""
+    for start in range(0, len(table), 4096):
+        part = table[start:start + 4096]
+        yield (row * len(part)) % tuple(part.ravel().tolist())
 
 
 def write_obj(mesh, path, comments=()):
@@ -60,10 +79,8 @@ def write_obj(mesh, path, comments=()):
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.triangles:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.writelines(_format_rows("v %.17g %.17g %.17g\n", mesh.vertices))
+        fh.writelines(_format_rows("f %d %d %d\n", mesh.triangles + 1))
 
 
 def write_vertex_csv(vertices, values, path, comments=(), column="value"):
@@ -81,10 +98,10 @@ def write_vertex_csv(vertices, values, path, comments=(), column="value"):
         names = [f"{column}_{i}" for i in range(values.shape[1])]
     if len(values) != len(vertices):
         raise ValueError("values and vertices length mismatch")
+    row = "%d,%.17g,%.17g,%.17g," + ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("vertex_id,x,y,z," + ",".join(names) + "\n")
-        for i, (v, row) in enumerate(zip(vertices, values)):
-            cols = ",".join(f"{c:.17g}" for c in row)
-            fh.write(f"{i},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{cols}\n")
+        # %d formats the float ids of the one float table
+        fh.writelines(_format_rows(row, np.column_stack([np.arange(len(values)), vertices, values])))

@@ -229,16 +229,6 @@ class TriangleMesh:
         tri = self.vertices[self.triangles]
         return float(np.einsum("fj,fj->f", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0)
 
-    def vertex_adjacency(self):
-        """List of neighbor-vertex index arrays, one per vertex."""
-        n = self.n_vertices
-        heads = np.concatenate([self.triangles[:, c] for c in range(3)])
-        tails = np.concatenate([self.triangles[:, (c + 1) % 3] for c in range(3)])
-        order = np.argsort(heads, kind="stable")
-        heads, tails = heads[order], tails[order]
-        starts = np.searchsorted(heads, np.arange(n + 1))
-        return [np.unique(tails[starts[i]:starts[i + 1]]) for i in range(n)]
-
     def boundary_vertex_mask(self):
         """Boolean mask of vertices touching an edge with only one face.
 
@@ -342,40 +332,53 @@ def shape_operator(mesh):
     The symmetric 2x2 operator is fitted from the 1-ring variation of the
     vertex normals (least squares over projected edge/normal differences)
     and then shifted so its trace equals 2H exactly, with H the mesh's
-    cached :func:`mean_curvature`.  Rank-deficient fits fall back to H*I
+    cached :func:`mean_curvature`; vertices of one 1-ring degree share one
+    batched fit (:func:`_lstsq_stack`).  Rank-deficient fits fall back to H*I
     and the vertex is flagged.  grad_H is the per-face surface gradient of
     the H field averaged back to vertices and projected tangentially.
     """
     H = mesh.vertex_mean_curvature
     frames = _tangent_frames(mesh.vertex_normals)
-    adjacency = mesh.vertex_adjacency()
     n = mesh.n_vertices
-    S = np.zeros((n, 2, 2))
-    flagged = []
-    x = mesh.vertices
-    vn = mesh.vertex_normals
-    for i in range(n):
-        nbrs = adjacency[i]
-        E = frames[i]                                   # (2, 3)
-        du = (x[nbrs] - x[i]) @ E.T                     # (deg, 2)
-        dn = (vn[nbrs] - vn[i]) @ E.T
-        deg = len(nbrs)
-        A = np.zeros((2 * deg, 3))
-        A[0::2, 0] = du[:, 0]
-        A[0::2, 1] = du[:, 1]
-        A[1::2, 1] = du[:, 0]
-        A[1::2, 2] = du[:, 1]
-        b = dn.reshape(-1)
-        sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank < 3:
-            flagged.append(i)
-            S[i] = H[i] * np.eye(2)
-        else:
-            S[i] = [[sol[0], sol[1]], [sol[1], sol[2]]]
-            S[i] += 0.5 * (2.0 * H[i] - np.trace(S[i])) * np.eye(2)
-
+    # unique directed 1-ring edges, sorted by head and then by neighbour
+    tri = mesh.triangles
+    key = np.unique(tri.ravel() * n + tri[:, [1, 2, 0]].ravel())
+    heads, tails = key // n, key % n
+    degree = np.bincount(heads, minlength=n)
+    starts = np.cumsum(degree) - degree
+    E = frames[heads]                                   # (edges, 2, 3)
+    du = np.einsum("ekj,ej->ek", E, mesh.vertices[tails] - mesh.vertices[heads])
+    dn = np.einsum("ekj,ej->ek", E, mesh.vertex_normals[tails] - mesh.vertex_normals[heads])
+    fit, full_rank = np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    for deg in np.unique(degree[degree > 0]):
+        ids = np.flatnonzero(degree == deg)
+        rows = starts[ids][:, None] + np.arange(deg)    # (k, deg) edge rows
+        u = du[rows]
+        A = np.zeros((len(ids), deg, 2, 3))             # rows (u0, u1, 0), (0, u0, u1)
+        A[:, :, 0, :2] = u
+        A[:, :, 1, 1:] = u
+        fit[ids], rank = _lstsq_stack(A.reshape(len(ids), 2 * deg, 3),
+                                      dn[rows].reshape(len(ids), 2 * deg))
+        full_rank[ids] = rank == 3
+    S = fit[:, [[0, 1], [1, 2]]]
+    S += (0.5 * (2.0 * H - (fit[:, 0] + fit[:, 2])))[:, None, None] * np.eye(2)
+    S[~full_rank] = H[~full_rank, None, None] * np.eye(2)
     return CurvatureData(mean=H, shape_op=S, frames=frames, grad_H=_vertex_grad_H(mesh),
-                         flagged=flagged)
+                         flagged=np.flatnonzero(~full_rank).tolist())
+
+
+def _lstsq_stack(A, b):
+    """Least squares of a stack, ``(k, m, p)`` and ``(k, m)``, by one batched SVD.
+
+    Returns the minimum-norm solutions ``(k, p)`` and ranks ``(k,)``.
+    Singular values at or below ``eps * max(m, p) * s_max`` count as zero,
+    the rule ``np.linalg.lstsq`` applies with ``rcond=None``.
+    """
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+    coef = np.einsum("kmi,km->ki", U, b)
+    coef = np.where(keep, coef / np.where(keep, s, 1.0), 0.0)
+    return np.einsum("kij,ki->kj", Vh, coef), keep.sum(axis=1)
 
 
 def _vertex_grad_H(mesh):

@@ -69,23 +69,26 @@ class TetMesh:
         tets = np.asarray(tets, dtype=np.int64)
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be (m, 4)")
-        edge = self.vertices[tets[:, 1:]] - self.vertices[tets[:, :1]]
-        signed = np.linalg.det(edge) / 6.0
-        flip = signed < 0
+        # edges e_c = x_c - x_0: adjugate rows (e2 x e3, e3 x e1, e1 x e2) over
+        # 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3; a tet with
+        # 6V < 0 is flipped by swapping corners 2 and 3 and their rows (same 6V)
+        e1, e2, e3 = (self.vertices[tets[:, 1:]] - self.vertices[tets[:, :1]]).transpose(1, 0, 2)
+        adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+        six_v = np.einsum("mj,mj->m", e1, adj[:, 0])
+        del e1, e2, e3
+        flip = six_v < 0
         tets = tets.copy()
         tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
+        adj[flip, 1:] = adj[flip, :0:-1]
         self.tets = tets
-        edge = self.vertices[tets[:, 1:]] - self.vertices[tets[:, :1]]
-        self.tet_volumes = np.linalg.det(edge) / 6.0
+        self.tet_volumes = np.abs(six_v) / 6.0
         if np.any(self.tet_volumes <= 0):
             raise ValueError("degenerate tetrahedron (zero volume)")
-        # rows of inv([x1-x0; x2-x0; x3-x0]) give hat gradients of corners 1..3
-        inv = np.linalg.inv(edge)
         grads = np.empty((len(tets), 4, 3))
-        grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
+        grads[:, 1:, :] = adj / six_v[:, None, None]
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
         self.tet_gradients = grads
-        del edge, inv   # (m, 3, 3) each; keeps them out of the boundary check's peak
+        del adj   # (m, 3, 3); keeps it out of the boundary check's peak
         self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
         self.dual_volumes = _scatter(tets, len(self.vertices), self.corner_weights)
         self.boundary = boundary

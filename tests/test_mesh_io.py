@@ -85,3 +85,90 @@ def test_vertex_csv_roundtrip_precision(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.abs(rows[:, 1:4] - verts).max() == 0.0
     assert np.abs(rows[:, 4] - values).max() == 0.0
+
+
+def loop_write_obj(mesh, path, comments=()):
+    """Reference OBJ writer, one formatted line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in mesh.triangles:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def loop_write_vertex_csv(vertices, values, path, comments=(), column="value"):
+    """Reference CSV writer, one formatted line per row."""
+    vertices = np.asarray(vertices, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+        names = [column]
+    else:
+        names = [f"{column}_{i}" for i in range(values.shape[1])]
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write("vertex_id,x,y,z," + ",".join(names) + "\n")
+        for i, (v, row) in enumerate(zip(vertices, values)):
+            cols = ",".join(f"{c:.17g}" for c in row)
+            fh.write(f"{i},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{cols}\n")
+
+
+def test_writers_match_loop_reference_bytes(tmp_path):
+    mesh = build_icosphere(1.5, 3)
+    write_obj(mesh, tmp_path / "a.obj", comments=("one", "two"))
+    loop_write_obj(mesh, tmp_path / "b.obj", comments=("one", "two"))
+    assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+
+    rng = np.random.default_rng(3)
+    n = mesh.n_vertices
+    special = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, -1.5], n)
+    for values in (rng.standard_normal(n), rng.standard_normal((n, 3)) * 1e-7, special,
+                   np.zeros((n, 0))):
+        write_vertex_csv(mesh.vertices, values, tmp_path / "a.csv",
+                         comments=("c",), column="phi")
+        loop_write_vertex_csv(mesh.vertices, values, tmp_path / "b.csv",
+                              comments=("c",), column="phi")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_obj_slash_forms_and_inline_comments(tmp_path):
+    path = tmp_path / "slash.obj"
+    path.write_text(
+        "# header\n"
+        "v 0 0 0 # origin\n"
+        "v 1 0 0\n"
+        "v 0 1 0   1.0\n"              # an optional w coordinate is ignored
+        "vt 0 0\nvn 0 0 1\n"
+        "f 1/1/1 2//1 3/2 # one face\n"
+        "\n"
+    )
+    m = read_obj(path, validate=False)
+    assert np.array_equal(m.triangles, [[0, 1, 2]])
+    assert np.array_equal(m.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+def test_obj_negative_index_counts_from_vertices_read_so_far(tmp_path):
+    path = tmp_path / "neg_more.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+                    "v 1 1 0\nf -3 -1 -2\nf 2 4 3\n")
+    m = read_obj(path, validate=False)
+    assert np.array_equal(m.triangles, [[0, 1, 2], [1, 3, 2], [1, 3, 2]])
+
+
+@pytest.mark.parametrize("text", ["# only a comment\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\n",
+                                  "f 1 2 3\n", ""])
+def test_obj_without_records(tmp_path, text):
+    path = tmp_path / "empty.obj"
+    path.write_text(text)
+    with pytest.raises(MeshError, match="no usable v/f records"):
+        read_obj(path, validate=False)
+
+
+def test_obj_rejects_short_vertex(tmp_path):
+    path = tmp_path / "short.obj"
+    path.write_text("v 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n")
+    with pytest.raises(MeshError, match="fewer than 3 coordinates"):
+        read_obj(path, validate=False)

@@ -28,6 +28,7 @@ from curvbc import (
     surface_action,
     zero_surface,
 )
+from curvbc import surface_mesh
 from curvbc.lagrangian_library import BulkLagrangian, SurfaceLagrangian
 from curvbc.variational_engine import _cg
 
@@ -104,6 +105,46 @@ def test_ball_tets_match_loop_reference(level, layers):
     ref = loop_ball_tets(b.triangles, b.n_vertices, layers)
     expect = TetMesh(mesh.vertices, ref, b, mesh.boundary_vertex_ids).tets
     assert np.array_equal(mesh.tets, expect)
+
+
+def det_inv_geometry(vertices, tets):
+    """Reference canonicalization: flips from one det pass, volumes from a
+    second, hat gradients from the inverse edge matrices."""
+    edge = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
+    flip = np.linalg.det(edge) / 6.0 < 0
+    tets = tets.copy()
+    tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
+    edge = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
+    grads = np.empty((len(tets), 4, 3))
+    grads[:, 1:, :] = np.swapaxes(np.linalg.inv(edge), 1, 2)
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return tets, np.linalg.det(edge) / 6.0, grads
+
+
+@pytest.mark.parametrize("level,layers", [(2, 3), (4, 12)])
+def test_tet_geometry_matches_det_inv_reference(level, layers):
+    mesh = build_ball_tetmesh(1.0, surface_level=level, radial_layers=layers)
+    raw = loop_ball_tets(mesh.boundary.triangles, mesh.boundary.n_vertices, layers)
+    tets, volumes, grads = det_inv_geometry(mesh.vertices, raw)
+    assert np.array_equal(mesh.tets, tets)
+    assert np.abs(mesh.tet_volumes - volumes).max() <= 1e-13 * volumes.max()
+    assert np.abs(mesh.tet_gradients - grads).max() <= 1e-13 * np.abs(grads).max()
+    # half the tets handed in negatively oriented: the flip needs no second pass
+    swap = np.random.default_rng(level).random(len(raw)) < 0.5
+    raw[swap, 2], raw[swap, 3] = raw[swap, 3].copy(), raw[swap, 2].copy()
+    flipped = TetMesh(mesh.vertices, raw, mesh.boundary, mesh.boundary_vertex_ids)
+    tets, volumes, grads = det_inv_geometry(mesh.vertices, raw)
+    assert np.array_equal(flipped.tets, tets)
+    assert np.abs(flipped.tet_volumes - volumes).max() <= 1e-13 * volumes.max()
+    assert np.abs(flipped.tet_gradients - grads).max() <= 1e-13 * np.abs(grads).max()
+
+
+def test_tet_mesh_rejects_zero_volume():
+    mesh = small_ball(1, 2)
+    tets = mesh.tets.copy()
+    tets[0, 3] = tets[0, 2]
+    with pytest.raises(ValueError, match="zero volume"):
+        TetMesh(mesh.vertices, tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
 def boundary_variants():
@@ -398,9 +439,10 @@ def test_bc_report_evaluates_each_partial_once(pair, monkeypatch):
         (mesh.n_vertices, bulk.n_components)))
     bulk_calls, surface_calls = Counter(), Counter()
 
-    def no_fit(mesh):
+    def no_fit(A, b):
         raise AssertionError("the report must not run the shape-operator fit")
-    monkeypatch.setattr(TriangleMesh, "vertex_adjacency", no_fit)
+    # every shape-operator fit solves through this module global
+    monkeypatch.setattr(surface_mesh, "_lstsq_stack", no_fit)
     natural_bc_residual(mesh, counted(bulk, bulk_calls),
                         counted(surface, surface_calls), state)
     assert bulk_calls == Counter(d_phi=1, d_grad=1)
