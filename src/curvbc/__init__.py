@@ -45,7 +45,8 @@ from .variational_engine import (ActionBreakdown, BCResidualReport,
                                  action_gradient, assemble_action,
                                  build_ball_tetmesh, bulk_action,
                                  euler_lagrange_residual, natural_bc_residual,
-                                 solve_stationary, surface_action)
+                                 solve_stationary, surface_action,
+                                 surface_bc_terms)
 
 __all__ = [
     "__version__",
@@ -69,5 +70,5 @@ __all__ = [
     "SingularProblemError", "SolveOptions", "TetMesh", "action_gradient",
     "assemble_action", "build_ball_tetmesh", "bulk_action",
     "euler_lagrange_residual", "natural_bc_residual", "solve_stationary",
-    "surface_action",
+    "surface_action", "surface_bc_terms",
 ]

@@ -77,18 +77,6 @@ class GeometryJet:
     def tangents(self):
         return np.stack([self.g1, self.g2])
 
-    def frame_components(self, vec, inward_frame=True):
-        """Adapted components (t^1, t^2, n) of a Cartesian vector.
-
-        Tangential components are contravariant; the third component is
-        along the inward normal by default (the frame the classical
-        expansions are written in), or the outward normal otherwise.
-        """
-        cov = self.tangents @ np.asarray(vec, dtype=float)
-        tang = self.metric_inv @ cov
-        nu = -self.normal if inward_frame else self.normal
-        return np.array([tang[0], tang[1], float(nu @ vec)])
-
 
 def evaluate_jet(surface, u, v):
     """Closed-form :class:`GeometryJet` of ``surface`` at chart point (u, v).

@@ -684,17 +684,15 @@ def verify_reductions(trials=25, seed=0):
         "printed normal row deviates from the frame-free route by exactly "
         f"4H(connection+curvature kappa couplings); closed-form match {printed_closed:.2e}"))
 
-    # 9. discrete route: mesh surface-action gradient reproduces the droplet
-    # normal value under refinement.
-    from .variational_engine import surface_action_gradient
+    # 9. discrete route: the mesh boundary-condition load reproduces the
+    # droplet normal value under refinement.
+    from .variational_engine import FieldState, surface_bc_terms
     sigma, tau = 1.0, 0.05
     spec = make_isotropic_surface(sigma, tau)
     devs = []
     for level in (2, 3):
         mesh = build_icosphere(1.0, level)
-        vals = np.zeros((mesh.n_vertices, 3))
-        g = surface_action_gradient(mesh, spec, vals)
-        rhs = -g / mesh.vertex_areas[:, None]
+        rhs, _ = surface_bc_terms(mesh, spec, FieldState(np.zeros((mesh.n_vertices, 3))))
         normal_vals = -np.einsum("vk,vk->v", rhs, mesh.vertices / 1.0)
         expect = 2.0 * sigma - 4.0 * tau
         devs.append(float(np.abs(normal_vals - expect).max() / abs(expect)))

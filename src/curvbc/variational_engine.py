@@ -36,6 +36,10 @@ from .surface_mesh import mean_curvature  # noqa: F401
 
 _LOG = logging.getLogger("curvbc")
 
+_CG_MAX_ITERATIONS = 5000
+_ARMIJO = 1e-4
+_TRANSPORT_TOLERANCE = 1e-10
+
 
 class SingularProblemError(RuntimeError):
     """Stationarity system has a nullspace incompatible with the data."""
@@ -341,16 +345,28 @@ def surface_action(mesh, surface, values, rates=None, mean_curv=None):
     return plain, curv
 
 
-def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
-    """Exact gradient of the boundary action on a triangle mesh."""
+def _surface_channels(mesh, surface, values, rates=None, mean_curv=None):
+    """The boundary action gradient as a dict of its four scattered channels
+    (plain potential, plain gradient, curvature potential, curvature
+    gradient), and the evaluated ``gamma_hat_d_grad`` rows."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     w, wc = _surface_weights(mesh, mean_curv)
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     at = _pointwise(tri, hat, values, rates)
-    return (_simplex_gradient(tri, hat, w, n, surface.gamma0_d_phi(*at),
-                              surface.gamma0_d_grad(*at))
-            + _simplex_gradient(tri, hat, wc, n, surface.gamma_hat_d_phi(*at),
-                                surface.gamma_hat_d_grad(*at)))
+    hat_d_grad = surface.gamma_hat_d_grad(*at)
+    channels = {
+        "gamma0_phi": _simplex_gradient(tri, hat, w, n, surface.gamma0_d_phi(*at)),
+        "gamma0_div": _simplex_gradient(tri, hat, w, n, grad_rows=surface.gamma0_d_grad(*at)),
+        "curv_phi": _simplex_gradient(tri, hat, wc, n, surface.gamma_hat_d_phi(*at)),
+        "curv_div": _simplex_gradient(tri, hat, wc, n, grad_rows=hat_d_grad),
+    }
+    return channels, hat_d_grad
+
+
+def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
+    """Exact gradient of the boundary action on a triangle mesh."""
+    c, _ = _surface_channels(mesh, surface, values, rates, mean_curv)
+    return c["gamma0_phi"] + c["gamma0_div"] + c["curv_phi"] + c["curv_div"]
 
 
 @dataclass
@@ -360,7 +376,7 @@ class ActionBreakdown:
     ``surface_curvature`` already carries the -2H weight; ``transport_integral``
     is the surface integral of the divergence of the optional transport
     field, which vanishes identically on a closed boundary and is asserted
-    against ``transport_tolerance * scale`` before being dropped.
+    against ``_TRANSPORT_TOLERANCE * scale`` before being dropped.
     """
 
     bulk: float
@@ -373,8 +389,7 @@ class ActionBreakdown:
         return self.bulk + self.surface_plain + self.surface_curvature
 
 
-def assemble_action(mesh, bulk, surface, state, surface_transport=None,
-                    transport_tolerance=1e-10):
+def assemble_action(mesh, bulk, surface, state, surface_transport=None):
     """Total discrete action of a field state on a tet mesh.
 
     ``surface_transport``, when given, is a per-face tangential vector field
@@ -394,10 +409,10 @@ def assemble_action(mesh, bulk, surface, state, surface_transport=None,
                          mesh.boundary.hat_gradients)
         transport = float(-flux.sum())
         scale = 1.0 + float(np.abs(V).max()) * mesh.boundary.total_area
-        if abs(transport) > transport_tolerance * scale:
+        if abs(transport) > _TRANSPORT_TOLERANCE * scale:
             raise AssertionError(
                 f"closed-surface transport integral {transport:.3e} exceeds "
-                f"tolerance {transport_tolerance * scale:.3e}")
+                f"tolerance {_TRANSPORT_TOLERANCE * scale:.3e}")
     return ActionBreakdown(b, plain, curv, transport)
 
 
@@ -426,18 +441,65 @@ def euler_lagrange_residual(mesh, bulk, state):
                          "a FieldState with a trajectory")
     res = bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
     if state.trajectory is not None and bulk.rate_dependent:
-        mid = state.trajectory.shape[0] // 2
-        momenta = []
-        for s in (mid - 1, mid + 1):
-            at = _bulk_pointwise(mesh, state.trajectory[s], state.snapshot_rates(s))
+        def momentum(values, rates):
+            at = _bulk_pointwise(mesh, values, rates)
             p = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
                                   mesh.n_vertices, bulk.d_rate(*at))
-            momenta.append(p / mesh.dual_volumes[:, None])
-        # for a 3-snapshot trajectory the end rates are one-sided, which
-        # places the momenta at the half-steps: a staggered first difference
-        span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
-        res -= (momenta[1] - momenta[0]) / span
+            return p / mesh.dual_volumes[:, None]
+        res -= _rate_bracket(state, momentum)
     return res
+
+
+def _rate_bracket(state, momentum):
+    """d/dt of ``momentum(values, rates)`` between the snapshots around the
+    middle.  A 3-snapshot trajectory has one-sided end rates, which place the
+    momenta at the half-steps: a staggered first difference."""
+    mid = state.trajectory.shape[0] // 2
+    before, after = (momentum(state.trajectory[s], state.snapshot_rates(s))
+                     for s in (mid - 1, mid + 1))
+    span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
+    return (after - before) / span
+
+
+def surface_bc_terms(mesh, surface, state):
+    """Boundary-condition load of a surface pair on a triangle mesh alone.
+
+    Returns ``(rhs, terms)`` for a state on the mesh vertices: ``rhs``, minus
+    the boundary action gradient over vertex areas, sums the ``terms``
+    channels ``gamma0_phi``, ``gamma0_div``, ``curv_phi``, ``curv_div`` and,
+    along a trajectory, ``rate_bracket``.  The diagnostic ``curv_div_frozen``
+    + ``grad_H_term`` (vertex gradient of the cached H) differs from
+    ``curv_div`` by a discretization-order product rule.  Each partial is
+    evaluated once.  The tangential part of ``rhs`` is a weak quantity: it
+    converges paired with smooth test fields, not pointwise off the sphere.
+    """
+    _check_components(mesh, None, surface, state)
+    if surface.rate_dependent and state.trajectory is None:
+        raise ValueError("surface lagrangian depends on the field rate; supply "
+                         "a FieldState with a trajectory")
+    tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
+    a = mesh.vertex_areas[:, None]
+    channels, hat_d_grad = _surface_channels(mesh, surface, state.values, state._rates_at())
+    terms = {name: -g / a for name, g in channels.items()}
+    rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
+
+    # diagnostic split of the curvature gradient channel
+    w, wc = _surface_weights(mesh)
+    R_frozen = _simplex_gradient(tri, hat, w, n, grad_rows=hat_d_grad)
+    W = _scatter(tri, n, hat_d_grad.reshape(-1, 3, state.n_components, 3)
+                 * w[:, :, None, None]) / a[:, :, None]
+    terms["curv_div_frozen"] = 2.0 * mesh.vertex_mean_curvature[:, None] * (R_frozen / a)
+    terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(mesh))
+
+    rate_partials = [(wt, d) for wt, d in ((w, surface.gamma0_d_rate),
+                                           (wc, surface.gamma_hat_d_rate)) if d is not None]
+    if state.trajectory is not None and rate_partials:
+        def momentum(values, rates):
+            at = _pointwise(tri, hat, values, rates)
+            return sum(_simplex_gradient(tri, hat, wt, n, d(*at)) for wt, d in rate_partials) / a
+        terms["rate_bracket"] = _rate_bracket(state, momentum)
+        rhs = rhs + terms["rate_bracket"]
+    return rhs, terms
 
 
 @dataclass
@@ -446,13 +508,10 @@ class BCResidualReport:
 
     ``residual = flux_weak - rhs`` exactly, where ``flux_weak`` is the
     variational flux recovery (bulk gradient boundary rows over vertex
-    areas) and ``rhs`` collects the boundary-condition terms from the
-    surface gradient rows.  ``terms`` splits rhs into the plain-potential,
-    weak-divergence and curvature channels, plus a diagnostic separation of
-    the curvature gradient coupling (``curv_div_frozen`` + ``grad_H_term``
-    differ from the merged channel by a discretization-order product rule).
-    ``flux_pointwise`` is an independent dual-volume average of the bulk
-    momentum dotted with the vertex normal.
+    areas) and ``rhs`` and ``terms`` are the boundary-condition load and its
+    channels from :func:`surface_bc_terms`.  ``flux_pointwise`` is an
+    independent dual-volume average of the bulk momentum dotted with the
+    vertex normal.
     """
 
     residual: np.ndarray
@@ -471,79 +530,32 @@ class BCResidualReport:
 def natural_bc_residual(mesh, bulk, surface, state):
     """Evaluate the curvature-dependent natural boundary condition defect.
 
-    Each partial is evaluated once; ``grad_H_term`` uses the vertex gradient
-    of the cached H, not a shape-operator fit.
+    ``rhs`` and ``terms`` are :func:`surface_bc_terms` of the boundary state;
+    this adds the bulk fluxes.  Each partial is evaluated once.
     """
     _check_components(mesh, bulk, surface, state)
-    if surface.rate_dependent and state.trajectory is None:
-        raise ValueError(
-            "surface lagrangian depends on the field rate; supply a "
-            "FieldState with a trajectory")
     B = mesh.boundary
     ids = mesh.boundary_vertex_ids
-    area = B.vertex_areas
-    a = area[:, None]
-    k = state.n_components
+    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
+    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
 
     bulk_at = _bulk_pointwise(mesh, state.values, state._rates_at())
     bulk_d_phi, bulk_d_grad = bulk.d_phi(*bulk_at), bulk.d_grad(*bulk_at)
     del bulk_at  # the d_grad rows outlive the inputs; keep the peak memory down
     g_bulk = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
                                mesh.n_vertices, bulk_d_phi, bulk_d_grad)
-    flux_weak = g_bulk[ids] / a
-
-    tri, hat, nb = B.triangles, B.hat_gradients, B.n_vertices
-    H = B.vertex_mean_curvature
-    w, wc = _surface_weights(B)
-    at = _pointwise(tri, hat, state.values[ids], state._rates_at(ids))
-    hat_d_grad = surface.gamma_hat_d_grad(*at)
-
-    def assemble(weights, corner_rows=None, grad_rows=None):
-        return _simplex_gradient(tri, hat, weights, nb, corner_rows, grad_rows)
-
-    terms = {
-        "gamma0_phi": -assemble(w, surface.gamma0_d_phi(*at)) / a,
-        "gamma0_div": -assemble(w, grad_rows=surface.gamma0_d_grad(*at)) / a,
-        "curv_phi": -assemble(wc, surface.gamma_hat_d_phi(*at)) / a,
-        "curv_div": -assemble(wc, grad_rows=hat_d_grad) / a,
-    }
-    # diagnostic split of the curvature gradient channel
-    R_frozen = assemble(w, grad_rows=hat_d_grad)
-    W = _scatter(tri, nb, hat_d_grad.reshape(-1, 3, k, 3)
-                 * w[:, :, None, None]) / area[:, None, None]
-    terms["curv_div_frozen"] = 2.0 * H[:, None] * (R_frozen / a)
-    terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(B))
-
-    rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
-
-    # d/dt of the rate momenta, from the trajectory snapshots around the middle
-    has_rate = surface.gamma0_d_rate is not None or surface.gamma_hat_d_rate is not None
-    if state.trajectory is not None and has_rate:
-        momenta = []
-        mid = state.trajectory.shape[0] // 2
-        for s in (mid - 1, mid + 1):
-            at_s = _pointwise(tri, hat, state.trajectory[s][ids],
-                              state.snapshot_rates(s)[ids])
-            p = 0.0
-            if surface.gamma0_d_rate is not None:
-                p = p + assemble(w, surface.gamma0_d_rate(*at_s))
-            if surface.gamma_hat_d_rate is not None:
-                p = p + assemble(wc, surface.gamma_hat_d_rate(*at_s))
-            momenta.append(p / a)
-        span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
-        terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
-        rhs = rhs + terms["rate_bracket"]
-
+    flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
     mom = _scatter(mesh.tets, mesh.n_vertices,
-                   bulk_d_grad.reshape(-1, 4, k, 3) * mesh.corner_weights[:, :, None, None])
+                   bulk_d_grad.reshape(-1, 4, state.n_components, 3)
+                   * mesh.corner_weights[:, :, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 
     return BCResidualReport(residual, flux_weak, rhs, terms, flux_pointwise,
-                            ids, area)
+                            ids, B.vertex_areas)
 
 
 # -- stationary solver ---------------------------------------------------------
@@ -551,11 +563,9 @@ def natural_bc_residual(mesh, bulk, surface, state):
 @dataclass
 class SolveOptions:
     tolerance: float = 1e-10
-    max_iterations: int = 5000
     gauge: str = "none"
     force_newton: bool = False
     newton_max: int = 50
-    armijo: float = 1e-4
 
 
 @dataclass
@@ -677,7 +687,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             return log.residual_norms[-1] <= options.tolerance
 
         x, its, definite = _cg(lambda p: project(operator(p)), project(-g0),
-                               converged, options.max_iterations)
+                               converged, _CG_MAX_ITERATIONS)
         if not definite:
             note = "operator lost positive definiteness; switching to newton"
             log.notes.append(note)
@@ -723,7 +733,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             a0 = action_of(phi)
             slope = g @ d
             while t > 1e-12:
-                if action_of(phi + t * d.reshape(phi.shape)) <= a0 + options.armijo * t * slope:
+                if action_of(phi + t * d.reshape(phi.shape)) <= a0 + _ARMIJO * t * slope:
                     break
                 t *= 0.5
             else:

@@ -32,6 +32,7 @@ from curvbc import (
     quadratic_potential,
     robin_surface,
     shape_operator,
+    surface_bc_terms,
 )
 from curvbc.surface_mesh import _scatter
 from curvbc.variational_engine import surface_action_gradient
@@ -336,6 +337,41 @@ def test_bc_report_equals_add_at_reference(case, seed, amplitude):
     for name, value in expected["terms"].items():
         assert_close(report.terms[name], value, scale)
     assert_close(report.flux_pointwise, expected["flux_pointwise"])
+
+
+@pytest.mark.parametrize("steps", [0, 3, 5])
+@given(seed=SEEDS, amplitude=AMPLITUDES)
+@SETTINGS
+def test_surface_bc_terms_equal_report(steps, seed, amplitude):
+    mesh = perturbed_ball(seed, amplitude)
+    rng = np.random.default_rng(seed)
+    ids = mesh.boundary_vertex_ids
+    if steps == 0:
+        bulk = builtin_bulk("poisson_source", source=6.0)
+        surface = curved_robin()
+        state = random_state(mesh, 1, rng)
+        boundary_state = FieldState(state.values[ids])
+    else:
+        bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
+        surface = rate_coupled_surface(curved_robin())
+        state = random_trajectory(mesh, 1, rng, steps)
+        boundary_state = FieldState.from_trajectory(state.trajectory[:, ids], state.dt)
+    rhs, terms = surface_bc_terms(mesh.boundary, surface, boundary_state)
+    report = natural_bc_residual(mesh, bulk, surface, state)
+    assert np.array_equal(rhs, report.rhs)
+    assert list(terms) == list(report.terms)
+    assert ("rate_bracket" in terms) == (steps > 0)
+    for name, value in terms.items():
+        assert np.array_equal(value, report.terms[name])
+
+
+def test_surface_bc_terms_rejects_bad_states():
+    B = perturbed_ball(2, 0.03).boundary
+    with pytest.raises(ValueError, match="trajectory"):
+        surface_bc_terms(B, rate_coupled_surface(curved_robin()),
+                         FieldState(np.zeros((B.n_vertices, 1))))
+    with pytest.raises(ValueError, match="wrong number of vertices"):
+        surface_bc_terms(B, curved_robin(), FieldState(np.zeros((B.n_vertices + 1, 1))))
 
 
 def test_explicit_mean_curvature_wins():

@@ -26,6 +26,7 @@ from curvbc import (
     robin_surface,
     solve_stationary,
     surface_action,
+    surface_bc_terms,
     zero_surface,
 )
 from curvbc import surface_mesh
@@ -445,9 +446,14 @@ def test_bc_report_evaluates_each_partial_once(pair, monkeypatch):
     monkeypatch.setattr(surface_mesh, "_lstsq_stack", no_fit)
     natural_bc_residual(mesh, counted(bulk, bulk_calls),
                         counted(surface, surface_calls), state)
+    once = Counter(gamma0_d_phi=1, gamma0_d_grad=1, gamma_hat_d_phi=1, gamma_hat_d_grad=1)
     assert bulk_calls == Counter(d_phi=1, d_grad=1)
-    assert surface_calls == Counter(gamma0_d_phi=1, gamma0_d_grad=1,
-                                    gamma_hat_d_phi=1, gamma_hat_d_grad=1)
+    assert surface_calls == once
+    # the surface-only load on the boundary state, on its own
+    surface_calls.clear()
+    surface_bc_terms(mesh.boundary, counted(surface, surface_calls),
+                     FieldState(state.values[mesh.boundary_vertex_ids]))
+    assert surface_calls == once
 
 
 def test_bc_residual_refines_at_oracle():
