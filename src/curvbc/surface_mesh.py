@@ -346,19 +346,21 @@ def shape_operator(mesh):
     heads, tails = key // n, key % n
     degree = np.bincount(heads, minlength=n)
     starts = np.cumsum(degree) - degree
-    E = frames[heads]                                   # (edges, 2, 3)
-    du = np.einsum("ekj,ej->ek", E, mesh.vertices[tails] - mesh.vertices[heads])
-    dn = np.einsum("ekj,ej->ek", E, mesh.vertex_normals[tails] - mesh.vertex_normals[heads])
+    x, vn = mesh.vertices, mesh.vertex_normals
     fit, full_rank = np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    # one degree group at a time: its frames, projected differences and fit rows
     for deg in np.unique(degree[degree > 0]):
         ids = np.flatnonzero(degree == deg)
-        rows = starts[ids][:, None] + np.arange(deg)    # (k, deg) edge rows
-        u = du[rows]
+        rows = (starts[ids][:, None] + np.arange(deg)).ravel()   # k * deg edge rows
+        h, t = heads[rows], tails[rows]
+        E = frames[h]                                   # (k * deg, 2, 3)
+        u = np.einsum("ekj,ej->ek", E, x[t] - x[h]).reshape(len(ids), deg, 2)
+        dn = np.einsum("ekj,ej->ek", E, vn[t] - vn[h]).reshape(len(ids), 2 * deg)
+        del E, h, t                                     # not held through the SVD
         A = np.zeros((len(ids), deg, 2, 3))             # rows (u0, u1, 0), (0, u0, u1)
         A[:, :, 0, :2] = u
         A[:, :, 1, 1:] = u
-        fit[ids], rank = _lstsq_stack(A.reshape(len(ids), 2 * deg, 3),
-                                      dn[rows].reshape(len(ids), 2 * deg))
+        fit[ids], rank = _lstsq_stack(A.reshape(len(ids), 2 * deg, 3), dn)
         full_rank[ids] = rank == 3
     S = fit[:, [[0, 1], [1, 2]]]
     S += (0.5 * (2.0 * H - (fit[:, 0] + fit[:, 2])))[:, None, None] * np.eye(2)

@@ -10,10 +10,15 @@ approximations: the gradient matches finite differences of the assembled
 action, stationarity of the total action encodes the curvature-dependent
 natural boundary condition, and a pure transport term integrates to zero.
 
-Tets and boundary triangles, gradients and residual reports, share one
-element-then-scatter path (:func:`_simplex_gradient`): evaluated partial rows
-make an element corner array, added into the vertex rows by one bincount
-scatter.  The solve and its Newton steps share one CG routine (:func:`_cg`).
+Tets and boundary triangles, actions, gradients and residual reports share
+one element-then-scatter path (:func:`_simplex_pass`).  It runs over blocks
+of ``_BLOCK`` simplices: each block gathers its corner-expanded inputs,
+evaluates every partial it needs once, and writes its element corner rows
+into one preallocated corner array per channel; one bincount scatter per
+channel then adds the whole array into the vertex rows.  Blocking bounds the
+temporaries to a few MB, whatever the mesh size, and changes no bits: each
+element is computed by the same operations, and the scatter order is fixed.
+The solve and its Newton steps share one CG routine (:func:`_cg`).
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -39,6 +44,8 @@ _LOG = logging.getLogger("curvbc")
 _CG_MAX_ITERATIONS = 5000
 _ARMIJO = 1e-4
 _TRANSPORT_TOLERANCE = 1e-10
+# simplices per assembly block: keeps a block's temporaries cache-sized
+_BLOCK = 8192
 
 
 class SingularProblemError(RuntimeError):
@@ -282,46 +289,78 @@ def _pointwise(simplices, hat, values, rates):
     return phi_c.reshape(m * c, k), rate, np.repeat(grad, c, axis=0)
 
 
-def _simplex_gradient(simplices, hat, weights, n, corner_rows=None, grad_rows=None):
-    """Gradient of ``sum weights * L`` over simplices, scattered to n vertices.
+def _corner(hat, weights, corner_rows, grad_rows):
+    """Element corner rows (m, c, k) of the chain rule of ``sum weights * L``.
 
-    ``corner_rows`` (``m * c``, k) are evaluated ``d_phi`` rows, weighted at
-    the corners; any corner partial (a rate partial, say) can take their
-    place.  ``grad_rows`` (``m * c``, k, 3) are evaluated ``d_grad`` rows,
-    weighted and summed over the corners of each simplex, then contracted
-    once with the hat gradients ``hat``.  Both parts add into one corner
-    array that is scattered once.  Either may be None.  Each is dropped once
-    used, so rows passed as temporaries do not stay alive to the scatter.
+    ``corner_rows`` (``m * c``, k) are evaluated ``d_phi`` rows (or any
+    corner partial), weighted at the corners.  ``grad_rows`` (``m * c``, k,
+    3) are evaluated ``d_grad`` rows, weighted and summed over the corners of
+    each simplex, then contracted once with the hat gradients.  Either may
+    be None.
     """
     m, c = weights.shape
     corner = 0.0
     if corner_rows is not None:
         corner = corner_rows.reshape(m, c, -1) * weights[:, :, None]
-        del corner_rows
     if grad_rows is not None:
         per_simplex = np.einsum("tc,tcx->tx", weights, grad_rows.reshape(m, c, -1))
-        del grad_rows
         corner = corner + np.einsum("tkx,tcx->tck", per_simplex.reshape(m, -1, 3), hat)
-    return _scatter(simplices, n, corner)
+    return corner
 
 
-def _bulk_pointwise(mesh, values, rates):
-    return _pointwise(mesh.tets, mesh.tet_gradients, values, rates)
+def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
+    """Assemble over blocks of ``_BLOCK`` simplices in one pass.
+
+    Each block gathers its :func:`_pointwise` inputs and evaluates the
+    partials it needs, each distinct partial once.  ``channels`` lists
+    ``(weights, d_phi, d_grad)`` chain-rule channels (see :func:`_corner`);
+    a block writes its element corner rows into the channel's preallocated
+    (m, c, k) corner array, scattered to the vertex rows by one bincount
+    after the loop.  ``rows`` lists partials whose evaluated rows (a density,
+    say) are kept whole, ``m * c`` rows each.  Returns the list of scattered
+    channel gradients and the list of kept rows.
+
+    The block size only bounds the temporaries: every element is computed
+    by the same operations as in one whole-mesh block, and the scatter
+    adds in the row order of ``simplices``, so no result depends on it.
+    """
+    m, c = simplices.shape
+    n, k = values.shape
+    partials = {id(p): p for p in rows}
+    partials.update((id(p), p) for _, *ps in channels for p in ps if p is not None)
+    corners = [np.empty((m, c, k)) for _ in channels]
+    kept = [None] * len(rows)
+    for start in range(0, m, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        at = _pointwise(simplices[b], hat[b], values, rates)
+        ev = {key: p(*at) for key, p in partials.items()}
+        for corner, (weights, d_phi, d_grad) in zip(corners, channels):
+            corner[b] = _corner(hat[b], weights[b], ev.get(id(d_phi)), ev.get(id(d_grad)))
+        for j, p in enumerate(rows):
+            r = ev[id(p)]
+            if kept[j] is None:
+                kept[j] = np.empty((m * c,) + r.shape[1:])
+            kept[j][start * c:start * c + len(r)] = r
+    return [_scatter(simplices, n, corner) for corner in corners], kept
+
+
+def _bulk_pass(mesh, state, channels=(), rows=()):
+    return _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
+                         state._rates_at(), channels, rows)
 
 
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    phi, rate, grad = _bulk_pointwise(mesh, state.values, state._rates_at())
-    return float(mesh.corner_weights.ravel() @ bulk.density(phi, rate, grad))
+    _, (density,) = _bulk_pass(mesh, state, rows=[bulk.density])
+    return float(mesh.corner_weights.ravel() @ density)
 
 
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    at = _bulk_pointwise(mesh, state.values, state._rates_at())
-    return _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
-                             mesh.n_vertices, bulk.d_phi(*at), bulk.d_grad(*at))
+    (g,), _ = _bulk_pass(mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)])
+    return g
 
 
 def _surface_weights(mesh, mean_curv=None):
@@ -329,6 +368,16 @@ def _surface_weights(mesh, mean_curv=None):
     H = mesh.vertex_mean_curvature if mean_curv is None else mean_curv
     w = mesh.corner_areas
     return w, -2.0 * H[mesh.triangles] * w
+
+
+_CHANNEL_NAMES = ("gamma0_phi", "gamma0_div", "curv_phi", "curv_div")
+
+
+def _surface_channels(surface, w, wc):
+    """The boundary action gradient's four channels: plain potential, plain
+    gradient, curvature potential, curvature gradient."""
+    return [(w, surface.gamma0_d_phi, None), (w, None, surface.gamma0_d_grad),
+            (wc, surface.gamma_hat_d_phi, None), (wc, None, surface.gamma_hat_d_grad)]
 
 
 def surface_action(mesh, surface, values, rates=None, mean_curv=None):
@@ -339,34 +388,18 @@ def surface_action(mesh, surface, values, rates=None, mean_curv=None):
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     w, wc = _surface_weights(mesh, mean_curv)
-    phi, rate, grad = _pointwise(mesh.triangles, mesh.hat_gradients, values, rates)
-    plain = float(w.ravel() @ surface.gamma0(phi, rate, grad))
-    curv = float(wc.ravel() @ surface.gamma_hat(phi, rate, grad))
-    return plain, curv
-
-
-def _surface_channels(mesh, surface, values, rates=None, mean_curv=None):
-    """The boundary action gradient as a dict of its four scattered channels
-    (plain potential, plain gradient, curvature potential, curvature
-    gradient), and the evaluated ``gamma_hat_d_grad`` rows."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    w, wc = _surface_weights(mesh, mean_curv)
-    tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
-    at = _pointwise(tri, hat, values, rates)
-    hat_d_grad = surface.gamma_hat_d_grad(*at)
-    channels = {
-        "gamma0_phi": _simplex_gradient(tri, hat, w, n, surface.gamma0_d_phi(*at)),
-        "gamma0_div": _simplex_gradient(tri, hat, w, n, grad_rows=surface.gamma0_d_grad(*at)),
-        "curv_phi": _simplex_gradient(tri, hat, wc, n, surface.gamma_hat_d_phi(*at)),
-        "curv_div": _simplex_gradient(tri, hat, wc, n, grad_rows=hat_d_grad),
-    }
-    return channels, hat_d_grad
+    _, (plain, curv) = _simplex_pass(mesh.triangles, mesh.hat_gradients, values, rates,
+                                     rows=[surface.gamma0, surface.gamma_hat])
+    return float(w.ravel() @ plain), float(wc.ravel() @ curv)
 
 
 def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
     """Exact gradient of the boundary action on a triangle mesh."""
-    c, _ = _surface_channels(mesh, surface, values, rates, mean_curv)
-    return c["gamma0_phi"] + c["gamma0_div"] + c["curv_phi"] + c["curv_div"]
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    w, wc = _surface_weights(mesh, mean_curv)
+    g, _ = _simplex_pass(mesh.triangles, mesh.hat_gradients, values, rates,
+                         _surface_channels(surface, w, wc))
+    return g[0] + g[1] + g[2] + g[3]
 
 
 @dataclass
@@ -442,9 +475,8 @@ def euler_lagrange_residual(mesh, bulk, state):
     res = bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
     if state.trajectory is not None and bulk.rate_dependent:
         def momentum(values, rates):
-            at = _bulk_pointwise(mesh, values, rates)
-            p = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
-                                  mesh.n_vertices, bulk.d_rate(*at))
+            (p,), _ = _simplex_pass(mesh.tets, mesh.tet_gradients, values, rates,
+                                    [(mesh.corner_weights, bulk.d_rate, None)])
             return p / mesh.dual_volumes[:, None]
         res -= _rate_bracket(state, momentum)
     return res
@@ -479,24 +511,27 @@ def surface_bc_terms(mesh, surface, state):
                          "a FieldState with a trajectory")
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     a = mesh.vertex_areas[:, None]
-    channels, hat_d_grad = _surface_channels(mesh, surface, state.values, state._rates_at())
-    terms = {name: -g / a for name, g in channels.items()}
+    w, wc = _surface_weights(mesh)
+    # the four channels and the frozen-weight curvature gradient channel of
+    # the diagnostic split, from one pass that keeps the gamma_hat_d_grad rows
+    (*channels, R_frozen), (hat_d_grad,) = _simplex_pass(
+        tri, hat, state.values, state._rates_at(),
+        _surface_channels(surface, w, wc) + [(w, None, surface.gamma_hat_d_grad)],
+        [surface.gamma_hat_d_grad])
+    terms = {name: -g / a for name, g in zip(_CHANNEL_NAMES, channels)}
     rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
 
     # diagnostic split of the curvature gradient channel
-    w, wc = _surface_weights(mesh)
-    R_frozen = _simplex_gradient(tri, hat, w, n, grad_rows=hat_d_grad)
     W = _scatter(tri, n, hat_d_grad.reshape(-1, 3, state.n_components, 3)
                  * w[:, :, None, None]) / a[:, :, None]
     terms["curv_div_frozen"] = 2.0 * mesh.vertex_mean_curvature[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(mesh))
 
-    rate_partials = [(wt, d) for wt, d in ((w, surface.gamma0_d_rate),
-                                           (wc, surface.gamma_hat_d_rate)) if d is not None]
-    if state.trajectory is not None and rate_partials:
+    rate_channels = [(wt, d, None) for wt, d in ((w, surface.gamma0_d_rate),
+                                                 (wc, surface.gamma_hat_d_rate)) if d is not None]
+    if state.trajectory is not None and rate_channels:
         def momentum(values, rates):
-            at = _pointwise(tri, hat, values, rates)
-            return sum(_simplex_gradient(tri, hat, wt, n, d(*at)) for wt, d in rate_partials) / a
+            return sum(_simplex_pass(tri, hat, values, rates, rate_channels)[0]) / a
         terms["rate_bracket"] = _rate_bracket(state, momentum)
         rhs = rhs + terms["rate_bracket"]
     return rhs, terms
@@ -539,11 +574,8 @@ def natural_bc_residual(mesh, bulk, surface, state):
     trajectory = None if state.trajectory is None else state.trajectory[:, ids]
     rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
 
-    bulk_at = _bulk_pointwise(mesh, state.values, state._rates_at())
-    bulk_d_phi, bulk_d_grad = bulk.d_phi(*bulk_at), bulk.d_grad(*bulk_at)
-    del bulk_at  # the d_grad rows outlive the inputs; keep the peak memory down
-    g_bulk = _simplex_gradient(mesh.tets, mesh.tet_gradients, mesh.corner_weights,
-                               mesh.n_vertices, bulk_d_phi, bulk_d_grad)
+    (g_bulk,), (bulk_d_grad,) = _bulk_pass(
+        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
 
@@ -629,7 +661,8 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     runs damped Newton with truncated-CG steps on finite-difference
     curvature applications.  One CG routine, :func:`_cg`, serves both.
     Convergence is measured in the max norm of the (gauge-projected)
-    gradient.  A pure-Neumann problem whose data is incompatible with the
+    gradient.  An ``initial`` state with a trajectory keeps it: the solve
+    moves its middle snapshot and holds the middle rates fixed.  A pure-Neumann problem whose data is incompatible with the
     constant nullspace raises :class:`SingularProblemError`.
 
     Fallbacks are noted in the log and reported on the ``curvbc`` logger:
@@ -653,9 +686,17 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             return vec
         return vec - basis @ (basis.T @ vec)
 
+    def state_at(values):
+        # the middle snapshot moves to ``values``; the middle rates, central
+        # differences of its neighbours, stay those of ``initial``
+        if initial.trajectory is None:
+            return FieldState(values)
+        trajectory = initial.trajectory.copy()
+        trajectory[trajectory.shape[0] // 2] = values
+        return FieldState(values, trajectory, initial.dt)
+
     def grad_at(values):
-        st = FieldState(values, initial.trajectory, initial.dt)
-        return action_gradient(mesh, bulk, surface, st)
+        return action_gradient(mesh, bulk, surface, state_at(values))
 
     phi0 = initial.values.copy()
     g0 = grad_at(phi0).ravel()
@@ -700,8 +741,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     if not quadratic:
         log.method = "newton"
         phi = phi0.copy()
-        action_of = lambda v: assemble_action(
-            mesh, bulk, surface, FieldState(v, initial.trajectory, initial.dt)).total
+        action_of = lambda v: assemble_action(mesh, bulk, surface, state_at(v)).total
         for it in range(options.newton_max):
             g = grad_at(phi).ravel()
             gn = float(np.abs(project(g)).max())
@@ -747,6 +787,5 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     g_final = project(grad_at(phi).ravel())
     log.final_residual = float(np.abs(g_final).max())
     log.converged = log.final_residual <= options.tolerance and not line_search_failed
-    state = FieldState(phi, initial.trajectory, initial.dt)
-    return state, log
+    return state_at(phi), log
 

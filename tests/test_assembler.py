@@ -9,6 +9,8 @@ formulation of the same discrete chain rule written out here.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from curvbc import (
     assemble_action,
     build_ball_tetmesh,
     builtin_bulk,
+    bulk_action,
     euler_lagrange_residual,
     make_isotropic_surface,
     make_restricted_surface,
@@ -34,8 +37,11 @@ from curvbc import (
     shape_operator,
     surface_bc_terms,
 )
+from curvbc import variational_engine as ve
 from curvbc.surface_mesh import _scatter
 from curvbc.variational_engine import surface_action_gradient
+
+from test_variational_engine import counted
 
 SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
                     database=None)
@@ -406,3 +412,55 @@ def test_scatter_equals_add_at(data):
     expected = np.zeros((n,) + tail)
     np.add.at(expected, index, values)
     assert np.array_equal(_scatter(index, n, values), expected)
+
+
+# -- blocked assembly ------------------------------------------------------------
+
+def test_blocks_change_no_bits(monkeypatch):
+    """Many small blocks give the bytes of one whole-mesh block."""
+    mesh = perturbed_ball(11, 0.04)
+    rng = np.random.default_rng(11)
+    static = random_state(mesh, 1, rng)
+    moving = random_trajectory(mesh, 1, rng, steps=5)
+    rate_bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
+    rate_surface = rate_coupled_surface(curved_robin())
+    calls = Counter()
+    bulk = counted(builtin_bulk("poisson_source", source=6.0), calls)
+    surface = curved_robin()
+
+    def counting(run):
+        calls.clear()
+        return run(), +calls
+
+    def report_fields(case, report):
+        out = {f"{case}.{name}": getattr(report, name)
+               for name in ("residual", "flux_weak", "rhs", "flux_pointwise",
+                            "boundary_vertex_ids", "vertex_areas")}
+        out.update((f"{case}.terms.{name}", v) for name, v in report.terms.items())
+        return out
+
+    def results():
+        gradient, gradient_calls = counting(lambda: action_gradient(mesh, bulk, surface, static))
+        action, action_calls = counting(lambda: bulk_action(mesh, bulk, static))
+        report, report_calls = counting(lambda: natural_bc_residual(mesh, bulk, surface, static))
+        out = {"action_gradient": gradient, "bulk_action": np.array(action),
+               "euler_lagrange": euler_lagrange_residual(mesh, rate_bulk, moving),
+               **report_fields("static", report),
+               **report_fields("trajectory", natural_bc_residual(
+                   mesh, rate_bulk, rate_surface, moving))}
+        return out, gradient_calls, action_calls, report_calls
+
+    assert mesh.n_tets <= ve._BLOCK
+    whole, *_ = results()
+    block = 37
+    assert mesh.n_tets % block and mesh.boundary.n_faces % block
+    monkeypatch.setattr(ve, "_BLOCK", block)
+    blocked, gradient_calls, action_calls, report_calls = results()
+    assert list(blocked) == list(whole)
+    for name, value in whole.items():
+        assert blocked[name].dtype == value.dtype and blocked[name].shape == value.shape, name
+        assert blocked[name].tobytes() == value.tobytes(), name
+    per_pass = -(-mesh.n_tets // block)
+    assert gradient_calls == Counter(d_phi=per_pass, d_grad=per_pass)
+    assert action_calls == Counter(density=per_pass)
+    assert report_calls == Counter(d_phi=per_pass, d_grad=per_pass)

@@ -594,6 +594,21 @@ def test_solve_newton_path_stationary():
     assert np.abs(grad).max() <= 1e-10
 
 
+@pytest.mark.parametrize("force_newton", [False, True])
+def test_solve_from_trajectory_matches_static(force_newton):
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    options = SolveOptions(force_newton=force_newton)
+    static, _ = solve_stationary(mesh, POISSON, robin_surface(1.0), options=options)
+    initial = FieldState.from_trajectory(np.zeros((3, mesh.n_vertices, 1)), 0.1)
+    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0), initial, options)
+    assert log.converged
+    assert np.abs(state.values - static.values).max() <= 1e-12
+    # the solution replaces the middle snapshot; its neighbours are kept
+    assert np.array_equal(state.trajectory[1], state.values)
+    assert np.array_equal(state.trajectory[[0, 2]], initial.trajectory[[0, 2]])
+    assert state.dt == initial.dt
+
+
 def test_solve_stationarity_gradient():
     mesh = build_ball_tetmesh(1.0, surface_level=2, radial_layers=3)
     state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
