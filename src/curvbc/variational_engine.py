@@ -370,14 +370,13 @@ def _surface_weights(mesh, mean_curv=None):
     return w, -2.0 * H[mesh.triangles] * w
 
 
-_CHANNEL_NAMES = ("gamma0_phi", "gamma0_div", "curv_phi", "curv_div")
-
-
 def _surface_channels(surface, w, wc):
-    """The boundary action gradient's four channels: plain potential, plain
-    gradient, curvature potential, curvature gradient."""
-    return [(w, surface.gamma0_d_phi, None), (w, None, surface.gamma0_d_grad),
-            (wc, surface.gamma_hat_d_phi, None), (wc, None, surface.gamma_hat_d_grad)]
+    """The boundary action gradient's four channels by name: plain potential,
+    plain gradient, curvature potential, curvature gradient."""
+    return {"gamma0_phi": (w, surface.gamma0_d_phi, None),
+            "gamma0_div": (w, None, surface.gamma0_d_grad),
+            "curv_phi": (wc, surface.gamma_hat_d_phi, None),
+            "curv_div": (wc, None, surface.gamma_hat_d_grad)}
 
 
 def surface_action(mesh, surface, values, rates=None, mean_curv=None):
@@ -398,7 +397,7 @@ def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     w, wc = _surface_weights(mesh, mean_curv)
     g, _ = _simplex_pass(mesh.triangles, mesh.hat_gradients, values, rates,
-                         _surface_channels(surface, w, wc))
+                         list(_surface_channels(surface, w, wc).values()))
     return g[0] + g[1] + g[2] + g[3]
 
 
@@ -514,11 +513,11 @@ def surface_bc_terms(mesh, surface, state):
     w, wc = _surface_weights(mesh)
     # the four channels and the frozen-weight curvature gradient channel of
     # the diagnostic split, from one pass that keeps the gamma_hat_d_grad rows
-    (*channels, R_frozen), (hat_d_grad,) = _simplex_pass(
+    channels = _surface_channels(surface, w, wc)
+    (*g, R_frozen), (hat_d_grad,) = _simplex_pass(
         tri, hat, state.values, state._rates_at(),
-        _surface_channels(surface, w, wc) + [(w, None, surface.gamma_hat_d_grad)],
-        [surface.gamma_hat_d_grad])
-    terms = {name: -g / a for name, g in zip(_CHANNEL_NAMES, channels)}
+        [*channels.values(), (w, None, surface.gamma_hat_d_grad)], [surface.gamma_hat_d_grad])
+    terms = {name: -gi / a for name, gi in zip(channels, g)}
     rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
 
     # diagnostic split of the curvature gradient channel
