@@ -15,7 +15,7 @@ lets callers pick either frame explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class GeometryJet:
 
     Indices: A, B label chart coordinates (u, v); ``christoffel[C, A, B]``
     is Gamma^C_AB, ``shape_mixed[A, C]`` is b_A^C, ``d_H`` holds the chart
-    partials of the mean curvature.
+    partials of the mean curvature.  A stacked jet carries a leading axis
+    over chart points on every field (``mean_curvature`` is then an array).
     """
 
     position: np.ndarray
@@ -75,7 +76,7 @@ class GeometryJet:
 
     @property
     def tangents(self):
-        return np.stack([self.g1, self.g2])
+        return np.stack([self.g1, self.g2], axis=-2)
 
 
 def evaluate_jet(surface, u, v):
@@ -87,17 +88,24 @@ def evaluate_jet(surface, u, v):
     return _jets(surface, np.array([float(u)]), np.array([float(v)]))[0]
 
 
-def _jets(surface, u, v):
-    """GeometryJets at the chart points ``(u[i], v[i])``, one array pass per field."""
+def _stacked_jet(surface, u, v):
+    """One GeometryJet whose fields carry a leading axis over the chart points
+    ``(u[i], v[i])``, one array pass per field."""
     if surface.kind == "sphere":
-        fields = _sphere_jet(surface.params[0], u, v)
+        parts = _sphere_jet(surface.params[0], u, v)
     elif surface.kind == "cylinder":
-        fields = _cylinder_jet(*surface.params, u, v)
+        parts = _cylinder_jet(*surface.params, u, v)
     elif surface.kind == "torus":
-        fields = _torus_jet(*surface.params, u, v)
+        parts = _torus_jet(*surface.params, u, v)
     else:
         raise ValueError(f"unknown surface kind {surface.kind!r}")
-    *arrays, H, d_H = fields
+    return GeometryJet(*parts)
+
+
+def _jets(surface, u, v):
+    """GeometryJets at the chart points ``(u[i], v[i])``, one per point."""
+    stacked = _stacked_jet(surface, u, v)
+    *arrays, H, d_H = (getattr(stacked, f.name) for f in fields(GeometryJet))
     return [GeometryJet(*row, h, dh) for *row, h, dh in zip(*arrays, H.tolist(), d_H)]
 
 
@@ -265,11 +273,12 @@ def _sample_torus(surface, n_u, n_v):
 def adapted_coefficient_divergence(jet, coeffs, inward_frame=True, coeff_partials=None):
     """Exact surface covariant divergence of a coefficient field, per Cartesian slot.
 
-    ``coeffs[A, m]`` holds the adapted components of a two-index object
+    ``coeffs[..., A, m]`` holds the adapted components of a two-index object
     c^{A m}: m = 0, 1 are contravariant tangential slots and m = 2 is the
     component along the frame normal (inward normal when ``inward_frame``).
-    The adapted components are constant unless ``coeff_partials[A, m]``
-    supplies the chart partial of c^{A m} along coordinate A.
+    The adapted components are constant unless ``coeff_partials[..., A, m]``
+    supplies the chart partial of c^{A m} along coordinate A.  Leading axes
+    ``...`` run over the points of a stacked jet.
 
     Returns the Cartesian 3-vector ``div_A c^{A .}``, expanding the frame
     rotation with the Gauss-Weingarten relations of the jet.
@@ -277,25 +286,17 @@ def adapted_coefficient_divergence(jet, coeffs, inward_frame=True, coeff_partial
     c = np.asarray(coeffs, dtype=float)
     eps = 1.0 if inward_frame else -1.0
     nu = -jet.normal if inward_frame else jet.normal
-    tangents = jet.tangents                      # (2, 3): g_1, g_2
-    gamma = jet.christoffel
-    b = jet.second_form
-    b_mix = jet.shape_mixed
-
-    out = np.zeros(3)
-    # d_A W^A with W^A = c[A,C] g_C + c[A,2] nu
-    for A in range(2):
-        for C in range(2):
-            out += c[A, C] * (gamma[:, A, C] @ tangents + eps * b[A, C] * nu)
-        out += c[A, 2] * (-eps) * (b_mix[A] @ tangents)
-    # contraction term Gamma^A_AB W^B
-    trace_gamma = np.einsum("aba->b", gamma)     # Gamma^A_BA as a function of B
-    for B in range(2):
-        out += trace_gamma[B] * (c[B, 0] * tangents[0] + c[B, 1] * tangents[1] + c[B, 2] * nu)
+    tangents = jet.tangents                                   # (..., 2, 3): g_1, g_2
+    frame = np.concatenate([tangents, nu[..., None, :]], axis=-2)
+    trace_gamma = np.einsum("...aba->...b", jet.christoffel)  # Gamma^A_BA as a function of B
+    # d_A W^A with W^A = c[A,C] g_C + c[A,2] nu: d_A g_C = Gamma^D_AC g_D
+    # + eps b_AC nu and d_A nu = -eps b_A^D g_D; then the trace term Gamma^A_AB W^B
+    out = (np.einsum("...ac,...dac,...dj->...j", c[..., :2], jet.christoffel, tangents)
+           + eps * np.einsum("...ac,...ac->...", c[..., :2], jet.second_form)[..., None] * nu
+           - eps * np.einsum("...a,...ad,...dj->...j", c[..., 2], jet.shape_mixed, tangents)
+           + np.einsum("...b,...bm,...mj->...j", trace_gamma, c, frame))
     if coeff_partials is not None:
-        dc = np.asarray(coeff_partials, dtype=float)
-        for A in range(2):
-            out += dc[A, 0] * tangents[0] + dc[A, 1] * tangents[1] + dc[A, 2] * nu
+        out = out + np.einsum("...am,...mj->...j", np.asarray(coeff_partials, dtype=float), frame)
     return out
 
 
@@ -303,8 +304,9 @@ def adapted_coefficient_divergence(jet, coeffs, inward_frame=True, coeff_partial
 class ExpansionTerms:
     """Every named term of the adapted-frame boundary expansions.
 
-    Tangential entries are (2,) arrays indexed by the free contravariant
-    slot; normal entries are scalars.  ``*_printed`` sums follow the signs
+    Tangential entries are (..., 2) arrays indexed by the free contravariant
+    slot; normal entries are scalars at one jet and (...) arrays at a stacked
+    jet.  ``*_printed`` sums follow the signs
     as printed in the source expansions; ``*_corrected`` sums follow the
     frame-free ground truth (the normal-row kappa connection and curvature
     couplings enter with opposite sign).  The two tangential sums agree.
@@ -346,11 +348,13 @@ def expansion_terms(
 ):
     """Evaluate each adapted-frame boundary-expansion term at a jet.
 
-    ``chi`` and ``kappa`` are (2, 3) adapted coefficient arrays in the same
-    layout as :func:`adapted_coefficient_divergence` (third column along the
-    inward normal).  ``dgamma_bar``/``dgamma_hat`` are (3,) adapted gradients
-    of the surface potentials; ``*_partials`` optionally supply the chart
-    partials of the coefficient components (homogeneous case: zero).
+    ``chi`` and ``kappa`` are (..., 2, 3) adapted coefficient arrays in the
+    same layout as :func:`adapted_coefficient_divergence` (third column along
+    the inward normal).  ``dgamma_bar``/``dgamma_hat`` are (..., 3) adapted
+    gradients of the surface potentials; ``*_partials`` optionally supply the
+    chart partials of the coefficient components (homogeneous case: zero).
+    Leading axes ``...`` run over the points of a stacked jet; every term
+    then carries them too.
     """
     chi = np.zeros((2, 3)) if chi is None else np.asarray(chi, dtype=float)
     kappa = np.zeros((2, 3)) if kappa is None else np.asarray(kappa, dtype=float)
@@ -360,43 +364,43 @@ def expansion_terms(
     dkap = np.zeros((2, 3)) if kappa_partials is None else np.asarray(kappa_partials, dtype=float)
 
     gamma = jet.christoffel
-    trace_gamma = np.einsum("aba->b", gamma)       # Gamma^A_BA indexed by B
+    trace_gamma = np.einsum("...aba->...b", gamma)       # Gamma^A_BA indexed by B
     b = jet.second_form
     b_mix = jet.shape_mixed
-    H = jet.mean_curvature
+    H = np.asarray(jet.mean_curvature)
     dH = jet.d_H
 
     def blocks(c, dc):
-        partial_t = dc[:, :2].sum(axis=0)
-        conn_trace = trace_gamma @ c[:, :2]                    # sum_B Gamma^A_BA c^{BC}
-        conn_rot = np.einsum("cab,ab->c", gamma, c[:, :2])     # c^{AB} Gamma^C_AB
-        curv_t = c[:, 2] @ b_mix                               # c^{A3} b_A^C
-        partial_n = dc[:, 2].sum()
-        conn_n = float(trace_gamma @ c[:, 2])
-        curv_n = float(np.einsum("ab,ab->", c[:, :2], b))
+        partial_t = dc[..., :2].sum(axis=-2)
+        conn_trace = np.einsum("...b,...bc->...c", trace_gamma, c[..., :2])  # Gamma^A_BA c^{BC}
+        conn_rot = np.einsum("...cab,...ab->...c", gamma, c[..., :2])         # c^{AB} Gamma^C_AB
+        curv_t = np.einsum("...a,...ac->...c", c[..., 2], b_mix)             # c^{A3} b_A^C
+        partial_n = dc[..., 2].sum(axis=-1)
+        conn_n = np.einsum("...b,...b->...", trace_gamma, c[..., 2])
+        curv_n = np.einsum("...ab,...ab->...", c[..., :2], b)
         return partial_t, conn_trace, conn_rot, curv_t, partial_n, conn_n, curv_n
 
     cpt, cct, ccr, ccu, cpn, ccn, ccun = blocks(chi, dchi)
     kpt, kct, kcr, kcu, kpn, kcn, kcun = blocks(kappa, dkap)
-    kdh_t = 2.0 * kappa[:, :2].T @ dH              # 2 kappa^{AC} d_A H
-    kdh_n = 2.0 * float(kappa[:, 2] @ dH)
+    kdh_t = 2.0 * np.einsum("...ac,...a->...c", kappa[..., :2], dH)   # 2 kappa^{AC} d_A H
+    kdh_n = 2.0 * np.einsum("...a,...a->...", kappa[..., 2], dH)
 
     rhs_t = (
         cpt + cct + ccr - ccu
-        - dgb[:2]
-        + 2.0 * H * (dgh[:2] - kpt - kct - kcr + kcu)
+        - dgb[..., :2]
+        + 2.0 * H[..., None] * (dgh[..., :2] - kpt - kct - kcr + kcu)
         - kdh_t
     )
     rhs_n_printed = (
         cpn + ccn + ccun
-        - dgb[2]
-        + 2.0 * H * (dgh[2] - kpn + kcn + kcun)
+        - dgb[..., 2]
+        + 2.0 * H * (dgh[..., 2] - kpn + kcn + kcun)
         - kdh_n
     )
     rhs_n_corrected = (
         cpn + ccn + ccun
-        - dgb[2]
-        + 2.0 * H * (dgh[2] - kpn - kcn - kcun)
+        - dgb[..., 2]
+        + 2.0 * H * (dgh[..., 2] - kpn - kcn - kcun)
         - kdh_n
     )
     return ExpansionTerms(
@@ -418,9 +422,9 @@ def expansion_terms(
         kappa_dH_n=kdh_n,
         dgamma_bar=dgb,
         dgamma_hat=dgh,
-        mean_curvature=H,
+        mean_curvature=jet.mean_curvature,
         rhs_tangential_printed=rhs_t,
-        rhs_normal_printed=float(rhs_n_printed),
+        rhs_normal_printed=rhs_n_printed,
         rhs_tangential_corrected=rhs_t.copy(),
-        rhs_normal_corrected=float(rhs_n_corrected),
+        rhs_normal_corrected=rhs_n_corrected,
     )

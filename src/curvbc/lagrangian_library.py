@@ -303,23 +303,26 @@ class IsotropicSurfaceParams:
     """Uniform tension pair (sigma, tau) with the derived length delta.
 
     Requires sigma >= 0, with tau = 0 when sigma = 0, so that
-    ``delta = 2 tau / sigma`` is defined whenever tau is used.
+    ``delta = 2 tau / sigma`` is defined whenever tau is used.  sigma and
+    tau may be arrays of pairs; the checks and ``delta`` are elementwise.
     """
 
     sigma: float
     tau: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        sigma, tau = np.asarray(self.sigma), np.asarray(self.tau)
+        if np.any(sigma < 0):
             raise ValueError("surface tension sigma must be non-negative")
-        if self.sigma == 0.0 and self.tau != 0.0:
+        if np.any((sigma == 0.0) & (tau != 0.0)):
             raise ValueError("tau requires a positive sigma")
 
     @property
     def delta(self):
-        if self.sigma == 0.0:
-            return 0.0
-        return 2.0 * self.tau / self.sigma
+        """``2 tau / sigma``, and 0 where sigma = 0."""
+        sigma = np.asarray(self.sigma, dtype=float)
+        return np.divide(2.0 * np.asarray(self.tau, dtype=float), sigma,
+                         out=np.zeros(sigma.shape), where=sigma != 0.0)[()]
 
 
 def make_isotropic_surface(sigma, tau):

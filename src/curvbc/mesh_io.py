@@ -25,14 +25,17 @@ def read_off(path, validate=True):
     pos += 3  # skip edge count
     verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
     pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise MeshError(f"{path}: only triangle faces supported, got {cnt}-gon")
-        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += 1 + cnt
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), validate=validate)
+    # "3 i j k" rows; up to the first non-triangle the rows stay aligned, so
+    # the first row whose count is not 3 holds that face's vertex count
+    rows = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64)
+    rows = rows[:len(rows) - len(rows) % 4].reshape(-1, 4)
+    polygons = np.flatnonzero(rows[:, 0] != 3)
+    if polygons.size:
+        raise MeshError(f"{path}: only triangle faces supported, "
+                        f"got {rows[polygons[0], 0]}-gon")
+    if len(rows) < nf:
+        raise MeshError(f"{path}: expected {nf} faces, found {len(rows)}")
+    return TriangleMesh(verts, rows[:, 1:], validate=validate)
 
 
 def read_obj(path, validate=True):

@@ -109,8 +109,7 @@ class TriangleMesh:
         if validate:
             _check_face_quality(self)
             self._check_closed_oriented()
-        self._compute_corner_areas()
-        self._compute_vertex_normals()
+        self._compute_vertex_normals(self._compute_corner_areas())
         self._compute_hat_gradients()
 
     # -- construction helpers -------------------------------------------
@@ -154,19 +153,17 @@ class TriangleMesh:
     def _compute_corner_areas(self):
         e = self.edge_vectors
         lsq = np.einsum("fcj,fcj->fc", e, e)          # squared edge lengths
-        # cot of the interior angle at corner c (edges leaving c are -e[c+1], e[c+2])
+        # cot of the interior angle at corner c: u . v / |u x v| for the edges
+        # u = -e[c+1], v = e[c+2] leaving c, where |u x v| = 2A at every corner
+        twice_area = 2.0 * self.face_areas
         cots = np.empty_like(lsq)
         for c in range(3):
-            u = -e[:, (c + 1) % 3]
-            v = e[:, (c + 2) % 3]
-            cross = np.linalg.norm(np.cross(u, v), axis=1)
-            cots[:, c] = np.einsum("fj,fj->f", u, v) / np.where(cross > 0, cross, 1.0)
+            cots[:, c] = -np.einsum("fj,fj->f", e[:, (c + 1) % 3], e[:, (c + 2) % 3])
+        cots /= np.where(twice_area > 0, twice_area, 1.0)[:, None]
         self.corner_cots = cots
 
-        voronoi = np.empty_like(lsq)
-        for c in range(3):
-            c1, c2 = (c + 1) % 3, (c + 2) % 3
-            voronoi[:, c] = (lsq[:, c1] * cots[:, c1] + lsq[:, c2] * cots[:, c2]) / 8.0
+        weighted = lsq * cots
+        voronoi = (weighted[:, [1, 2, 0]] + weighted[:, [2, 0, 1]]) / 8.0
         obtuse = cots < 0.0
         any_obtuse = obtuse.any(axis=1)
         areas = voronoi
@@ -177,19 +174,15 @@ class TriangleMesh:
             )
         self.corner_areas = areas
         self.vertex_areas = _scatter(self.triangles, len(self.vertices), areas)
+        return lsq
 
-    def _compute_vertex_normals(self):
+    def _compute_vertex_normals(self, lsq):
         # cross(u, v) / (|u|^2 |v|^2) per incident corner: exact for vertices
-        # on a sphere, second order on smooth meshes
-        e = self.edge_vectors
-        contrib = np.empty((3, len(e), 3))             # (corner, face, xyz)
-        for c in range(3):
-            u = -e[:, (c + 1) % 3]                     # edge c -> c+2
-            v = e[:, (c + 2) % 3]                      # edge c -> c+1
-            usq = np.einsum("fj,fj->f", u, u)
-            vsq = np.einsum("fj,fj->f", v, v)
-            denom = np.where(usq * vsq > 0, usq * vsq, 1.0)
-            contrib[c] = np.cross(v, u) / denom[:, None]
+        # on a sphere, second order on smooth meshes; (x_{c+1} - x_c) x
+        # (x_{c+2} - x_c) is the face cross product 2A n at every corner c
+        cross = self.face_normals * (2.0 * self.face_areas)[:, None]
+        denom = (lsq[:, [1, 2, 0]] * lsq[:, [2, 0, 1]]).T    # (corner, face)
+        contrib = cross[None] / np.where(denom > 0, denom, 1.0)[:, :, None]
         vn = _scatter(self.triangles.T, len(self.vertices), contrib)
         norm = np.linalg.norm(vn, axis=1)
         self.vertex_normals = vn / np.where(norm > 0, norm, 1.0)[:, None]

@@ -4,8 +4,8 @@ This module evaluates the boundary-condition right-hand side along four
 increasingly specialized routes and cross-checks them:
 
 1. the general route, a full chain rule through a restricted surface pair
-   (plain/curvature potentials, drift channels, gradient couplings) at a
-   single boundary point;
+   (plain/curvature potentials, drift channels, gradient couplings) at
+   boundary points;
 2. the reduced route, keeping only the potential gradients, the coefficient
    divergences and the curvature-gradient coupling;
 3. the uniform-tension droplet route (normal value ``2 sigma H - 4 tau H^2``,
@@ -15,9 +15,17 @@ increasingly specialized routes and cross-checks them:
 4. the combined route obtained by tying the curvature pair to the plain
    pair with the fixed length ``delta``.
 
+Point data is batched: every array of :class:`BoundaryPoint` and
+:class:`RestrictedPointCoeffs` may carry leading axes ``...`` over a stack
+of chart points, the formulas contract with ellipsis ``einsum`` calls, and
+potentials receive the stacked ``phi`` rows, so one call evaluates a whole
+stack.  A single point is the stack without leading axes; it keeps its
+shapes and its scalar types.
+
 ``verify_reductions`` runs all the cross-equivalences on analytic sphere
 and torus jets (tight tolerances) and on discrete meshes (refinement
-tolerances) and returns a row-per-check report.
+tolerances) and returns a row-per-check report.  Each analytic row draws
+all of its (jet x trial) states at once and makes one call per formula.
 
 Frame conventions: Cartesian right-hand sides are produced with the
 outward boundary normal as the flux normal.  Component projections in the
@@ -28,13 +36,13 @@ tension carries a positive pressure jump.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .analytic_geometry import (AnalyticSurface, adapted_coefficient_divergence,
-                                evaluate_jet, expansion_terms)
+from .analytic_geometry import (AnalyticSurface, GeometryJet, _stacked_jet,
+                                adapted_coefficient_divergence, expansion_terms)
 from .lagrangian_library import (IsotropicSurfaceParams, SurfaceLagrangian,
                                  make_isotropic_surface)
 from .surface_mesh import build_icosphere
@@ -46,9 +54,10 @@ from .surface_mesh import build_icosphere
 class BoundaryPoint:
     """Field and geometry data the boundary-condition formulas consume.
 
-    ``dphi[A, c]`` holds chart partials of the field, ``grad_H`` the chart
-    partials of the mean curvature (covariant index), ``normal`` the
-    outward unit normal.
+    ``dphi[..., A, c]`` holds chart partials of the field, ``grad_H`` the
+    chart partials of the mean curvature (covariant index), ``normal`` the
+    outward unit normal.  Leading axes ``...`` run over a stack of chart
+    points; a single point has none.
     """
 
     phi: np.ndarray
@@ -69,39 +78,43 @@ class BoundaryPoint:
 
     @property
     def tangents(self):
-        return np.stack([self.g1, self.g2])
+        return np.stack([self.g1, self.g2], axis=-2)
 
     def raise_index(self, covec):
-        return self.metric_inv @ np.asarray(covec, dtype=float)
+        return np.einsum("...ab,...b->...a", self.metric_inv, np.asarray(covec, dtype=float))
 
     def tangential_components(self, cart):
         """Contravariant tangential components of a Cartesian vector."""
-        return self.metric_inv @ (self.tangents @ np.asarray(cart, dtype=float))
+        return np.einsum("...ab,...bj,...j->...a", self.metric_inv, self.tangents,
+                         np.asarray(cart, dtype=float))
 
 
+# potentials take (m, k) rows: a stack of points is passed as its rows
 def _pot_grad(pot, phi):
     if pot is None:
         return np.zeros_like(phi)
-    return pot.grad(phi[None])[0]
+    return pot.grad(phi.reshape(-1, phi.shape[-1])).reshape(phi.shape)
 
 
 def _pot_hess(pot, phi):
-    k = len(phi)
+    shape = phi.shape + phi.shape[-1:]
     if pot is None:
-        return np.zeros((k, k))
-    return pot.hess(phi[None])[0]
+        return np.zeros(shape)
+    return pot.hess(phi.reshape(-1, phi.shape[-1])).reshape(shape)
 
 
 @dataclass
 class RestrictedPointCoeffs:
     """Restricted surface pair at one boundary point, chart-indexed.
 
-    ``chi[A, c]`` and ``kappa[A, c]`` couple to the field gradient (chart
-    index A up, Cartesian component c); ``chi_tilde``/``kappa_hat`` are the
-    contravariant drift channels multiplying gradients of the scalar
+    ``chi[..., A, c]`` and ``kappa[..., A, c]`` couple to the field gradient
+    (chart index A up, Cartesian component c); ``chi_tilde``/``kappa_hat``
+    are the contravariant drift channels multiplying gradients of the scalar
     potentials ``gamma0``/``gamma1``.  The ``div_*`` entries supply the
     surface covariant divergences of the coefficient fields; the default
-    zeros state that the fields are covariantly constant.
+    zeros state that the fields are covariantly constant.  Leading axes
+    ``...`` give one entry per point of a stacked :class:`BoundaryPoint`;
+    the potentials then take the stacked ``phi`` rows.
     """
 
     n_components: int
@@ -131,41 +144,48 @@ class RestrictedPointCoeffs:
 
 
 class _ScaledPotential:
-    """Fixed multiple of another potential."""
+    """Fixed multiple of another potential (one factor per point, or one for all)."""
 
     def __init__(self, base, factor):
         self.base = base
-        self.factor = float(factor)
+        self.factor = np.asarray(factor, dtype=float)
         self.is_quadratic = getattr(base, "is_quadratic", False)
 
     def value(self, phi):
         return self.factor * self.base.value(phi)
 
     def grad(self, phi):
-        return self.factor * self.base.grad(phi)
+        return self.factor[..., None] * self.base.grad(phi)
 
     def hess(self, phi):
-        return self.factor * self.base.hess(phi)
+        return self.factor[..., None, None] * self.base.hess(phi)
 
 
 def tie_curvature_channel(coeffs, delta):
-    """Return a copy whose curvature pair is delta/2 times the plain pair."""
-    half = 0.5 * float(delta)
+    """Return a copy whose curvature pair is delta/2 times the plain pair.
+
+    ``delta`` is one length, or one per point of stacked coefficients.
+    """
+    half = 0.5 * np.asarray(delta, dtype=float)
+
+    def scaled(arr, axes):                 # half times ``arr`` with ``axes`` trailing axes
+        return None if arr is None else half[(...,) + (None,) * axes] * arr
+
     return RestrictedPointCoeffs(
         n_components=coeffs.n_components,
         gamma_bar=coeffs.gamma_bar,
         gamma_hat=None if coeffs.gamma_bar is None
         else _ScaledPotential(coeffs.gamma_bar, half),
         chi=coeffs.chi,
-        kappa=half * coeffs.chi,
+        kappa=scaled(coeffs.chi, 2),
         chi_tilde=coeffs.chi_tilde,
         gamma0=coeffs.gamma0,
-        kappa_hat=None if coeffs.chi_tilde is None else half * coeffs.chi_tilde,
+        kappa_hat=scaled(coeffs.chi_tilde, 1),
         gamma1=coeffs.gamma0,
         div_chi=coeffs.div_chi,
-        div_kappa=half * coeffs.div_chi,
+        div_kappa=scaled(coeffs.div_chi, 1),
         div_chi_tilde=coeffs.div_chi_tilde,
-        div_kappa_hat=half * coeffs.div_chi_tilde,
+        div_kappa_hat=scaled(coeffs.div_chi_tilde, 0),
     )
 
 
@@ -175,43 +195,41 @@ def coeffs_from_surface(surf, point):
     Constant Cartesian coefficient vectors project onto the chart with the
     exact covariant divergence -2 H (c . n) of a tangentially projected
     constant field.  Rejects surface specs without restricted structure.
+    A stacked ``point`` gives stacked coefficients.
     """
     if not isinstance(surf, SurfaceLagrangian):
         raise ValueError("expected a catalog SurfaceLagrangian")
     meta = surf.meta
-    k = surf.n_components
-    H = point.mean_curvature
-    n = point.normal
-    tang = point.tangents
-
-    def project(c):
-        return point.metric_inv @ (tang @ c)
-
     if not {"chi", "chi_tilde", "kappa", "kappa_hat"} <= meta.keys():
         raise ValueError(f"surface Lagrangian {surf.name!r} is not in restricted form")
+    H = np.asarray(point.mean_curvature)
+    tang = point.tangents
 
     def channel(arr):
         if arr is None:
             return None, None
         arr = np.asarray(arr, dtype=float)
+        rows = np.atleast_2d(arr)                          # a drift vector is one row
+        chart = np.einsum("...ab,...bj,cj->...ac", point.metric_inv, tang, rows)
+        div = -2.0 * H[..., None] * np.einsum("cj,...j->...c", rows, point.normal)
         if arr.ndim == 1:                                  # drift vector
-            return project(arr), -2.0 * H * float(arr @ n)
-        chart = np.stack([project(arr[c]) for c in range(k)], axis=1)
-        return chart, -2.0 * H * (arr @ n)
+            return chart[..., 0], div[..., 0][()]
+        return chart, div
 
     chi, div_chi = channel(meta["chi"])
     kappa, div_kappa = channel(meta["kappa"])
     chi_tilde, div_ct = channel(meta["chi_tilde"])
     kappa_hat, div_kh = channel(meta["kappa_hat"])
     return RestrictedPointCoeffs(
-        k,
+        surf.n_components,
         gamma_bar=meta.get("gamma_bar"),
         gamma_hat=meta.get("gamma_hat"),
         chi=chi, kappa=kappa,
         chi_tilde=chi_tilde, gamma0=meta.get("gamma0"),
         kappa_hat=kappa_hat, gamma1=meta.get("gamma1"),
         div_chi=div_chi, div_kappa=div_kappa,
-        div_chi_tilde=div_ct or 0.0, div_kappa_hat=div_kh or 0.0,
+        div_chi_tilde=0.0 if div_ct is None else div_ct,
+        div_kappa_hat=0.0 if div_kh is None else div_kh,
     )
 
 
@@ -219,29 +237,28 @@ def coeffs_from_surface(surf, point):
 
 def _channel_pieces(point, drift, drift_pot, coupling, div_coupling, div_drift):
     """Momentum, its divergence, and the potential-derivative row of one channel."""
-    k = len(point.phi)
-    momentum = np.array(coupling, dtype=float, copy=True)     # (2, k)
-    div = np.array(div_coupling, dtype=float, copy=True)      # (k,)
-    carried = np.zeros(k)
+    momentum = np.asarray(coupling, dtype=float)              # (..., 2, k)
+    div = np.asarray(div_coupling, dtype=float)               # (..., k)
+    carried = np.zeros_like(point.phi)
     if drift is not None:
         g = _pot_grad(drift_pot, point.phi)
         hess = _pot_hess(drift_pot, point.phi)
-        momentum = momentum + drift[:, None] * g[None, :]
+        momentum = momentum + drift[..., :, None] * g[..., None, :]
         # product rule: div(drift * g(phi)) = div(drift) g + drift^A d_A g
-        carried = np.einsum("a,ac,cd->d", drift, point.dphi, hess)
-        div = div + div_drift * g + carried
+        carried = np.einsum("...a,...ac,...cd->...d", drift, point.dphi, hess)
+        div = div + np.asarray(div_drift)[..., None] * g + carried
     return momentum, div, carried
 
 
 def general_bc_rhs(point, coeffs):
     """Right-hand side of the unreduced curvature boundary condition.
 
-    Full chain rule through the restricted pair at one point, Cartesian
-    components with the outward flux normal.  Rate terms are zero for the
-    rate-independent family handled here.
+    Full chain rule through the restricted pair at one point (or a stack of
+    points), Cartesian components with the outward flux normal.  Rate terms
+    are zero for the rate-independent family handled here.
     """
     phi = point.phi
-    H = point.mean_curvature
+    H = np.asarray(point.mean_curvature)[..., None]
 
     _, div_pi0, extra0 = _channel_pieces(
         point, coeffs.chi_tilde, coeffs.gamma0, coeffs.chi,
@@ -255,7 +272,7 @@ def general_bc_rhs(point, coeffs):
 
     return (div_pi0 - d_gamma0_phi
             + 2.0 * H * (d_gammahat_phi - div_pihat)
-            - 2.0 * np.einsum("ak,a->k", pihat, point.grad_H))
+            - 2.0 * np.einsum("...ak,...a->...k", pihat, point.grad_H))
 
 
 def reduced_bc_rhs(surf, point):
@@ -269,11 +286,11 @@ def reduced_bc_rhs(surf, point):
     """
     coeffs = coeffs_from_surface(surf, point) if isinstance(surf, SurfaceLagrangian) else surf
     phi = point.phi
-    H = point.mean_curvature
+    H = np.asarray(point.mean_curvature)[..., None]
     return (-_pot_grad(coeffs.gamma_bar, phi)
             + coeffs.div_chi
             + 2.0 * H * (_pot_grad(coeffs.gamma_hat, phi) - coeffs.div_kappa)
-            - 2.0 * np.einsum("ak,a->k", coeffs.kappa, point.grad_H))
+            - 2.0 * np.einsum("...ak,...a->...k", coeffs.kappa, point.grad_H))
 
 
 def extended_bc_rhs(point, coeffs, delta):
@@ -285,14 +302,15 @@ def extended_bc_rhs(point, coeffs, delta):
     ``delta`` times the plain pair (see :func:`tie_curvature_channel`).
     """
     phi = point.phi
-    H = point.mean_curvature
+    H = np.asarray(point.mean_curvature)[..., None]
+    delta = np.asarray(delta, dtype=float)[..., None]
     pi0, div_pi0, extra0 = _channel_pieces(
         point, coeffs.chi_tilde, coeffs.gamma0, coeffs.chi,
         coeffs.div_chi, coeffs.div_chi_tilde)
     d_gamma0_phi = _pot_grad(coeffs.gamma_bar, phi) + extra0
     bracket = div_pi0 - d_gamma0_phi
     return ((1.0 - delta * H) * bracket
-            - delta * np.einsum("ak,a->k", pi0, point.grad_H))
+            - delta * np.einsum("...ak,...a->...k", pi0, point.grad_H))
 
 
 # -- droplet laws --------------------------------------------------------------
@@ -304,12 +322,13 @@ def isotropic_bc_values(params, H, grad_H=None, metric_inv=None):
     projection); tangential value is ``-2 tau`` times the raised curvature
     gradient, evaluated in an orthonormal tangent frame unless a metric
     inverse is supplied (the metric-derivative terms of the chart form are
-    coordinate artifacts and vanish in orthonormal frames).
+    coordinate artifacts and vanish in orthonormal frames).  The normal
+    value is elementwise: ``H`` may be an array, and so may the params.
     """
-    H = float(H)
-    normal = 2.0 * params.sigma * H - 4.0 * params.tau * H**2
+    H = np.asarray(H, dtype=float)
+    normal = (2.0 * params.sigma * H - 4.0 * params.tau * H**2)[()]
     if grad_H is None:
-        tangential = np.zeros(2)
+        tangential = np.zeros(H.shape + (2,))
     else:
         grad_H = np.asarray(grad_H, dtype=float)
         ginv = np.eye(2) if metric_inv is None else np.asarray(metric_inv, dtype=float)
@@ -355,7 +374,7 @@ class TolmanCurve:
         scale = 1.0 + np.abs(self.dp_tolman).max()
         if np.abs(ident - self.dp_tolman).max() > 1e-12 * scale:
             raise AssertionError("pressure factorization identity violated")
-        normals = np.array([isotropic_bc_values(self.params, h)[1] for h in H])
+        normals = isotropic_bc_values(self.params, H)[1]
         if np.abs(normals - self.dp_tolman).max() > 1e-12 * scale:
             raise AssertionError("normal boundary value identity violated")
 
@@ -427,68 +446,70 @@ class ReductionReport:
 
 
 class _CubicPotential:
-    """Quadratic-plus-cubic scalar potential for exercising hessian terms."""
+    """Quadratic-plus-cubic scalar potential for exercising hessian terms.
+
+    ``linear (..., k)``, ``matrix (..., k, k)`` and ``cubic (...)`` may carry
+    one potential per point; they broadcast against the rows of ``phi``.
+    """
 
     is_quadratic = False
 
     def __init__(self, linear, matrix, cubic):
+        matrix = np.asarray(matrix, dtype=float)
         self.linear = np.asarray(linear, dtype=float)
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.matrix = 0.5 * (self.matrix + self.matrix.T)
-        self.cubic = float(cubic)
+        self.matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+        self.cubic = np.asarray(cubic, dtype=float)
 
     def value(self, phi):
-        return (phi @ self.linear
-                + 0.5 * np.einsum("mi,ij,mj->m", phi, self.matrix, phi)
-                + self.cubic / 6.0 * (phi**3).sum(axis=1))
+        return (np.einsum("...i,...i->...", phi, self.linear)
+                + 0.5 * np.einsum("...i,...ij,...j->...", phi, self.matrix, phi)
+                + self.cubic / 6.0 * (phi**3).sum(axis=-1))
 
     def grad(self, phi):
-        return self.linear + phi @ self.matrix + 0.5 * self.cubic * phi**2
+        return (self.linear + np.einsum("...i,...ij->...j", phi, self.matrix)
+                + 0.5 * self.cubic[..., None] * phi**2)
 
     def hess(self, phi):
-        base = np.broadcast_to(self.matrix, (phi.shape[0],) + self.matrix.shape).copy()
-        idx = np.arange(phi.shape[1])
-        base[:, idx, idx] += self.cubic * phi
+        base = np.broadcast_to(self.matrix, phi.shape + phi.shape[-1:]).copy()
+        idx = np.arange(phi.shape[-1])
+        base[..., idx, idx] += self.cubic[..., None] * phi
         return base
 
 
-def _random_potential(rng, k):
-    return _CubicPotential(rng.standard_normal(k),
-                           rng.standard_normal((k, k)),
-                           rng.standard_normal())
+def _random_potential(rng, k, n):
+    """``n`` random cubic potentials, one per point."""
+    return _CubicPotential(rng.standard_normal((n, k)),
+                           rng.standard_normal((n, k, k)),
+                           rng.standard_normal(n))
 
 
-def _random_coeffs(rng, k, with_channels=True):
+def _random_coeffs(rng, k, n, with_channels=True):
+    """Random restricted coefficients for ``n`` stacked points."""
     kwargs = dict(
         n_components=k,
-        gamma_bar=_random_potential(rng, k),
-        gamma_hat=_random_potential(rng, k),
-        chi=rng.standard_normal((2, k)),
-        kappa=rng.standard_normal((2, k)),
-        div_chi=rng.standard_normal(k),
-        div_kappa=rng.standard_normal(k),
+        gamma_bar=_random_potential(rng, k, n),
+        gamma_hat=_random_potential(rng, k, n),
+        chi=rng.standard_normal((n, 2, k)),
+        kappa=rng.standard_normal((n, 2, k)),
+        div_chi=rng.standard_normal((n, k)),
+        div_kappa=rng.standard_normal((n, k)),
     )
     if with_channels:
         kwargs.update(
-            chi_tilde=rng.standard_normal(2),
-            gamma0=_random_potential(rng, k),
-            kappa_hat=rng.standard_normal(2),
-            gamma1=_random_potential(rng, k),
+            chi_tilde=rng.standard_normal((n, 2)),
+            gamma0=_random_potential(rng, k, n),
+            kappa_hat=rng.standard_normal((n, 2)),
+            gamma1=_random_potential(rng, k, n),
         )
     return RestrictedPointCoeffs(**kwargs)
 
 
 def _fixture_jets():
-    sphere = AnalyticSurface.sphere(1.0)
-    torus = AnalyticSurface.torus(2.0, 0.5)
-    jets = {"sphere": [], "torus": []}
-    for theta in (0.5, 1.2, 2.3):
-        for phi in (0.3, 2.1, 4.4):
-            jets["sphere"].append(evaluate_jet(sphere, theta, phi))
-    for u in (0.4, 1.7, 3.9):
-        for v in (0.7, 2.0, 3.6, 5.1):
-            jets["torus"].append(evaluate_jet(torus, u, v))
-    return jets
+    """Stacked sphere and torus jets at the fixture chart points."""
+    theta, phi = np.meshgrid((0.5, 1.2, 2.3), (0.3, 2.1, 4.4), indexing="ij")
+    u, v = np.meshgrid((0.4, 1.7, 3.9), (0.7, 2.0, 3.6, 5.1), indexing="ij")
+    return {"sphere": _stacked_jet(AnalyticSurface.sphere(1.0), theta.ravel(), phi.ravel()),
+            "torus": _stacked_jet(AnalyticSurface.torus(2.0, 0.5), u.ravel(), v.ravel())}
 
 
 def verify_reductions(trials=25, seed=0):
@@ -500,70 +521,71 @@ def verify_reductions(trials=25, seed=0):
     row is measured and reported as a finding, not asserted.
     """
     rng = np.random.default_rng(seed)
-    jets = _fixture_jets()
+    fixtures = _fixture_jets()
     rows = []
     TIGHT = 1e-10
 
-    def run_states(jet_list, k, fn):
-        worst = 0.0
-        for jet in jet_list:
-            for _ in range(trials):
-                phi = rng.standard_normal(k)
-                dphi = rng.standard_normal((2, k))
-                point = BoundaryPoint.from_jet(jet, phi, dphi)
-                worst = max(worst, fn(point))
-        return worst
+    def jets(*names):
+        """The named fixture jets stacked, each repeated for ``trials`` states."""
+        stack = [[getattr(fixtures[s], f.name) for s in names] for f in fields(GeometryJet)]
+        return GeometryJet(*(np.repeat(np.concatenate(parts), trials, axis=0) for parts in stack))
+
+    def states(*names):
+        """One random state per (jet, trial) pair, and the number of pairs."""
+        jet = jets(*names)
+        n = len(jet.mean_curvature)
+        return BoundaryPoint.from_jet(jet, rng.standard_normal((n, 3)),
+                                      rng.standard_normal((n, 2, 3))), n
+
+    def worst(diff):
+        return float(np.abs(diff).max())
+
+    def isotropic(point, sigma, tau):
+        # the uniform-tension pair is linear in (sigma, tau): scale the unit pair
+        unit = coeffs_from_surface(make_isotropic_surface(1.0, 1.0), point)
+        return RestrictedPointCoeffs(
+            3, chi=sigma[:, None, None] * unit.chi, kappa=tau[:, None, None] * unit.kappa,
+            div_chi=sigma[:, None] * unit.div_chi, div_kappa=tau[:, None] * unit.div_kappa)
 
     # 1. reduced route equals the general route when the drift channels are
     # covariantly constant and the curvature is uniform (sphere fixture).
-    def check_reduced(point):
-        coeffs = _random_coeffs(rng, 3)
-        coeffs.div_chi_tilde = 0.0
-        coeffs.div_kappa_hat = 0.0
-        g = general_bc_rhs(point, coeffs)
-        r = reduced_bc_rhs(coeffs, point)
-        return float(np.abs(g - r).max())
-
-    dev = run_states(jets["sphere"], 3, check_reduced)
+    point, n = states("sphere")
+    coeffs = _random_coeffs(rng, 3, n)
+    coeffs.div_chi_tilde = 0.0
+    coeffs.div_kappa_hat = 0.0
+    dev = worst(general_bc_rhs(point, coeffs) - reduced_bc_rhs(coeffs, point))
     rows.append(ReductionRow(
         "reduced_equals_general_uniform_curvature", dev <= TIGHT, dev, TIGHT,
         "drift-channel derivative terms cancel through the potential hessians"))
 
     # 2. the plain drift channel drops from the general route entirely
     # (variable curvature included) when its coefficient is divergence-free.
-    def check_gamma0_channel(point):
-        base = _random_coeffs(rng, 3, with_channels=False)
-        with_chan = RestrictedPointCoeffs(
-            3, gamma_bar=base.gamma_bar, gamma_hat=base.gamma_hat,
-            chi=base.chi, kappa=base.kappa,
-            div_chi=base.div_chi, div_kappa=base.div_kappa,
-            chi_tilde=rng.standard_normal(2), gamma0=_random_potential(rng, 3))
-        g0 = general_bc_rhs(point, base)
-        g1 = general_bc_rhs(point, with_chan)
-        return float(np.abs(g1 - g0).max())
-
-    dev = run_states(jets["torus"], 3, check_gamma0_channel)
+    point, n = states("torus")
+    base = _random_coeffs(rng, 3, n, with_channels=False)
+    with_chan = RestrictedPointCoeffs(
+        3, gamma_bar=base.gamma_bar, gamma_hat=base.gamma_hat,
+        chi=base.chi, kappa=base.kappa,
+        div_chi=base.div_chi, div_kappa=base.div_kappa,
+        chi_tilde=rng.standard_normal((n, 2)), gamma0=_random_potential(rng, 3, n))
+    dev = worst(general_bc_rhs(point, with_chan) - general_bc_rhs(point, base))
     rows.append(ReductionRow(
         "plain_drift_channel_drops", dev <= TIGHT, dev, TIGHT,
         "divergence-free drift in the plain pair never reaches the boundary condition"))
 
     # 3. the curvature drift channel leaves exactly one remnant, the
     # curvature-gradient coupling; zero on uniform-curvature surfaces.
-    def check_gamma1_channel(point):
-        base = _random_coeffs(rng, 3, with_channels=False)
-        kappa_hat = rng.standard_normal(2)
-        gamma1 = _random_potential(rng, 3)
-        with_chan = RestrictedPointCoeffs(
-            3, gamma_bar=base.gamma_bar, gamma_hat=base.gamma_hat,
-            chi=base.chi, kappa=base.kappa,
-            div_chi=base.div_chi, div_kappa=base.div_kappa,
-            kappa_hat=kappa_hat, gamma1=gamma1)
-        g0 = general_bc_rhs(point, base)
-        g1 = general_bc_rhs(point, with_chan)
-        remnant = -2.0 * float(kappa_hat @ point.grad_H) * _pot_grad(gamma1, point.phi)
-        return float(np.abs((g1 - g0) - remnant).max())
-
-    dev = run_states(jets["torus"], 3, check_gamma1_channel)
+    point, n = states("torus")
+    base = _random_coeffs(rng, 3, n, with_channels=False)
+    kappa_hat = rng.standard_normal((n, 2))
+    gamma1 = _random_potential(rng, 3, n)
+    with_chan = RestrictedPointCoeffs(
+        3, gamma_bar=base.gamma_bar, gamma_hat=base.gamma_hat,
+        chi=base.chi, kappa=base.kappa,
+        div_chi=base.div_chi, div_kappa=base.div_kappa,
+        kappa_hat=kappa_hat, gamma1=gamma1)
+    remnant = (-2.0 * np.einsum("na,na->n", kappa_hat, point.grad_H)[:, None]
+               * _pot_grad(gamma1, point.phi))
+    dev = worst(general_bc_rhs(point, with_chan) - general_bc_rhs(point, base) - remnant)
     rows.append(ReductionRow(
         "curvature_drift_channel_remnant", dev <= TIGHT, dev, TIGHT,
         "remnant -2 (khat . grad H) dgamma1/dphi; zero where curvature is uniform "
@@ -571,107 +593,89 @@ def verify_reductions(trials=25, seed=0):
 
     # 4. normal projection identity between the component form and the
     # projected form of the uniform-tension condition, potentials included.
-    def check_projection(point):
-        sigma, tau = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5)
-        gbar = _random_potential(rng, 3)
-        ghat = _random_potential(rng, 3)
-        spec_coeffs = coeffs_from_surface(make_isotropic_surface(sigma, tau), point)
-        spec_coeffs.gamma_bar = gbar
-        spec_coeffs.gamma_hat = ghat
-        g = general_bc_rhs(point, spec_coeffs)
-        nu = -point.normal                       # inward frame normal
-        H = point.mean_curvature
-        projected = (2.0 * sigma * H
-                     - float(_pot_grad(gbar, point.phi) @ nu)
-                     + 2.0 * H * (float(_pot_grad(ghat, point.phi) @ nu)
-                                  - 2.0 * tau * H))
-        return abs(float(g @ nu) - projected)
+    point, n = states("sphere", "torus")
+    sigma, tau = rng.uniform(0.2, 2.0, n), rng.uniform(-0.5, 0.5, n)
+    coeffs = isotropic(point, sigma, tau)
+    coeffs.gamma_bar = _random_potential(rng, 3, n)
+    coeffs.gamma_hat = _random_potential(rng, 3, n)
+    nu = -point.normal                           # inward frame normal
+    H = point.mean_curvature
 
-    dev = run_states(jets["sphere"] + jets["torus"], 3, check_projection)
+    def inward(vec):
+        return np.einsum("nj,nj->n", vec, nu)
+
+    projected = (2.0 * sigma * H - inward(_pot_grad(coeffs.gamma_bar, point.phi))
+                 + 2.0 * H * (inward(_pot_grad(coeffs.gamma_hat, point.phi)) - 2.0 * tau * H))
+    dev = worst(inward(general_bc_rhs(point, coeffs)) - projected)
     rows.append(ReductionRow(
         "normal_projection_identity", dev <= TIGHT, dev, TIGHT,
         "component row equals the inward-projected form"))
 
     # 5. tangential row of the uniform-tension condition: -2 tau raised grad H
     # (metric-derivative terms vanish in the invariant evaluation).
-    def check_tangential(point):
-        sigma, tau = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5)
-        coeffs = coeffs_from_surface(make_isotropic_surface(sigma, tau), point)
-        g = general_bc_rhs(point, coeffs)
-        tang = point.tangential_components(g)
-        expect = -2.0 * tau * point.raise_index(point.grad_H)
-        return float(np.abs(tang - expect).max())
-
-    dev = run_states(jets["torus"], 3, check_tangential)
+    point, n = states("torus")
+    sigma, tau = rng.uniform(0.2, 2.0, n), rng.uniform(-0.5, 0.5, n)
+    tang = point.tangential_components(general_bc_rhs(point, isotropic(point, sigma, tau)))
+    dev = worst(tang + 2.0 * tau[:, None] * point.raise_index(point.grad_H))
     rows.append(ReductionRow(
         "tangential_row_tension_gradient", dev <= TIGHT, dev, TIGHT,
         "evaluated invariantly; chart metric-derivative terms are frame artifacts"))
 
     # 6. pressure algebra: normal value, factored form, limits.
-    worst = 0.0
-    for _ in range(trials):
-        sigma = rng.uniform(0.1, 3.0)
-        tau = rng.uniform(0.0, 0.5) * sigma
-        params = IsotropicSurfaceParams(sigma, tau)
-        H = rng.uniform(0.05, 5.0)
-        _, normal = isotropic_bc_values(params, H)
-        worst = max(worst, abs(normal - float(tolman_pressure(params, H))))
-        if params.delta > 0:
-            worst = max(worst, abs(float(tolman_pressure(params, 1.0 / params.delta))))
+    sigma = rng.uniform(0.1, 3.0, trials)
+    params = IsotropicSurfaceParams(sigma, rng.uniform(0.0, 0.5, trials) * sigma)
+    H = rng.uniform(0.05, 5.0, trials)
+    _, normal = isotropic_bc_values(params, H)
+    # the zero at R = delta; H = 0 where delta = 0 is a trivial zero
+    H_delta = np.divide(1.0, params.delta, out=np.zeros(trials), where=params.delta > 0)
+    dev = max(worst(normal - tolman_pressure(params, H)), worst(tolman_pressure(params, H_delta)))
     rows.append(ReductionRow(
-        "pressure_normal_value_identity", worst <= 1e-12, worst, 1e-12,
+        "pressure_normal_value_identity", dev <= 1e-12, dev, 1e-12,
         "normal boundary value equals the factored pressure; zero at R = delta"))
 
     # 7. tied curvature pair: the general route with the pair scaled by
     # delta/2 equals the size-corrected one-channel form.
-    def check_tied(point):
-        coeffs = _random_coeffs(rng, 3)
-        coeffs.kappa = np.zeros((2, 3))
-        coeffs.div_kappa = np.zeros(3)
-        coeffs.gamma_hat = None
-        coeffs.kappa_hat = None
-        coeffs.gamma1 = None
-        delta = rng.uniform(-0.4, 0.4)
-        g = general_bc_rhs(point, tie_curvature_channel(coeffs, delta))
-        e = extended_bc_rhs(point, coeffs, delta)
-        return float(np.abs(g - e).max())
-
-    dev = run_states(jets["sphere"] + jets["torus"], 3, check_tied)
+    point, n = states("sphere", "torus")
+    coeffs = _random_coeffs(rng, 3, n)
+    coeffs.kappa = np.zeros((2, 3))
+    coeffs.div_kappa = np.zeros(3)
+    coeffs.gamma_hat = None
+    coeffs.kappa_hat = None
+    coeffs.gamma1 = None
+    delta = rng.uniform(-0.4, 0.4, n)
+    dev = worst(general_bc_rhs(point, tie_curvature_channel(coeffs, delta))
+                - extended_bc_rhs(point, coeffs, delta))
     rows.append(ReductionRow(
         "tied_pair_equals_size_corrected_form", dev <= TIGHT, dev, TIGHT,
         "identity holds for constant delta including drift channels"))
 
     # 8. adapted-frame expansions against the frame-free route, for
     # frame-constant coefficient components.
-    dev_t, dev_n, dev_printed, printed_closed = 0.0, 0.0, 0.0, 0.0
-    for jet in jets["sphere"] + jets["torus"]:
-        for _ in range(trials):
-            chi_f = rng.standard_normal((2, 3))
-            kappa_f = rng.standard_normal((2, 3))
-            phi = rng.standard_normal(3)
-            dgb = rng.standard_normal(3)
-            dgh = rng.standard_normal(3)
-            terms = expansion_terms(jet, chi=chi_f, kappa=kappa_f,
-                                    dgamma_bar=dgb, dgamma_hat=dgh)
-            div_chi = adapted_coefficient_divergence(jet, chi_f)
-            div_kappa = adapted_coefficient_divergence(jet, kappa_f)
-            nu = -jet.normal
-            tangents = jet.tangents
-            H = jet.mean_curvature
-            kap_mom = (kappa_f[:, :2] @ tangents + kappa_f[:, 2:] * nu)   # (2, 3)
-            dgb_cart = dgb[:2] @ tangents + dgb[2] * nu
-            dgh_cart = dgh[:2] @ tangents + dgh[2] * nu
-            rhs_cart = (div_chi - dgb_cart
-                        + 2.0 * H * (dgh_cart - div_kappa)
-                        - 2.0 * np.einsum("ak,a->k", kap_mom, jet.d_H))
-            tang = jet.metric_inv @ (tangents @ rhs_cart)
-            norm = float(nu @ rhs_cart)
-            dev_t = max(dev_t, float(np.abs(tang - terms.rhs_tangential_printed).max()))
-            dev_n = max(dev_n, abs(norm - terms.rhs_normal_corrected))
-            printed_dev = abs(terms.rhs_normal_printed - terms.rhs_normal_corrected)
-            closed = abs(4.0 * H * (terms.kappa_conn_n + terms.kappa_curv_n))
-            dev_printed = max(dev_printed, printed_dev)
-            printed_closed = max(printed_closed, abs(printed_dev - closed))
+    jet = jets("sphere", "torus")
+    n = len(jet.mean_curvature)
+    chi_f = rng.standard_normal((n, 2, 3))
+    kappa_f = rng.standard_normal((n, 2, 3))
+    dgb = rng.standard_normal((n, 3))
+    dgh = rng.standard_normal((n, 3))
+    terms = expansion_terms(jet, chi=chi_f, kappa=kappa_f, dgamma_bar=dgb, dgamma_hat=dgh)
+    div_chi = adapted_coefficient_divergence(jet, chi_f)
+    div_kappa = adapted_coefficient_divergence(jet, kappa_f)
+    nu = -jet.normal
+    frame = np.concatenate([jet.tangents, nu[:, None, :]], axis=1)   # g_1, g_2, nu
+    H = jet.mean_curvature[:, None]
+
+    def cartesian(adapted):                      # adapted components -> Cartesian
+        return np.einsum("n...m,nmj->n...j", adapted, frame)
+
+    rhs_cart = (div_chi - cartesian(dgb)
+                + 2.0 * H * (cartesian(dgh) - div_kappa)
+                - 2.0 * np.einsum("nak,na->nk", cartesian(kappa_f), jet.d_H))
+    tang = np.einsum("nab,nbj,nj->na", jet.metric_inv, jet.tangents, rhs_cart)
+    dev_t = worst(tang - terms.rhs_tangential_printed)
+    dev_n = worst(np.einsum("nj,nj->n", nu, rhs_cart) - terms.rhs_normal_corrected)
+    printed_dev = np.abs(terms.rhs_normal_printed - terms.rhs_normal_corrected)
+    closed = np.abs(4.0 * jet.mean_curvature * (terms.kappa_conn_n + terms.kappa_curv_n))
+    dev_printed, printed_closed = float(printed_dev.max()), worst(printed_dev - closed)
 
     rows.append(ReductionRow(
         "adapted_tangential_row_matches", dev_t <= TIGHT, dev_t, TIGHT,

@@ -308,7 +308,7 @@ def _corner(hat, weights, corner_rows, grad_rows):
     return corner
 
 
-def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
+def _simplex_pass(simplices, hat, values, rates, channels=(), rows=(), keep=None):
     """Assemble over blocks of ``_BLOCK`` simplices in one pass.
 
     Each block gathers its :func:`_pointwise` inputs and evaluates the
@@ -317,8 +317,9 @@ def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
     a block writes its element corner rows into the channel's preallocated
     (m, c, k) corner array, scattered to the vertex rows by one bincount
     after the loop.  ``rows`` lists partials whose evaluated rows (a density,
-    say) are kept whole, ``m * c`` rows each.  Returns the list of scattered
-    channel gradients and the list of kept rows.
+    say) are kept, ``c`` rows per simplex: for every simplex, or for the
+    simplices of the boolean mask ``keep`` in their order.  Returns the list
+    of scattered channel gradients and the list of kept rows.
 
     The block size only bounds the temporaries: every element is computed
     by the same operations as in one whole-mesh block, and the scatter
@@ -329,24 +330,30 @@ def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
     partials = {id(p): p for p in rows}
     partials.update((id(p), p) for _, *ps in channels for p in ps if p is not None)
     corners = [np.empty((m, c, k)) for _ in channels]
+    n_kept = m if keep is None else np.count_nonzero(keep)
     kept = [None] * len(rows)
+    done = 0                                    # kept simplices written so far
     for start in range(0, m, _BLOCK):
         b = slice(start, start + _BLOCK)
+        sel = slice(None) if keep is None else keep[b]
         at = _pointwise(simplices[b], hat[b], values, rates)
         ev = {key: p(*at) for key, p in partials.items()}
         for corner, (weights, d_phi, d_grad) in zip(corners, channels):
             corner[b] = _corner(hat[b], weights[b], ev.get(id(d_phi)), ev.get(id(d_grad)))
         for j, p in enumerate(rows):
             r = ev[id(p)]
+            r = r.reshape((-1, c) + r.shape[1:])[sel]
             if kept[j] is None:
-                kept[j] = np.empty((m * c,) + r.shape[1:])
-            kept[j][start * c:start * c + len(r)] = r
-    return [_scatter(simplices, n, corner) for corner in corners], kept
+                kept[j] = np.empty((n_kept, c) + r.shape[2:])
+            kept[j][done:done + len(r)] = r
+        done += len(simplices[b][sel])
+    return ([_scatter(simplices, n, corner) for corner in corners],
+            [r.reshape((-1,) + r.shape[2:]) for r in kept])
 
 
-def _bulk_pass(mesh, state, channels=(), rows=()):
+def _bulk_pass(mesh, state, channels=(), rows=(), keep=None):
     return _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
-                         state._rates_at(), channels, rows)
+                         state._rates_at(), channels, rows, keep)
 
 
 def bulk_action(mesh, bulk, state):
@@ -573,15 +580,18 @@ def natural_bc_residual(mesh, bulk, surface, state):
     trajectory = None if state.trajectory is None else state.trajectory[:, ids]
     rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
 
+    # the pointwise flux reads boundary vertex rows only: keep the momentum
+    # rows of the tets with a boundary vertex, whose sums those rows are
+    touch = ~mesh.interior_mask[mesh.tets].all(axis=1)
     (g_bulk,), (bulk_d_grad,) = _bulk_pass(
-        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
+        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad], touch)
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
-    mom = _scatter(mesh.tets, mesh.n_vertices,
+    mom = _scatter(mesh.tets[touch], mesh.n_vertices,
                    bulk_d_grad.reshape(-1, 4, state.n_components, 3)
-                   * mesh.corner_weights[:, :, None, None])
+                   * mesh.corner_weights[touch][:, :, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 

@@ -64,6 +64,55 @@ def test_off_rejects_missing_header(tmp_path):
         read_off(path)
 
 
+def loop_read_off_faces(path):
+    """Reference: the per-face OFF loop the array parse replaced."""
+    tokens = []
+    for line in path.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4 + 3 * nv
+    faces = []
+    for _ in range(nf):
+        cnt = int(tokens[pos])
+        if cnt != 3:
+            raise MeshError(f"{path}: only triangle faces supported, got {cnt}-gon")
+        faces.append([int(t) for t in tokens[pos + 1:pos + 4]])
+        pos += 1 + cnt
+    return np.array(faces, dtype=np.int64)
+
+
+def write_off(path, vertices, faces, comment=""):
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [" ".join(f"{x:.17g}" for x in v) for v in vertices]
+    lines += [f"{len(f)} " + " ".join(map(str, f)) + comment for f in faces]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_off_faces_match_loop(tmp_path):
+    m = build_icosphere(1.0, 2)
+    path = tmp_path / "sphere.off"
+    write_off(path, m.vertices, m.triangles.tolist(), comment="  # face")
+    back = read_off(path)
+    assert np.array_equal(back.triangles, loop_read_off_faces(path))
+    assert np.array_equal(back.triangles, m.triangles)
+    assert np.array_equal(back.vertices, m.vertices)
+
+    # mixed polygons: the first non-triangle is reported, as by the loop
+    tris = m.triangles.tolist()
+    for faces in ([[0, 1, 2, 3]] + tris,
+                  tris[:7] + [[0, 1, 2, 3, 4]] + tris[7:] + [[5, 6, 7, 8]],
+                  tris[:-1] + [[0, 1, 2, 3, 4, 5]]):
+        path = tmp_path / "mixed.off"
+        write_off(path, m.vertices, faces)
+        with pytest.raises(MeshError) as loop_error:
+            loop_read_off_faces(path)
+        with pytest.raises(MeshError) as error:
+            read_off(path)
+        assert str(error.value) == str(loop_error.value)
+
+
 def test_vertex_csv_format(tmp_path):
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     path = tmp_path / "field.csv"

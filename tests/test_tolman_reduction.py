@@ -1,6 +1,7 @@
 """Boundary-condition reductions, size-corrected pressure, equivalence report."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 from curvbc import (
     AnalyticSurface,
     BoundaryPoint,
+    RestrictedPointCoeffs,
+    adapted_coefficient_divergence,
+    expansion_terms,
     IsotropicSurfaceParams,
     coeffs_from_surface,
     evaluate_jet,
@@ -23,7 +27,10 @@ from curvbc import (
     tolman_pressure,
     verify_reductions,
 )
+from curvbc import tolman_reduction
+from curvbc.analytic_geometry import GeometryJet
 from curvbc.lagrangian_library import SurfaceLagrangian
+from curvbc.tolman_reduction import _CubicPotential
 
 
 def sphere_point(seed=0, k=2):
@@ -199,3 +206,176 @@ def test_verify_reductions_report():
     payload = json.loads(report.to_json())
     assert len(payload) == len(report.rows)
     assert all("max_deviation" in entry for entry in payload)
+
+
+# -- stacked points against single-point calls ---------------------------------
+
+N_STACK = 12
+
+
+def stacked_jets():
+    """Sphere and torus jets: one list of single jets and the same jets stacked."""
+    rng = np.random.default_rng(21)
+    jets = [evaluate_jet(surface, rng.uniform(0.3, 2.8), rng.uniform(0.0, 6.0))
+            for surface in (AnalyticSurface.sphere(1.5), AnalyticSurface.torus(2.0, 0.5))
+            for _ in range(N_STACK // 2)]
+    stack = GeometryJet(*(np.stack([getattr(j, f.name) for j in jets])
+                          for f in dataclasses.fields(GeometryJet)))
+    return jets, stack
+
+
+def random_point_data(k, seed):
+    """Stacked points and coefficients with per-point cubic potentials, and
+    the same data split into single points."""
+    rng = np.random.default_rng(seed)
+    jets, stack = stacked_jets()
+    n = len(jets)
+    phi, dphi = rng.standard_normal((n, k)), rng.standard_normal((n, 2, k))
+    pots = {name: (rng.standard_normal((n, k)), rng.standard_normal((n, k, k)),
+                   rng.standard_normal(n))
+            for name in ("gamma_bar", "gamma_hat", "gamma0", "gamma1")}
+    arrays = dict(chi=rng.standard_normal((n, 2, k)), kappa=rng.standard_normal((n, 2, k)),
+                  chi_tilde=rng.standard_normal((n, 2)), kappa_hat=rng.standard_normal((n, 2)),
+                  div_chi=rng.standard_normal((n, k)), div_kappa=rng.standard_normal((n, k)),
+                  div_chi_tilde=rng.standard_normal(n), div_kappa_hat=rng.standard_normal(n))
+    point = BoundaryPoint.from_jet(stack, phi, dphi)
+    coeffs = RestrictedPointCoeffs(k, **{name: _CubicPotential(*p) for name, p in pots.items()},
+                                   **arrays)
+    singles = [(BoundaryPoint.from_jet(jet, phi[i], dphi[i]),
+                RestrictedPointCoeffs(k, **{name: _CubicPotential(*(a[i] for a in p))
+                                            for name, p in pots.items()},
+                                      **{name: a[i] for name, a in arrays.items()}))
+               for i, jet in enumerate(jets)]
+    return point, coeffs, singles, rng
+
+
+def assert_rows_match(stacked, single_rows):
+    single = np.stack(single_rows)
+    assert stacked.shape == single.shape
+    assert np.abs(stacked - single).max() <= 1e-14 * (1.0 + np.abs(single).max())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_bc_rhs_match_single_points(k):
+    point, coeffs, singles, rng = random_point_data(k, seed=k)
+    delta = rng.uniform(-0.4, 0.4, N_STACK)
+    assert_rows_match(general_bc_rhs(point, coeffs),
+                      [general_bc_rhs(p, c) for p, c in singles])
+    assert_rows_match(reduced_bc_rhs(coeffs, point),
+                      [reduced_bc_rhs(c, p) for p, c in singles])
+    assert_rows_match(extended_bc_rhs(point, coeffs, delta),
+                      [extended_bc_rhs(p, c, d) for (p, c), d in zip(singles, delta)])
+    assert_rows_match(general_bc_rhs(point, tie_curvature_channel(coeffs, delta)),
+                      [general_bc_rhs(p, tie_curvature_channel(c, d))
+                       for (p, c), d in zip(singles, delta)])
+    # one delta for the whole stack
+    assert_rows_match(extended_bc_rhs(point, coeffs, 0.3),
+                      [extended_bc_rhs(p, c, 0.3) for p, c in singles])
+
+
+def test_stacked_coeffs_from_surface_match_single_points():
+    rng = np.random.default_rng(5)
+    surf = make_restricted_surface(
+        2, gamma_bar=quadratic_potential(0.9, 2), chi=rng.standard_normal((2, 3)),
+        chi_tilde=rng.standard_normal(3), gamma0_potential=quadratic_potential(0.4, 2),
+        kappa=rng.standard_normal((2, 3)), kappa_hat=rng.standard_normal(3),
+        gamma1_potential=quadratic_potential(-0.3, 2),
+        gamma_hat_potential=quadratic_potential(0.2, 2))
+    jets, stack = stacked_jets()
+    phi, dphi = rng.standard_normal((len(jets), 2)), rng.standard_normal((len(jets), 2, 2))
+    stacked = coeffs_from_surface(surf, BoundaryPoint.from_jet(stack, phi, dphi))
+    singles = [coeffs_from_surface(surf, BoundaryPoint.from_jet(jet, phi[i], dphi[i]))
+               for i, jet in enumerate(jets)]
+    for name in ("chi", "kappa", "chi_tilde", "kappa_hat", "div_chi", "div_kappa",
+                 "div_chi_tilde", "div_kappa_hat"):
+        assert_rows_match(getattr(stacked, name), [getattr(c, name) for c in singles])
+    # a single point keeps its shapes and scalar types
+    assert singles[0].chi.shape == (2, 2) and singles[0].chi_tilde.shape == (2,)
+    assert isinstance(singles[0].div_chi_tilde, float)
+    assert isinstance(singles[0].div_kappa_hat, float)
+    # and the general route through the stack matches the single points
+    point = BoundaryPoint.from_jet(stack, phi, dphi)
+    assert_rows_match(general_bc_rhs(point, stacked),
+                      [general_bc_rhs(BoundaryPoint.from_jet(jet, phi[i], dphi[i]), c)
+                       for i, (jet, c) in enumerate(zip(jets, singles))])
+
+
+def test_catalog_surface_on_a_two_axis_stack():
+    """Catalog potentials take rows, so a (2, 6) stack equals the flat one."""
+    rng = np.random.default_rng(8)
+    surf = make_restricted_surface(
+        2, gamma_bar=quadratic_potential(0.9, 2), chi_tilde=rng.standard_normal(3),
+        gamma0_potential=quadratic_potential(0.4, 2), kappa_hat=rng.standard_normal(3),
+        gamma1_potential=quadratic_potential(-0.3, 2))
+    _, stack = stacked_jets()
+    phi, dphi = rng.standard_normal((N_STACK, 2)), rng.standard_normal((N_STACK, 2, 2))
+    flat = BoundaryPoint.from_jet(stack, phi, dphi)
+    columns = (np.asarray(getattr(flat, f.name)) for f in dataclasses.fields(BoundaryPoint))
+    grid = BoundaryPoint(*(a.reshape((2, -1) + a.shape[1:]) for a in columns))
+    expect = general_bc_rhs(flat, coeffs_from_surface(surf, flat))
+    got = general_bc_rhs(grid, coeffs_from_surface(surf, grid))
+    assert got.shape == (2, N_STACK // 2, 2)
+    assert np.abs(got.reshape(expect.shape) - expect).max() <= 1e-14 * (1.0 + np.abs(expect).max())
+
+
+def test_stacked_adapted_expansions_match_single_jets():
+    rng = np.random.default_rng(6)
+    jets, stack = stacked_jets()
+    n = len(jets)
+    chi, kappa = rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3))
+    dchi, dkap = rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3))
+    dgb, dgh = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    for inward in (True, False):
+        assert_rows_match(
+            adapted_coefficient_divergence(stack, chi, inward, dchi),
+            [adapted_coefficient_divergence(jet, chi[i], inward, dchi[i])
+             for i, jet in enumerate(jets)])
+    terms = expansion_terms(stack, chi, kappa, dgb, dgh, dchi, dkap)
+    single = [expansion_terms(jet, chi[i], kappa[i], dgb[i], dgh[i], dchi[i], dkap[i])
+              for i, jet in enumerate(jets)]
+    for f in dataclasses.fields(terms):
+        assert_rows_match(np.asarray(getattr(terms, f.name)),
+                          [getattr(t, f.name) for t in single])
+    # a single jet keeps scalar normal entries
+    assert isinstance(single[0].rhs_normal_printed, float)
+    assert isinstance(single[0].kappa_conn_n, float)
+    assert single[0].rhs_tangential_printed.shape == (2,)
+
+
+# -- the equivalence report ------------------------------------------------------
+
+ROW_NAMES = [
+    "reduced_equals_general_uniform_curvature",
+    "plain_drift_channel_drops",
+    "curvature_drift_channel_remnant",
+    "normal_projection_identity",
+    "tangential_row_tension_gradient",
+    "pressure_normal_value_identity",
+    "tied_pair_equals_size_corrected_form",
+    "adapted_tangential_row_matches",
+    "adapted_normal_row_corrected_matches",
+    "adapted_normal_row_printed_signs",
+    "discrete_droplet_normal_value",
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_reductions_passes_every_seed(seed):
+    report = verify_reductions(25, seed)
+    assert [row.name for row in report.rows] == ROW_NAMES
+    assert report.all_passed, report.format_table()
+    tolerances = [1e-10] * 5 + [1e-12] + [1e-10] * 3 + [None, 5e-2]
+    assert [row.tolerance for row in report.rows] == tolerances
+
+
+def test_verify_reductions_catches_an_extended_route_fault(monkeypatch):
+    """The batched rows compare two routes, not an array with itself."""
+    def off_by_a_little(point, coeffs, delta, _real=tolman_reduction.extended_bc_rhs):
+        return _real(point, coeffs, delta) + 1e-6
+
+    monkeypatch.setattr(tolman_reduction, "extended_bc_rhs", off_by_a_little)
+    report = verify_reductions(3, 0)
+    row = report.row("tied_pair_equals_size_corrected_form")
+    assert row.passed is False
+    assert abs(row.max_deviation - 1e-6) <= 1e-9
+    assert not report.all_passed
