@@ -280,6 +280,7 @@ def _run_solve(cfg):
     _write_lines(log_path, headers, [
         f"method={log.method}",
         f"iterations={log.iterations}",
+        f"tangent_iterations={log.tangent_iterations}",
         f"final_residual={log.final_residual:.17g}",
         f"converged={str(log.converged).lower()}",
     ] + [f"note={n}" for n in log.notes])

@@ -5,6 +5,8 @@ Only triangle faces are accepted; vertex scalar fields are written as
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .surface_mesh import MeshError, TriangleMesh
@@ -38,36 +40,92 @@ def read_off(path, validate=True):
     return TriangleMesh(verts, rows[:, 1:], validate=validate)
 
 
+# bytes of whole lines that ``read_obj`` parses per array pass
+_OBJ_CHUNK = 1 << 18
+
+
 def read_obj(path, validate=True):
     """Read an ASCII OBJ file (v/f records, triangles only) into a TriangleMesh.
 
     Face indices may take the ``v/vt/vn`` forms; a negative index counts
     back from the vertices read so far.
     """
+    return TriangleMesh(*_obj_arrays(path), validate=validate)
+
+
+def _obj_arrays(path):
+    """Vertices and 0-based faces of an OBJ file, parsed in chunks of whole
+    lines with array operations (:func:`_obj_records`).  Only the two arrays
+    outlive the call, so the mesh is built after the chunks are freed."""
     coords, corners, seen = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            if "#" in raw:
-                raw = raw[:raw.index("#")]
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise MeshError(f"{path}: vertex record with fewer than 3 coordinates")
-                coords += parts[1:4]
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise MeshError(f"{path}: only triangle faces supported")
-                corners += parts[1:4]
-                seen.append(len(coords) // 3)
-    if not coords or not corners:
+    n_read = 0
+    with open(path, "rb") as fh:
+        while lines := fh.readlines(_OBJ_CHUNK):
+            v, f, before = _obj_records(np.frombuffer(b"".join(lines), dtype=np.uint8), path)
+            coords.append(v)
+            corners.append(f)
+            seen.append(n_read + before)
+            n_read += len(v)
+    if not n_read or not sum(map(len, corners)):
         raise MeshError(f"{path}: no usable v/f records")
-    idx = np.array([c.split("/", 1)[0] for c in corners], dtype=np.int64).reshape(-1, 3)
-    faces = np.where(idx > 0, idx - 1, np.array(seen)[:, None] + idx)
-    verts = np.array(coords, dtype=float).reshape(-1, 3)
-    del coords, corners   # token strings outweigh the mesh; free them before building it
-    return TriangleMesh(verts, faces, validate=validate)
+    idx = np.concatenate(corners)
+    faces = np.where(idx > 0, idx - 1, np.concatenate(seen)[:, None] + idx)
+    return np.concatenate(coords), faces
+
+
+def _obj_records(text, path):
+    """Vertex coordinates (m, 3), face corner indices (f, 3) as written, and
+    the vertex records before each face, of a uint8 array of whole OBJ lines.
+
+    Tokens are the runs of bytes other than whitespace and ``#``; the tokens
+    after a line's first ``#`` are a comment.  A record is a line whose first
+    token is ``v`` or ``f``.
+    """
+    sep = (text <= 32) | (text == ord("#"))
+    edge = np.diff(sep.view(np.int8), prepend=np.int8(1), append=np.int8(1))
+    start, end = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
+    del sep, edge
+    newline = np.flatnonzero(text == ord("\n"))
+    line = np.searchsorted(newline, start)
+    hashes = np.flatnonzero(text == ord("#"))
+    hash_line, first = np.unique(np.searchsorted(newline, hashes), return_index=True)
+    cut = np.full(len(newline) + 1, len(text))
+    cut[hash_line] = hashes[first]
+    keep = start < cut[line]
+    start, end, line = start[keep], end[keep], line[keep]
+
+    head = np.flatnonzero(np.diff(line, prepend=-1))     # first token of each line
+    count = np.diff(np.r_[head, len(start)])
+    kind = np.where(end[head] - start[head] == 1, text[start[head]], 0)
+    is_v, is_f = kind == ord("v"), kind == ord("f")
+    short_v = np.flatnonzero(is_v & (count < 4))
+    polygon = np.flatnonzero(is_f & (count != 4))
+    if len(short_v) or len(polygon):
+        if not len(polygon) or (len(short_v) and short_v[0] < polygon[0]):
+            raise MeshError(f"{path}: vertex record with fewer than 3 coordinates")
+        raise MeshError(f"{path}: only triangle faces supported")
+
+    v_tok = (head[is_v][:, None] + np.arange(1, 4)).ravel()
+    f_tok = (head[is_f][:, None] + np.arange(1, 4)).ravel()
+    # a corner's vertex index ends at its first '/'
+    slash = np.r_[np.flatnonzero(text == ord("/")), len(text)]
+    f_end = np.minimum(end[f_tok], slash[np.searchsorted(slash, start[f_tok])])
+    coords = _numbers(text, start[v_tok], end[v_tok], float).reshape(-1, 3)
+    corners = _numbers(text, start[f_tok], f_end, np.int64).reshape(-1, 3)
+    return coords, corners, np.cumsum(is_v)[is_f]
+
+
+def _numbers(text, start, end, dtype):
+    """The numbers in the disjoint byte ranges ``[start, end)`` of ``text``, in order."""
+    if not len(start):
+        return np.empty(0, dtype=dtype)     # fromstring reads blanks as [-1]
+    mark = np.zeros(len(text) + 1, dtype=np.int8)
+    mark[start] = 1
+    mark[end] -= 1
+    inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a malformed number raises ValueError
+        return np.fromstring(np.where(inside, text, ord(" ")).tobytes(), dtype=dtype, sep=" ")
 
 
 def _format_rows(row, table):

@@ -18,7 +18,10 @@ into one preallocated corner array per channel; one bincount scatter per
 channel then adds the whole array into the vertex rows.  Blocking bounds the
 temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
-The solve and its Newton steps share one CG routine (:func:`_cg`).
+The solve and its Newton steps share one CG routine (:func:`_cg`).  A
+quadratic solve preconditions it with the tangent, assembled once from
+element probes through the same :func:`_pointwise` and :func:`_corner`
+(:func:`_assemble_tangent`).
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -44,6 +47,8 @@ _LOG = logging.getLogger("curvbc")
 _CG_MAX_ITERATIONS = 5000
 _ARMIJO = 1e-4
 _TRANSPORT_TOLERANCE = 1e-10
+# relative 2-norm tolerance of a preconditioner solve on the assembled tangent
+_TANGENT_TOLERANCE = 1e-10
 # simplices per assembly block: keeps a block's temporaries cache-sized
 _BLOCK = 8192
 
@@ -617,6 +622,7 @@ class ConvergenceLog:
     final_residual: float = np.inf
     converged: bool = False
     notes: list = field(default_factory=list)
+    tangent_iterations: int = 0
 
 
 def _gauge_basis(mesh, k, gauge):
@@ -635,50 +641,155 @@ def _gauge_basis(mesh, k, gauge):
     return q
 
 
-def _cg(apply, b, done, max_iterations):
+def _cg(apply, b, done, max_iterations, precondition=None):
     """Conjugate gradients for ``apply(x) = b`` from ``x = 0``.
 
     Stops when ``done(r)`` holds (it sees the initial and every updated
     residual), after ``max_iterations`` steps, or on ``p.Ap <= 0``.
     Returns ``(x, iterations, definite)``, ``definite`` False on the last.
+    ``precondition(r)``, when given, maps a residual that is not done to a
+    search direction; if it returns None the solve goes on without it,
+    restarting from the steepest-descent direction.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rr = r @ r
+    p = None
     iterations = 0
     while not done(r) and iterations < max_iterations:
+        z = r if precondition is None else precondition(r)
+        if z is None:               # the preconditioner gave up: restart without it
+            z, precondition, p = r, None, None
+        rz_new = r @ z
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = apply(p)
         pAp = p @ Ap
         if pAp <= 0:
             return x, iterations, False
-        alpha = rr / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
         iterations += 1
     return x, iterations, True
+
+
+def _tangent_pattern(tets, n, k):
+    """Sorted CSR keys ``row * (n k) + col`` of the degrees of freedom of
+    vertices that share a tet (each vertex with itself included)."""
+    m = len(tets)
+    edges = np.empty(6 * m, dtype=np.int64)
+    # filled one tet edge slot at a time and sorted in place, so no other
+    # (6 m) array is made
+    for s, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
+        a, b = tets[:, i], tets[:, j]
+        edges[s * m:(s + 1) * m] = np.minimum(a, b) * n + np.maximum(a, b)
+    edges.sort()
+    v, w = np.divmod(edges[np.r_[True, edges[1:] != edges[:-1]]], n)
+    del edges
+    v, w = np.r_[v, w, :n], np.r_[w, v, :n]
+    comp = np.arange(k)
+    keys = ((v[:, None, None] * k + comp[:, None]) * (n * k) + w[:, None, None] * k + comp).ravel()
+    keys.sort()
+    return keys
+
+
+def _element_tangents(hat, channels, k):
+    """Element matrices of the chain-rule ``channels`` of a quadratic pair.
+
+    Probes each simplex with the zero state and one unit value per corner
+    and component, ``c k + 1`` probes, through :func:`_pointwise` and
+    :func:`_corner`; a probe's corner rows minus the zero probe's are one
+    column of the element matrix, exactly for affine partials.  Runs over
+    blocks of ``_BLOCK`` probed simplices, so the temporaries stay those of a
+    gradient block.  Yields ``(block slice, (b, c k, c k) matrices)`` with
+    rows and columns ordered corner-major.
+    """
+    m, c = hat.shape[:2]
+    ck = c * k
+    n_probes = ck + 1
+    probes = np.vstack([np.zeros(ck), np.eye(ck)]).reshape(n_probes, 1, c, k)
+    partials = {id(p): p for _, *ps in channels for p in ps if p is not None}
+    step = max(1, _BLOCK // n_probes)
+    for start in range(0, m, step):
+        b = slice(start, start + step)
+        nb = len(hat[b])
+        hat_p = np.broadcast_to(hat[b], (n_probes,) + hat[b].shape).reshape(-1, c, 3)
+        values = np.broadcast_to(probes, (n_probes, nb, c, k)).reshape(-1, k)
+        at = _pointwise(np.arange(len(values)).reshape(-1, c), hat_p, values, None)
+        ev = {key: p(*at) for key, p in partials.items()}
+        out = 0.0
+        for weights, d_phi, d_grad in channels:
+            w = np.broadcast_to(weights[b], (n_probes, nb, c)).reshape(-1, c)
+            out = out + _corner(hat_p, w, ev.get(id(d_phi)), ev.get(id(d_grad)))
+        out = out.reshape(n_probes, nb, ck)
+        yield b, (out[1:] - out[0]).transpose(1, 2, 0)
+
+
+def _assemble_tangent(mesh, bulk, surface):
+    """Hessian of the action of a quadratic pair as a CSR matrix-vector product.
+
+    Element matrices of the tets and of the boundary triangles (their ``w``
+    and ``-2 H w`` channels) are added into a CSR on the tets'
+    vertex-adjacency pattern, block by block.  The returned ``apply(x)``
+    takes a flat vector of vertex values and equals ``g(x) - g(0)`` of the
+    action gradient ``g`` up to roundoff.
+    """
+    k = bulk.n_components
+    n = mesh.n_vertices
+    size = n * k
+    keys = _tangent_pattern(mesh.tets, n, k)
+    data = np.zeros(len(keys))
+    B = mesh.boundary
+    w, wc = _surface_weights(B)
+    parts = [(mesh.tets, mesh.tet_gradients,
+              [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)]),
+             (mesh.boundary_vertex_ids[B.triangles], B.hat_gradients,
+              list(_surface_channels(surface, w, wc).values()))]
+    comp = np.arange(k)
+    for vertex_ids, hat, channels in parts:
+        for b, element in _element_tangents(hat, channels, k):
+            dof = (vertex_ids[b][:, :, None] * k + comp).reshape(len(element), -1)
+            pos = np.searchsorted(keys, (dof[:, :, None] * size + dof[:, None, :]).ravel())
+            lo = pos.min()
+            sums = np.bincount(pos - lo, element.ravel())
+            data[lo:lo + len(sums)] += sums
+    # every row holds its diagonal, so no row is empty
+    starts = np.searchsorted(keys, np.arange(size) * size)
+    cols = keys % size
+    del keys
+
+    def apply(x):
+        return np.add.reduceat(data * x[cols], starts)
+    return apply
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     """Find a stationary point of the assembled action.
 
-    Quadratic problems use matrix-free conjugate gradients on the exact
-    operator (gradient differences); anything else, or ``force_newton``,
-    runs damped Newton with truncated-CG steps on finite-difference
-    curvature applications.  One CG routine, :func:`_cg`, serves both.
-    Convergence is measured in the max norm of the (gauge-projected)
-    gradient.  An ``initial`` state with a trajectory keeps it: the solve
-    moves its middle snapshot and holds the middle rates fixed.  A pure-Neumann problem whose data is incompatible with the
-    constant nullspace raises :class:`SingularProblemError`.
+    Quadratic problems use conjugate gradients on the exact matrix-free
+    operator (gradient differences, one action gradient per iteration),
+    preconditioned by the tangent: assembled once per solve from element
+    probes, it is applied to a residual by an unpreconditioned CG solve of
+    the gauge-projected tangent to a relative 2-norm of
+    ``_TANGENT_TOLERANCE``.  The exact operator alone defines the answer; the
+    tangent only cuts the iterations.  ``log.iterations`` counts the outer
+    iterations and ``log.tangent_iterations`` the inner steps of the solve.
+    Anything else, or ``force_newton``, runs damped Newton with truncated-CG
+    steps on finite-difference curvature applications, unpreconditioned.
+    One CG routine, :func:`_cg`, serves all of them.  Convergence is
+    measured in the max norm of the (gauge-projected) gradient.  An
+    ``initial`` state with a trajectory keeps it: the solve moves its middle
+    snapshot and holds the middle rates fixed.  A pure-Neumann problem whose
+    data is incompatible with the constant nullspace raises
+    :class:`SingularProblemError`.
 
     Fallbacks are noted in the log and reported on the ``curvbc`` logger:
-    CG leaving for Newton when the operator is not positive definite
-    (warning), a Newton step taken as steepest descent because its CG meets
-    ``p.Ap <= 0`` at once (info), and a line search that finds no Armijo
-    decrease, which ends the solve unconverged without the step (warning).
+    the tangent dropped when its CG meets ``p.Ap <= 0`` (info; the outer CG
+    goes on without it), CG leaving for Newton when the operator is not
+    positive definite (warning), a Newton step taken as steepest descent
+    because its CG meets ``p.Ap <= 0`` at once (info), and a line search that
+    finds no Armijo decrease, which ends the solve unconverged without the
+    step (warning).
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -736,8 +847,26 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             log.residual_norms.append(float(np.abs(r).max()))
             return log.residual_norms[-1] <= options.tolerance
 
+        tangent = _assemble_tangent(mesh, bulk, surface)
+
+        def precondition(r):
+            # solve the projected tangent for the residual; None drops it.  The
+            # residual is projected again: a gauge component left by roundoff
+            # is out of the tangent's range and would stall the inner solve
+            r = project(r)
+            tol = _TANGENT_TOLERANCE * np.linalg.norm(r)
+            z, its, definite = _cg(lambda v: project(tangent(v)), r,
+                                   lambda s: np.linalg.norm(s) <= tol, _CG_MAX_ITERATIONS)
+            log.tangent_iterations += its
+            if definite:
+                return z
+            note = "assembled tangent is not positive definite; solving without it"
+            log.notes.append(note)
+            _LOG.info("solve_stationary: %s (tangent CG iteration %d)", note, its)
+            return None
+
         x, its, definite = _cg(lambda p: project(operator(p)), project(-g0),
-                               converged, _CG_MAX_ITERATIONS)
+                               converged, _CG_MAX_ITERATIONS, precondition)
         if not definite:
             note = "operator lost positive definiteness; switching to newton"
             log.notes.append(note)

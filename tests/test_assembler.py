@@ -464,3 +464,21 @@ def test_blocks_change_no_bits(monkeypatch):
     assert gradient_calls == Counter(d_phi=per_pass, d_grad=per_pass)
     assert action_calls == Counter(density=per_pass)
     assert report_calls == Counter(d_phi=per_pass, d_grad=per_pass)
+
+
+# -- assembled tangent -------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [None, 600])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
+    """The probe-assembled tangent applied to x is g(x) - g(0), for any block size."""
+    mesh = perturbed_ball(7, 0.04)
+    bulk, surface = (make() for make in PAIRS[pair])
+    x = np.random.default_rng(7).standard_normal((mesh.n_vertices, bulk.n_components))
+    expected = (action_gradient(mesh, bulk, surface, FieldState(x))
+                - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
+    if block is not None:
+        assert mesh.n_tets > block
+        monkeypatch.setattr(ve, "_BLOCK", block)
+    tangent = ve._assemble_tangent(mesh, bulk, surface)
+    assert_close(tangent(x.ravel()), expected)

@@ -85,7 +85,9 @@ def test_solve_emits_reports(tmp_path):
         assert_headers(lines)
     log = read_lines(tmp_path / "convergence.log")
     assert any(l == "converged=true" for l in log)
-    sol = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=4)
+    tangent = next(l for l in log if l.startswith("tangent_iterations="))
+    assert int(tangent.split("=")[1]) > 0
+    sol =np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=4)
     # center value of the radial oracle 3 - r^2
     center = sol[np.argmin(np.einsum("vj,vj->v", sol[:, 1:4], sol[:, 1:4]))]
     assert abs(center[4] - 3.0) <= 0.1

@@ -221,3 +221,82 @@ def test_obj_rejects_short_vertex(tmp_path):
     path.write_text("v 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n")
     with pytest.raises(MeshError, match="fewer than 3 coordinates"):
         read_obj(path, validate=False)
+
+
+def token_read_obj_arrays(path):
+    """Line-by-line reference reader: one Python string per token."""
+    coords, corners, seen = [], [], []
+    for raw in open(path, encoding="utf-8"):
+        parts = raw.split("#", 1)[0].split()
+        if parts and parts[0] == "v":
+            coords += parts[1:4]
+        elif parts and parts[0] == "f":
+            corners += parts[1:4]
+            seen.append(len(coords) // 3)
+    idx = np.array([c.split("/", 1)[0] for c in corners], dtype=np.int64).reshape(-1, 3)
+    return (np.array(coords, dtype=float).reshape(-1, 3),
+            np.where(idx > 0, idx - 1, np.array(seen)[:, None] + idx))
+
+
+def messy_obj(rng, n_lines=1500):
+    """OBJ text with every accepted form: comments, w coordinates, leading
+    blanks, tabs, v/vt/vn corners, negative indices and other record types."""
+    lines, nv = [], 0
+    for _ in range(n_lines):
+        r = rng.integers(0, 8)
+        if r < 3 or nv < 3:
+            xyz = " ".join(repr(float(x)) for x in rng.standard_normal(3) * 10.0 ** rng.integers(-8, 8))
+            lines.append(" " * int(rng.integers(0, 2)) + "v " + xyz
+                         + (" 1.0" if rng.random() < 0.2 else "")
+                         + (" # c" if rng.random() < 0.3 else ""))
+            nv += 1
+        elif r < 6:
+            ids = rng.choice(np.arange(1, nv + 1), 3, replace=False)
+            toks = [f"{i}" if rng.random() < 0.5 else f"{i - nv - 1}" for i in ids]
+            toks = [t + str(rng.choice(["", "/1", "//2", "/3/4"])) for t in toks]
+            lines.append("f " + "\t".join(toks) + ("#x 1 2" if rng.random() < 0.3 else ""))
+        else:
+            lines.append(str(rng.choice(["vt 0.5 0.5", "vn 0 0 1", "", "# v 1 2 3",
+                                         "g group", "   ", "o name # x"])))
+    return lines
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("chunk", [None, 997])
+def test_obj_reader_equals_token_reader(tmp_path, monkeypatch, newline, chunk):
+    """The array reader gives the token reader's arrays bit for bit, also
+    when its chunks of whole lines are small."""
+    from curvbc import mesh_io
+    if chunk is not None:
+        monkeypatch.setattr(mesh_io, "_OBJ_CHUNK", chunk)
+    path = tmp_path / "messy.obj"
+    path.write_bytes(newline.join(messy_obj(np.random.default_rng(len(newline)))).encode())
+    mesh = read_obj(path, validate=False)
+    verts, faces = token_read_obj_arrays(path)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.triangles.tobytes() == faces.tobytes()
+    written = tmp_path / "sphere.obj"
+    write_obj(build_icosphere(1.0, 3), written, comments=("a", "b"))
+    mesh = read_obj(written)
+    verts, faces = token_read_obj_arrays(written)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.triangles.tobytes() == faces.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v 0 0 0\nv 1 0\nf 1 2 3 4\n", "fewer than 3 coordinates"),
+    ("v 0 0 0\nf 1 2 3 4\nv 1 0\n", "only triangle faces"),
+    ("v 1 2 3\nv 1 2 3\nv 1 2 3\nf 1 2\n", "only triangle faces"),
+])
+def test_obj_reports_the_first_bad_record(tmp_path, text, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=message):
+        read_obj(path, validate=False)
+
+
+def test_obj_rejects_malformed_numbers(tmp_path):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 zero\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ValueError):
+        read_obj(path, validate=False)

@@ -14,14 +14,19 @@ from curvbc import (
     adapted_coefficient_divergence,
     expansion_terms,
     IsotropicSurfaceParams,
+    SolveOptions,
+    build_ball_tetmesh,
+    builtin_bulk,
     coeffs_from_surface,
     evaluate_jet,
     extended_bc_rhs,
     general_bc_rhs,
     isotropic_bc_values,
+    make_isotropic_surface,
     make_restricted_surface,
     quadratic_potential,
     reduced_bc_rhs,
+    solve_stationary,
     tie_curvature_channel,
     tolman_curve,
     tolman_pressure,
@@ -379,3 +384,36 @@ def test_verify_reductions_catches_an_extended_route_fault(monkeypatch):
     assert row.passed is False
     assert abs(row.max_deviation - 1e-6) <= 1e-9
     assert not report.all_passed
+
+
+def test_tolman_law_from_bulk_solves():
+    """The droplet law dp = 2 sigma / R - 4 tau / R^2, fitted to bulk solves.
+
+    ``linear_elastic(1, 1) x isotropic(1, 0.05)`` is solved under the rigid
+    gauge on (2, 3) balls of four radii.  Each solution is close to a uniform
+    dilation u = c x; the volume-weighted fit of c gives the pressure jump
+    dp = -(3 lam + 2 mu) c, and a least-squares fit of dp(R) gives sigma and
+    tau.  sigma carries the O(h^2) discretization error of the (2, 3) ball.
+    delta = 2 tau / sigma comes out exact only because the ball meshes are
+    scaled copies of one another, so the same discrete operator appears at
+    every radius: this pins the solve -> fit -> Tolman chain, not the
+    discretization of delta.
+    """
+    lam, mu, sigma, tau = 1.0, 1.0, 1.0, 0.05
+    bulk = builtin_bulk("linear_elastic", lam=lam, mu=mu)
+    surface = make_isotropic_surface(sigma, tau)
+    radii = np.array([0.5, 1.0, 2.0, 4.0])
+    dp = []
+    for radius in radii:
+        mesh = build_ball_tetmesh(radius, surface_level=2, radial_layers=3)
+        state, log = solve_stationary(mesh, bulk, surface, options=SolveOptions(gauge="rigid"))
+        assert log.converged
+        x, w = mesh.vertices, mesh.dual_volumes
+        c = ((w * np.einsum("vj,vj->v", state.values, x)).sum()
+             / (w * np.einsum("vj,vj->v", x, x)).sum())
+        dp.append(-(3.0 * lam + 2.0 * mu) * c)
+    (sigma_fit, tau_fit), *_ = np.linalg.lstsq(
+        np.column_stack([2.0 / radii, -4.0 / radii**2]), np.array(dp), rcond=None)
+    assert abs(sigma_fit - sigma) <= 0.02 * sigma
+    delta = IsotropicSurfaceParams(sigma_fit, tau_fit).delta
+    assert abs(delta - 2.0 * tau / sigma) <= 1e-8

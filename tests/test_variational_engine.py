@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import curvbc
 from curvbc import (
     FieldState,
     SingularProblemError,
@@ -30,6 +34,7 @@ from curvbc import (
     zero_surface,
 )
 from curvbc import surface_mesh
+from curvbc import variational_engine as ve
 from curvbc.lagrangian_library import BulkLagrangian, SurfaceLagrangian
 from curvbc.variational_engine import _cg
 
@@ -554,6 +559,84 @@ def test_cg_matches_dense_solve():
     assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-12
 
 
+def reference_cg(apply, b, done, max_iterations):
+    """The unpreconditioned loop of ``_cg``, recording each iterate."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    iterates = []
+    while not done(r) and len(iterates) < max_iterations:
+        Ap = apply(p)
+        alpha = rr / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rr_new = r @ r
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+        iterates.append(x.copy())
+    return iterates
+
+
+def test_cg_without_preconditioner_keeps_its_bits():
+    """Every iterate and every residual equals the plain CG loop's, bit for bit."""
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((30, 30))
+    A = M @ M.T + np.eye(30)
+    b = rng.standard_normal(30)
+    seen, ref_seen = [], []
+
+    def recorder(out):
+        def done(r):
+            out.append(r.tobytes())
+            return np.abs(r).max() <= 1e-12
+        return done
+    expected = reference_cg(lambda p: A @ p, b, recorder(ref_seen), 200)
+    x, its, definite = _cg(lambda p: A @ p, b, recorder(seen), 200, precondition=None)
+    assert definite and its == len(expected) and seen == ref_seen
+    for j, x_ref in enumerate(expected, start=1):
+        x, _, _ = _cg(lambda p: A @ p, b, lambda r: False, j)
+        assert x.tobytes() == x_ref.tobytes()
+
+
+def test_preconditioned_cg_matches_dense_solve():
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((40, 40))
+    A = M @ M.T + np.diag(np.linspace(1.0, 400.0, 40))
+    b = rng.standard_normal(40)
+    done = lambda r: np.abs(r).max() <= 1e-11
+    calls = []
+
+    def jacobi(r):
+        calls.append(np.abs(r).max())
+        return r / np.diag(A)
+    x, iterations, definite = _cg(lambda p: A @ p, b, done, 200, jacobi)
+    assert definite and 0 < iterations < 200
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
+    # no residual that already passes the stopping test is preconditioned
+    assert len(calls) == iterations and min(calls) > 1e-11
+    # the exact inverse as preconditioner: one step
+    x, iterations, _ = _cg(lambda p: A @ p, b, done, 200, lambda r: np.linalg.solve(A, r))
+    assert iterations == 1
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
+
+
+def test_cg_goes_on_when_the_preconditioner_gives_up():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((20, 20))
+    A = M @ M.T + 20.0 * np.eye(20)
+    b = rng.standard_normal(20)
+    calls = []
+
+    def give_up_second(r):
+        calls.append(1)
+        return r / np.diag(A) if len(calls) == 1 else None
+    x, _, definite = _cg(lambda p: A @ p, b, lambda r: np.abs(r).max() <= 1e-12,
+                         200, give_up_second)
+    assert definite and len(calls) == 2
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-11
+
+
 def test_cg_stops_on_negative_curvature():
     A = np.diag([-3.0, 1.0, 1.0])
     x, iterations, definite = _cg(lambda p: A @ p, np.ones(3), lambda r: False, 10)
@@ -617,6 +700,73 @@ def test_solve_stationarity_gradient():
     assert np.abs(grad).max() <= 1e-10
 
 
+# -- the preconditioned quadratic solve -----------------------------------------------
+
+def projected_gradient(mesh, bulk, surface, state, gauge):
+    g = action_gradient(mesh, bulk, surface, state).ravel()
+    basis = ve._gauge_basis(mesh, bulk.n_components, gauge)
+    return g if basis is None else g - basis @ (basis.T @ g)
+
+
+ELASTIC = builtin_bulk("linear_elastic", lam=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("case", ["none", "zero_mean after the shift probe", "rigid"])
+def test_preconditioned_solve_reaches_tolerance(case, monkeypatch):
+    """Converged under each gauge, with one action gradient per outer
+    iteration besides the initial one, the constant-shift probe (not under
+    the rigid gauge) and the final check."""
+    mesh = small_ball(2, 3)
+    rng = np.random.default_rng(5)
+    initial = None
+    if case == "none":
+        bulk, surface, gauge = POISSON, robin_surface(1.0), "none"
+    elif case == "rigid":
+        bulk, surface, gauge = ELASTIC, make_isotropic_surface(1.0, 0.1), "rigid"
+    else:
+        # pure Neumann with balanced data: the probe finds the constants
+        bulk, surface, gauge = HARMONIC, zero_surface(), "zero_mean"
+        initial = FieldState(rng.standard_normal((mesh.n_vertices, 1)))
+    calls = []
+    gradient = ve.action_gradient
+    monkeypatch.setattr(ve, "action_gradient", lambda *args: calls.append(1) or gradient(*args))
+    state, log = solve_stationary(mesh, bulk, surface, initial,
+                                  SolveOptions(gauge=gauge if case == "rigid" else "none"))
+    assert log.method == "cg" and log.converged and not log.notes
+    assert 1 <= log.iterations <= 3 and log.tangent_iterations > 0
+    assert len(calls) == log.iterations + (2 if case == "rigid" else 3)
+    tol = SolveOptions().tolerance
+    assert np.abs(projected_gradient(mesh, bulk, surface, state, gauge)).max() <= tol
+
+
+def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
+    """The exact operator defines the answer; the tangent only speeds it up."""
+    mesh = small_ball(2, 3)
+    exact_state, exact_log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    assemble = ve._assemble_tangent
+    # a symmetric positive definite tangent with the wrong Robin coefficient
+    monkeypatch.setattr(ve, "_assemble_tangent",
+                        lambda mesh, bulk, surface: assemble(mesh, bulk, robin_surface(3.0)))
+    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    assert log.converged and log.iterations > exact_log.iterations
+    assert np.abs(state.values - exact_state.values).max() <= 1e-8
+
+
+def test_solve_does_not_import_scipy():
+    """The tangent is numpy only: scipy.sparse would add about 19 MB of RSS."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvbc.__file__)))
+    code = ("import sys, curvbc\n"
+            "mesh = curvbc.build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)\n"
+            "_, log = curvbc.solve_stationary(mesh, curvbc.builtin_bulk('poisson_source'),"
+            " curvbc.robin_surface(1.0))\n"
+            "assert log.converged and log.tangent_iterations > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_bc_residual_small_at_discrete_solution():
     mesh = build_ball_tetmesh(1.0, surface_level=2, radial_layers=3)
     state, _ = solve_stationary(mesh, POISSON, robin_surface(1.0))
@@ -674,6 +824,9 @@ def test_newton_steepest_descent_is_noted(caplog):
     with caplog.at_level("INFO", logger="curvbc"):
         _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(),
                                   initial, SolveOptions(newton_max=2))
+    # the indefinite tangent is dropped before CG leaves for Newton
+    tangent_note = "assembled tangent is not positive definite; solving without it"
     note = "steepest descent at newton iteration 0"
-    assert note in log.notes
-    assert any(r.levelname == "INFO" and note in r.getMessage() for r in caplog.records)
+    assert log.notes[0] == tangent_note and note in log.notes
+    for expected in (tangent_note, note):
+        assert any(r.levelname == "INFO" and expected in r.getMessage() for r in caplog.records)
