@@ -281,6 +281,8 @@ def _run_solve(cfg):
         f"method={log.method}",
         f"iterations={log.iterations}",
         f"tangent_iterations={log.tangent_iterations}",
+        f"tangent_assembly_s={log.tangent_assembly_s:.6g}",
+        f"tangent_solve_s={log.tangent_solve_s:.6g}",
         f"final_residual={log.final_residual:.17g}",
         f"converged={str(log.converged).lower()}",
     ] + [f"note={n}" for n in log.notes])

@@ -19,9 +19,11 @@ channel then adds the whole array into the vertex rows.  Blocking bounds the
 temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
 The solve and its Newton steps share one CG routine (:func:`_cg`).  A
-quadratic solve preconditions it with the tangent, assembled once from
-element probes through the same :func:`_pointwise` and :func:`_corner`
-(:func:`_assemble_tangent`).
+quadratic solve preconditions it with the tangent, assembled once
+(:func:`_assemble_tangent`): each partial is probed once for its constant
+Jacobian, contracted with the hat gradients and corner weights into element
+matrices, and added per unique tet edge into a CSR whose positions come by
+index arithmetic from the edge sort.
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -31,7 +33,9 @@ recovers flux minus the curvature boundary terms.
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -51,6 +55,9 @@ _TRANSPORT_TOLERANCE = 1e-10
 _TANGENT_TOLERANCE = 1e-10
 # simplices per assembly block: keeps a block's temporaries cache-sized
 _BLOCK = 8192
+# relative deviation between a partial's Jacobians at zero and at a random
+# point above which a quadratic pair's partial counts as not affine
+_AFFINE_TOLERANCE = 1e-8
 
 
 class SingularProblemError(RuntimeError):
@@ -623,6 +630,8 @@ class ConvergenceLog:
     converged: bool = False
     notes: list = field(default_factory=list)
     tangent_iterations: int = 0
+    tangent_assembly_s: float = 0.0
+    tangent_solve_s: float = 0.0
 
 
 def _gauge_basis(mesh, k, gauge):
@@ -673,94 +682,255 @@ def _cg(apply, b, done, max_iterations, precondition=None):
     return x, iterations, True
 
 
-def _tangent_pattern(tets, n, k):
-    """Sorted CSR keys ``row * (n k) + col`` of the degrees of freedom of
-    vertices that share a tet (each vertex with itself included)."""
+def _edge_keys(a, b, n):
+    """Keys ``min * n + max`` of the vertex pairs ``(a, b)``."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _tangent_pattern(tets, n):
+    """Vertex CSR of the tets' vertex adjacency, built from their unique edges.
+
+    Returns ``(edges, starts, cols, upper, lower, diagonal)``.  ``edges`` are
+    the sorted keys ``v * n + w`` (``v < w``) of the unique tet edges.  Row
+    ``r`` of the CSR (``starts``, ``cols``) holds its lower entries (the
+    edges ``(v, r)``), its diagonal, then its upper entries (the edges
+    ``(r, w)``), so its columns come sorted.  ``upper[e]`` and ``lower[e]``
+    are the CSR positions of edge ``e``'s entries ``(v, w)`` and ``(w, v)``,
+    ``diagonal[r]`` that of ``(r, r)``: index arithmetic on the edge sort,
+    with no search.
+    """
     m = len(tets)
-    edges = np.empty(6 * m, dtype=np.int64)
+    keys = np.empty(6 * m, dtype=np.int64)
     # filled one tet edge slot at a time and sorted in place, so no other
     # (6 m) array is made
-    for s, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
-        a, b = tets[:, i], tets[:, j]
-        edges[s * m:(s + 1) * m] = np.minimum(a, b) * n + np.maximum(a, b)
-    edges.sort()
-    v, w = np.divmod(edges[np.r_[True, edges[1:] != edges[:-1]]], n)
-    del edges
-    v, w = np.r_[v, w, :n], np.r_[w, v, :n]
-    comp = np.arange(k)
-    keys = ((v[:, None, None] * k + comp[:, None]) * (n * k) + w[:, None, None] * k + comp).ravel()
+    for s, (a, b) in enumerate(zip(*np.triu_indices(4, 1))):
+        keys[s * m:(s + 1) * m] = _edge_keys(tets[:, a], tets[:, b], n)
     keys.sort()
-    return keys
+    edges = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    del keys
+    v, w = np.divmod(edges, n)
+    n_lower, n_upper = np.bincount(w, minlength=n), np.bincount(v, minlength=n)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_lower + 1 + n_upper, out=starts[1:])
+    diagonal = starts[:-1] + n_lower
+    e = np.arange(len(edges))
+    # edges come sorted by (v, w): row v's upper entries in edge order
+    upper = diagonal[v] + 1 + e - (np.cumsum(n_upper) - n_upper)[v]
+    # a stable sort by w keeps v sorted within each row w
+    order = np.argsort(w, kind="stable")
+    lower = np.empty_like(upper)
+    lower[order] = starts[w[order]] + e - (np.cumsum(n_lower) - n_lower)[w[order]]
+    cols = np.empty(starts[-1], dtype=np.int64)
+    cols[upper], cols[lower], cols[diagonal] = w, v, np.arange(n)
+    return edges, starts, cols, upper, lower, diagonal
 
 
-def _element_tangents(hat, channels, k):
-    """Element matrices of the chain-rule ``channels`` of a quadratic pair.
+def _probe_jacobian(partial, k, name):
+    """Jacobian of an affine partial in ``(phi, grad)``, from ``4 k + 1`` probes.
 
-    Probes each simplex with the zero state and one unit value per corner
-    and component, ``c k + 1`` probes, through :func:`_pointwise` and
-    :func:`_corner`; a probe's corner rows minus the zero probe's are one
-    column of the element matrix, exactly for affine partials.  Runs over
-    blocks of ``_BLOCK`` probed simplices, so the temporaries stay those of a
-    gradient block.  Yields ``(block slice, (b, c k, c k) matrices)`` with
-    rows and columns ordered corner-major.
+    The probes are zero and one unit value per ``phi`` and per ``grad`` input,
+    at zero rate.  Returns a (k, 4 k) array for a ``d_phi`` and a (3 k, 4 k)
+    array for a ``d_grad``: rows are the flattened outputs, columns the
+    ``phi`` inputs, then the ``grad`` inputs (component-major).  The same
+    probes around a seeded random point of ``(phi, rate, grad)`` must give
+    the same Jacobian to ``_AFFINE_TOLERANCE`` of the probed values;
+    otherwise the partial is not affine and ValueError names it.
+    """
+    q = 4 * k
+    unit = np.vstack([np.zeros(q), np.eye(q)])
+    # stdlib random: importing numpy.random would add about 6 MB of RSS
+    point = random.Random(0)
+    x = np.vstack([unit, [point.gauss(0.0, 1.0) for _ in range(q)] + unit])
+    rate = np.zeros((2 * (q + 1), k))
+    rate[q + 1:] = [point.gauss(0.0, 1.0) for _ in range(k)]
+    out = partial(x[:, :k], rate, x[:, k:].reshape(-1, k, 3)).reshape(2, q + 1, -1)
+    jac = (out[:, 1:] - out[:, :1]).transpose(0, 2, 1)
+    err = np.abs(jac[1] - jac[0]).max()
+    if err > _AFFINE_TOLERANCE * np.abs(out).max():
+        raise ValueError(
+            f"{name} is not affine in (phi, rate, grad): its Jacobian at a random "
+            f"point differs from that at zero by {err:.3g}; a pair marked "
+            "quadratic must have affine partials")
+    return jac[0]
+
+
+def _element_jacobians(channels, k, names):
+    """Per distinct weights, the summed Jacobian blocks of the ``channels``.
+
+    Returns ``[(weights, pp, pg, gp, gg)]``, each block None when it is
+    zero: ``pp`` [c, i] and ``pg`` [y, (c, i)] from the ``d_phi`` partials,
+    ``gp`` [x, (c, i)] and ``gg`` [x, (c, i, y)] from the ``d_grad``
+    partials, for output component ``c``, input component ``i`` and spatial
+    indices ``x`` (of the output) and ``y`` (of the input).  The spatial
+    index comes first, so that ``G (., 3) @ block`` contracts it.
+    """
+    jacobians, groups = {}, {}
+    for weights, *partials in channels:
+        group = groups.setdefault(id(weights), [weights, np.zeros((k, 4 * k)),
+                                                np.zeros((3 * k, 4 * k))])
+        for slot, p in enumerate(partials, 1):
+            if p is not None:
+                if id(p) not in jacobians:
+                    jacobians[id(p)] = _probe_jacobian(p, k, names[id(p)])
+                group[slot] += jacobians[id(p)]
+    out = []
+    for weights, jp, jg in groups.values():
+        blocks = [jp[:, :k],
+                  jp[:, k:].reshape(k, k, 3).transpose(2, 0, 1).reshape(3, k * k),
+                  jg[:, :k].reshape(k, 3, k).transpose(1, 0, 2).reshape(3, k * k),
+                  jg[:, k:].reshape(k, 3, k, 3).transpose(1, 0, 2, 3).reshape(3, -1)]
+        blocks = [j if j.any() else None for j in blocks]
+        if any(j is not None for j in blocks):
+            out.append((weights, *blocks))
+    return out
+
+
+def _element_tangents(hat, groups, k):
+    """Element matrices of a quadratic pair from its constant Jacobians.
+
+    ``groups`` come from :func:`_element_jacobians`.  With corner weights
+    ``w``, their sum ``W`` and hat gradients ``G``, the matrix of corner rows
+    ``a`` and columns ``b`` is ``w_a delta_ab pp + w_a pg G_b + w_b G_a gp
+    + W G_a gg G_b`` (``G`` contracted with the spatial index of the
+    blocks); an absent block is skipped.  Runs over blocks of ``_BLOCK //
+    k^2`` simplices, so a block's matrices hold ``c^2 _BLOCK`` numbers
+    whatever ``k``, and yields ``(block slice, (b, c, c, k, k) matrices)``,
+    indexed ``[simplex, a, b, output component, input component]``.
     """
     m, c = hat.shape[:2]
-    ck = c * k
-    n_probes = ck + 1
-    probes = np.vstack([np.zeros(ck), np.eye(ck)]).reshape(n_probes, 1, c, k)
-    partials = {id(p): p for _, *ps in channels for p in ps if p is not None}
-    step = max(1, _BLOCK // n_probes)
+    if not groups:
+        return
+    corners = np.arange(c)
+    step = max(1, _BLOCK // (k * k))
     for start in range(0, m, step):
         b = slice(start, start + step)
-        nb = len(hat[b])
-        hat_p = np.broadcast_to(hat[b], (n_probes,) + hat[b].shape).reshape(-1, c, 3)
-        values = np.broadcast_to(probes, (n_probes, nb, c, k)).reshape(-1, k)
-        at = _pointwise(np.arange(len(values)).reshape(-1, c), hat_p, values, None)
-        ev = {key: p(*at) for key, p in partials.items()}
-        out = 0.0
-        for weights, d_phi, d_grad in channels:
-            w = np.broadcast_to(weights[b], (n_probes, nb, c)).reshape(-1, c)
-            out = out + _corner(hat_p, w, ev.get(id(d_phi)), ev.get(id(d_grad)))
-        out = out.reshape(n_probes, nb, ck)
-        yield b, (out[1:] - out[0]).transpose(1, 2, 0)
+        G = hat[b]
+        nb = len(G)
+        flat = G.reshape(-1, 3)
+        out = np.zeros((nb, c, c, k, k))
+        for weights, pp, pg, gp, gg in groups:
+            w = weights[b]
+            if pp is not None:
+                out[:, corners, corners] += w[:, :, None, None] * pp
+            if pg is not None:
+                out += w[:, :, None, None, None] * (flat @ pg).reshape(nb, 1, c, k, k)
+            if gp is not None:
+                out += (flat @ gp).reshape(nb, c, 1, k, k) * w[:, None, :, None, None]
+            if gg is not None:
+                # W G_a gg G_b: [simplex, (a, c, i), y] @ [simplex, y, b]
+                out += ((flat @ gg).reshape(nb, c * k * k, 3)
+                        @ (G * w.sum(axis=1)[:, None, None]).transpose(0, 2, 1)
+                        ).reshape(nb, c, k, k, c).transpose(0, 1, 4, 2, 3)
+        yield b, out
+
+
+def _accumulate(out, index, blocks):
+    """Add the (k, k) ``blocks`` into the rows ``index`` of ``out`` (flat,
+    ``k * k`` per row) with one bincount over the spanned range."""
+    kk = blocks.shape[-1] * blocks.shape[-2]
+    index = index[..., None] * kk + np.arange(kk)
+    lo = index.min()
+    sums = np.bincount((index - lo).ravel(), blocks.ravel())
+    out[lo:lo + len(sums)] += sums
+
+
+def _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, ids, element):
+    """Add element matrices (b, c, c, k, k) of simplices with vertices ``ids``
+    into the per-edge upper blocks (row of the smaller vertex) and the
+    per-vertex diagonal blocks; each corner pair's edge is looked up once
+    in the sorted ``edges``."""
+    c = ids.shape[1]
+    i, j = np.triu_indices(c, 1)
+    vi, vj = ids[:, i], ids[:, j]
+    e = np.searchsorted(edges, _edge_keys(vi, vj, n))
+    upper = np.where((vi > vj)[..., None, None], element[:, j, i], element[:, i, j])
+    _accumulate(edge_blocks, e, upper)
+    corners = np.arange(c)
+    _accumulate(diagonal_blocks, ids, element[:, corners, corners])
+
+
+@dataclass
+class _Tangent:
+    """Scalar CSR of the assembled tangent: ``starts`` (size,), ``cols`` and
+    ``data`` (nnz,), columns sorted within each row."""
+
+    starts: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    def __call__(self, x):
+        return np.add.reduceat(self.data * x[self.cols], self.starts)
 
 
 def _assemble_tangent(mesh, bulk, surface):
     """Hessian of the action of a quadratic pair as a CSR matrix-vector product.
 
-    Element matrices of the tets and of the boundary triangles (their ``w``
-    and ``-2 H w`` channels) are added into a CSR on the tets'
-    vertex-adjacency pattern, block by block.  The returned ``apply(x)``
-    takes a flat vector of vertex values and equals ``g(x) - g(0)`` of the
-    action gradient ``g`` up to roundoff.
+    A quadratic pair's partials must be affine in ``(phi, rate, grad)``: each
+    is probed once (:func:`_probe_jacobian`), and a partial that is not
+    affine raises ValueError.  The constant Jacobians, contracted with the
+    hat gradients and corner weights, give the element matrices of the tets
+    and of the boundary triangles (their ``w`` and ``-2 H w`` channels).
+    Each element's off-diagonal (k, k) blocks are added per unique tet edge
+    (its upper block, the one of the smaller vertex's row) and its diagonal
+    blocks per vertex, by bincount.  The scalar CSR is the vertex CSR of
+    :func:`_tangent_pattern` with each entry a (k, k) block, its positions
+    found by index arithmetic: an edge's upper block ``B`` and lower block
+    ``B^T``, and the symmetric part of each diagonal block.  So the tangent
+    is exactly symmetric.  Called with a flat vector of vertex values it
+    gives ``g(x) - g(0)`` of the action gradient ``g`` up to roundoff.
     """
     k = bulk.n_components
+    kk = k * k
     n = mesh.n_vertices
-    size = n * k
-    keys = _tangent_pattern(mesh.tets, n, k)
-    data = np.zeros(len(keys))
+    edges, starts, cols, upper, lower, diagonal = _tangent_pattern(mesh.tets, n)
+    edge_blocks = np.zeros(len(edges) * kk)
+    diagonal_blocks = np.zeros(n * kk)
     B = mesh.boundary
     w, wc = _surface_weights(B)
+    names = {id(getattr(pair, a)): f"{pair.name}.{a}" for pair, attrs in (
+        (bulk, ("d_phi", "d_grad")),
+        (surface, ("gamma0_d_phi", "gamma0_d_grad", "gamma_hat_d_phi", "gamma_hat_d_grad")))
+        for a in attrs}
     parts = [(mesh.tets, mesh.tet_gradients,
               [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)]),
              (mesh.boundary_vertex_ids[B.triangles], B.hat_gradients,
               list(_surface_channels(surface, w, wc).values()))]
-    comp = np.arange(k)
     for vertex_ids, hat, channels in parts:
-        for b, element in _element_tangents(hat, channels, k):
-            dof = (vertex_ids[b][:, :, None] * k + comp).reshape(len(element), -1)
-            pos = np.searchsorted(keys, (dof[:, :, None] * size + dof[:, None, :]).ravel())
-            lo = pos.min()
-            sums = np.bincount(pos - lo, element.ravel())
-            data[lo:lo + len(sums)] += sums
-    # every row holds its diagonal, so no row is empty
-    starts = np.searchsorted(keys, np.arange(size) * size)
-    cols = keys % size
-    del keys
+        groups = _element_jacobians(channels, k, names)
+        for b, element in _element_tangents(hat, groups, k):
+            _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, vertex_ids[b], element)
+    edge_blocks = edge_blocks.reshape(-1, k, k)
+    diagonal_blocks = diagonal_blocks.reshape(-1, k, k)
+    diagonal_blocks = 0.5 * (diagonal_blocks + diagonal_blocks.transpose(0, 2, 1))
 
-    def apply(x):
-        return np.add.reduceat(data * x[cols], starts)
-    return apply
+    # dof row (r, c) holds the dofs (w, 0..k-1) of row r's columns w in order,
+    # so vertex position p of row r and component i sit at dof position
+    # k p + shift[r] + c stride[r] + i
+    length = np.diff(starts)
+    stride = k * length
+    shift = (kk - k) * starts[:-1]
+    comp = np.arange(k)
+
+    def positions(p, rows, c):
+        return (k * p + (shift + c * stride)[rows])[:, None] + comp
+
+    small, large = np.divmod(edges, n)
+    data = np.empty(kk * starts[-1])
+    for c in range(k):
+        data[positions(upper, small, c)] = edge_blocks[:, c]
+        data[positions(lower, large, c)] = edge_blocks[:, :, c]
+        data[positions(diagonal, np.arange(n), c)] = diagonal_blocks[:, c]
+    # the edge arrays go before the columns are built, to keep the peak low
+    del edges, upper, lower, small, large, edge_blocks
+    dof_cols = np.empty(kk * starts[-1], dtype=np.int64)
+    every = k * np.arange(starts[-1])
+    for c in range(k):
+        at = np.repeat(shift + c * stride, length)
+        at += every
+        for i in comp:
+            dof_cols[at + i] = cols * k + i
+    dof_starts = (kk * starts[:-1, None] + stride[:, None] * comp).ravel()
+    return _Tangent(dof_starts, dof_cols, data)
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
@@ -768,12 +938,18 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
 
     Quadratic problems use conjugate gradients on the exact matrix-free
     operator (gradient differences, one action gradient per iteration),
-    preconditioned by the tangent: assembled once per solve from element
-    probes, it is applied to a residual by an unpreconditioned CG solve of
-    the gauge-projected tangent to a relative 2-norm of
-    ``_TANGENT_TOLERANCE``.  The exact operator alone defines the answer; the
-    tangent only cuts the iterations.  ``log.iterations`` counts the outer
-    iterations and ``log.tangent_iterations`` the inner steps of the solve.
+    preconditioned by the tangent: assembled once per solve by
+    :func:`_assemble_tangent`, it is applied to a residual by an
+    unpreconditioned CG solve of the gauge-projected tangent to a relative
+    2-norm of ``_TANGENT_TOLERANCE``.  The exact operator alone defines the
+    answer; the tangent only cuts the iterations.  A pair is quadratic when
+    both its bulk and surface say so, and then every partial must be affine
+    in ``(phi, rate, grad)``: the assembly probes each partial once for its
+    constant Jacobian and raises ValueError, naming the partial, when a
+    second probe at a random point disagrees.  ``log.iterations`` counts the
+    outer iterations and ``log.tangent_iterations`` the inner steps of the
+    solve; ``log.tangent_assembly_s`` and ``log.tangent_solve_s`` time the
+    assembly and the inner solves.
     Anything else, or ``force_newton``, runs damped Newton with truncated-CG
     steps on finite-difference curvature applications, unpreconditioned.
     One CG routine, :func:`_cg`, serves all of them.  Convergence is
@@ -847,17 +1023,21 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             log.residual_norms.append(float(np.abs(r).max()))
             return log.residual_norms[-1] <= options.tolerance
 
+        start = perf_counter()
         tangent = _assemble_tangent(mesh, bulk, surface)
+        log.tangent_assembly_s = perf_counter() - start
 
         def precondition(r):
             # solve the projected tangent for the residual; None drops it.  The
             # residual is projected again: a gauge component left by roundoff
             # is out of the tangent's range and would stall the inner solve
+            start = perf_counter()
             r = project(r)
             tol = _TANGENT_TOLERANCE * np.linalg.norm(r)
             z, its, definite = _cg(lambda v: project(tangent(v)), r,
                                    lambda s: np.linalg.norm(s) <= tol, _CG_MAX_ITERATIONS)
             log.tangent_iterations += its
+            log.tangent_solve_s += perf_counter() - start
             if definite:
                 return z
             note = "assembled tangent is not positive definite; solving without it"

@@ -5,10 +5,14 @@ Every case runs on a radially perturbed ``(2, 3)`` ball built with
 not constant and the curvature weights, corner areas and hat gradients of
 each simplex differ.  The assembled gradients are checked against central
 differences of the assembled action, and against an ``np.add.at``
-formulation of the same discrete chain rule written out here.
+formulation of the same discrete chain rule written out here.  The
+assembled tangent is checked against gradient differences, and its pattern
+against the sorted-keys builder it replaced, kept here as the reference;
+only its memory guard runs on the unperturbed (3, 6) ball.
 """
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -126,6 +130,52 @@ PAIRS = {
                                    lambda: make_isotropic_surface(1.0, 0.1)),
     "poisson_source x curved_robin": (lambda: builtin_bulk("poisson_source", source=6.0),
                                       curved_robin),
+}
+
+
+def drift_surface():
+    """Restricted pair with drift terms in both channels: ``chi_tilde . grad
+    gamma0_potential(phi)`` and ``kappa_hat . grad gamma1_potential(phi)``
+    couple the field to its gradient."""
+    return make_restricted_surface(
+        1, gamma_bar=quadratic_potential(1.0),
+        chi_tilde=[0.4, -0.3, 0.2], gamma0_potential=quadratic_potential(0.7),
+        kappa_hat=[-0.2, 0.5, 0.1], gamma1_potential=quadratic_potential(0.3),
+        name="drift")
+
+
+def advected_bulk(b=(0.3, -0.5, 0.2), coupling=((1.0, 0.5), (-0.3, 0.8))):
+    """Quadratic two-component bulk ``0.5 |grad phi|^2 + 0.5 |phi|^2 + phi .
+    A (b . grad phi)``; the non-symmetric ``A`` couples each component's
+    value to the other's gradient."""
+    b, a = np.asarray(b, dtype=float), np.asarray(coupling, dtype=float)
+
+    def advection(grad):
+        return np.einsum("cd,mdj,j->mc", a, grad, b)
+
+    return BulkLagrangian(
+        "advected", 2,
+        density=lambda p, r, g: (0.5 * np.einsum("mkj,mkj->m", g, g)
+                                 + 0.5 * np.einsum("mk,mk->m", p, p)
+                                 + np.einsum("mc,mc->m", p, advection(g))),
+        d_phi=lambda p, r, g: p + advection(g),
+        d_rate=lambda p, r, g: np.zeros_like(p),
+        d_grad=lambda p, r, g: g + np.einsum("mc,cd,j->mdj", p, a, b))
+
+
+# the quadratic pairs the assembled tangent is checked on
+TANGENT_PAIRS = {
+    **PAIRS,
+    "poisson_source x drift": (lambda: builtin_bulk("poisson_source", source=6.0),
+                               drift_surface),
+    "advected x robin": (advected_bulk, lambda: robin_surface(1.0, 2)),
+    "poisson_source x robin, k = 2": (
+        lambda: builtin_bulk("poisson_source", source=6.0, n_components=2),
+        lambda: robin_surface(1.0, 2)),
+    # unequal moduli: the diagonal blocks' two halves round differently
+    "linear_elastic(0.7, 1.3) x isotropic(1, 0.3)": (
+        lambda: builtin_bulk("linear_elastic", lam=0.7, mu=1.3),
+        lambda: make_isotropic_surface(1.0, 0.3)),
 }
 
 
@@ -469,11 +519,11 @@ def test_blocks_change_no_bits(monkeypatch):
 # -- assembled tangent -------------------------------------------------------------
 
 @pytest.mark.parametrize("block", [None, 600])
-@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("pair", sorted(TANGENT_PAIRS))
 def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
-    """The probe-assembled tangent applied to x is g(x) - g(0), for any block size."""
+    """The assembled tangent applied to x is g(x) - g(0), for any block size."""
     mesh = perturbed_ball(7, 0.04)
-    bulk, surface = (make() for make in PAIRS[pair])
+    bulk, surface = (make() for make in TANGENT_PAIRS[pair])
     x = np.random.default_rng(7).standard_normal((mesh.n_vertices, bulk.n_components))
     expected = (action_gradient(mesh, bulk, surface, FieldState(x))
                 - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
@@ -482,3 +532,101 @@ def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
         monkeypatch.setattr(ve, "_BLOCK", block)
     tangent = ve._assemble_tangent(mesh, bulk, surface)
     assert_close(tangent(x.ravel()), expected)
+
+
+def test_tangent_pairs_reach_cross_blocks():
+    """The drift surface and the advected bulk have non-zero phi-grad blocks."""
+    for partial, k in ((drift_surface().gamma0_d_phi, 1), (advected_bulk().d_phi, 2)):
+        assert np.abs(ve._probe_jacobian(partial, k, "d_phi")[:, k:]).max() > 0
+    for partial, k in ((drift_surface().gamma_hat_d_grad, 1), (advected_bulk().d_grad, 2)):
+        assert np.abs(ve._probe_jacobian(partial, k, "d_grad")[:, :k]).max() > 0
+
+
+def reference_pattern(tets, n, k):
+    """Sorted CSR keys ``row * (n k) + col`` of the dofs of vertices that
+    share a tet, each vertex with itself included: the dof-key builder the
+    edge-indexed pattern replaced."""
+    m = len(tets)
+    edges = np.empty(6 * m, dtype=np.int64)
+    for s, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
+        a, b = tets[:, i], tets[:, j]
+        edges[s * m:(s + 1) * m] = np.minimum(a, b) * n + np.maximum(a, b)
+    edges.sort()
+    v, w = np.divmod(edges[np.r_[True, edges[1:] != edges[:-1]]], n)
+    v, w = np.r_[v, w, :n], np.r_[w, v, :n]
+    comp = np.arange(k)
+    keys = ((v[:, None, None] * k + comp[:, None]) * (n * k) + w[:, None, None] * k + comp).ravel()
+    keys.sort()
+    return keys
+
+
+def permuted_ball(seed):
+    """The perturbed (2, 3) ball with its tets, their corners and the vertex
+    labels randomly permuted."""
+    mesh = perturbed_ball(seed, 0.04)
+    rng = np.random.default_rng(seed)
+    old = rng.permutation(mesh.n_vertices)        # new vertex j is old vertex old[j]
+    label = np.argsort(old)
+    tets = label[mesh.tets[rng.permutation(mesh.n_tets)]]
+    tets = np.take_along_axis(tets, rng.permuted(np.tile(np.arange(4), (len(tets), 1)), axis=1),
+                              axis=1)
+    return TetMesh(mesh.vertices[old], tets, mesh.boundary, label[mesh.boundary_vertex_ids])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vertex_pattern_equals_sorted_keys(seed):
+    """The vertex CSR built from the unique edges is the sorted-keys CSR."""
+    mesh = permuted_ball(seed)
+    n = mesh.n_vertices
+    edges, starts, cols, upper, lower, diagonal = ve._tangent_pattern(mesh.tets, n)
+    keys = reference_pattern(mesh.tets, n, 1)
+    np.testing.assert_array_equal(starts, np.searchsorted(keys, np.arange(n + 1) * n))
+    np.testing.assert_array_equal(cols, keys % n)
+    row = np.repeat(np.arange(n), np.diff(starts))
+    assert (np.diff(cols)[row[1:] == row[:-1]] > 0).all()
+    np.testing.assert_array_equal(row[diagonal], np.arange(n))
+    np.testing.assert_array_equal(cols[diagonal], np.arange(n))
+    v, w = np.divmod(edges, n)
+    assert (v < w).all() and (np.diff(edges) > 0).all()
+    for at, r, col in ((upper, v, w), (lower, w, v)):
+        np.testing.assert_array_equal(row[at], r)
+        np.testing.assert_array_equal(cols[at], col)
+
+
+@pytest.mark.parametrize("pair", ["poisson_source x robin", "poisson_source x robin, k = 2",
+                                  "linear_elastic(0.7, 1.3) x isotropic(1, 0.3)",
+                                  "advected x robin"])
+def test_tangent_layout_equals_sorted_keys(pair):
+    """Dof-level CSR of the tangent is the sorted-keys layout, its data is
+    exactly its transpose, and it is still g(x) - g(0) on a relabelled mesh."""
+    mesh = permuted_ball(3)
+    bulk, surface = (make() for make in TANGENT_PAIRS[pair])
+    k = bulk.n_components
+    size = mesh.n_vertices * k
+    tangent = ve._assemble_tangent(mesh, bulk, surface)
+    keys = reference_pattern(mesh.tets, mesh.n_vertices, k)
+    np.testing.assert_array_equal(tangent.starts, np.searchsorted(keys, np.arange(size) * size))
+    np.testing.assert_array_equal(tangent.cols, keys % size)
+    transposed = tangent.cols * size + keys // size
+    at = np.searchsorted(keys, transposed)
+    np.testing.assert_array_equal(keys[at], transposed)
+    assert tangent.data[at].tobytes() == tangent.data.tobytes()
+    x = np.random.default_rng(3).standard_normal((mesh.n_vertices, k))
+    expected = (action_gradient(mesh, bulk, surface, FieldState(x))
+                - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
+    assert_close(tangent(x.ravel()), expected)
+
+
+def test_tangent_assembly_peak_below_mesh_build():
+    """Above the live mesh, the assembly's tracemalloc peak stays below the
+    mesh build's own peak, so the assembly does not set a solve's peak memory."""
+    tracemalloc.start()
+    try:
+        mesh = build_ball_tetmesh(1.0, surface_level=3, radial_layers=6)
+        live, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ve._assemble_tangent(mesh, builtin_bulk("poisson_source", source=6.0), robin_surface(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - live < build_peak

@@ -87,6 +87,9 @@ def test_solve_emits_reports(tmp_path):
     assert any(l == "converged=true" for l in log)
     tangent = next(l for l in log if l.startswith("tangent_iterations="))
     assert int(tangent.split("=")[1]) > 0
+    for phase in ("tangent_assembly_s", "tangent_solve_s"):
+        seconds = next(l for l in log if l.startswith(f"{phase}="))
+        assert float(seconds.split("=")[1]) > 0
     sol =np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=4)
     # center value of the radial oracle 3 - r^2
     center = sol[np.argmin(np.einsum("vj,vj->v", sol[:, 1:4], sol[:, 1:4]))]

@@ -752,6 +752,17 @@ def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
     assert np.abs(state.values - exact_state.values).max() <= 1e-8
 
 
+def test_non_affine_quadratic_pair_is_rejected():
+    """A pair marked quadratic whose partial is not affine names the partial."""
+    quartic = dataclasses.replace(
+        POISSON, name="quartic",
+        density=lambda p, r, g: POISSON.density(p, r, g) + 0.25 * p[:, 0] ** 4,
+        d_phi=lambda p, r, g: POISSON.d_phi(p, r, g) + p**3)
+    assert quartic.quadratic
+    with pytest.raises(ValueError, match=r"quartic\.d_phi is not affine"):
+        solve_stationary(small_ball(1, 2), quartic, robin_surface(1.0))
+
+
 def test_solve_does_not_import_scipy():
     """The tangent is numpy only: scipy.sparse would add about 19 MB of RSS."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(curvbc.__file__)))
