@@ -281,6 +281,7 @@ def _run_solve(cfg):
         f"method={log.method}",
         f"iterations={log.iterations}",
         f"tangent_iterations={log.tangent_iterations}",
+        f"gradient_calls={log.gradient_calls}",
         f"tangent_assembly_s={log.tangent_assembly_s:.6g}",
         f"tangent_solve_s={log.tangent_solve_s:.6g}",
         f"final_residual={log.final_residual:.17g}",

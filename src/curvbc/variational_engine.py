@@ -18,12 +18,14 @@ into one preallocated corner array per channel; one bincount scatter per
 channel then adds the whole array into the vertex rows.  Blocking bounds the
 temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
-The solve and its Newton steps share one CG routine (:func:`_cg`).  A
-quadratic solve preconditions it with the tangent, assembled once
-(:func:`_assemble_tangent`): each partial is probed once for its constant
-Jacobian, contracted with the hat gradients and corner weights into element
-matrices, and added per unique tet edge into a CSR whose positions come by
-index arithmetic from the edge sort.
+The solve is one step loop on the exact gradient, and every step is
+solved by one CG routine (:func:`_cg`).  A quadratic pair steps on its
+tangent, assembled once per solve (:func:`_assemble_tangent`): each partial
+is probed once for its constant Jacobian, contracted with the hat gradients
+and corner weights into element matrices, and added per unique tet edge
+into a CSR whose positions come by index arithmetic from the edge sort.
+Any other pair takes damped Newton steps on finite-difference curvature
+applies.
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -49,9 +51,11 @@ from .surface_mesh import mean_curvature  # noqa: F401
 _LOG = logging.getLogger("curvbc")
 
 _CG_MAX_ITERATIONS = 5000
+# steps of the solve loop before it gives up
+_MAX_STEPS = 50
 _ARMIJO = 1e-4
 _TRANSPORT_TOLERANCE = 1e-10
-# relative 2-norm tolerance of a preconditioner solve on the assembled tangent
+# relative 2-norm tolerance of a step's CG solve on the assembled tangent
 _TANGENT_TOLERANCE = 1e-10
 # simplices per assembly block: keeps a block's temporaries cache-sized
 _BLOCK = 8192
@@ -617,8 +621,6 @@ def natural_bc_residual(mesh, bulk, surface, state):
 class SolveOptions:
     tolerance: float = 1e-10
     gauge: str = "none"
-    force_newton: bool = False
-    newton_max: int = 50
 
 
 @dataclass
@@ -632,17 +634,22 @@ class ConvergenceLog:
     tangent_iterations: int = 0
     tangent_assembly_s: float = 0.0
     tangent_solve_s: float = 0.0
+    gradient_calls: int = 0
 
 
-def _gauge_basis(mesh, k, gauge):
+def _gauge_basis(mesh, k, gauge, components=None):
+    """Orthonormal columns spanning the gauge modes: the constant shifts of
+    the ``components`` (all by default) and, under ``rigid``, the
+    infinitesimal rotations; None for ``none``."""
     if gauge == "none":
         return None
     if gauge not in ("zero_mean", "rigid"):
         raise ValueError(f"unknown gauge {gauge!r}")
     if gauge == "rigid" and k != 3:
         raise ValueError("rigid gauge requires a 3-component field")
-    # column c shifts component c by one at every vertex
-    modes = np.tile(np.eye(k), (mesh.n_vertices, 1))
+    # column j shifts component components[j] by one at every vertex
+    shifts = np.eye(k) if components is None else np.eye(k)[:, components]
+    modes = np.tile(shifts, (mesh.n_vertices, 1))
     if gauge == "rigid":
         x = mesh.vertices - mesh.vertices.mean(axis=0)
         modes = np.column_stack([modes] + [np.cross(axis, x).ravel() for axis in np.eye(3)])
@@ -650,32 +657,26 @@ def _gauge_basis(mesh, k, gauge):
     return q
 
 
-def _cg(apply, b, done, max_iterations, precondition=None):
+def _cg(apply, b, done, max_iterations):
     """Conjugate gradients for ``apply(x) = b`` from ``x = 0``.
 
     Stops when ``done(r)`` holds (it sees the initial and every updated
     residual), after ``max_iterations`` steps, or on ``p.Ap <= 0``.
     Returns ``(x, iterations, definite)``, ``definite`` False on the last.
-    ``precondition(r)``, when given, maps a residual that is not done to a
-    search direction; if it returns None the solve goes on without it,
-    restarting from the steepest-descent direction.
     """
     x = np.zeros_like(b)
     r = b.copy()
     p = None
     iterations = 0
     while not done(r) and iterations < max_iterations:
-        z = r if precondition is None else precondition(r)
-        if z is None:               # the preconditioner gave up: restart without it
-            z, precondition, p = r, None, None
-        rz_new = r @ z
-        p = z.copy() if p is None else z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = r @ r
+        p = r.copy() if p is None else r + (rr_new / rr) * p
+        rr = rr_new
         Ap = apply(p)
         pAp = p @ Ap
         if pAp <= 0:
             return x, iterations, False
-        alpha = rz / pAp
+        alpha = rr / pAp
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
@@ -922,13 +923,21 @@ def _assemble_tangent(mesh, bulk, surface):
         data[positions(diagonal, np.arange(n), c)] = diagonal_blocks[:, c]
     # the edge arrays go before the columns are built, to keep the peak low
     del edges, upper, lower, small, large, edge_blocks
+    # written in place, so no other nnz-sized array is made: ``cols`` steps
+    # through the dof columns k w + i, and one work array ``at`` through
+    # their positions k p + shift[r] + c stride[r] + i
     dof_cols = np.empty(kk * starts[-1], dtype=np.int64)
-    every = k * np.arange(starts[-1])
+    cols *= k
+    at = np.repeat(shift, length)
+    at += np.arange(0, k * starts[-1], k)
     for c in range(k):
-        at = np.repeat(shift + c * stride, length)
-        at += every
-        for i in comp:
-            dof_cols[at + i] = cols * k + i
+        if c:
+            at += np.repeat(stride - k, length)
+        for _ in comp:
+            dof_cols[at] = cols
+            at += 1
+            cols += 1
+        cols -= k
     dof_starts = (kk * starts[:-1, None] + stride[:, None] * comp).ravel()
     return _Tangent(dof_starts, dof_cols, data)
 
@@ -936,36 +945,39 @@ def _assemble_tangent(mesh, bulk, surface):
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     """Find a stationary point of the assembled action.
 
-    Quadratic problems use conjugate gradients on the exact matrix-free
-    operator (gradient differences, one action gradient per iteration),
-    preconditioned by the tangent: assembled once per solve by
-    :func:`_assemble_tangent`, it is applied to a residual by an
-    unpreconditioned CG solve of the gauge-projected tangent to a relative
-    2-norm of ``_TANGENT_TOLERANCE``.  The exact operator alone defines the
-    answer; the tangent only cuts the iterations.  A pair is quadratic when
-    both its bulk and surface say so, and then every partial must be affine
-    in ``(phi, rate, grad)``: the assembly probes each partial once for its
-    constant Jacobian and raises ValueError, naming the partial, when a
-    second probe at a random point disagrees.  ``log.iterations`` counts the
-    outer iterations and ``log.tangent_iterations`` the inner steps of the
-    solve; ``log.tangent_assembly_s`` and ``log.tangent_solve_s`` time the
-    assembly and the inner solves.
-    Anything else, or ``force_newton``, runs damped Newton with truncated-CG
-    steps on finite-difference curvature applications, unpreconditioned.
-    One CG routine, :func:`_cg`, serves all of them.  Convergence is
-    measured in the max norm of the (gauge-projected) gradient.  An
-    ``initial`` state with a trajectory keeps it: the solve moves its middle
-    snapshot and holds the middle rates fixed.  A pure-Neumann problem whose
-    data is incompatible with the constant nullspace raises
-    :class:`SingularProblemError`.
+    One step loop serves every pair.  Each step evaluates the exact action
+    gradient, records the max norm of its gauge projection and stops once
+    that is at most ``options.tolerance``, or after ``_MAX_STEPS`` steps.
+    A pair is quadratic when both its bulk and surface say so.  Its tangent
+    is assembled once per solve by :func:`_assemble_tangent`, and each step
+    is a full step, with no line search, solved by CG on the gauge-projected
+    tangent to a relative 2-norm of ``_TANGENT_TOLERANCE``; the tangent is
+    exact, so one step reaches the tolerance on well-posed problems.
+    Every partial of a quadratic pair must be affine in ``(phi, rate,
+    grad)``: the assembly probes each partial once for its constant
+    Jacobian and raises ValueError, naming the partial, when a second probe
+    at a random point disagrees.  Any other pair takes damped Newton steps:
+    truncated CG on finite-difference curvature applies, then an Armijo
+    line search.  An ``initial`` state with a trajectory keeps it: the solve
+    moves its middle snapshot and holds the middle rates fixed.
+
+    Under ``gauge="none"`` a quadratic solve first probes the constant shift
+    of each component.  A shift the operator annihilates joins the gauge;
+    if the data loads it, the pure-Neumann problem is incompatible and
+    :class:`SingularProblemError` is raised.
+
+    ``log.iterations`` counts the steps, ``log.tangent_iterations`` the
+    tangent CG iterations and ``log.gradient_calls`` every action gradient
+    (finite-difference curvature applies included); ``log.tangent_assembly_s``
+    and ``log.tangent_solve_s`` time the assembly and the tangent solves.
+    A separate gradient at the result sets ``log.final_residual`` and
+    ``log.converged``.
 
     Fallbacks are noted in the log and reported on the ``curvbc`` logger:
-    the tangent dropped when its CG meets ``p.Ap <= 0`` (info; the outer CG
-    goes on without it), CG leaving for Newton when the operator is not
-    positive definite (warning), a Newton step taken as steepest descent
-    because its CG meets ``p.Ap <= 0`` at once (info), and a line search that
-    finds no Armijo decrease, which ends the solve unconverged without the
-    step (warning).
+    the tangent CG meeting ``p.Ap <= 0`` switches the solve to Newton
+    (warning), a Newton step is taken as steepest descent when its CG meets
+    ``p.Ap <= 0`` at once (info), and a line search that finds no Armijo
+    decrease ends the solve unconverged without the step (warning).
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -991,82 +1003,63 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         trajectory[trajectory.shape[0] // 2] = values
         return FieldState(values, trajectory, initial.dt)
 
+    quadratic = bulk.quadratic and surface.quadratic
+    log = ConvergenceLog(method="cg" if quadratic else "newton", iterations=0)
+
     def grad_at(values):
-        return action_gradient(mesh, bulk, surface, state_at(values))
+        log.gradient_calls += 1
+        return action_gradient(mesh, bulk, surface, state_at(values)).ravel()
 
-    phi0 = initial.values.copy()
-    g0 = grad_at(phi0).ravel()
-    scale = 1.0 + float(np.abs(g0).max())
-
-    quadratic = bulk.quadratic and surface.quadratic and not options.force_newton
-
-    def operator(d):
-        return grad_at(phi0 + d.reshape(phi0.shape)).ravel() - g0
+    phi = initial.values.copy()
+    g = grad_at(phi)
+    scale = 1.0 + float(np.abs(g).max())
 
     if quadratic and options.gauge == "none":
         # probe the constant shifts: annihilated + loaded means incompatible data
+        singular = []
         for c in range(k):
-            shift = np.zeros_like(phi0)
+            shift = np.zeros_like(phi)
             shift[:, c] = 1.0
-            q = operator(shift.ravel())
-            if np.abs(q).max() <= 1e-12 * scale:
-                if abs(g0 @ shift.ravel()) > 1e-10 * scale * mesh.n_vertices:
+            if np.abs(grad_at(phi + shift) - g).max() <= 1e-12 * scale:
+                if abs(g @ shift.ravel()) > 1e-10 * scale * mesh.n_vertices:
                     raise SingularProblemError(
                         "constant shifts are in the nullspace but the data "
                         "does not balance; fix the model or use gauge='zero_mean'")
-                basis = _gauge_basis(mesh, k, "zero_mean")
-
-    log = ConvergenceLog(method="cg" if quadratic else "newton", iterations=0)
+                singular.append(c)
+        if singular:
+            basis = _gauge_basis(mesh, k, "zero_mean", singular)
 
     if quadratic:
-        def converged(r):
-            log.residual_norms.append(float(np.abs(r).max()))
-            return log.residual_norms[-1] <= options.tolerance
-
         start = perf_counter()
         tangent = _assemble_tangent(mesh, bulk, surface)
         log.tangent_assembly_s = perf_counter() - start
 
-        def precondition(r):
-            # solve the projected tangent for the residual; None drops it.  The
-            # residual is projected again: a gauge component left by roundoff
-            # is out of the tangent's range and would stall the inner solve
+    action_of = lambda v: assemble_action(mesh, bulk, surface, state_at(v)).total
+    line_search_failed = False
+    for it in range(_MAX_STEPS):
+        if it:
+            g = grad_at(phi)
+        gn = float(np.abs(project(g)).max())
+        log.residual_norms.append(gn)
+        log.iterations = it
+        if gn <= options.tolerance:
+            break
+        b = project(-g)
+        t = 1.0
+        if quadratic:
             start = perf_counter()
-            r = project(r)
-            tol = _TANGENT_TOLERANCE * np.linalg.norm(r)
-            z, its, definite = _cg(lambda v: project(tangent(v)), r,
-                                   lambda s: np.linalg.norm(s) <= tol, _CG_MAX_ITERATIONS)
+            tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
+            d, its, definite = _cg(lambda v: project(tangent(v)), b,
+                                   lambda r: np.linalg.norm(r) <= tol, _CG_MAX_ITERATIONS)
             log.tangent_iterations += its
             log.tangent_solve_s += perf_counter() - start
-            if definite:
-                return z
-            note = "assembled tangent is not positive definite; solving without it"
-            log.notes.append(note)
-            _LOG.info("solve_stationary: %s (tangent CG iteration %d)", note, its)
-            return None
-
-        x, its, definite = _cg(lambda p: project(operator(p)), project(-g0),
-                               converged, _CG_MAX_ITERATIONS, precondition)
-        if not definite:
-            note = "operator lost positive definiteness; switching to newton"
-            log.notes.append(note)
-            _LOG.warning("solve_stationary: %s (CG iteration %d)", note, its)
-            quadratic = False
-        log.iterations = its
-        phi = phi0 + x.reshape(phi0.shape)
-
-    line_search_failed = False
-    if not quadratic:
-        log.method = "newton"
-        phi = phi0.copy()
-        action_of = lambda v: assemble_action(mesh, bulk, surface, state_at(v)).total
-        for it in range(options.newton_max):
-            g = grad_at(phi).ravel()
-            gn = float(np.abs(project(g)).max())
-            log.residual_norms.append(gn)
-            log.iterations = it
-            if gn <= options.tolerance:
-                break
+            if not definite:
+                note = "operator lost positive definiteness; switching to newton"
+                log.notes.append(note)
+                _LOG.warning("solve_stationary: %s (tangent CG iteration %d)", note, its)
+                quadratic = False
+                log.method = "newton"
+        if not quadratic:
             # inexact Newton step: truncated CG on finite-difference Hessian applies
             flat = phi.ravel()
             fd_scale = 1.0 + float(np.abs(flat).max())
@@ -1076,10 +1069,8 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 if vn == 0:
                     return np.zeros_like(v)
                 eps = 1e-7 * fd_scale / vn
-                gp = grad_at((flat + eps * v).reshape(phi.shape)).ravel()
-                return project((gp - g) / eps)
+                return project((grad_at((flat + eps * v).reshape(phi.shape)) - g) / eps)
 
-            b = project(-g)
             tol = max(1e-2 * np.linalg.norm(b), 1e-14)
             d, its, definite = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
             if not definite and its == 0:
@@ -1087,7 +1078,6 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 note = f"steepest descent at newton iteration {it}"
                 log.notes.append(note)
                 _LOG.info("solve_stationary: %s", note)
-            t = 1.0
             a0 = action_of(phi)
             slope = g @ d
             while t > 1e-12:
@@ -1100,10 +1090,8 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 _LOG.warning("solve_stationary: %s", note)
                 line_search_failed = True
                 break
-            phi = phi + t * d.reshape(phi.shape)
+        phi = phi + t * d.reshape(phi.shape)
 
-    g_final = project(grad_at(phi).ravel())
-    log.final_residual = float(np.abs(g_final).max())
+    log.final_residual = float(np.abs(project(grad_at(phi))).max())
     log.converged = log.final_residual <= options.tolerance and not line_search_failed
     return state_at(phi), log
-

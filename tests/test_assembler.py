@@ -12,6 +12,7 @@ only its memory guard runs on the unperturbed (3, 6) ball.
 """
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from curvbc import (
     BulkLagrangian,
     FieldState,
+    SolveOptions,
     SurfaceLagrangian,
     TetMesh,
     TriangleMesh,
@@ -39,6 +41,7 @@ from curvbc import (
     quadratic_potential,
     robin_surface,
     shape_operator,
+    solve_stationary,
     surface_bc_terms,
 )
 from curvbc import variational_engine as ve
@@ -615,6 +618,26 @@ def test_tangent_layout_equals_sorted_keys(pair):
     expected = (action_gradient(mesh, bulk, surface, FieldState(x))
                 - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
     assert_close(tangent(x.ravel()), expected)
+
+
+@pytest.mark.parametrize("pair, gauge", [("poisson_source x robin", "none"),
+                                         ("linear_elastic x isotropic", "rigid")])
+def test_tangent_steps_and_newton_steps_agree(pair, gauge, monkeypatch):
+    """The solve loop's two branches, full steps on the assembled tangent
+    and damped Newton steps (the same pair marked not quadratic), reach the
+    same solution.  Five steps take Newton to its floor: on the rigid pair
+    its max gradient stays near 1.2e-9, where the action's decrease is
+    below its roundoff and the Armijo test accepts only vanishing steps."""
+    mesh = perturbed_ball(7, 0.04)
+    bulk, surface = (make() for make in PAIRS[pair])
+    options = SolveOptions(gauge=gauge)
+    step, step_log = solve_stationary(mesh, bulk, surface, options=options)
+    monkeypatch.setattr(ve, "_MAX_STEPS", 5)
+    newton, newton_log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False),
+                                          surface, options=options)
+    assert (step_log.method, newton_log.method) == ("cg", "newton")
+    assert step_log.converged and newton_log.final_residual <= 1e-8
+    assert np.abs(step.values - newton.values).max() <= 1e-8
 
 
 def test_tangent_assembly_peak_below_mesh_build():

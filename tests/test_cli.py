@@ -87,6 +87,10 @@ def test_solve_emits_reports(tmp_path):
     assert any(l == "converged=true" for l in log)
     tangent = next(l for l in log if l.startswith("tangent_iterations="))
     assert int(tangent.split("=")[1]) > 0
+    iterations = next(l for l in log if l.startswith("iterations="))
+    calls = next(l for l in log if l.startswith("gradient_calls="))
+    # the initial gradient, the shift probe, one per step and the final check
+    assert int(calls.split("=")[1]) == int(iterations.split("=")[1]) + 3
     for phase in ("tangent_assembly_s", "tangent_solve_s"):
         seconds = next(l for l in log if l.startswith(f"{phase}="))
         assert float(seconds.split("=")[1]) > 0

@@ -35,7 +35,8 @@ from curvbc import (
 )
 from curvbc import surface_mesh
 from curvbc import variational_engine as ve
-from curvbc.lagrangian_library import BulkLagrangian, SurfaceLagrangian
+from curvbc.lagrangian_library import (BulkLagrangian, QuadraticPotential, SurfaceLagrangian,
+                                       make_restricted_surface)
 from curvbc.variational_engine import _cg
 
 POISSON = builtin_bulk("poisson_source", source=6.0)
@@ -560,7 +561,7 @@ def test_cg_matches_dense_solve():
 
 
 def reference_cg(apply, b, done, max_iterations):
-    """The unpreconditioned loop of ``_cg``, recording each iterate."""
+    """The loop of ``_cg``, recording each iterate."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -592,49 +593,11 @@ def test_cg_without_preconditioner_keeps_its_bits():
             return np.abs(r).max() <= 1e-12
         return done
     expected = reference_cg(lambda p: A @ p, b, recorder(ref_seen), 200)
-    x, its, definite = _cg(lambda p: A @ p, b, recorder(seen), 200, precondition=None)
+    x, its, definite = _cg(lambda p: A @ p, b, recorder(seen), 200)
     assert definite and its == len(expected) and seen == ref_seen
     for j, x_ref in enumerate(expected, start=1):
         x, _, _ = _cg(lambda p: A @ p, b, lambda r: False, j)
         assert x.tobytes() == x_ref.tobytes()
-
-
-def test_preconditioned_cg_matches_dense_solve():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((40, 40))
-    A = M @ M.T + np.diag(np.linspace(1.0, 400.0, 40))
-    b = rng.standard_normal(40)
-    done = lambda r: np.abs(r).max() <= 1e-11
-    calls = []
-
-    def jacobi(r):
-        calls.append(np.abs(r).max())
-        return r / np.diag(A)
-    x, iterations, definite = _cg(lambda p: A @ p, b, done, 200, jacobi)
-    assert definite and 0 < iterations < 200
-    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
-    # no residual that already passes the stopping test is preconditioned
-    assert len(calls) == iterations and min(calls) > 1e-11
-    # the exact inverse as preconditioner: one step
-    x, iterations, _ = _cg(lambda p: A @ p, b, done, 200, lambda r: np.linalg.solve(A, r))
-    assert iterations == 1
-    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-10
-
-
-def test_cg_goes_on_when_the_preconditioner_gives_up():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((20, 20))
-    A = M @ M.T + 20.0 * np.eye(20)
-    b = rng.standard_normal(20)
-    calls = []
-
-    def give_up_second(r):
-        calls.append(1)
-        return r / np.diag(A) if len(calls) == 1 else None
-    x, _, definite = _cg(lambda p: A @ p, b, lambda r: np.abs(r).max() <= 1e-12,
-                         200, give_up_second)
-    assert definite and len(calls) == 2
-    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-11
 
 
 def test_cg_stops_on_negative_curvature():
@@ -669,21 +632,21 @@ def test_solve_rigid_gauge_elastic():
 
 def test_solve_newton_path_stationary():
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0),
-                                  options=SolveOptions(force_newton=True))
+    state, log = solve_stationary(mesh, dataclasses.replace(POISSON, quadratic=False),
+                                  robin_surface(1.0))
     assert log.converged
     assert log.method == "newton"
     grad = action_gradient(mesh, POISSON, robin_surface(1.0), state)
     assert np.abs(grad).max() <= 1e-10
 
 
-@pytest.mark.parametrize("force_newton", [False, True])
-def test_solve_from_trajectory_matches_static(force_newton):
+@pytest.mark.parametrize("newton", [False, True])
+def test_solve_from_trajectory_matches_static(newton):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    options = SolveOptions(force_newton=force_newton)
-    static, _ = solve_stationary(mesh, POISSON, robin_surface(1.0), options=options)
+    bulk = dataclasses.replace(POISSON, quadratic=not newton)
+    static, _ = solve_stationary(mesh, bulk, robin_surface(1.0))
     initial = FieldState.from_trajectory(np.zeros((3, mesh.n_vertices, 1)), 0.1)
-    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0), initial, options)
+    state, log = solve_stationary(mesh, bulk, robin_surface(1.0), initial)
     assert log.converged
     assert np.abs(state.values - static.values).max() <= 1e-12
     # the solution replaces the middle snapshot; its neighbours are kept
@@ -700,7 +663,7 @@ def test_solve_stationarity_gradient():
     assert np.abs(grad).max() <= 1e-10
 
 
-# -- the preconditioned quadratic solve -----------------------------------------------
+# -- the quadratic step -------------------------------------------------------------
 
 def projected_gradient(mesh, bulk, surface, state, gauge):
     g = action_gradient(mesh, bulk, surface, state).ravel()
@@ -713,9 +676,9 @@ ELASTIC = builtin_bulk("linear_elastic", lam=1.0, mu=1.0)
 
 @pytest.mark.parametrize("case", ["none", "zero_mean after the shift probe", "rigid"])
 def test_preconditioned_solve_reaches_tolerance(case, monkeypatch):
-    """Converged under each gauge, with one action gradient per outer
-    iteration besides the initial one, the constant-shift probe (not under
-    the rigid gauge) and the final check."""
+    """Converged under each gauge, with one action gradient per step besides
+    the initial one, the constant-shift probe (not under the rigid gauge)
+    and the final check, each counted in the log."""
     mesh = small_ball(2, 3)
     rng = np.random.default_rng(5)
     initial = None
@@ -735,12 +698,15 @@ def test_preconditioned_solve_reaches_tolerance(case, monkeypatch):
     assert log.method == "cg" and log.converged and not log.notes
     assert 1 <= log.iterations <= 3 and log.tangent_iterations > 0
     assert len(calls) == log.iterations + (2 if case == "rigid" else 3)
+    assert log.gradient_calls == len(calls)
     tol = SolveOptions().tolerance
     assert np.abs(projected_gradient(mesh, bulk, surface, state, gauge)).max() <= tol
 
 
 def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
-    """The exact operator defines the answer; the tangent only speeds it up."""
+    """Each step starts from the exact gradient, so a wrong tangent costs
+    steps, not accuracy: it converges linearly to the exact solution and
+    never reports convergence away from it."""
     mesh = small_ball(2, 3)
     exact_state, exact_log = solve_stationary(mesh, POISSON, robin_surface(1.0))
     assemble = ve._assemble_tangent
@@ -748,8 +714,28 @@ def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
     monkeypatch.setattr(ve, "_assemble_tangent",
                         lambda mesh, bulk, surface: assemble(mesh, bulk, robin_surface(3.0)))
     state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    error = np.abs(state.values - exact_state.values).max()
+    assert not log.converged or error <= 1e-8
+    monkeypatch.setattr(ve, "_MAX_STEPS", 100)
+    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
     assert log.converged and log.iterations > exact_log.iterations
     assert np.abs(state.values - exact_state.values).max() <= 1e-8
+
+
+def test_zero_mean_gauge_covers_only_the_annihilated_shifts():
+    """A shift the probe finds annihilated joins the gauge, and no other:
+    component 0 carries a Robin potential with solution 1, component 1 is
+    pure Neumann with zero data."""
+    mesh = small_ball(2, 3)
+    bulk = builtin_bulk("harmonic", n_components=2)
+    surface = make_restricted_surface(
+        2, gamma_bar=QuadraticPotential(np.diag([1.0, 0.0]), (-1.0, 0.0)))
+    for pair in ((bulk, surface), (dataclasses.replace(bulk, quadratic=False), surface)):
+        state, log = solve_stationary(mesh, *pair)
+        assert log.converged
+        assert np.abs(state.values[:, 0] - 1.0).max() <= 1e-8
+        g = action_gradient(mesh, *pair, state)
+        assert np.abs(g).max() <= SolveOptions().tolerance
 
 
 def test_non_affine_quadratic_pair_is_rejected():
@@ -804,12 +790,12 @@ def make_negated_bulk(flip_gradient_only):
     )
 
 
-def test_cg_indefinite_operator_warns_and_switches(caplog):
+def test_cg_indefinite_operator_warns_and_switches(caplog, monkeypatch):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
     with caplog.at_level("WARNING", logger="curvbc"):
-        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(),
-                                  initial, SolveOptions(newton_max=2))
+        monkeypatch.setattr(ve, "_MAX_STEPS", 2)
+        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(), initial)
     assert log.method == "newton"
     assert any("positive definiteness" in note for note in log.notes)
     assert [r.name for r in caplog.records] == ["curvbc"]
@@ -829,15 +815,16 @@ def test_failed_line_search_is_not_converged(caplog):
     assert np.array_equal(state.values, initial.values)
 
 
-def test_newton_steepest_descent_is_noted(caplog):
+def test_newton_steepest_descent_is_noted(caplog, monkeypatch):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
+    monkeypatch.setattr(ve, "_MAX_STEPS", 2)
     with caplog.at_level("INFO", logger="curvbc"):
-        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(),
-                                  initial, SolveOptions(newton_max=2))
-    # the indefinite tangent is dropped before CG leaves for Newton
-    tangent_note = "assembled tangent is not positive definite; solving without it"
+        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(), initial)
+    # the indefinite tangent switches the solve to Newton, whose first step
+    # meets negative curvature at once
+    switch = "operator lost positive definiteness; switching to newton"
     note = "steepest descent at newton iteration 0"
-    assert log.notes[0] == tangent_note and note in log.notes
-    for expected in (tangent_note, note):
-        assert any(r.levelname == "INFO" and expected in r.getMessage() for r in caplog.records)
+    assert log.notes[0] == switch and note in log.notes
+    for level, expected in (("WARNING", switch), ("INFO", note)):
+        assert any(r.levelname == level and expected in r.getMessage() for r in caplog.records)
