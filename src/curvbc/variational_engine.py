@@ -23,9 +23,9 @@ solved by one CG routine (:func:`_cg`).  A quadratic pair steps on its
 tangent, assembled once per solve (:func:`_assemble_tangent`): each partial
 is probed once for its constant Jacobian, contracted with the hat gradients
 and corner weights into element matrices, and added per unique tet edge
-into a CSR whose positions come by index arithmetic from the edge sort.
-Any other pair takes damped Newton steps on finite-difference curvature
-applies.
+into the (k, k) blocks of a vertex CSR whose positions come by index
+arithmetic from the edge sort.  Any other pair takes damped Newton steps on
+finite-difference curvature applies.
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -852,19 +852,30 @@ def _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, ids, element):
 
 @dataclass
 class _Tangent:
-    """Scalar CSR of the assembled tangent: ``starts`` (size,), ``cols`` and
-    ``data`` (nnz,), columns sorted within each row."""
+    """Vertex CSR of (k, k) blocks: ``starts`` (n,) and ``cols`` (nnz,) from
+    :func:`_tangent_pattern`, columns sorted within each row, and ``data``
+    (k, k, nnz).  Entry ``p`` of row ``r`` couples vertex ``r``'s component
+    ``a`` to vertex ``cols[p]``'s component ``i`` by ``data[a, i, p]``."""
 
     starts: np.ndarray
     cols: np.ndarray
     data: np.ndarray
 
     def __call__(self, x):
-        return np.add.reduceat(self.data * x[self.cols], self.starts)
+        k = len(self.data)
+        X = x.reshape(-1, k).T
+        out = np.empty((len(self.starts), k))
+        for a in range(k):
+            # gathered inside the product, so the product reuses its buffer
+            row = self.data[a, 0] * X[0][self.cols]
+            for i in range(1, k):
+                row += self.data[a, i] * X[i][self.cols]
+            out[:, a] = np.add.reduceat(row, self.starts)
+        return out.ravel()
 
 
 def _assemble_tangent(mesh, bulk, surface):
-    """Hessian of the action of a quadratic pair as a CSR matrix-vector product.
+    """Hessian of the action of a quadratic pair as a block CSR matrix-vector product.
 
     A quadratic pair's partials must be affine in ``(phi, rate, grad)``: each
     is probed once (:func:`_probe_jacobian`), and a partial that is not
@@ -873,12 +884,12 @@ def _assemble_tangent(mesh, bulk, surface):
     and of the boundary triangles (their ``w`` and ``-2 H w`` channels).
     Each element's off-diagonal (k, k) blocks are added per unique tet edge
     (its upper block, the one of the smaller vertex's row) and its diagonal
-    blocks per vertex, by bincount.  The scalar CSR is the vertex CSR of
-    :func:`_tangent_pattern` with each entry a (k, k) block, its positions
-    found by index arithmetic: an edge's upper block ``B`` and lower block
-    ``B^T``, and the symmetric part of each diagonal block.  So the tangent
-    is exactly symmetric.  Called with a flat vector of vertex values it
-    gives ``g(x) - g(0)`` of the action gradient ``g`` up to roundoff.
+    blocks per vertex, by bincount.  They fill the blocks of the vertex CSR
+    of :func:`_tangent_pattern` at positions that come by index arithmetic
+    from the edge sort: an edge's upper block ``B`` and lower block ``B^T``,
+    and the symmetric part of each diagonal block.  So the tangent is exactly
+    symmetric.  Called with a flat vector of vertex values it gives ``g(x) -
+    g(0)`` of the action gradient ``g`` up to roundoff.
     """
     k = bulk.n_components
     kk = k * k
@@ -900,46 +911,18 @@ def _assemble_tangent(mesh, bulk, surface):
         groups = _element_jacobians(channels, k, names)
         for b, element in _element_tangents(hat, groups, k):
             _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, vertex_ids[b], element)
-    edge_blocks = edge_blocks.reshape(-1, k, k)
-    diagonal_blocks = diagonal_blocks.reshape(-1, k, k)
-    diagonal_blocks = 0.5 * (diagonal_blocks + diagonal_blocks.transpose(0, 2, 1))
-
-    # dof row (r, c) holds the dofs (w, 0..k-1) of row r's columns w in order,
-    # so vertex position p of row r and component i sit at dof position
-    # k p + shift[r] + c stride[r] + i
-    length = np.diff(starts)
-    stride = k * length
-    shift = (kk - k) * starts[:-1]
-    comp = np.arange(k)
-
-    def positions(p, rows, c):
-        return (k * p + (shift + c * stride)[rows])[:, None] + comp
-
-    small, large = np.divmod(edges, n)
-    data = np.empty(kk * starts[-1])
-    for c in range(k):
-        data[positions(upper, small, c)] = edge_blocks[:, c]
-        data[positions(lower, large, c)] = edge_blocks[:, :, c]
-        data[positions(diagonal, np.arange(n), c)] = diagonal_blocks[:, c]
-    # the edge arrays go before the columns are built, to keep the peak low
-    del edges, upper, lower, small, large, edge_blocks
-    # written in place, so no other nnz-sized array is made: ``cols`` steps
-    # through the dof columns k w + i, and one work array ``at`` through
-    # their positions k p + shift[r] + c stride[r] + i
-    dof_cols = np.empty(kk * starts[-1], dtype=np.int64)
-    cols *= k
-    at = np.repeat(shift, length)
-    at += np.arange(0, k * starts[-1], k)
-    for c in range(k):
-        if c:
-            at += np.repeat(stride - k, length)
-        for _ in comp:
-            dof_cols[at] = cols
-            at += 1
-            cols += 1
-        cols -= k
-    dof_starts = (kk * starts[:-1, None] + stride[:, None] * comp).ravel()
-    return _Tangent(dof_starts, dof_cols, data)
+    # [a, i, entry]: row component a, column component i
+    edge_blocks = edge_blocks.reshape(-1, k, k).transpose(1, 2, 0)
+    diagonal_blocks = diagonal_blocks.reshape(-1, k, k).transpose(1, 2, 0)
+    diagonal_blocks = 0.5 * (diagonal_blocks + diagonal_blocks.transpose(1, 0, 2))
+    # the diagonal's temporaries and the edge keys go before ``data`` is made,
+    # to keep the peak low
+    del edges
+    data = np.empty((k, k, len(cols)))
+    data[:, :, upper] = edge_blocks
+    data[:, :, lower] = edge_blocks.transpose(1, 0, 2)
+    data[:, :, diagonal] = diagonal_blocks
+    return _Tangent(starts[:-1], cols, data)
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
@@ -974,10 +957,13 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     ``log.converged``.
 
     Fallbacks are noted in the log and reported on the ``curvbc`` logger:
-    the tangent CG meeting ``p.Ap <= 0`` switches the solve to Newton
-    (warning), a Newton step is taken as steepest descent when its CG meets
-    ``p.Ap <= 0`` at once (info), and a line search that finds no Armijo
-    decrease ends the solve unconverged without the step (warning).
+    the tangent CG meeting ``p.Ap <= 0`` switches the solve to Newton, and
+    one stopped by ``_CG_MAX_ITERATIONS`` above its tolerance is reported at
+    its first step (warning each).  A Newton step is steepest descent when
+    its CG meets ``p.Ap <= 0`` at once (info).  The solve ends unconverged
+    when a line search finds no Armijo decrease (the step is not taken), or
+    when a step met the Armijo test only within the action's roundoff and
+    the next max gradient is not lower (warning each).
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -1010,6 +996,10 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         log.gradient_calls += 1
         return action_gradient(mesh, bulk, surface, state_at(values)).ravel()
 
+    def report(note, level=logging.WARNING):
+        log.notes.append(note)
+        _LOG.log(level, "solve_stationary: %s", note)
+
     phi = initial.values.copy()
     g = grad_at(phi)
     scale = 1.0 + float(np.abs(g).max())
@@ -1035,7 +1025,9 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         log.tangent_assembly_s = perf_counter() - start
 
     action_of = lambda v: assemble_action(mesh, bulk, surface, state_at(v)).total
-    line_search_failed = False
+    line_search_failed = capped = False
+    # the last Newton step met the Armijo test only within the action's roundoff
+    at_roundoff = False
     for it in range(_MAX_STEPS):
         if it:
             g = grad_at(phi)
@@ -1044,15 +1036,25 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         log.iterations = it
         if gn <= options.tolerance:
             break
+        if at_roundoff and gn >= log.residual_norms[-2]:
+            report(f"stalled at roundoff: newton iteration {it - 1} met the Armijo test only "
+                   f"within the action's roundoff and the max gradient stayed at {gn:.3g}")
+            break
         b = project(-g)
         t = 1.0
         if quadratic:
             start = perf_counter()
             tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
-            d, its, definite = _cg(lambda v: project(tangent(v)), b,
-                                   lambda r: np.linalg.norm(r) <= tol, _CG_MAX_ITERATIONS)
+            converged = lambda r: np.linalg.norm(r) <= tol
+            d, its, definite = _cg(lambda v: project(tangent(v)), b, converged,
+                                   _CG_MAX_ITERATIONS)
             log.tangent_iterations += its
             log.tangent_solve_s += perf_counter() - start
+            if (its == _CG_MAX_ITERATIONS and not capped
+                    and not converged(b - project(tangent(d)))):
+                # reported at the first capped step only
+                capped = True
+                report(f"tangent CG stopped at its cap of {its} iterations at step {it}")
             if not definite:
                 note = "operator lost positive definiteness; switching to newton"
                 log.notes.append(note)
@@ -1075,9 +1077,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             d, its, definite = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
             if not definite and its == 0:
                 d = b
-                note = f"steepest descent at newton iteration {it}"
-                log.notes.append(note)
-                _LOG.info("solve_stationary: %s", note)
+                report(f"steepest descent at newton iteration {it}", logging.INFO)
             a0 = action_of(phi)
             slope = g @ d
             while t > 1e-12:
@@ -1085,11 +1085,10 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                     break
                 t *= 0.5
             else:
-                note = f"line search failed: no Armijo decrease at newton iteration {it}"
-                log.notes.append(note)
-                _LOG.warning("solve_stationary: %s", note)
+                report(f"line search failed: no Armijo decrease at newton iteration {it}")
                 line_search_failed = True
                 break
+            at_roundoff = -_ARMIJO * t * slope <= np.finfo(float).eps * abs(a0)
         phi = phi + t * d.reshape(phi.shape)
 
     log.final_residual = float(np.abs(project(grad_at(phi))).max())

@@ -545,10 +545,10 @@ def test_tangent_pairs_reach_cross_blocks():
         assert np.abs(ve._probe_jacobian(partial, k, "d_grad")[:, :k]).max() > 0
 
 
-def reference_pattern(tets, n, k):
-    """Sorted CSR keys ``row * (n k) + col`` of the dofs of vertices that
-    share a tet, each vertex with itself included: the dof-key builder the
-    edge-indexed pattern replaced."""
+def reference_pattern(tets, n):
+    """Sorted CSR keys ``row * n + col`` of the vertices that share a tet,
+    each vertex with itself included: the key builder the edge-indexed
+    pattern replaced."""
     m = len(tets)
     edges = np.empty(6 * m, dtype=np.int64)
     for s, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
@@ -556,9 +556,7 @@ def reference_pattern(tets, n, k):
         edges[s * m:(s + 1) * m] = np.minimum(a, b) * n + np.maximum(a, b)
     edges.sort()
     v, w = np.divmod(edges[np.r_[True, edges[1:] != edges[:-1]]], n)
-    v, w = np.r_[v, w, :n], np.r_[w, v, :n]
-    comp = np.arange(k)
-    keys = ((v[:, None, None] * k + comp[:, None]) * (n * k) + w[:, None, None] * k + comp).ravel()
+    keys = np.r_[v, w, :n] * n + np.r_[w, v, :n]
     keys.sort()
     return keys
 
@@ -582,7 +580,7 @@ def test_vertex_pattern_equals_sorted_keys(seed):
     mesh = permuted_ball(seed)
     n = mesh.n_vertices
     edges, starts, cols, upper, lower, diagonal = ve._tangent_pattern(mesh.tets, n)
-    keys = reference_pattern(mesh.tets, n, 1)
+    keys = reference_pattern(mesh.tets, n)
     np.testing.assert_array_equal(starts, np.searchsorted(keys, np.arange(n + 1) * n))
     np.testing.assert_array_equal(cols, keys % n)
     row = np.repeat(np.arange(n), np.diff(starts))
@@ -600,20 +598,22 @@ def test_vertex_pattern_equals_sorted_keys(seed):
                                   "linear_elastic(0.7, 1.3) x isotropic(1, 0.3)",
                                   "advected x robin"])
 def test_tangent_layout_equals_sorted_keys(pair):
-    """Dof-level CSR of the tangent is the sorted-keys layout, its data is
-    exactly its transpose, and it is still g(x) - g(0) on a relabelled mesh."""
+    """The tangent is the sorted-keys vertex CSR with a (k, k) block per
+    entry, each block is exactly the transpose of its mirror block, and it
+    is still g(x) - g(0) on a relabelled mesh."""
     mesh = permuted_ball(3)
+    n = mesh.n_vertices
     bulk, surface = (make() for make in TANGENT_PAIRS[pair])
     k = bulk.n_components
-    size = mesh.n_vertices * k
     tangent = ve._assemble_tangent(mesh, bulk, surface)
-    keys = reference_pattern(mesh.tets, mesh.n_vertices, k)
-    np.testing.assert_array_equal(tangent.starts, np.searchsorted(keys, np.arange(size) * size))
-    np.testing.assert_array_equal(tangent.cols, keys % size)
-    transposed = tangent.cols * size + keys // size
-    at = np.searchsorted(keys, transposed)
-    np.testing.assert_array_equal(keys[at], transposed)
-    assert tangent.data[at].tobytes() == tangent.data.tobytes()
+    keys = reference_pattern(mesh.tets, n)
+    np.testing.assert_array_equal(tangent.starts, np.searchsorted(keys, np.arange(n) * n))
+    np.testing.assert_array_equal(tangent.cols, keys % n)
+    assert tangent.data.shape == (k, k, len(keys))
+    transposed = tangent.cols * n + keys // n
+    mirror = np.searchsorted(keys, transposed)
+    np.testing.assert_array_equal(keys[mirror], transposed)
+    assert tangent.data[:, :, mirror].transpose(1, 0, 2).tobytes() == tangent.data.tobytes()
     x = np.random.default_rng(3).standard_normal((mesh.n_vertices, k))
     expected = (action_gradient(mesh, bulk, surface, FieldState(x))
                 - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
@@ -622,17 +622,15 @@ def test_tangent_layout_equals_sorted_keys(pair):
 
 @pytest.mark.parametrize("pair, gauge", [("poisson_source x robin", "none"),
                                          ("linear_elastic x isotropic", "rigid")])
-def test_tangent_steps_and_newton_steps_agree(pair, gauge, monkeypatch):
+def test_tangent_steps_and_newton_steps_agree(pair, gauge):
     """The solve loop's two branches, full steps on the assembled tangent
     and damped Newton steps (the same pair marked not quadratic), reach the
-    same solution.  Five steps take Newton to its floor: on the rigid pair
-    its max gradient stays near 1.2e-9, where the action's decrease is
-    below its roundoff and the Armijo test accepts only vanishing steps."""
+    same solution.  On the rigid pair Newton stops at its roundoff floor,
+    a max gradient near 1.2e-9 (see test_newton_stall_at_roundoff_ends_the_solve)."""
     mesh = perturbed_ball(7, 0.04)
     bulk, surface = (make() for make in PAIRS[pair])
     options = SolveOptions(gauge=gauge)
     step, step_log = solve_stationary(mesh, bulk, surface, options=options)
-    monkeypatch.setattr(ve, "_MAX_STEPS", 5)
     newton, newton_log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False),
                                           surface, options=options)
     assert (step_log.method, newton_log.method) == ("cg", "newton")
@@ -640,16 +638,36 @@ def test_tangent_steps_and_newton_steps_agree(pair, gauge, monkeypatch):
     assert np.abs(step.values - newton.values).max() <= 1e-8
 
 
-def test_tangent_assembly_peak_below_mesh_build():
+@pytest.mark.parametrize("pair", ["poisson_source x robin", "linear_elastic x isotropic"])
+def test_tangent_assembly_peak_below_mesh_build(pair):
     """Above the live mesh, the assembly's tracemalloc peak stays below the
-    mesh build's own peak, so the assembly does not set a solve's peak memory."""
+    mesh build's own peak, so the assembly does not set a solve's peak
+    memory, at k = 1 and at k = 3."""
+    bulk, surface = (make() for make in PAIRS[pair])
     tracemalloc.start()
     try:
         mesh = build_ball_tetmesh(1.0, surface_level=3, radial_layers=6)
         live, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        ve._assemble_tangent(mesh, builtin_bulk("poisson_source", source=6.0), robin_surface(1.0))
+        ve._assemble_tangent(mesh, bulk, surface)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - live < build_peak
+
+
+def test_newton_stall_at_roundoff_ends_the_solve(caplog):
+    """A Newton step whose Armijo test is met only within the action's
+    roundoff, followed by a max gradient that does not fall, ends the solve
+    unconverged with a note and one warning, at the floor it reached."""
+    mesh = perturbed_ball(7, 0.04)
+    bulk, surface = (make() for make in PAIRS["linear_elastic x isotropic"])
+    with caplog.at_level("WARNING", logger="curvbc"):
+        _, log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False), surface,
+                                  options=SolveOptions(gauge="rigid"))
+    assert log.method == "newton" and not log.converged
+    assert log.iterations <= 6
+    assert len(log.notes) == 1 and log.notes[0].startswith("stalled at roundoff")
+    assert [r.getMessage() for r in caplog.records] == [f"solve_stationary: {log.notes[0]}"]
+    assert log.final_residual == log.residual_norms[-1]
+    assert 1e-9 < log.final_residual < 1.3e-9

@@ -802,6 +802,19 @@ def test_cg_indefinite_operator_warns_and_switches(caplog, monkeypatch):
     assert "positive definiteness" in caplog.records[0].getMessage()
 
 
+def test_tangent_cg_at_its_cap_is_reported(caplog, monkeypatch):
+    """A tangent CG stopped by its iteration cap above its tolerance is noted
+    and warned once, naming the step and the count, and the solve goes on."""
+    monkeypatch.setattr(ve, "_CG_MAX_ITERATIONS", 5)
+    with caplog.at_level("WARNING", logger="curvbc"):
+        _, log = solve_stationary(small_ball(2, 3), POISSON, robin_surface(1.0))
+    note = "tangent CG stopped at its cap of 5 iterations at step 0"
+    assert log.notes == [note]
+    assert [r.getMessage() for r in caplog.records] == [f"solve_stationary: {note}"]
+    assert log.iterations > 1 and log.tangent_iterations == 5 * log.iterations
+    assert log.converged
+
+
 def test_failed_line_search_is_not_converged(caplog):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     initial = FieldState(np.random.default_rng(12).standard_normal((mesh.n_vertices, 1)))
