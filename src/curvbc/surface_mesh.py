@@ -105,12 +105,12 @@ class TriangleMesh:
         if np.any(self.triangles[:, [0, 1, 2]] == self.triangles[:, [1, 2, 0]]):
             raise MeshError("triangle with repeated vertex")
 
-        self._compute_face_geometry()
+        edges = self._compute_face_geometry()
         if validate:
             _check_face_quality(self)
             self._check_closed_oriented()
-        self._compute_vertex_normals(self._compute_corner_areas())
-        self._compute_hat_gradients()
+        self._compute_vertex_normals(self._compute_corner_areas(edges))
+        self._compute_hat_gradients(edges)
 
     # -- construction helpers -------------------------------------------
 
@@ -120,12 +120,12 @@ class TriangleMesh:
         e0 = tri[:, 2] - tri[:, 1]
         e1 = tri[:, 0] - tri[:, 2]
         e2 = tri[:, 1] - tri[:, 0]
-        self.edge_vectors = np.stack([e0, e1, e2], axis=1)
         cross = np.cross(e2, -e1)                     # (x1-x0) x (x2-x0)
         norm = np.linalg.norm(cross, axis=1)
         self.face_areas = 0.5 * norm
         with np.errstate(invalid="ignore", divide="ignore"):
             self.face_normals = cross / np.where(norm > 0.0, norm, 1.0)[:, None]
+        return np.stack([e0, e1, e2], axis=1)
 
     def _check_closed_oriented(self):
         n = len(self.vertices)
@@ -150,8 +150,7 @@ class TriangleMesh:
                 f"{counts[np.argmax(counts != 2)]} face(s), expected 2"
             )
 
-    def _compute_corner_areas(self):
-        e = self.edge_vectors
+    def _compute_corner_areas(self, e):
         lsq = np.einsum("fcj,fcj->fc", e, e)          # squared edge lengths
         # cot of the interior angle at corner c: u . v / |u x v| for the edges
         # u = -e[c+1], v = e[c+2] leaving c, where |u x v| = 2A at every corner
@@ -187,10 +186,10 @@ class TriangleMesh:
         norm = np.linalg.norm(vn, axis=1)
         self.vertex_normals = vn / np.where(norm > 0, norm, 1.0)[:, None]
 
-    def _compute_hat_gradients(self):
+    def _compute_hat_gradients(self, edges):
         # gradient of the hat function of corner c, constant on the face:
         # (n x e_c) / (2A) with e_c the opposite edge
-        cross = np.cross(self.face_normals[:, None, :], self.edge_vectors)
+        cross = np.cross(self.face_normals[:, None, :], edges)
         self.hat_gradients = cross / (2.0 * self.face_areas)[:, None, None]
 
     # -- basic queries ----------------------------------------------------

@@ -18,13 +18,15 @@ into one preallocated corner array per channel; one bincount scatter per
 channel then adds the whole array into the vertex rows.  Blocking bounds the
 temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
-The solve is one step loop on the exact gradient, and every step is
-solved by one CG routine (:func:`_cg`).  A quadratic pair steps on its
-tangent, assembled once per solve (:func:`_assemble_tangent`): each partial
-is probed once for its constant Jacobian, contracted with the hat gradients
+The solve looks for a zero of the gradient, not for a minimum: it is one
+step loop on the exact gradient, every step is solved by one CG routine
+(:func:`_cg`), and every step is accepted by one rule, a backtracking
+decrease of the gradient norm.  A quadratic pair's CG runs on its tangent,
+assembled once per solve (:func:`_assemble_tangent`): each partial is
+probed once for its constant Jacobian, contracted with the hat gradients
 and corner weights into element matrices, and added per unique tet edge
 into the (k, k) blocks of a vertex CSR whose positions come by index
-arithmetic from the edge sort.  Any other pair takes damped Newton steps on
+arithmetic from the edge sort.  Any other pair's CG runs on
 finite-difference curvature applies.
 
 Row interpretation used by the residual reports: dividing interior gradient
@@ -53,7 +55,8 @@ _LOG = logging.getLogger("curvbc")
 _CG_MAX_ITERATIONS = 5000
 # steps of the solve loop before it gives up
 _MAX_STEPS = 50
-_ARMIJO = 1e-4
+# a step of length t is accepted when it cuts the gradient norm by 1 - _DECREASE * t
+_DECREASE = 1e-4
 _TRANSPORT_TOLERANCE = 1e-10
 # relative 2-norm tolerance of a step's CG solve on the assembled tangent
 _TANGENT_TOLERANCE = 1e-10
@@ -635,6 +638,7 @@ class ConvergenceLog:
     tangent_assembly_s: float = 0.0
     tangent_solve_s: float = 0.0
     gradient_calls: int = 0
+    step_sizes: list = field(default_factory=list)
 
 
 def _gauge_basis(mesh, k, gauge, components=None):
@@ -660,9 +664,11 @@ def _gauge_basis(mesh, k, gauge, components=None):
 def _cg(apply, b, done, max_iterations):
     """Conjugate gradients for ``apply(x) = b`` from ``x = 0``.
 
-    Stops when ``done(r)`` holds (it sees the initial and every updated
-    residual), after ``max_iterations`` steps, or on ``p.Ap <= 0``.
-    Returns ``(x, iterations, definite)``, ``definite`` False on the last.
+    ``apply`` need only be symmetric: on an indefinite operator the
+    iteration goes on through negative curvature.  Stops when ``done(r)``
+    holds (it sees the initial and every updated residual), after
+    ``max_iterations`` steps, on an exact breakdown (``p.Ap == 0``), or
+    before a step that is not finite.  Returns ``(x, iterations)``.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -674,13 +680,16 @@ def _cg(apply, b, done, max_iterations):
         rr = rr_new
         Ap = apply(p)
         pAp = p @ Ap
-        if pAp <= 0:
-            return x, iterations, False
+        if pAp == 0:
+            break
         alpha = rr / pAp
+        # a finite p.Ap means a finite p, so a finite alpha a finite step
+        if not (np.isfinite(pAp) and np.isfinite(alpha)):
+            break
         x += alpha * p
         r -= alpha * Ap
         iterations += 1
-    return x, iterations, True
+    return x, iterations
 
 
 def _edge_keys(a, b, n):
@@ -926,22 +935,29 @@ def _assemble_tangent(mesh, bulk, surface):
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
-    """Find a stationary point of the assembled action.
+    """Find a stationary point of the assembled action: a zero of its
+    gauge-projected gradient, which need not be a minimum.
 
-    One step loop serves every pair.  Each step evaluates the exact action
+    One step loop serves every pair.  Each step has the exact action
     gradient, records the max norm of its gauge projection and stops once
     that is at most ``options.tolerance``, or after ``_MAX_STEPS`` steps.
-    A pair is quadratic when both its bulk and surface say so.  Its tangent
-    is assembled once per solve by :func:`_assemble_tangent`, and each step
-    is a full step, with no line search, solved by CG on the gauge-projected
-    tangent to a relative 2-norm of ``_TANGENT_TOLERANCE``; the tangent is
-    exact, so one step reaches the tolerance on well-posed problems.
-    Every partial of a quadratic pair must be affine in ``(phi, rate,
-    grad)``: the assembly probes each partial once for its constant
-    Jacobian and raises ValueError, naming the partial, when a second probe
-    at a random point disagrees.  Any other pair takes damped Newton steps:
-    truncated CG on finite-difference curvature applies, then an Armijo
-    line search.  An ``initial`` state with a trajectory keeps it: the solve
+    Otherwise CG on the gauge-projected curvature gives a direction ``d``.
+    A pair is quadratic when both its bulk and surface say so: its CG runs
+    on the tangent, assembled once per solve by :func:`_assemble_tangent`,
+    to a relative 2-norm of ``_TANGENT_TOLERANCE``.  Every partial of a
+    quadratic pair must be affine in ``(phi, rate, grad)``: the assembly
+    probes each partial once for its constant Jacobian and raises
+    ValueError, naming the partial, when a second probe at a random point
+    disagrees.  Any other pair's CG is truncated and runs on
+    finite-difference curvature applies (Newton).
+
+    Every step is accepted by one rule: the first of ``t = 1, 1/2, ...``
+    (down to 1e-12) whose projected gradient has a 2-norm at most ``1 -
+    _DECREASE * t`` times the current one (Eisenstat & Walker, SIAM J.
+    Optim. 4, 1994).  The accepted gradient is the next step's, so an exact
+    quadratic step costs one gradient.  Nothing asks for a decrease of the
+    action, so on a nonconvex pair Newton may stop at a saddle or a
+    maximum.  An ``initial`` state with a trajectory keeps it: the solve
     moves its middle snapshot and holds the middle rates fixed.
 
     Under ``gauge="none"`` a quadratic solve first probes the constant shift
@@ -949,21 +965,18 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     if the data loads it, the pure-Neumann problem is incompatible and
     :class:`SingularProblemError` is raised.
 
-    ``log.iterations`` counts the steps, ``log.tangent_iterations`` the
-    tangent CG iterations and ``log.gradient_calls`` every action gradient
-    (finite-difference curvature applies included); ``log.tangent_assembly_s``
-    and ``log.tangent_solve_s`` time the assembly and the tangent solves.
-    A separate gradient at the result sets ``log.final_residual`` and
-    ``log.converged``.
+    ``log.iterations`` counts the steps, ``log.step_sizes`` holds each
+    accepted ``t``, ``log.tangent_iterations`` counts the tangent CG
+    iterations and ``log.gradient_calls`` every action gradient
+    (finite-difference curvature applies and rejected trials included);
+    ``log.tangent_assembly_s`` and ``log.tangent_solve_s`` time the
+    assembly and the tangent solves.  A separate gradient at the result
+    sets ``log.final_residual`` and ``log.converged``.
 
-    Fallbacks are noted in the log and reported on the ``curvbc`` logger:
-    the tangent CG meeting ``p.Ap <= 0`` switches the solve to Newton, and
-    one stopped by ``_CG_MAX_ITERATIONS`` above its tolerance is reported at
-    its first step (warning each).  A Newton step is steepest descent when
-    its CG meets ``p.Ap <= 0`` at once (info).  The solve ends unconverged
-    when a line search finds no Armijo decrease (the step is not taken), or
-    when a step met the Armijo test only within the action's roundoff and
-    the next max gradient is not lower (warning each).
+    Two events are noted in the log and warned on the ``curvbc`` logger: a
+    tangent CG stopped by ``_CG_MAX_ITERATIONS`` above its tolerance (at
+    its first step only; the solve goes on), and a step that no ``t``
+    accepts, which ends the solve unconverged without taking it.
     """
     options = options or SolveOptions()
     k = bulk.n_components
@@ -996,9 +1009,9 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         log.gradient_calls += 1
         return action_gradient(mesh, bulk, surface, state_at(values)).ravel()
 
-    def report(note, level=logging.WARNING):
+    def report(note):
         log.notes.append(note)
-        _LOG.log(level, "solve_stationary: %s", note)
+        _LOG.warning("solve_stationary: %s", note)
 
     phi = initial.values.copy()
     g = grad_at(phi)
@@ -1024,30 +1037,19 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         tangent = _assemble_tangent(mesh, bulk, surface)
         log.tangent_assembly_s = perf_counter() - start
 
-    action_of = lambda v: assemble_action(mesh, bulk, surface, state_at(v)).total
     line_search_failed = capped = False
-    # the last Newton step met the Armijo test only within the action's roundoff
-    at_roundoff = False
     for it in range(_MAX_STEPS):
-        if it:
-            g = grad_at(phi)
-        gn = float(np.abs(project(g)).max())
+        b = project(-g)
+        gn = float(np.abs(b).max())
         log.residual_norms.append(gn)
         log.iterations = it
         if gn <= options.tolerance:
             break
-        if at_roundoff and gn >= log.residual_norms[-2]:
-            report(f"stalled at roundoff: newton iteration {it - 1} met the Armijo test only "
-                   f"within the action's roundoff and the max gradient stayed at {gn:.3g}")
-            break
-        b = project(-g)
-        t = 1.0
         if quadratic:
             start = perf_counter()
             tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
             converged = lambda r: np.linalg.norm(r) <= tol
-            d, its, definite = _cg(lambda v: project(tangent(v)), b, converged,
-                                   _CG_MAX_ITERATIONS)
+            d, its = _cg(lambda v: project(tangent(v)), b, converged, _CG_MAX_ITERATIONS)
             log.tangent_iterations += its
             log.tangent_solve_s += perf_counter() - start
             if (its == _CG_MAX_ITERATIONS and not capped
@@ -1055,13 +1057,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 # reported at the first capped step only
                 capped = True
                 report(f"tangent CG stopped at its cap of {its} iterations at step {it}")
-            if not definite:
-                note = "operator lost positive definiteness; switching to newton"
-                log.notes.append(note)
-                _LOG.warning("solve_stationary: %s (tangent CG iteration %d)", note, its)
-                quadratic = False
-                log.method = "newton"
-        if not quadratic:
+        else:
             # inexact Newton step: truncated CG on finite-difference Hessian applies
             flat = phi.ravel()
             fd_scale = 1.0 + float(np.abs(flat).max())
@@ -1074,22 +1070,22 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
                 return project((grad_at((flat + eps * v).reshape(phi.shape)) - g) / eps)
 
             tol = max(1e-2 * np.linalg.norm(b), 1e-14)
-            d, its, definite = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
-            if not definite and its == 0:
-                d = b
-                report(f"steepest descent at newton iteration {it}", logging.INFO)
-            a0 = action_of(phi)
-            slope = g @ d
-            while t > 1e-12:
-                if action_of(phi + t * d.reshape(phi.shape)) <= a0 + _ARMIJO * t * slope:
-                    break
-                t *= 0.5
-            else:
-                report(f"line search failed: no Armijo decrease at newton iteration {it}")
-                line_search_failed = True
+            d, _ = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
+        # backtrack on the norm of the projected gradient
+        bound = np.linalg.norm(b)
+        t = 1.0
+        while t > 1e-12:
+            trial = phi + t * d.reshape(phi.shape)
+            g_trial = grad_at(trial)
+            if np.linalg.norm(project(g_trial)) <= (1.0 - _DECREASE * t) * bound:
                 break
-            at_roundoff = -_ARMIJO * t * slope <= np.finfo(float).eps * abs(a0)
-        phi = phi + t * d.reshape(phi.shape)
+            t *= 0.5
+        else:
+            report(f"line search failed: no decrease of the gradient norm at step {it}")
+            line_search_failed = True
+            break
+        phi, g = trial, g_trial
+        log.step_sizes.append(t)
 
     log.final_residual = float(np.abs(project(grad_at(phi))).max())
     log.converged = log.final_residual <= options.tolerance and not line_search_failed

@@ -625,8 +625,7 @@ def test_tangent_layout_equals_sorted_keys(pair):
 def test_tangent_steps_and_newton_steps_agree(pair, gauge):
     """The solve loop's two branches, full steps on the assembled tangent
     and damped Newton steps (the same pair marked not quadratic), reach the
-    same solution.  On the rigid pair Newton stops at its roundoff floor,
-    a max gradient near 1.2e-9 (see test_newton_stall_at_roundoff_ends_the_solve)."""
+    same solution."""
     mesh = perturbed_ball(7, 0.04)
     bulk, surface = (make() for make in PAIRS[pair])
     options = SolveOptions(gauge=gauge)
@@ -634,7 +633,7 @@ def test_tangent_steps_and_newton_steps_agree(pair, gauge):
     newton, newton_log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False),
                                           surface, options=options)
     assert (step_log.method, newton_log.method) == ("cg", "newton")
-    assert step_log.converged and newton_log.final_residual <= 1e-8
+    assert step_log.converged and newton_log.converged
     assert np.abs(step.values - newton.values).max() <= 1e-8
 
 
@@ -656,18 +655,16 @@ def test_tangent_assembly_peak_below_mesh_build(pair):
     assert peak - live < build_peak
 
 
-def test_newton_stall_at_roundoff_ends_the_solve(caplog):
-    """A Newton step whose Armijo test is met only within the action's
-    roundoff, followed by a max gradient that does not fall, ends the solve
-    unconverged with a note and one warning, at the floor it reached."""
+def test_newton_converges_on_the_perturbed_ball(caplog):
+    """Rigid-gauge Newton on the perturbed ball meets the tolerance: the
+    gradient norm keeps falling where the action's decrease is below its
+    roundoff."""
     mesh = perturbed_ball(7, 0.04)
     bulk, surface = (make() for make in PAIRS["linear_elastic x isotropic"])
     with caplog.at_level("WARNING", logger="curvbc"):
         _, log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False), surface,
                                   options=SolveOptions(gauge="rigid"))
-    assert log.method == "newton" and not log.converged
+    assert log.method == "newton" and log.converged
     assert log.iterations <= 6
-    assert len(log.notes) == 1 and log.notes[0].startswith("stalled at roundoff")
-    assert [r.getMessage() for r in caplog.records] == [f"solve_stationary: {log.notes[0]}"]
-    assert log.final_residual == log.residual_norms[-1]
-    assert 1e-9 < log.final_residual < 1.3e-9
+    assert not log.notes and not caplog.records
+    assert log.final_residual <= 1e-10

@@ -91,6 +91,8 @@ def test_solve_emits_reports(tmp_path):
     calls = next(l for l in log if l.startswith("gradient_calls="))
     # the initial gradient, the shift probe, one per step and the final check
     assert int(calls.split("=")[1]) == int(iterations.split("=")[1]) + 3
+    # one full tangent step
+    assert "step_sizes=[1.0]" in log
     for phase in ("tangent_assembly_s", "tangent_solve_s"):
         seconds = next(l for l in log if l.startswith(f"{phase}="))
         assert float(seconds.split("=")[1]) > 0

@@ -554,9 +554,8 @@ def test_cg_matches_dense_solve():
     M = rng.standard_normal((12, 12))
     A = M @ M.T + 12.0 * np.eye(12)
     b = rng.standard_normal(12)
-    x, iterations, definite = _cg(lambda p: A @ p, b,
-                                  lambda r: np.abs(r).max() <= 1e-13, 100)
-    assert definite and 0 < iterations < 100
+    x, iterations = _cg(lambda p: A @ p, b, lambda r: np.abs(r).max() <= 1e-13, 100)
+    assert 0 < iterations < 100
     assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-12
 
 
@@ -593,18 +592,25 @@ def test_cg_without_preconditioner_keeps_its_bits():
             return np.abs(r).max() <= 1e-12
         return done
     expected = reference_cg(lambda p: A @ p, b, recorder(ref_seen), 200)
-    x, its, definite = _cg(lambda p: A @ p, b, recorder(seen), 200)
-    assert definite and its == len(expected) and seen == ref_seen
+    x, its = _cg(lambda p: A @ p, b, recorder(seen), 200)
+    assert its == len(expected) and seen == ref_seen
     for j, x_ref in enumerate(expected, start=1):
-        x, _, _ = _cg(lambda p: A @ p, b, lambda r: False, j)
+        x, _ = _cg(lambda p: A @ p, b, lambda r: False, j)
         assert x.tobytes() == x_ref.tobytes()
 
 
-def test_cg_stops_on_negative_curvature():
+def test_cg_solves_indefinite_and_stops_on_breakdown():
+    """CG goes on through negative curvature, and stops on an exact
+    breakdown ``p.Ap == 0`` or before a step that is not finite, here at
+    once, with ``x = 0``."""
     A = np.diag([-3.0, 1.0, 1.0])
-    x, iterations, definite = _cg(lambda p: A @ p, np.ones(3), lambda r: False, 10)
-    assert not definite and iterations == 0
-    assert np.array_equal(x, np.zeros(3))
+    x, iterations = _cg(lambda p: A @ p, np.ones(3),
+                        lambda r: np.abs(r).max() <= 1e-14, 10)
+    assert 0 < iterations < 10
+    assert np.abs(x - np.linalg.solve(A, np.ones(3))).max() <= 1e-14
+    for apply in (lambda p: np.diag([-2.0, 1.0, 1.0]) @ p, lambda p: np.full(3, np.nan)):
+        x, iterations = _cg(apply, np.ones(3), lambda r: False, 10)
+        assert iterations == 0 and np.array_equal(x, np.zeros(3))
 
 
 def test_solve_zero_problem():
@@ -772,34 +778,54 @@ def test_bc_residual_small_at_discrete_solution():
     assert np.abs(report.residual).max() <= 1e-6
 
 
-def make_negated_bulk(flip_gradient_only):
-    """-(0.5 |grad phi|^2 + 0.5 phi^2): a quadratic, negative definite action.
-
-    With ``flip_gradient_only`` the density is the positive one while the
-    partials stay negated, so gradients disagree with the action.
-    """
-    sign = 1.0 if flip_gradient_only else -1.0
+def make_negated_bulk():
+    """-(0.5 |grad phi|^2 + 0.5 phi^2): a quadratic, negative definite action
+    whose one stationary point is 0."""
     return BulkLagrangian(
         "negated", 1,
-        density=lambda p, r, g: sign * 0.5 * (np.einsum("mkj,mkj->m", g, g)
-                                              + np.einsum("mk,mk->m", p, p)),
+        density=lambda p, r, g: -0.5 * (np.einsum("mkj,mkj->m", g, g)
+                                        + np.einsum("mk,mk->m", p, p)),
         d_phi=lambda p, r, g: -p,
         d_rate=lambda p, r, g: np.zeros_like(p),
         d_grad=lambda p, r, g: -g,
-        quadratic=not flip_gradient_only,
     )
 
 
-def test_cg_indefinite_operator_warns_and_switches(caplog, monkeypatch):
+def test_negative_definite_pair_reaches_its_stationary_point(caplog):
+    """The solve seeks a zero of the gradient, not a minimum: a negative
+    definite quadratic pair takes tangent steps to its maximum, 0."""
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
     with caplog.at_level("WARNING", logger="curvbc"):
-        monkeypatch.setattr(ve, "_MAX_STEPS", 2)
-        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(), initial)
-    assert log.method == "newton"
-    assert any("positive definiteness" in note for note in log.notes)
-    assert [r.name for r in caplog.records] == ["curvbc"]
-    assert "positive definiteness" in caplog.records[0].getMessage()
+        state, log = solve_stationary(mesh, make_negated_bulk(), zero_surface(), initial)
+    assert log.method == "cg" and log.converged
+    assert not log.notes and not caplog.records
+    assert np.abs(state.values).max() <= 1e-12
+
+
+def test_indefinite_pair_converges_in_one_step(caplog):
+    """A Robin potential of the wrong sign makes the tangent indefinite; its
+    one stationary point is one full tangent step away."""
+    surface = make_restricted_surface(1, gamma_bar=QuadraticPotential([[-0.5]]))
+    mesh = small_ball(2, 3)
+    with caplog.at_level("WARNING", logger="curvbc"):
+        state, log = solve_stationary(mesh, POISSON, surface)
+    assert log.method == "cg" and log.converged
+    assert log.iterations == 1 and log.step_sizes == [1.0]
+    assert log.gradient_calls == 4
+    assert not log.notes and not caplog.records
+    assert np.abs(action_gradient(mesh, POISSON, surface, state)).max() <= 1e-10
+
+
+def test_solve_never_evaluates_the_action(monkeypatch):
+    """Steps are accepted on the gradient norm alone."""
+    def action(*args, **kwargs):
+        raise AssertionError("the solve evaluated the action")
+    monkeypatch.setattr(ve, "assemble_action", action)
+    mesh = small_ball(2, 3)
+    for bulk in (POISSON, dataclasses.replace(POISSON, quadratic=False)):
+        _, log = solve_stationary(mesh, bulk, robin_surface(1.0))
+        assert log.converged
 
 
 def test_tangent_cg_at_its_cap_is_reported(caplog, monkeypatch):
@@ -815,29 +841,23 @@ def test_tangent_cg_at_its_cap_is_reported(caplog, monkeypatch):
     assert log.converged
 
 
-def test_failed_line_search_is_not_converged(caplog):
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+def test_failed_line_search_is_not_converged(caplog, monkeypatch):
+    """A tangent of the wrong sign gives a direction along which the
+    gradient norm only grows: no step length is accepted, and the solve
+    ends unconverged without taking the step."""
+    assemble = ve._assemble_tangent
+
+    def wrong_sign(mesh, bulk, surface):
+        tangent = assemble(mesh, bulk, surface)
+        return lambda x: -tangent(x)
+    monkeypatch.setattr(ve, "_assemble_tangent", wrong_sign)
+    mesh = small_ball(2, 3)
     initial = FieldState(np.random.default_rng(12).standard_normal((mesh.n_vertices, 1)))
     with caplog.at_level("WARNING", logger="curvbc"):
-        state, log = solve_stationary(mesh, make_negated_bulk(True), zero_surface(),
-                                      initial)
-    assert not log.converged
-    assert any("line search failed" in note for note in log.notes)
-    assert any("line search failed" in r.getMessage() for r in caplog.records)
+        state, log = solve_stationary(mesh, POISSON, robin_surface(1.0), initial)
+    note = "line search failed: no decrease of the gradient norm at step 0"
+    assert not log.converged and log.notes == [note]
+    assert [r.getMessage() for r in caplog.records] == [f"solve_stationary: {note}"]
+    assert log.step_sizes == []
     # the rejected step is not taken
     assert np.array_equal(state.values, initial.values)
-
-
-def test_newton_steepest_descent_is_noted(caplog, monkeypatch):
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    initial = FieldState(np.random.default_rng(11).standard_normal((mesh.n_vertices, 1)))
-    monkeypatch.setattr(ve, "_MAX_STEPS", 2)
-    with caplog.at_level("INFO", logger="curvbc"):
-        _, log = solve_stationary(mesh, make_negated_bulk(False), zero_surface(), initial)
-    # the indefinite tangent switches the solve to Newton, whose first step
-    # meets negative curvature at once
-    switch = "operator lost positive definiteness; switching to newton"
-    note = "steepest descent at newton iteration 0"
-    assert log.notes[0] == switch and note in log.notes
-    for level, expected in (("WARNING", switch), ("INFO", note)):
-        assert any(r.levelname == level and expected in r.getMessage() for r in caplog.records)
