@@ -284,6 +284,9 @@ def _run_solve(cfg):
         f"gradient_calls={log.gradient_calls}",
         f"tangent_assembly_s={log.tangent_assembly_s:.6g}",
         f"tangent_solve_s={log.tangent_solve_s:.6g}",
+        f"coarse_size={log.coarse_size}",
+        f"preconditioner_s={log.preconditioner_s:.6g}",
+        f"unpreconditioned={log.unpreconditioned}",
         f"step_sizes={log.step_sizes}",
         f"final_residual={log.final_residual:.17g}",
         f"converged={str(log.converged).lower()}",

@@ -26,8 +26,9 @@ assembled once per solve (:func:`_assemble_tangent`): each partial is
 probed once for its constant Jacobian, contracted with the hat gradients
 and corner weights into element matrices, and added per unique tet edge
 into the (k, k) blocks of a vertex CSR whose positions come by index
-arithmetic from the edge sort.  Any other pair's CG runs on
-finite-difference curvature applies.
+arithmetic from the edge sort; the CG is preconditioned by Jacobi plus a
+Galerkin coarse correction on vertex aggregates (:func:`_two_level`).
+Any other pair's CG runs on finite-difference curvature applies.
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -65,6 +66,9 @@ _BLOCK = 8192
 # relative deviation between a partial's Jacobians at zero and at a random
 # point above which a quadratic pair's partial counts as not affine
 _AFFINE_TOLERANCE = 1e-8
+# cells per bounding-box axis of the voxel grid that cuts the boundary into
+# the patches of the tangent preconditioner's coarse aggregates
+_PATCH_GRID = 3
 
 
 class SingularProblemError(RuntimeError):
@@ -639,6 +643,9 @@ class ConvergenceLog:
     tangent_solve_s: float = 0.0
     gradient_calls: int = 0
     step_sizes: list = field(default_factory=list)
+    coarse_size: int = 0
+    unpreconditioned: str = ""
+    preconditioner_s: float = 0.0
 
 
 def _gauge_basis(mesh, k, gauge, components=None):
@@ -661,28 +668,32 @@ def _gauge_basis(mesh, k, gauge, components=None):
     return q
 
 
-def _cg(apply, b, done, max_iterations):
+def _cg(apply, b, done, max_iterations, precondition=None):
     """Conjugate gradients for ``apply(x) = b`` from ``x = 0``.
 
     ``apply`` need only be symmetric: on an indefinite operator the
-    iteration goes on through negative curvature.  Stops when ``done(r)``
-    holds (it sees the initial and every updated residual), after
-    ``max_iterations`` steps, on an exact breakdown (``p.Ap == 0``), or
-    before a step that is not finite.  Returns ``(x, iterations)``.
+    iteration goes on through negative curvature.  ``precondition``, when
+    given, applies a symmetric positive definite ``M`` to a residual: the
+    iteration is then CG on ``M apply`` in the ``M^-1`` inner product;
+    without it every iterate keeps the bits of plain CG.  Stops when
+    ``done(r)`` holds (it sees the initial and every updated residual),
+    after ``max_iterations`` steps, on an exact breakdown (``p.Ap == 0``),
+    or before a step that is not finite.  Returns ``(x, iterations)``.
     """
     x = np.zeros_like(b)
     r = b.copy()
     p = None
     iterations = 0
     while not done(r) and iterations < max_iterations:
-        rr_new = r @ r
-        p = r.copy() if p is None else r + (rr_new / rr) * p
-        rr = rr_new
+        z = r if precondition is None else precondition(r)
+        rz_new = r @ z
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = apply(p)
         pAp = p @ Ap
         if pAp == 0:
             break
-        alpha = rr / pAp
+        alpha = rz / pAp
         # a finite p.Ap means a finite p, so a finite alpha a finite step
         if not (np.isfinite(pAp) and np.isfinite(alpha)):
             break
@@ -697,42 +708,77 @@ def _edge_keys(a, b, n):
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
-def _tangent_pattern(tets, n):
-    """Vertex CSR of the tets' vertex adjacency, built from their unique edges.
+def _tangent_pattern(simplices, n):
+    """Vertex CSR of the simplices' vertex adjacency, built from their unique edges.
 
-    Returns ``(edges, starts, cols, upper, lower, diagonal)``.  ``edges`` are
-    the sorted keys ``v * n + w`` (``v < w``) of the unique tet edges.  Row
-    ``r`` of the CSR (``starts``, ``cols``) holds its lower entries (the
-    edges ``(v, r)``), its diagonal, then its upper entries (the edges
-    ``(r, w)``), so its columns come sorted.  ``upper[e]`` and ``lower[e]``
-    are the CSR positions of edge ``e``'s entries ``(v, w)`` and ``(w, v)``,
+    ``simplices`` lists (m, c) vertex arrays: the tets, then any whose edges
+    are tet edges (the boundary triangles).  Returns ``(edges, starts, cols,
+    upper, lower, diagonal, edge_ids)``.  ``edges`` are the sorted keys ``v
+    * n + w`` (``v < w``) of the unique edges.  Row ``r`` of the CSR
+    (``starts``, ``cols``) holds its lower entries (the edges ``(v, r)``),
+    its diagonal, then its upper entries (the edges ``(r, w)``), so its
+    columns come sorted.  ``upper[e]`` and ``lower[e]`` are the CSR
+    positions of edge ``e``'s entries ``(v, w)`` and ``(w, v)``,
     ``diagonal[r]`` that of ``(r, r)``: index arithmetic on the edge sort,
-    with no search.
+    with no search.  ``edge_ids`` holds per array of ``simplices`` the
+    int32 (c (c - 1) / 2, m) ids into ``edges`` of its corner pairs
+    ``triu_indices(c, 1)``, pair by pair, from the same sort.
     """
-    m = len(tets)
-    keys = np.empty(6 * m, dtype=np.int64)
-    # filled one tet edge slot at a time and sorted in place, so no other
-    # (6 m) array is made
-    for s, (a, b) in enumerate(zip(*np.triu_indices(4, 1))):
-        keys[s * m:(s + 1) * m] = _edge_keys(tets[:, a], tets[:, b], n)
-    keys.sort()
-    edges = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    pairs = [np.triu_indices(s.shape[1], 1) for s in simplices]
+    sizes = [len(s) * len(i) for s, (i, _) in zip(simplices, pairs)]
+    keys = np.empty(sum(sizes), dtype=np.int64)
+    at = 0
+    for s, (i, j) in zip(simplices, pairs):
+        for a, b in zip(i, j):
+            keys[at:at + len(s)] = _edge_keys(s[:, a], s[:, b], n)
+            at += len(s)
+    order = np.argsort(keys)
+    # the sorted keys are compared block by block, so that no other array of
+    # their length is made while the keys and their order live
+    first = np.empty(len(keys), dtype=bool)
+    last = -1
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[order[start:start + _BLOCK]]
+        new = first[start:start + len(block)]
+        new[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=new[1:])
+        last = block[-1]
     del keys
+    # int32 ranks and ids: the ids live through the assembly
+    rank = np.cumsum(first, dtype=np.int32)
+    del first
+    rank -= 1
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = rank
+    n_edges = int(rank[-1]) + 1
+    del order, rank
+    edge_ids = [part.reshape(len(i), -1) for part, (i, _) in
+                zip(np.split(ids, np.cumsum(sizes)[:-1]), pairs)]
+    # each unique key, written back through the ids of its corner pairs
+    edges = np.empty(n_edges, dtype=np.int64)
+    for s, (i, j), part in zip(simplices, pairs, edge_ids):
+        for a, b, e in zip(i, j, part):
+            edges[e] = _edge_keys(s[:, a], s[:, b], n)
     v, w = np.divmod(edges, n)
     n_lower, n_upper = np.bincount(w, minlength=n), np.bincount(v, minlength=n)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(n_lower + 1 + n_upper, out=starts[1:])
     diagonal = starts[:-1] + n_lower
-    e = np.arange(len(edges))
-    # edges come sorted by (v, w): row v's upper entries in edge order
-    upper = diagonal[v] + 1 + e - (np.cumsum(n_upper) - n_upper)[v]
+    # edges come sorted by (v, w): row v's upper entries in edge order; each
+    # position is an edge's rank plus a per-row offset, added in place so
+    # that the ids' live bytes do not raise the peak
+    upper = np.arange(len(edges))
+    upper += (diagonal + 1 - (np.cumsum(n_upper) - n_upper))[v]
     # a stable sort by w keeps v sorted within each row w
     order = np.argsort(w, kind="stable")
+    at = (starts[:-1] - (np.cumsum(n_lower) - n_lower))[w[order]]
+    at += np.arange(len(edges))
     lower = np.empty_like(upper)
-    lower[order] = starts[w[order]] + e - (np.cumsum(n_lower) - n_lower)[w[order]]
+    lower[order] = at
+    del order, at
     cols = np.empty(starts[-1], dtype=np.int64)
     cols[upper], cols[lower], cols[diagonal] = w, v, np.arange(n)
-    return edges, starts, cols, upper, lower, diagonal
+    return edges, starts, cols, upper, lower, diagonal, edge_ids
 
 
 def _probe_jacobian(partial, k, name):
@@ -837,24 +883,23 @@ def _element_tangents(hat, groups, k):
 def _accumulate(out, index, blocks):
     """Add the (k, k) ``blocks`` into the rows ``index`` of ``out`` (flat,
     ``k * k`` per row) with one bincount over the spanned range."""
-    kk = blocks.shape[-1] * blocks.shape[-2]
+    # an int64 factor: int32 edge ids times kk may pass 2**31
+    kk = np.int64(blocks.shape[-1] * blocks.shape[-2])
     index = index[..., None] * kk + np.arange(kk)
     lo = index.min()
     sums = np.bincount((index - lo).ravel(), blocks.ravel())
     out[lo:lo + len(sums)] += sums
 
 
-def _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, ids, element):
+def _add_element_blocks(edge_blocks, diagonal_blocks, ids, edge_ids, element):
     """Add element matrices (b, c, c, k, k) of simplices with vertices ``ids``
     into the per-edge upper blocks (row of the smaller vertex) and the
-    per-vertex diagonal blocks; each corner pair's edge is looked up once
-    in the sorted ``edges``."""
+    per-vertex diagonal blocks; ``edge_ids`` (b, c (c - 1) / 2) are the
+    edges of the corner pairs ``triu_indices(c, 1)``."""
     c = ids.shape[1]
     i, j = np.triu_indices(c, 1)
-    vi, vj = ids[:, i], ids[:, j]
-    e = np.searchsorted(edges, _edge_keys(vi, vj, n))
-    upper = np.where((vi > vj)[..., None, None], element[:, j, i], element[:, i, j])
-    _accumulate(edge_blocks, e, upper)
+    upper = np.where((ids[:, i] > ids[:, j])[..., None, None], element[:, j, i], element[:, i, j])
+    _accumulate(edge_blocks, edge_ids, upper)
     corners = np.arange(c)
     _accumulate(diagonal_blocks, ids, element[:, corners, corners])
 
@@ -873,12 +918,15 @@ class _Tangent:
     def __call__(self, x):
         k = len(self.data)
         X = x.reshape(-1, k).T
+        # one gather per input component; the last output component's
+        # products overwrite them, so k = 1 holds one (nnz,) array
+        gathered = [X[i][self.cols] for i in range(k)]
         out = np.empty((len(self.starts), k))
         for a in range(k):
-            # gathered inside the product, so the product reuses its buffer
-            row = self.data[a, 0] * X[0][self.cols]
+            into = gathered if a == k - 1 else [None] * k
+            row = np.multiply(self.data[a, 0], gathered[0], out=into[0])
             for i in range(1, k):
-                row += self.data[a, i] * X[i][self.cols]
+                row += np.multiply(self.data[a, i], gathered[i], out=into[i])
             out[:, a] = np.add.reduceat(row, self.starts)
         return out.ravel()
 
@@ -903,10 +951,13 @@ def _assemble_tangent(mesh, bulk, surface):
     k = bulk.n_components
     kk = k * k
     n = mesh.n_vertices
-    edges, starts, cols, upper, lower, diagonal = _tangent_pattern(mesh.tets, n)
-    edge_blocks = np.zeros(len(edges) * kk)
-    diagonal_blocks = np.zeros(n * kk)
     B = mesh.boundary
+    triangles = mesh.boundary_vertex_ids[B.triangles]
+    edges, starts, cols, upper, lower, diagonal, edge_ids = _tangent_pattern(
+        [mesh.tets, triangles], n)
+    edge_blocks = np.zeros(len(edges) * kk)
+    del edges
+    diagonal_blocks = np.zeros(n * kk)
     w, wc = _surface_weights(B)
     names = {id(getattr(pair, a)): f"{pair.name}.{a}" for pair, attrs in (
         (bulk, ("d_phi", "d_grad")),
@@ -914,24 +965,130 @@ def _assemble_tangent(mesh, bulk, surface):
         for a in attrs}
     parts = [(mesh.tets, mesh.tet_gradients,
               [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)]),
-             (mesh.boundary_vertex_ids[B.triangles], B.hat_gradients,
-              list(_surface_channels(surface, w, wc).values()))]
-    for vertex_ids, hat, channels in parts:
+             (triangles, B.hat_gradients, list(_surface_channels(surface, w, wc).values()))]
+    for (vertex_ids, hat, channels), ids in zip(parts, edge_ids):
         groups = _element_jacobians(channels, k, names)
         for b, element in _element_tangents(hat, groups, k):
-            _add_element_blocks(edge_blocks, diagonal_blocks, edges, n, vertex_ids[b], element)
+            _add_element_blocks(edge_blocks, diagonal_blocks, vertex_ids[b], ids[:, b].T, element)
     # [a, i, entry]: row component a, column component i
     edge_blocks = edge_blocks.reshape(-1, k, k).transpose(1, 2, 0)
     diagonal_blocks = diagonal_blocks.reshape(-1, k, k).transpose(1, 2, 0)
     diagonal_blocks = 0.5 * (diagonal_blocks + diagonal_blocks.transpose(1, 0, 2))
-    # the diagonal's temporaries and the edge keys go before ``data`` is made,
+    # the diagonal's temporaries and the edge ids go before ``data`` is made,
     # to keep the peak low
-    del edges
+    # the loop's ``ids`` is a view that keeps the whole id array alive
+    del edge_ids, ids
     data = np.empty((k, k, len(cols)))
     data[:, :, upper] = edge_blocks
     data[:, :, lower] = edge_blocks.transpose(1, 0, 2)
     data[:, :, diagonal] = diagonal_blocks
     return _Tangent(starts[:-1], cols, data)
+
+
+def _aggregates(mesh, starts, cols):
+    """Vertex aggregates of the coarse correction: ``(labels, count)``.
+
+    An aggregate is one graph layer from the boundary, found breadth-first
+    over the CSR (``starts``, ``cols``), crossed with one boundary patch, a
+    cell of a ``_PATCH_GRID`` voxel grid over the bounding box of the
+    boundary vertices.  Each vertex of a layer takes the patch of its
+    nearest neighbour in the layer outside it, ties going to the smaller
+    patch, so the aggregates follow the geometry, not the vertex labels.
+    ``labels`` (n,) run over ``0 .. count - 1``; vertices the search does
+    not reach share one aggregate.
+    """
+    x, ids, n = mesh.vertices, mesh.boundary_vertex_ids, mesh.n_vertices
+    ends = np.r_[starts[1:], len(cols)]
+    lo = x[ids].min(axis=0)
+    extent = x[ids].max(axis=0) - lo
+    cell = ((x[ids] - lo) * (_PATCH_GRID / np.where(extent > 0, extent, 1.0))).astype(np.int64)
+    cell = np.minimum(cell, _PATCH_GRID - 1)
+    patch = np.zeros(n, dtype=np.int64)
+    patch[ids] = (cell[:, 0] * _PATCH_GRID + cell[:, 1]) * _PATCH_GRID + cell[:, 2]
+    layer = np.full(n, -1, dtype=np.int64)
+    layer[ids] = 0
+    nearest = np.full(n, np.inf)
+    front, depth = ids, 0
+    while len(front):
+        # the CSR entries (src, dst) of the front's rows that reach new vertices
+        counts = ends[front] - starts[front]
+        src = np.repeat(front, counts)
+        dst = cols[np.arange(len(src)) + np.repeat(starts[front] - np.cumsum(counts) + counts,
+                                                   counts)]
+        new = layer[dst] < 0
+        src, dst = src[new], dst[new]
+        distance = ((x[dst] - x[src]) ** 2).sum(axis=1)
+        np.minimum.at(nearest, dst, distance)
+        depth += 1
+        layer[dst] = depth
+        front = np.flatnonzero(layer == depth)
+        patch[front] = _PATCH_GRID**3
+        tie = distance == nearest[dst]
+        np.minimum.at(patch, dst[tie], patch[src[tie]])
+    keys, labels = np.unique(layer * _PATCH_GRID**3 + patch, return_inverse=True)
+    return labels, len(keys)
+
+
+def _coarse_matrix(tangent, labels, count):
+    """``Z^T K Z`` of the tangent ``K`` for the indicator ``Z`` of the
+    aggregates ``labels``, one column per aggregate and component (index
+    ``aggregate * k + component``), summed from the blocks by bincount."""
+    k = len(tangent.data)
+    pair = np.repeat(labels * count, np.diff(np.r_[tangent.starts, len(tangent.cols)]))
+    pair += labels[tangent.cols]
+    E = np.empty((count, k, count, k))
+    for a in range(k):
+        for i in range(k):
+            E[:, a, :, i] = np.bincount(pair, tangent.data[a, i],
+                                        minlength=count * count).reshape(count, count)
+    return E.reshape(count * k, count * k)
+
+
+def _two_level(mesh, tangent, basis):
+    """Two-level preconditioner of the tangent CG: Jacobi on the tangent's
+    diagonal plus the additive coarse correction ``Z E^-1 Z^T``.
+
+    ``Z`` is the indicator of the :func:`_aggregates`, one column per
+    aggregate and component, and ``E = Z^T K Z`` of the tangent ``K``,
+    summed from its blocks by bincount (Nicolaides, SIAM J. Numer. Anal. 24,
+    1987; Vanek, Mandel & Brezina, Computing 56, 1996).  With a gauge
+    ``basis`` ``Q``, ``E`` also gets ``(Z^T Q) (Z^T Q)^T``, the coarse image
+    of the gauge modes, which ``K`` may annihilate.  ``E`` is tested by
+    Cholesky and inverted once.  Returns ``(precondition, coarse size,
+    reason)``.  When the diagonal is not positive or ``E`` is not positive
+    definite, the preconditioner would not be positive definite, so
+    ``precondition`` is None, the size 0 and ``reason`` says why; otherwise
+    ``reason`` is "".
+    """
+    k, n = len(tangent.data), len(tangent.starts)
+    at = np.flatnonzero(tangent.cols == np.repeat(np.arange(n), np.diff(
+        np.r_[tangent.starts, len(tangent.cols)])))
+    diagonal = tangent.data[:, :, at][range(k), range(k)].T.ravel()
+    if not (diagonal > 0).all():
+        return None, 0, "the tangent's diagonal is not positive"
+    labels, count = _aggregates(mesh, tangent.starts, tangent.cols)
+    E = _coarse_matrix(tangent, labels, count)
+    # coarse dof of each fine dof: aggregate-major, then component
+    coarse = (labels[:, None] * k + np.arange(k)).ravel()
+    if basis is not None:
+        ZQ = np.stack([np.bincount(coarse, q, minlength=count * k) for q in basis.T], axis=1)
+        E += ZQ @ ZQ.T
+    # E is symmetric to roundoff, and the Cholesky test reads its lower half
+    try:
+        np.linalg.cholesky(E)
+    except np.linalg.LinAlgError:
+        return None, 0, "the coarse matrix is not positive definite"
+    # applied once per CG iteration as one dense product
+    coarse_inverse = np.linalg.inv(E)
+    del E
+    coarse_inverse += coarse_inverse.T
+    coarse_inverse *= 0.5
+    inverse_diagonal = 1.0 / diagonal
+
+    def precondition(r):
+        restricted = np.bincount(coarse, r, minlength=count * k)
+        return r * inverse_diagonal + (coarse_inverse @ restricted)[coarse]
+    return precondition, count * k, ""
 
 
 def solve_stationary(mesh, bulk, surface, initial=None, options=None):
@@ -944,21 +1101,27 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     Otherwise CG on the gauge-projected curvature gives a direction ``d``.
     A pair is quadratic when both its bulk and surface say so: its CG runs
     on the tangent, assembled once per solve by :func:`_assemble_tangent`,
-    to a relative 2-norm of ``_TANGENT_TOLERANCE``.  Every partial of a
-    quadratic pair must be affine in ``(phi, rate, grad)``: the assembly
-    probes each partial once for its constant Jacobian and raises
-    ValueError, naming the partial, when a second probe at a random point
-    disagrees.  Any other pair's CG is truncated and runs on
-    finite-difference curvature applies (Newton).
+    to a relative 2-norm of ``_TANGENT_TOLERANCE``, preconditioned by
+    :func:`_two_level` (Jacobi plus a coarse correction on vertex
+    aggregates) unless the tangent's diagonal is not positive or its coarse
+    matrix not positive definite.  Every partial of a quadratic pair must
+    be affine in ``(phi, rate, grad)``: the assembly probes each partial
+    once for its constant Jacobian and raises ValueError, naming the
+    partial, when a second probe at a random point disagrees.  Any other
+    pair's CG is truncated and runs on finite-difference curvature applies
+    (Newton).
 
     Every step is accepted by one rule: the first of ``t = 1, 1/2, ...``
     (down to 1e-12) whose projected gradient has a 2-norm at most ``1 -
     _DECREASE * t`` times the current one (Eisenstat & Walker, SIAM J.
     Optim. 4, 1994).  The accepted gradient is the next step's, so an exact
-    quadratic step costs one gradient.  Nothing asks for a decrease of the
-    action, so on a nonconvex pair Newton may stop at a saddle or a
-    maximum.  An ``initial`` state with a trajectory keeps it: the solve
-    moves its middle snapshot and holds the middle rates fixed.
+    quadratic step costs one gradient.  A quadratic pair's gradient is
+    affine along the step, so its trials after ``t = 1`` are tested on ``g
+    + t (g(1) - g)`` and only an accepted one gets an exact gradient.
+    Nothing asks for a decrease of the action, so on a nonconvex pair
+    Newton may stop at a saddle or a maximum.  An ``initial`` state with a
+    trajectory keeps it: the solve moves its middle snapshot and holds the
+    middle rates fixed.
 
     Under ``gauge="none"`` a quadratic solve first probes the constant shift
     of each component.  A shift the operator annihilates joins the gauge;
@@ -969,9 +1132,13 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     accepted ``t``, ``log.tangent_iterations`` counts the tangent CG
     iterations and ``log.gradient_calls`` every action gradient
     (finite-difference curvature applies and rejected trials included);
-    ``log.tangent_assembly_s`` and ``log.tangent_solve_s`` time the
-    assembly and the tangent solves.  A separate gradient at the result
-    sets ``log.final_residual`` and ``log.converged``.
+    ``log.tangent_assembly_s``, ``log.preconditioner_s`` and
+    ``log.tangent_solve_s`` time the assembly, the preconditioner's setup
+    and the tangent solves.  ``log.coarse_size`` is the preconditioner's
+    coarse size, 0 when the CG runs unpreconditioned, and
+    ``log.unpreconditioned`` then says why (also logged at INFO).  A
+    separate gradient at the result sets ``log.final_residual`` and
+    ``log.converged``.
 
     Two events are noted in the log and warned on the ``curvbc`` logger: a
     tangent CG stopped by ``_CG_MAX_ITERATIONS`` above its tolerance (at
@@ -1036,6 +1203,17 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         start = perf_counter()
         tangent = _assemble_tangent(mesh, bulk, surface)
         log.tangent_assembly_s = perf_counter() - start
+        start = perf_counter()
+        precondition, log.coarse_size, log.unpreconditioned = _two_level(mesh, tangent, basis)
+        if precondition is not None and basis is not None:
+            two_level = precondition
+            precondition = lambda r: project(two_level(r))
+        log.preconditioner_s = perf_counter() - start
+    else:
+        log.unpreconditioned = "the pair is not quadratic"
+    if log.unpreconditioned:
+        _LOG.info("solve_stationary: the tangent CG runs unpreconditioned: %s",
+                  log.unpreconditioned)
 
     line_search_failed = capped = False
     for it in range(_MAX_STEPS):
@@ -1049,7 +1227,8 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             start = perf_counter()
             tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
             converged = lambda r: np.linalg.norm(r) <= tol
-            d, its = _cg(lambda v: project(tangent(v)), b, converged, _CG_MAX_ITERATIONS)
+            d, its = _cg(lambda v: project(tangent(v)), b, converged, _CG_MAX_ITERATIONS,
+                         precondition)
             log.tangent_iterations += its
             log.tangent_solve_s += perf_counter() - start
             if (its == _CG_MAX_ITERATIONS and not capped
@@ -1073,17 +1252,23 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             d, _ = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
         # backtrack on the norm of the projected gradient
         bound = np.linalg.norm(b)
-        t = 1.0
+        t, slope = 1.0, None
         while t > 1e-12:
             trial = phi + t * d.reshape(phi.shape)
-            g_trial = grad_at(trial)
+            # a quadratic pair's gradient is affine along the line: after the
+            # exact one at t = 1, a rejected trial costs no gradient
+            g_trial = grad_at(trial) if slope is None else g + t * slope
             if np.linalg.norm(project(g_trial)) <= (1.0 - _DECREASE * t) * bound:
                 break
+            if quadratic and slope is None:
+                slope = g_trial - g
             t *= 0.5
         else:
             report(f"line search failed: no decrease of the gradient norm at step {it}")
             line_search_failed = True
             break
+        if slope is not None:
+            g_trial = grad_at(trial)
         phi, g = trial, g_trial
         log.step_sizes.append(t)
 

@@ -576,10 +576,14 @@ def permuted_ball(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vertex_pattern_equals_sorted_keys(seed):
-    """The vertex CSR built from the unique edges is the sorted-keys CSR."""
+    """The vertex CSR built from the unique edges is the sorted-keys CSR, and
+    the edge ids of the tets' and the boundary triangles' corner pairs, from
+    the same sort, are those a search of the unique edges finds."""
     mesh = permuted_ball(seed)
     n = mesh.n_vertices
-    edges, starts, cols, upper, lower, diagonal = ve._tangent_pattern(mesh.tets, n)
+    triangles = mesh.boundary_vertex_ids[mesh.boundary.triangles]
+    edges, starts, cols, upper, lower, diagonal, edge_ids = ve._tangent_pattern(
+        [mesh.tets, triangles], n)
     keys = reference_pattern(mesh.tets, n)
     np.testing.assert_array_equal(starts, np.searchsorted(keys, np.arange(n + 1) * n))
     np.testing.assert_array_equal(cols, keys % n)
@@ -592,6 +596,12 @@ def test_vertex_pattern_equals_sorted_keys(seed):
     for at, r, col in ((upper, v, w), (lower, w, v)):
         np.testing.assert_array_equal(row[at], r)
         np.testing.assert_array_equal(cols[at], col)
+    for simplices, ids in zip((mesh.tets, triangles), edge_ids):
+        i, j = np.triu_indices(simplices.shape[1], 1)
+        a, b = simplices[:, i].T, simplices[:, j].T
+        assert ids.dtype == np.int32
+        np.testing.assert_array_equal(
+            ids, np.searchsorted(edges, np.minimum(a, b) * n + np.maximum(a, b)))
 
 
 @pytest.mark.parametrize("pair", ["poisson_source x robin", "poisson_source x robin, k = 2",
@@ -618,6 +628,80 @@ def test_tangent_layout_equals_sorted_keys(pair):
     expected = (action_gradient(mesh, bulk, surface, FieldState(x))
                 - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
     assert_close(tangent(x.ravel()), expected)
+
+
+def reference_apply(tangent, x):
+    """The tangent apply with one gather per block entry, k^2 in all."""
+    k = len(tangent.data)
+    X = x.reshape(-1, k).T
+    out = np.empty((len(tangent.starts), k))
+    for a in range(k):
+        row = tangent.data[a, 0] * X[0][tangent.cols]
+        for i in range(1, k):
+            row += tangent.data[a, i] * X[i][tangent.cols]
+        out[:, a] = np.add.reduceat(row, tangent.starts)
+    return out.ravel()
+
+
+@pytest.mark.parametrize("pair", ["poisson_source x robin", "poisson_source x robin, k = 2",
+                                  "linear_elastic(0.7, 1.3) x isotropic(1, 0.3)"])
+def test_tangent_apply_keeps_the_bits_of_per_entry_gathers(pair):
+    """Gathering each input component once changes no bit at k = 1, 2, 3."""
+    mesh = perturbed_ball(7, 0.04)
+    bulk, surface = (make() for make in TANGENT_PAIRS[pair])
+    tangent = ve._assemble_tangent(mesh, bulk, surface)
+    x = np.random.default_rng(7).standard_normal(mesh.n_vertices * bulk.n_components)
+    assert tangent(x).tobytes() == reference_apply(tangent, x).tobytes()
+
+
+# -- the tangent preconditioner -------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_aggregates_partition_the_vertices_whatever_their_labels(seed):
+    """The aggregates partition the vertices, and relabelling the vertices,
+    the tets and their corners relabels only the aggregates."""
+    mesh, relabelled = perturbed_ball(seed, 0.04), permuted_ball(seed)
+    n = mesh.n_vertices
+    partitions = []
+    for m in (mesh, relabelled):
+        _, starts, cols, *_ = ve._tangent_pattern([m.tets], n)
+        labels, count = ve._aggregates(m, starts[:-1], cols)
+        assert labels.shape == (n,)
+        np.testing.assert_array_equal(np.unique(labels), np.arange(count))
+        partitions.append((labels, count))
+    # vertex j of the relabelled ball is vertex old[j] of the ball (distinct points)
+    old = np.empty(n, dtype=np.int64)
+    old[np.lexsort(relabelled.vertices.T)] = np.lexsort(mesh.vertices.T)
+    np.testing.assert_array_equal(relabelled.vertices, mesh.vertices[old])
+    (labels, count), (relabelled_labels, relabelled_count) = partitions
+    assert relabelled_count == count
+    assert len(set(zip(relabelled_labels.tolist(), labels[old].tolist()))) == count
+
+
+def test_aggregates_are_shells_by_patches_on_the_ball():
+    """On the (2, 3) ball the layers are the shells: 3 shells of 26 patches
+    (the 3 x 3 x 3 grid's centre cell holds no boundary vertex) and the centre."""
+    mesh = build_ball_tetmesh(1.0, surface_level=2, radial_layers=3)
+    _, starts, cols, *_ = ve._tangent_pattern([mesh.tets], mesh.n_vertices)
+    labels, count = ve._aggregates(mesh, starts[:-1], cols)
+    assert count == 3 * 26 + 1
+    radius = np.linalg.norm(mesh.vertices, axis=1)
+    for label in range(count):
+        assert np.ptp(radius[labels == label]) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", ["poisson_source x robin", "linear_elastic x isotropic"])
+def test_coarse_matrix_equals_dense_product(pair):
+    """``E`` summed from the blocks is the dense ``Z^T K Z``, at k = 1 and 3."""
+    mesh = perturbed_ball(7, 0.04)
+    bulk, surface = (make() for make in PAIRS[pair])
+    k, n = bulk.n_components, mesh.n_vertices
+    tangent = ve._assemble_tangent(mesh, bulk, surface)
+    labels, count = ve._aggregates(mesh, tangent.starts, tangent.cols)
+    K = np.column_stack([tangent(e) for e in np.eye(n * k)])
+    Z = np.zeros((n * k, count * k))
+    Z[np.arange(n * k), (labels[:, None] * k + np.arange(k)).ravel()] = 1.0
+    assert_close(ve._coarse_matrix(tangent, labels, count), Z.T @ K @ Z)
 
 
 @pytest.mark.parametrize("pair, gauge", [("poisson_source x robin", "none"),

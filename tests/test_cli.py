@@ -93,9 +93,11 @@ def test_solve_emits_reports(tmp_path):
     assert int(calls.split("=")[1]) == int(iterations.split("=")[1]) + 3
     # one full tangent step
     assert "step_sizes=[1.0]" in log
-    for phase in ("tangent_assembly_s", "tangent_solve_s"):
+    for phase in ("tangent_assembly_s", "preconditioner_s", "tangent_solve_s"):
         seconds = next(l for l in log if l.startswith(f"{phase}="))
         assert float(seconds.split("=")[1]) > 0
+    # the two-level preconditioner: 3 shells of 26 boundary patches and the centre
+    assert "coarse_size=79" in log and "unpreconditioned=" in log
     sol =np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=4)
     # center value of the radial oracle 3 - r^2
     center = sol[np.argmin(np.einsum("vj,vj->v", sol[:, 1:4], sol[:, 1:4]))]
