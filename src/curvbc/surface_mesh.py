@@ -115,24 +115,39 @@ class TriangleMesh:
     # -- construction helpers -------------------------------------------
 
     def _compute_face_geometry(self):
-        tri = self.vertices[self.triangles]           # (m, 3, 3)
-        # e[c] is the edge opposite corner c
-        e0 = tri[:, 2] - tri[:, 1]
-        e1 = tri[:, 0] - tri[:, 2]
-        e2 = tri[:, 1] - tri[:, 0]
-        cross = np.cross(e2, -e1)                     # (x1-x0) x (x2-x0)
+        # e[c] is the edge opposite corner c, from one vertex gather per
+        # corner: no (m, 3, 3) gather of the corner positions
+        x = [self.vertices[c] for c in self.triangles.T]
+        edges = np.empty((len(self.triangles), 3, 3))
+        for c in range(3):
+            np.subtract(x[(c + 2) % 3], x[(c + 1) % 3], out=edges[:, c])
+        del x
+        cross = np.cross(edges[:, 2], -edges[:, 1])   # (x1-x0) x (x2-x0)
         norm = np.linalg.norm(cross, axis=1)
         self.face_areas = 0.5 * norm
         with np.errstate(invalid="ignore", divide="ignore"):
             self.face_normals = cross / np.where(norm > 0.0, norm, 1.0)[:, None]
-        return np.stack([e0, e1, e2], axis=1)
+        return edges
 
     def _check_closed_oriented(self):
+        """Raise MeshError unless every edge is on exactly two faces, which
+        traverse it in opposite directions.
+
+        That holds exactly when the sorted directed-edge keys ``head * n +
+        tail`` are strictly increasing (no directed edge twice) and equal to
+        the sorted reversed keys ``tail * n + head`` (each directed edge is
+        also traversed the other way): two value sorts.  Only a mesh that
+        fails counts its edges to name the offending one.
+        """
         n = len(self.vertices)
-        tri = self.triangles
-        heads = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]])
-        tails = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
-        directed = heads.astype(np.int64) * n + tails
+        heads = self.triangles.T.ravel()
+        tails = self.triangles[:, [1, 2, 0]].T.ravel()
+        directed = heads * n + tails
+        directed.sort()
+        reversed_keys = tails * n + heads
+        reversed_keys.sort()
+        if (directed[1:] > directed[:-1]).all() and np.array_equal(directed, reversed_keys):
+            return
         uniq, counts = np.unique(directed, return_counts=True)
         if np.any(counts > 1):
             bad = uniq[np.argmax(counts > 1)]
@@ -140,15 +155,13 @@ class TriangleMesh:
                 f"inconsistent orientation: directed edge ({bad // n}, {bad % n}) "
                 "appears more than once"
             )
-        lo = np.minimum(heads, tails).astype(np.int64)
-        hi = np.maximum(heads, tails).astype(np.int64)
-        uniq, counts = np.unique(lo * n + hi, return_counts=True)
-        if np.any(counts != 2):
-            bad = uniq[np.argmax(counts != 2)]
-            raise MeshError(
-                f"not a closed 2-manifold: edge ({bad // n}, {bad % n}) is on "
-                f"{counts[np.argmax(counts != 2)]} face(s), expected 2"
-            )
+        uniq, counts = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
+                                 return_counts=True)
+        bad = np.argmax(counts != 2)
+        raise MeshError(
+            f"not a closed 2-manifold: edge ({uniq[bad] // n}, {uniq[bad] % n}) is on "
+            f"{counts[bad]} face(s), expected 2"
+        )
 
     def _compute_corner_areas(self, e):
         lsq = np.einsum("fcj,fcj->fc", e, e)          # squared edge lengths
@@ -180,17 +193,28 @@ class TriangleMesh:
         # on a sphere, second order on smooth meshes; (x_{c+1} - x_c) x
         # (x_{c+2} - x_c) is the face cross product 2A n at every corner c
         cross = self.face_normals * (2.0 * self.face_areas)[:, None]
-        denom = (lsq[:, [1, 2, 0]] * lsq[:, [2, 0, 1]]).T    # (corner, face)
-        contrib = cross[None] / np.where(denom > 0, denom, 1.0)[:, :, None]
+        contrib = np.empty((3,) + cross.shape)        # (corner, face, 3)
+        for c in range(3):
+            denom = lsq[:, (c + 1) % 3] * lsq[:, (c + 2) % 3]
+            np.divide(cross, np.where(denom > 0, denom, 1.0)[:, None], out=contrib[c])
+        del cross
         vn = _scatter(self.triangles.T, len(self.vertices), contrib)
         norm = np.linalg.norm(vn, axis=1)
         self.vertex_normals = vn / np.where(norm > 0, norm, 1.0)[:, None]
 
     def _compute_hat_gradients(self, edges):
         # gradient of the hat function of corner c, constant on the face:
-        # (n x e_c) / (2A) with e_c the opposite edge
-        cross = np.cross(self.face_normals[:, None, :], edges)
-        self.hat_gradients = cross / (2.0 * self.face_areas)[:, None, None]
+        # (n x e_c) / (2A) with e_c the opposite edge; the cross product is
+        # written out per component (as np.cross forms it), so that no
+        # (m, 3, 3) temporary or input copy is made
+        normal = self.face_normals
+        grads = np.empty_like(edges)
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            np.multiply(normal[:, j, None], edges[:, :, k], out=grads[:, :, i])
+            grads[:, :, i] -= normal[:, k, None] * edges[:, :, j]
+        grads /= (2.0 * self.face_areas)[:, None, None]
+        self.hat_gradients = grads
 
     # -- basic queries ----------------------------------------------------
 

@@ -84,11 +84,13 @@ class TetMesh:
     ----------
     vertices : (n, 3) float array
     tets : (m, 4) int array
-        Corner indices; orientation is canonicalized to positive volume.
+        Corner indices in ``[0, n)``; orientation is canonicalized to
+        positive volume.
     boundary : TriangleMesh
         Closed outward-oriented boundary surface.
     boundary_vertex_ids : (nb,) int array
-        Volume vertex index of each boundary-mesh vertex.
+        Volume vertex index, in ``[0, n)``, of each boundary-mesh vertex.
+        An index out of range raises ValueError naming it.
 
     Attributes
     ----------
@@ -103,17 +105,27 @@ class TetMesh:
         tets = np.asarray(tets, dtype=np.int64)
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be (m, 4)")
+        self.boundary_vertex_ids = np.asarray(boundary_vertex_ids, dtype=np.int64)
+        n = len(self.vertices)
+        for name, index in (("tets", tets), ("boundary_vertex_ids", self.boundary_vertex_ids)):
+            if index.size and (index.min() < 0 or index.max() >= n):
+                at = tuple(int(i) for i in np.argwhere((index < 0) | (index >= n))[0])
+                raise ValueError(f"{name}{list(at)} = {index[at]} is out of range "
+                                 f"for {n} vertices")
         # edges e_c = x_c - x_0: adjugate rows (e2 x e3, e3 x e1, e1 x e2) over
         # 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3; a tet with
         # 6V < 0 is flipped by swapping corners 2 and 3 and their rows (same 6V)
-        e1, e2, e3 = (self.vertices[tets[:, 1:]] - self.vertices[tets[:, :1]]).transpose(1, 0, 2)
+        x0 = self.vertices[tets[:, 0]]
+        e1, e2, e3 = (self.vertices[tets[:, c]] - x0 for c in (1, 2, 3))
+        del x0
         adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
         six_v = np.einsum("mj,mj->m", e1, adj[:, 0])
         del e1, e2, e3
-        flip = six_v < 0
+        flip = np.flatnonzero(six_v < 0)
         tets = tets.copy()
-        tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
+        tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2]
         adj[flip, 1:] = adj[flip, :0:-1]
+        del flip
         self.tets = tets
         self.tet_volumes = np.abs(six_v) / 6.0
         if np.any(self.tet_volumes <= 0):
@@ -124,16 +136,14 @@ class TetMesh:
         self.tet_gradients = grads
         del adj   # (m, 3, 3); keeps it out of the boundary check's peak
         self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
-        self.dual_volumes = _scatter(tets, len(self.vertices), self.corner_weights)
+        self.dual_volumes = _scatter(tets, n, self.corner_weights)
         self.boundary = boundary
-        self.boundary_vertex_ids = np.asarray(boundary_vertex_ids, dtype=np.int64)
         if len(self.boundary_vertex_ids) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")
         if len(np.unique(self.boundary_vertex_ids)) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must be distinct")
-        _check_boundary_faces(tets, self.n_vertices, boundary.triangles,
-                              self.boundary_vertex_ids)
-        mask = np.ones(len(self.vertices), dtype=bool)
+        _check_boundary_faces(tets, n, boundary.triangles, self.boundary_vertex_ids)
+        mask = np.ones(n, dtype=bool)
         mask[self.boundary_vertex_ids] = False
         self.interior_mask = mask
 
@@ -160,19 +170,62 @@ def _check_boundary_faces(tets, n, triangles, ids):
     With every boundary triangle added reversed, each face must occur exactly
     twice with opposite windings: an interior face between its two
     positively oriented tets, a boundary face between its tet and the
-    outward boundary triangle.  Rows are slot-major tet faces, then triangles.
+    outward boundary triangle.  A row's key holds its three vertices in
+    sorted order, and its parity says whether the row is an odd permutation
+    of them.  A face occurs exactly twice with opposite windings when its
+    key occurs once among the even rows and once among the odd ones, so the
+    mesh passes when the sorted keys of the two parities are equal and
+    strictly increasing: two value sorts, with no row sort and no index
+    sort.  Only a mesh that fails groups its rows by key
+    (:func:`_name_bad_face`) to name the offending face.  Rows are
+    slot-major tet faces, then triangles.
     """
     if n >= 2**21:
         raise ValueError("the boundary check supports fewer than 2**21 vertices")
-    keys, odd = [], []
-    for table, cols in [(tets, f) for f in _TET_FACES] + [(ids[triangles], [2, 1, 0])]:
-        p = table[:, cols]
-        s = np.sort(p, axis=1)
-        keys.append((s[:, 0] * n + s[:, 1]) * n + s[:, 2])
+    m = len(tets)
+    key = np.empty(4 * m + len(triangles), dtype=np.int64)
+    odd = np.empty(len(key), dtype=bool)
+    # corner-major copies, so that every corner column below is contiguous
+    tet_corners, triangle_corners = np.ascontiguousarray(tets.T), ids[triangles.T]
+    at = 0
+    for corners, (i, j, k) in ([(tet_corners, f) for f in _TET_FACES]
+                               + [(triangle_corners, (2, 1, 0))]):
+        a, b, c = corners[i], corners[j], corners[k]
+        rows = slice(at, at + len(a))
+        at += len(a)
+        # a three-comparator sorting network: the middle vertex goes to the
+        # key rows, which then take the key (lo n + mid) n + hi
+        out = key[rows]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        mid = np.minimum(hi, c)
+        np.maximum(hi, c, out=hi)
+        np.maximum(lo, mid, out=out)
+        np.minimum(lo, mid, out=lo)
+        lo *= n
+        lo += out
+        lo *= n
+        np.add(lo, hi, out=out)
+        del lo, hi, mid   # before the next block makes its own
         # the row is an odd permutation of its sorted vertices
-        odd.append((p[:, 0] > p[:, 1]) ^ (p[:, 1] > p[:, 2]) ^ (p[:, 0] > p[:, 2]))
-    key, odd = np.concatenate(keys), np.concatenate(odd)
-    del keys
+        parity = odd[rows]
+        np.greater(a, b, out=parity)
+        parity ^= b > c
+        parity ^= a > c
+    del tet_corners, triangle_corners
+    even_keys, odd_keys = key[~odd], key[odd]
+    even_keys.sort()
+    odd_keys.sort()
+    if np.array_equal(even_keys, odd_keys) and (even_keys[1:] > even_keys[:-1]).all():
+        return
+    del even_keys, odd_keys
+    _name_bad_face(tets, key, odd)
+
+
+def _name_bad_face(tets, key, odd):
+    """Raise the ValueError of :func:`_check_boundary_faces` that names the
+    offending face of the rows' ``key`` and ``odd`` parities: the rows are
+    grouped by key, and the smallest key not held by exactly two rows of
+    opposite parity is named, by a boundary triangle if it has one."""
     order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -180,14 +233,13 @@ def _check_boundary_faces(tets, n, triangles, ids):
     sizes = np.diff(np.r_[starts, len(order)])
     pair = order[np.minimum(starts + 1, len(order) - 1)]
     bad = (sizes != 2) | (odd[order[starts]] == odd[pair])
-    if bad.any():
-        g, m = int(np.argmax(bad)), len(tets)
-        row = int(order[starts[g]:starts[g] + sizes[g]].max())   # a triangle if any
-        what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
-                else f"face {tets[row % m, _TET_FACES[row // m]].tolist()} of tet {row % m}")
-        why = {1: "is used once" if row < 4 * m else "is not a tet face",
-               2: "is wound inward"}.get(int(sizes[g]), f"is shared {sizes[g]} times")
-        raise ValueError(f"boundary mismatch: {what} {why}")
+    g, m = int(np.argmax(bad)), len(tets)
+    row = int(order[starts[g]:starts[g] + sizes[g]].max())   # a triangle if any
+    what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
+            else f"face {tets[row % m, _TET_FACES[row // m]].tolist()} of tet {row % m}")
+    why = {1: "is used once" if row < 4 * m else "is not a tet face",
+           2: "is wound inward"}.get(int(sizes[g]), f"is shared {sizes[g]} times")
+    raise ValueError(f"boundary mismatch: {what} {why}")
 
 
 def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
@@ -909,11 +961,13 @@ class _Tangent:
     """Vertex CSR of (k, k) blocks: ``starts`` (n,) and ``cols`` (nnz,) from
     :func:`_tangent_pattern`, columns sorted within each row, and ``data``
     (k, k, nnz).  Entry ``p`` of row ``r`` couples vertex ``r``'s component
-    ``a`` to vertex ``cols[p]``'s component ``i`` by ``data[a, i, p]``."""
+    ``a`` to vertex ``cols[p]``'s component ``i`` by ``data[a, i, p]``;
+    ``diagonal[r]`` (n,) is the position of row ``r``'s entry ``(r, r)``."""
 
     starts: np.ndarray
     cols: np.ndarray
     data: np.ndarray
+    diagonal: np.ndarray
 
     def __call__(self, x):
         k = len(self.data)
@@ -982,7 +1036,7 @@ def _assemble_tangent(mesh, bulk, surface):
     data[:, :, upper] = edge_blocks
     data[:, :, lower] = edge_blocks.transpose(1, 0, 2)
     data[:, :, diagonal] = diagonal_blocks
-    return _Tangent(starts[:-1], cols, data)
+    return _Tangent(starts[:-1], cols, data, diagonal)
 
 
 def _aggregates(mesh, starts, cols):
@@ -1060,10 +1114,8 @@ def _two_level(mesh, tangent, basis):
     ``precondition`` is None, the size 0 and ``reason`` says why; otherwise
     ``reason`` is "".
     """
-    k, n = len(tangent.data), len(tangent.starts)
-    at = np.flatnonzero(tangent.cols == np.repeat(np.arange(n), np.diff(
-        np.r_[tangent.starts, len(tangent.cols)])))
-    diagonal = tangent.data[:, :, at][range(k), range(k)].T.ravel()
+    k = len(tangent.data)
+    diagonal = tangent.data[range(k), range(k)][:, tangent.diagonal].T.ravel()
     if not (diagonal > 0).all():
         return None, 0, "the tangent's diagonal is not positive"
     labels, count = _aggregates(mesh, tangent.starts, tangent.cols)

@@ -561,9 +561,9 @@ def reference_pattern(tets, n):
     return keys
 
 
-def permuted_ball(seed):
-    """The perturbed (2, 3) ball with its tets, their corners and the vertex
-    labels randomly permuted."""
+def permuted_ball_inputs(seed):
+    """The ``TetMesh`` arguments of :func:`permuted_ball`; about half of its
+    tets come negatively oriented."""
     mesh = perturbed_ball(seed, 0.04)
     rng = np.random.default_rng(seed)
     old = rng.permutation(mesh.n_vertices)        # new vertex j is old vertex old[j]
@@ -571,7 +571,13 @@ def permuted_ball(seed):
     tets = label[mesh.tets[rng.permutation(mesh.n_tets)]]
     tets = np.take_along_axis(tets, rng.permuted(np.tile(np.arange(4), (len(tets), 1)), axis=1),
                               axis=1)
-    return TetMesh(mesh.vertices[old], tets, mesh.boundary, label[mesh.boundary_vertex_ids])
+    return mesh.vertices[old], tets, mesh.boundary, label[mesh.boundary_vertex_ids]
+
+
+def permuted_ball(seed):
+    """The perturbed (2, 3) ball with its tets, their corners and the vertex
+    labels randomly permuted."""
+    return TetMesh(*permuted_ball_inputs(seed))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

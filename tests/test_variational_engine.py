@@ -154,6 +154,22 @@ def test_tet_mesh_rejects_zero_volume():
         TetMesh(mesh.vertices, tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
+@pytest.mark.parametrize("field, index, value", [("tets", (5, 2), -1), ("tets", (7, 0), None),
+                                                 ("boundary_vertex_ids", (3,), -2),
+                                                 ("boundary_vertex_ids", (0,), None)])
+def test_tet_mesh_rejects_indices_out_of_range(field, index, value):
+    """A negative index, or one past the last vertex (None), is named."""
+    mesh = small_ball(1, 2)
+    n = mesh.n_vertices
+    value = n if value is None else value
+    arrays = {"tets": mesh.tets.copy(), "boundary_vertex_ids": mesh.boundary_vertex_ids.copy()}
+    arrays[field][index] = value
+    at = ", ".join(map(str, index))
+    with pytest.raises(ValueError, match=rf"^{field}\[{at}\] = {value} is out of range "
+                                         rf"for {n} vertices$"):
+        TetMesh(mesh.vertices, arrays["tets"], mesh.boundary, arrays["boundary_vertex_ids"])
+
+
 def boundary_variants():
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     b, ids = mesh.boundary, mesh.boundary_vertex_ids
