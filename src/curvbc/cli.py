@@ -40,32 +40,43 @@ class ConfigError(ValueError):
     """Schema violation in config file or flags (exit code 2)."""
 
 
+def _numbers(kind, parts, what):
+    """``kind`` of each of ``parts``; one it cannot read is a ConfigError."""
+    try:
+        return [kind(p) for p in parts]
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot read {what} as numbers") from None
+
+
 def _parse_levels(text):
     if isinstance(text, list):
-        return [int(v) for v in text]
-    lo, _, hi = str(text).partition("..")
-    if not _:
-        return [int(lo)]
-    return list(range(int(lo), int(hi) + 1))
+        levels = _numbers(int, text, f"levels {text!r}")
+    else:
+        lo, dots, hi = str(text).partition("..")
+        lo, hi = _numbers(int, (lo, hi if dots else lo), f"levels {text!r}")
+        levels = list(range(lo, hi + 1))
+    if not levels:
+        raise ConfigError(f"levels {text!r} hold no level")
+    return levels
 
 
 def _parse_radii(text):
     if isinstance(text, list):
-        vals = np.asarray(text, dtype=float)
+        vals = np.asarray(_numbers(float, text, f"radii {text!r}"))
     else:
         parts = str(text).split(":")
         if len(parts) != 3:
             raise ConfigError("radii must be start:stop:count or a list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        vals = np.linspace(start, stop, count)
-    if np.any(vals <= 0):
-        raise ConfigError("radii must be positive")
+        start, stop = _numbers(float, parts[:2], f"radii {text!r}")
+        vals = np.linspace(start, stop, *_numbers(int, parts[2:], f"radii {text!r}"))
+    if len(vals) == 0 or np.any(vals <= 0):
+        raise ConfigError("radii must be positive, at least one")
     return vals
 
 
 def _parse_bulk(text, n_components=None):
     name, _, params = str(text).partition(":")
-    vals = [float(p) for p in params.split(",")] if params else []
+    vals = _numbers(float, params.split(","), repr(text)) if params else []
     k = n_components or 1
     if name == "harmonic":
         return builtin_bulk("harmonic", n_components=k)
@@ -83,7 +94,7 @@ def _parse_bulk(text, n_components=None):
 
 def _parse_surface(text, n_components):
     name, _, params = str(text).partition(":")
-    vals = [float(p) for p in params.split(",")] if params else []
+    vals = _numbers(float, params.split(","), repr(text)) if params else []
     if name == "zero":
         return zero_surface(n_components)
     if name == "robin":

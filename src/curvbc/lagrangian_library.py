@@ -21,8 +21,6 @@ import numpy as np
 class ZeroPotential:
     """Potential that is identically zero."""
 
-    is_quadratic = True
-
     def value(self, phi):
         return np.zeros(phi.shape[0])
 
@@ -39,8 +37,6 @@ class QuadraticPotential:
 
     ``quadratic_potential(beta, k)`` builds the isotropic case Q = beta * I.
     """
-
-    is_quadratic = True
 
     def __init__(self, matrix, linear=None):
         q = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -65,7 +61,8 @@ def quadratic_potential(beta, n_components=1):
 
 @dataclass
 class BulkLagrangian:
-    """Volume energy density L(phi, rate, grad) with exact partials."""
+    """Volume energy density L(phi, rate, grad) with exact partials, of any
+    form: the solver's probe of the partials tells whether it is quadratic."""
 
     name: str
     n_components: int
@@ -74,7 +71,6 @@ class BulkLagrangian:
     d_rate: Callable
     d_grad: Callable
     rate_dependent: bool = False
-    quadratic: bool = True
 
 
 @dataclass
@@ -86,6 +82,7 @@ class SurfaceLagrangian:
     argument is the tangential surface gradient of the field.  Rate
     partials are optional (None means the density ignores the rate); they
     only matter for the time-derivative terms of the boundary condition.
+    As for :class:`BulkLagrangian`, the densities may take any form.
     """
 
     name: str
@@ -97,7 +94,6 @@ class SurfaceLagrangian:
     gamma_hat_d_phi: Callable
     gamma_hat_d_grad: Callable
     rate_dependent: bool = False
-    quadratic: bool = True
     meta: dict = field(default_factory=dict)
     gamma0_d_rate: Optional[Callable] = None
     gamma_hat_d_rate: Optional[Callable] = None
@@ -257,7 +253,6 @@ def make_restricted_surface(
 
     g0_dens, g0_dphi, g0_dgrad = channel(gbar, ct, g0, cc)
     gh_dens, gh_dphi, gh_dgrad = channel(ghat, kh, g1, kk)
-    quad = all(getattr(p, "is_quadratic", False) for p in (gbar, g0, ghat, g1))
     return SurfaceLagrangian(
         name,
         k,
@@ -267,7 +262,6 @@ def make_restricted_surface(
         gh_dens,
         gh_dphi,
         gh_dgrad,
-        quadratic=quad,
         meta={
             "chi_tilde": ct,
             "chi": cc,

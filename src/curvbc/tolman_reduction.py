@@ -149,7 +149,6 @@ class _ScaledPotential:
     def __init__(self, base, factor):
         self.base = base
         self.factor = np.asarray(factor, dtype=float)
-        self.is_quadratic = getattr(base, "is_quadratic", False)
 
     def value(self, phi):
         return self.factor * self.base.value(phi)
@@ -451,8 +450,6 @@ class _CubicPotential:
     ``linear (..., k)``, ``matrix (..., k, k)`` and ``cubic (...)`` may carry
     one potential per point; they broadcast against the rows of ``phi``.
     """
-
-    is_quadratic = False
 
     def __init__(self, linear, matrix, cubic):
         matrix = np.asarray(matrix, dtype=float)

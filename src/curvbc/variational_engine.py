@@ -20,15 +20,15 @@ temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
 The solve looks for a zero of the gradient, not for a minimum: it is one
 step loop on the exact gradient, every step is solved by one CG routine
-(:func:`_cg`), and every step is accepted by one rule, a backtracking
-decrease of the gradient norm.  A quadratic pair's CG runs on its tangent,
-assembled once per solve (:func:`_assemble_tangent`): each partial is
-probed once for its constant Jacobian, contracted with the hat gradients
-and corner weights into element matrices, and added per unique tet edge
-into the (k, k) blocks of a vertex CSR whose positions come by index
-arithmetic from the edge sort; the CG is preconditioned by Jacobi plus a
-Galerkin coarse correction on vertex aggregates (:func:`_two_level`).
-Any other pair's CG runs on finite-difference curvature applies.
+(:func:`_cg`) on an assembled tangent (:func:`_assemble_tangent`), and
+every step is accepted by one rule, a backtracking decrease of the gradient
+norm.  A probe of each partial picks the tangent: a pair whose partials are
+affine contracts their constant Jacobians with the hat gradients and corner
+weights, once per solve; any other pair takes central differences at each
+step.  Either way the element matrices are added per unique tet edge into
+the (k, k) blocks of a vertex CSR indexed by the edge sort, and the CG is
+preconditioned by Jacobi plus a Galerkin coarse correction on vertex
+aggregates (:func:`_two_level`).
 
 Row interpretation used by the residual reports: dividing interior gradient
 rows by dual volumes recovers the Euler-Lagrange operator pointwise, and
@@ -64,7 +64,7 @@ _TANGENT_TOLERANCE = 1e-10
 # simplices per assembly block: keeps a block's temporaries cache-sized
 _BLOCK = 8192
 # relative deviation between a partial's Jacobians at zero and at a random
-# point above which a quadratic pair's partial counts as not affine
+# point above which the partial counts as not affine
 _AFFINE_TOLERANCE = 1e-8
 # cells per bounding-box axis of the voxel grid that cuts the boundary into
 # the patches of the tangent preconditioner's coarse aggregates
@@ -833,7 +833,7 @@ def _tangent_pattern(simplices, n):
     return edges, starts, cols, upper, lower, diagonal, edge_ids
 
 
-def _probe_jacobian(partial, k, name):
+def _probe_jacobian(partial, k):
     """Jacobian of an affine partial in ``(phi, grad)``, from ``4 k + 1`` probes.
 
     The probes are zero and one unit value per ``phi`` and per ``grad`` input,
@@ -842,7 +842,7 @@ def _probe_jacobian(partial, k, name):
     ``phi`` inputs, then the ``grad`` inputs (component-major).  The same
     probes around a seeded random point of ``(phi, rate, grad)`` must give
     the same Jacobian to ``_AFFINE_TOLERANCE`` of the probed values;
-    otherwise the partial is not affine and ValueError names it.
+    otherwise the partial is not affine and None is returned.
     """
     q = 4 * k
     unit = np.vstack([np.zeros(q), np.eye(q)])
@@ -853,17 +853,19 @@ def _probe_jacobian(partial, k, name):
     rate[q + 1:] = [point.gauss(0.0, 1.0) for _ in range(k)]
     out = partial(x[:, :k], rate, x[:, k:].reshape(-1, k, 3)).reshape(2, q + 1, -1)
     jac = (out[:, 1:] - out[:, :1]).transpose(0, 2, 1)
-    err = np.abs(jac[1] - jac[0]).max()
-    if err > _AFFINE_TOLERANCE * np.abs(out).max():
-        raise ValueError(
-            f"{name} is not affine in (phi, rate, grad): its Jacobian at a random "
-            f"point differs from that at zero by {err:.3g}; a pair marked "
-            "quadratic must have affine partials")
-    return jac[0]
+    affine = np.abs(jac[1] - jac[0]).max() <= _AFFINE_TOLERANCE * np.abs(out).max()
+    return jac[0] if affine else None
 
 
-def _element_jacobians(channels, k, names):
-    """Per distinct weights, the summed Jacobian blocks of the ``channels``.
+def _probe_partials(bulk, surface):
+    """:func:`_probe_jacobian` of the pair's value and gradient partials, by id."""
+    return {id(p): _probe_jacobian(p, bulk.n_components) for p in (
+        bulk.d_phi, bulk.d_grad, surface.gamma0_d_phi, surface.gamma0_d_grad,
+        surface.gamma_hat_d_phi, surface.gamma_hat_d_grad)}
+
+
+def _element_jacobians(channels, k, jacobians):
+    """Per distinct weights, the summed ``jacobians`` blocks of the ``channels``.
 
     Returns ``[(weights, pp, pg, gp, gg)]``, each block None when it is
     zero: ``pp`` [c, i] and ``pg`` [y, (c, i)] from the ``d_phi`` partials,
@@ -872,14 +874,12 @@ def _element_jacobians(channels, k, names):
     indices ``x`` (of the output) and ``y`` (of the input).  The spatial
     index comes first, so that ``G (., 3) @ block`` contracts it.
     """
-    jacobians, groups = {}, {}
+    groups = {}
     for weights, *partials in channels:
         group = groups.setdefault(id(weights), [weights, np.zeros((k, 4 * k)),
                                                 np.zeros((3 * k, 4 * k))])
         for slot, p in enumerate(partials, 1):
             if p is not None:
-                if id(p) not in jacobians:
-                    jacobians[id(p)] = _probe_jacobian(p, k, names[id(p)])
                 group[slot] += jacobians[id(p)]
     out = []
     for weights, jp, jg in groups.values():
@@ -893,43 +893,63 @@ def _element_jacobians(channels, k, names):
     return out
 
 
-def _element_tangents(hat, groups, k):
-    """Element matrices of a quadratic pair from its constant Jacobians.
+def _element_tangents(hat, block, groups, k):
+    """Element matrices of the simplices ``block`` from constant Jacobians.
 
     ``groups`` come from :func:`_element_jacobians`.  With corner weights
     ``w``, their sum ``W`` and hat gradients ``G``, the matrix of corner rows
     ``a`` and columns ``b`` is ``w_a delta_ab pp + w_a pg G_b + w_b G_a gp
     + W G_a gg G_b`` (``G`` contracted with the spatial index of the
-    blocks); an absent block is skipped.  Runs over blocks of ``_BLOCK //
-    k^2`` simplices, so a block's matrices hold ``c^2 _BLOCK`` numbers
-    whatever ``k``, and yields ``(block slice, (b, c, c, k, k) matrices)``,
-    indexed ``[simplex, a, b, output component, input component]``.
+    blocks); an absent block is skipped.  Returns the (b, c, c, k, k)
+    matrices, indexed ``[simplex, a, b, output component, input component]``.
     """
-    m, c = hat.shape[:2]
-    if not groups:
-        return
+    G = hat[block]
+    nb, c = G.shape[:2]
     corners = np.arange(c)
-    step = max(1, _BLOCK // (k * k))
-    for start in range(0, m, step):
-        b = slice(start, start + step)
-        G = hat[b]
-        nb = len(G)
-        flat = G.reshape(-1, 3)
-        out = np.zeros((nb, c, c, k, k))
-        for weights, pp, pg, gp, gg in groups:
-            w = weights[b]
-            if pp is not None:
-                out[:, corners, corners] += w[:, :, None, None] * pp
-            if pg is not None:
-                out += w[:, :, None, None, None] * (flat @ pg).reshape(nb, 1, c, k, k)
-            if gp is not None:
-                out += (flat @ gp).reshape(nb, c, 1, k, k) * w[:, None, :, None, None]
-            if gg is not None:
-                # W G_a gg G_b: [simplex, (a, c, i), y] @ [simplex, y, b]
-                out += ((flat @ gg).reshape(nb, c * k * k, 3)
-                        @ (G * w.sum(axis=1)[:, None, None]).transpose(0, 2, 1)
-                        ).reshape(nb, c, k, k, c).transpose(0, 1, 4, 2, 3)
-        yield b, out
+    flat = G.reshape(-1, 3)
+    out = np.zeros((nb, c, c, k, k))
+    for weights, pp, pg, gp, gg in groups:
+        w = weights[block]
+        if pp is not None:
+            out[:, corners, corners] += w[:, :, None, None] * pp
+        if pg is not None:
+            out += w[:, :, None, None, None] * (flat @ pg).reshape(nb, 1, c, k, k)
+        if gp is not None:
+            out += (flat @ gp).reshape(nb, c, 1, k, k) * w[:, None, :, None, None]
+        if gg is not None:
+            # W G_a gg G_b: [simplex, (a, c, i), y] @ [simplex, y, b]
+            out += ((flat @ gg).reshape(nb, c * k * k, 3)
+                    @ (G * w.sum(axis=1)[:, None, None]).transpose(0, 2, 1)
+                    ).reshape(nb, c, k, k, c).transpose(0, 1, 4, 2, 3)
+    return out
+
+
+def _difference_tangents(simplices, hat, block, channels, state, k):
+    """Element matrices of the simplices ``block`` of any pair at a
+    ``state``, as :func:`_element_tangents` returns them.  Column ``(b, i)``
+    is the central difference of the corner rows, summed over the
+    ``channels``, as corner ``b``'s component ``i`` moves by ``h = cbrt(eps)
+    (1 + max |values|)``; the rates stay.  Each move starts from a fresh copy
+    of the corner values, whose bits a move and its reverse would not restore."""
+    c = simplices.shape[1]
+    values, rates = state.values, state._rates_at()
+    h = np.cbrt(np.finfo(float).eps) * (1.0 + float(np.abs(values).max()))
+    corners = values[simplices[block]]
+    # each simplex indexes its own rows of the moved corner values
+    own = np.arange(corners.size // k).reshape(-1, c)
+    corner_rates = None if rates is None else rates[simplices[block]].reshape(-1, k)
+
+    def rows(b, i, move):
+        moved = corners.copy()
+        moved[:, b, i] += move
+        at = _pointwise(own, hat[block], moved.reshape(-1, k), corner_rates)
+        ev = {id(p): p(*at) for _, *ps in channels for p in ps if p is not None}
+        return sum(_corner(hat[block], w[block], ev.get(id(d_phi)), ev.get(id(d_grad)))
+                   for w, d_phi, d_grad in channels)
+    out = np.empty((len(own), c, c, k, k))
+    for b, i in np.ndindex(c, k):
+        out[:, :, b, :, i] = (rows(b, i, h) - rows(b, i, -h)) / (2.0 * h)
+    return out
 
 
 def _accumulate(out, index, blocks):
@@ -985,22 +1005,23 @@ class _Tangent:
         return out.ravel()
 
 
-def _assemble_tangent(mesh, bulk, surface):
-    """Hessian of the action of a quadratic pair as a block CSR matrix-vector product.
+def _assemble_tangent(mesh, bulk, surface, state=None, jacobians=None):
+    """Hessian of the action as a block CSR matrix-vector product.
 
-    A quadratic pair's partials must be affine in ``(phi, rate, grad)``: each
-    is probed once (:func:`_probe_jacobian`), and a partial that is not
-    affine raises ValueError.  The constant Jacobians, contracted with the
-    hat gradients and corner weights, give the element matrices of the tets
-    and of the boundary triangles (their ``w`` and ``-2 H w`` channels).
+    The element matrices of the tets and of the boundary triangles (their
+    ``w`` and ``-2 H w`` channels) come at a ``state`` from
+    :func:`_difference_tangents`, for any pair; without one, from
+    :func:`_element_tangents` on the constant ``jacobians`` of an affine
+    pair's partials (:func:`_probe_partials`, probed here when not given),
+    and the tangent applied to ``x`` is then ``g(x) - g(0)`` of the action
+    gradient ``g`` up to roundoff.
     Each element's off-diagonal (k, k) blocks are added per unique tet edge
     (its upper block, the one of the smaller vertex's row) and its diagonal
     blocks per vertex, by bincount.  They fill the blocks of the vertex CSR
     of :func:`_tangent_pattern` at positions that come by index arithmetic
     from the edge sort: an edge's upper block ``B`` and lower block ``B^T``,
     and the symmetric part of each diagonal block.  So the tangent is exactly
-    symmetric.  Called with a flat vector of vertex values it gives ``g(x) -
-    g(0)`` of the action gradient ``g`` up to roundoff.
+    symmetric.
     """
     k = bulk.n_components
     kk = k * k
@@ -1013,16 +1034,20 @@ def _assemble_tangent(mesh, bulk, surface):
     del edges
     diagonal_blocks = np.zeros(n * kk)
     w, wc = _surface_weights(B)
-    names = {id(getattr(pair, a)): f"{pair.name}.{a}" for pair, attrs in (
-        (bulk, ("d_phi", "d_grad")),
-        (surface, ("gamma0_d_phi", "gamma0_d_grad", "gamma_hat_d_phi", "gamma_hat_d_grad")))
-        for a in attrs}
+    if state is None and jacobians is None:
+        jacobians = _probe_partials(bulk, surface)
     parts = [(mesh.tets, mesh.tet_gradients,
               [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)]),
              (triangles, B.hat_gradients, list(_surface_channels(surface, w, wc).values()))]
+    # blocks of _BLOCK // k^2 simplices: c^2 _BLOCK numbers of matrices whatever k
+    step = max(1, _BLOCK // kk)
     for (vertex_ids, hat, channels), ids in zip(parts, edge_ids):
-        groups = _element_jacobians(channels, k, names)
-        for b, element in _element_tangents(hat, groups, k):
+        groups = None if state is not None else _element_jacobians(channels, k, jacobians)
+        for start in range(0, len(vertex_ids), step):
+            b = slice(start, start + step)
+            # the triangles hold volume vertex ids, so both parts read the whole state
+            element = (_difference_tangents(vertex_ids, hat, b, channels, state, k)
+                       if groups is None else _element_tangents(hat, b, groups, k))
             _add_element_blocks(edge_blocks, diagonal_blocks, vertex_ids[b], ids[:, b].T, element)
     # [a, i, entry]: row component a, column component i
     edge_blocks = edge_blocks.reshape(-1, k, k).transpose(1, 2, 0)
@@ -1150,18 +1175,17 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     One step loop serves every pair.  Each step has the exact action
     gradient, records the max norm of its gauge projection and stops once
     that is at most ``options.tolerance``, or after ``_MAX_STEPS`` steps.
-    Otherwise CG on the gauge-projected curvature gives a direction ``d``.
-    A pair is quadratic when both its bulk and surface say so: its CG runs
-    on the tangent, assembled once per solve by :func:`_assemble_tangent`,
-    to a relative 2-norm of ``_TANGENT_TOLERANCE``, preconditioned by
+    Otherwise CG on the gauge-projected tangent, to a relative 2-norm of
+    ``_TANGENT_TOLERANCE``, gives a direction ``d``, preconditioned by
     :func:`_two_level` (Jacobi plus a coarse correction on vertex
     aggregates) unless the tangent's diagonal is not positive or its coarse
-    matrix not positive definite.  Every partial of a quadratic pair must
-    be affine in ``(phi, rate, grad)``: the assembly probes each partial
-    once for its constant Jacobian and raises ValueError, naming the
-    partial, when a second probe at a random point disagrees.  Any other
-    pair's CG is truncated and runs on finite-difference curvature applies
-    (Newton).
+    matrix not positive definite.  The probe's verdict picks the tangent:
+    when the pair's six value and gradient partials all probe as affine
+    (:func:`_probe_jacobian`), the pair is quadratic and its tangent is
+    assembled once, from their constant Jacobians; otherwise the tangent
+    and its preconditioner are assembled at every step, by central
+    differences at the current state (Newton with an assembled Jacobian;
+    Knoll & Keyes, J. Comput. Phys. 193, 2004).
 
     Every step is accepted by one rule: the first of ``t = 1, 1/2, ...``
     (down to 1e-12) whose projected gradient has a 2-norm at most ``1 -
@@ -1182,15 +1206,14 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
 
     ``log.iterations`` counts the steps, ``log.step_sizes`` holds each
     accepted ``t``, ``log.tangent_iterations`` counts the tangent CG
-    iterations and ``log.gradient_calls`` every action gradient
-    (finite-difference curvature applies and rejected trials included);
-    ``log.tangent_assembly_s``, ``log.preconditioner_s`` and
-    ``log.tangent_solve_s`` time the assembly, the preconditioner's setup
-    and the tangent solves.  ``log.coarse_size`` is the preconditioner's
-    coarse size, 0 when the CG runs unpreconditioned, and
-    ``log.unpreconditioned`` then says why (also logged at INFO).  A
-    separate gradient at the result sets ``log.final_residual`` and
-    ``log.converged``.
+    iterations and ``log.gradient_calls`` every action gradient (rejected
+    trials included); ``log.tangent_assembly_s``, ``log.preconditioner_s``
+    and ``log.tangent_solve_s`` sum the times of every assembly, every
+    preconditioner setup and every tangent solve.  ``log.coarse_size`` is
+    the last assembly's preconditioner's coarse size, 0 when its CG runs
+    unpreconditioned, and ``log.unpreconditioned`` then says why (also
+    logged at INFO).  A separate gradient at the result sets
+    ``log.final_residual`` and ``log.converged``.
 
     Two events are noted in the log and warned on the ``curvbc`` logger: a
     tangent CG stopped by ``_CG_MAX_ITERATIONS`` above its tolerance (at
@@ -1221,7 +1244,8 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         trajectory[trajectory.shape[0] // 2] = values
         return FieldState(values, trajectory, initial.dt)
 
-    quadratic = bulk.quadratic and surface.quadratic
+    jacobians = _probe_partials(bulk, surface)
+    quadratic = all(j is not None for j in jacobians.values())
     log = ConvergenceLog(method="cg" if quadratic else "newton", iterations=0)
 
     def grad_at(values):
@@ -1251,22 +1275,6 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         if singular:
             basis = _gauge_basis(mesh, k, "zero_mean", singular)
 
-    if quadratic:
-        start = perf_counter()
-        tangent = _assemble_tangent(mesh, bulk, surface)
-        log.tangent_assembly_s = perf_counter() - start
-        start = perf_counter()
-        precondition, log.coarse_size, log.unpreconditioned = _two_level(mesh, tangent, basis)
-        if precondition is not None and basis is not None:
-            two_level = precondition
-            precondition = lambda r: project(two_level(r))
-        log.preconditioner_s = perf_counter() - start
-    else:
-        log.unpreconditioned = "the pair is not quadratic"
-    if log.unpreconditioned:
-        _LOG.info("solve_stationary: the tangent CG runs unpreconditioned: %s",
-                  log.unpreconditioned)
-
     line_search_failed = capped = False
     for it in range(_MAX_STEPS):
         b = project(-g)
@@ -1275,33 +1283,34 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         log.iterations = it
         if gn <= options.tolerance:
             break
-        if quadratic:
+        # a quadratic pair's tangent is constant; any other's is taken at phi
+        if it == 0 or not quadratic:
             start = perf_counter()
-            tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
-            converged = lambda r: np.linalg.norm(r) <= tol
-            d, its = _cg(lambda v: project(tangent(v)), b, converged, _CG_MAX_ITERATIONS,
-                         precondition)
-            log.tangent_iterations += its
-            log.tangent_solve_s += perf_counter() - start
-            if (its == _CG_MAX_ITERATIONS and not capped
-                    and not converged(b - project(tangent(d)))):
-                # reported at the first capped step only
-                capped = True
-                report(f"tangent CG stopped at its cap of {its} iterations at step {it}")
-        else:
-            # inexact Newton step: truncated CG on finite-difference Hessian applies
-            flat = phi.ravel()
-            fd_scale = 1.0 + float(np.abs(flat).max())
-
-            def hess_apply(v):
-                vn = np.linalg.norm(v)
-                if vn == 0:
-                    return np.zeros_like(v)
-                eps = 1e-7 * fd_scale / vn
-                return project((grad_at((flat + eps * v).reshape(phi.shape)) - g) / eps)
-
-            tol = max(1e-2 * np.linalg.norm(b), 1e-14)
-            d, _ = _cg(hess_apply, b, lambda r: np.linalg.norm(r) <= tol, 200)
+            tangent = _assemble_tangent(mesh, bulk, surface,
+                                        None if quadratic else state_at(phi), jacobians)
+            log.tangent_assembly_s += perf_counter() - start
+            start = perf_counter()
+            precondition, log.coarse_size, log.unpreconditioned = _two_level(
+                mesh, tangent, basis)
+            if precondition is not None and basis is not None:
+                two_level = precondition
+                precondition = lambda r: project(two_level(r))
+            log.preconditioner_s += perf_counter() - start
+            if log.unpreconditioned:
+                _LOG.info("solve_stationary: the tangent CG runs unpreconditioned: %s",
+                          log.unpreconditioned)
+        start = perf_counter()
+        tol = _TANGENT_TOLERANCE * np.linalg.norm(b)
+        converged = lambda r: np.linalg.norm(r) <= tol
+        d, its = _cg(lambda v: project(tangent(v)), b, converged, _CG_MAX_ITERATIONS,
+                     precondition)
+        log.tangent_iterations += its
+        log.tangent_solve_s += perf_counter() - start
+        if (its == _CG_MAX_ITERATIONS and not capped
+                and not converged(b - project(tangent(d)))):
+            # reported at the first capped step only
+            capped = True
+            report(f"tangent CG stopped at its cap of {its} iterations at step {it}")
         # backtrack on the norm of the projected gradient
         bound = np.linalg.norm(b)
         t, slope = 1.0, None

@@ -12,7 +12,6 @@ only its memory guard runs on the unperturbed (3, 6) ball.
 """
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -48,7 +47,7 @@ from curvbc import variational_engine as ve
 from curvbc.surface_mesh import _scatter
 from curvbc.variational_engine import surface_action_gradient
 
-from test_variational_engine import counted
+from test_variational_engine import counted, force_newton, quartic_bulk
 
 SETTINGS = settings(max_examples=6, deadline=None, derandomize=True,
                     database=None)
@@ -93,7 +92,7 @@ def rate_coupled_bulk(base, c=0.3):
         + c * np.einsum("mk,mk->m", p, p)[:, None] * r,
         d_grad=lambda p, r, g: base.d_grad(p, r, g)
         + c * np.einsum("mk,mk->m", r, r)[:, None, None] * g,
-        rate_dependent=True, quadratic=False)
+        rate_dependent=True)
 
 
 def rate_coupled_surface(base, c0=0.2, c1=0.5):
@@ -122,7 +121,7 @@ def rate_coupled_surface(base, c0=0.2, c1=0.5):
         gamma_hat=add(base.gamma_hat, c1),
         gamma_hat_d_phi=add_d_phi(base.gamma_hat_d_phi, c1),
         gamma_hat_d_grad=add_d_grad(base.gamma_hat_d_grad, c1),
-        rate_dependent=True, quadratic=False,
+        rate_dependent=True,
         gamma0_d_rate=d_rate(c0), gamma_hat_d_rate=d_rate(c1))
 
 
@@ -521,28 +520,63 @@ def test_blocks_change_no_bits(monkeypatch):
 
 # -- assembled tangent -------------------------------------------------------------
 
+# pairs that are not quadratic: their tangent is taken at a state
+NON_AFFINE_PAIRS = {
+    "quartic x robin": (quartic_bulk, lambda: robin_surface(1.0)),
+    "rate_coupled x rate_coupled": (
+        lambda: rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0)),
+        lambda: rate_coupled_surface(curved_robin())),
+}
+AT_STATE = " at a state"
+
+
 @pytest.mark.parametrize("block", [None, 600])
-@pytest.mark.parametrize("pair", sorted(TANGENT_PAIRS))
+@pytest.mark.parametrize("pair", sorted(TANGENT_PAIRS) + [
+    name + AT_STATE for name in sorted(TANGENT_PAIRS) + sorted(NON_AFFINE_PAIRS)])
 def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
-    """The assembled tangent applied to x is g(x) - g(0), for any block size."""
+    """The assembled tangent applied to x is g(x) - g(0), for any block size.
+    At a state x (a trajectory's middle snapshot, with its rates), the
+    difference tangent of a quadratic pair equals its constant tangent, and
+    that of any other pair applied to v is ``(g(x + e v) - g(x - e v)) / 2
+    e``, with the rates held."""
     mesh = perturbed_ball(7, 0.04)
-    bulk, surface = (make() for make in TANGENT_PAIRS[pair])
-    x = np.random.default_rng(7).standard_normal((mesh.n_vertices, bulk.n_components))
-    expected = (action_gradient(mesh, bulk, surface, FieldState(x))
-                - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
+    name = pair.removesuffix(AT_STATE)
+    bulk, surface = (make() for make in {**TANGENT_PAIRS, **NON_AFFINE_PAIRS}[name])
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((mesh.n_vertices, bulk.n_components))
     if block is not None:
         assert mesh.n_tets > block
         monkeypatch.setattr(ve, "_BLOCK", block)
-    tangent = ve._assemble_tangent(mesh, bulk, surface)
-    assert_close(tangent(x.ravel()), expected)
+    if name == pair:
+        expected = (action_gradient(mesh, bulk, surface, FieldState(x))
+                    - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
+        assert_close(ve._assemble_tangent(mesh, bulk, surface)(x.ravel()), expected)
+        return
+    state = random_trajectory(mesh, bulk.n_components, rng)
+    tangent = ve._assemble_tangent(mesh, bulk, surface, state)
+    if name in TANGENT_PAIRS:
+        # measured: at most 6.5e-12
+        assert_close(tangent.data, ve._assemble_tangent(mesh, bulk, surface).data, rtol=1e-10)
+        return
+
+    def gradient(values):
+        trajectory = state.trajectory.copy()
+        trajectory[len(trajectory) // 2] = values
+        return action_gradient(mesh, bulk, surface,
+                               FieldState(values, trajectory, state.dt)).ravel()
+    e = 1e-5
+    # measured: at most 2.6e-11
+    assert_close(tangent(x.ravel()),
+                 (gradient(state.values + e * x) - gradient(state.values - e * x)) / (2 * e),
+                 rtol=1e-9)
 
 
 def test_tangent_pairs_reach_cross_blocks():
     """The drift surface and the advected bulk have non-zero phi-grad blocks."""
     for partial, k in ((drift_surface().gamma0_d_phi, 1), (advected_bulk().d_phi, 2)):
-        assert np.abs(ve._probe_jacobian(partial, k, "d_phi")[:, k:]).max() > 0
+        assert np.abs(ve._probe_jacobian(partial, k)[:, k:]).max() > 0
     for partial, k in ((drift_surface().gamma_hat_d_grad, 1), (advected_bulk().d_grad, 2)):
-        assert np.abs(ve._probe_jacobian(partial, k, "d_grad")[:, :k]).max() > 0
+        assert np.abs(ve._probe_jacobian(partial, k)[:, :k]).max() > 0
 
 
 def reference_pattern(tets, n):
@@ -712,16 +746,16 @@ def test_coarse_matrix_equals_dense_product(pair):
 
 @pytest.mark.parametrize("pair, gauge", [("poisson_source x robin", "none"),
                                          ("linear_elastic x isotropic", "rigid")])
-def test_tangent_steps_and_newton_steps_agree(pair, gauge):
-    """The solve loop's two branches, full steps on the assembled tangent
-    and damped Newton steps (the same pair marked not quadratic), reach the
-    same solution."""
+def test_tangent_steps_and_newton_steps_agree(pair, gauge, monkeypatch):
+    """The two tangents, the constant one and the difference one at every
+    step (every partial made to probe as not affine), reach the same
+    solution."""
     mesh = perturbed_ball(7, 0.04)
     bulk, surface = (make() for make in PAIRS[pair])
     options = SolveOptions(gauge=gauge)
     step, step_log = solve_stationary(mesh, bulk, surface, options=options)
-    newton, newton_log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False),
-                                          surface, options=options)
+    force_newton(monkeypatch)
+    newton, newton_log = solve_stationary(mesh, bulk, surface, options=options)
     assert (step_log.method, newton_log.method) == ("cg", "newton")
     assert step_log.converged and newton_log.converged
     assert np.abs(step.values - newton.values).max() <= 1e-8
@@ -745,15 +779,15 @@ def test_tangent_assembly_peak_below_mesh_build(pair):
     assert peak - live < build_peak
 
 
-def test_newton_converges_on_the_perturbed_ball(caplog):
+def test_newton_converges_on_the_perturbed_ball(caplog, monkeypatch):
     """Rigid-gauge Newton on the perturbed ball meets the tolerance: the
     gradient norm keeps falling where the action's decrease is below its
     roundoff."""
     mesh = perturbed_ball(7, 0.04)
     bulk, surface = (make() for make in PAIRS["linear_elastic x isotropic"])
+    force_newton(monkeypatch)
     with caplog.at_level("WARNING", logger="curvbc"):
-        _, log = solve_stationary(mesh, dataclasses.replace(bulk, quadratic=False), surface,
-                                  options=SolveOptions(gauge="rigid"))
+        _, log = solve_stationary(mesh, bulk, surface, options=SolveOptions(gauge="rigid"))
     assert log.method == "newton" and log.converged
     assert log.iterations <= 6
     assert not log.notes and not caplog.records

@@ -36,6 +36,24 @@ def test_tolman_rejects_bad_radii(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh-check", "--levels", "2.."],
+    ["mesh-check", "--levels", "x"],
+    ["mesh-check", "--levels", "5..2"],
+    ["solve", "--bulk", "poisson_source:abc"],
+    ["solve", "--surface", "robin:q"],
+    ["tolman", "--radii", "a:2:3"],
+    ["tolman", "--radii", "1:2:2.5"],
+    ["tolman", "--radii", "1:2:0"],
+])
+def test_malformed_values_are_bad_usage(argv, tmp_path, capsys):
+    """A value that does not parse exits 2 with a config error, not 1 with
+    a Python message."""
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_identical_config_byte_identical_output(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

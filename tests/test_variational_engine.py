@@ -43,6 +43,20 @@ POISSON = builtin_bulk("poisson_source", source=6.0)
 HARMONIC = builtin_bulk("harmonic")
 
 
+def quartic_bulk():
+    """``poisson_source(6) + 1.25 phi^4``: its ``d_phi`` is not affine."""
+    return dataclasses.replace(
+        POISSON, name="quartic",
+        density=lambda p, r, g: POISSON.density(p, r, g) + 1.25 * p[:, 0] ** 4,
+        d_phi=lambda p, r, g: POISSON.d_phi(p, r, g) + 5.0 * p**3)
+
+
+def force_newton(monkeypatch):
+    """Make every partial probe as not affine, so that any pair takes a
+    difference tangent at every step."""
+    monkeypatch.setattr(ve, "_AFFINE_TOLERANCE", -1.0)
+
+
 def small_ball(surface_level=2, radial_layers=4):
     return build_ball_tetmesh(1.0, surface_level=surface_level,
                               radial_layers=radial_layers)
@@ -670,25 +684,27 @@ def test_solve_rigid_gauge_elastic():
     assert np.abs(state.values).max() <= 1e-10
 
 
-def test_solve_newton_path_stationary():
+def test_solve_newton_path_stationary(monkeypatch):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    state, log = solve_stationary(mesh, dataclasses.replace(POISSON, quadratic=False),
-                                  robin_surface(1.0))
+    force_newton(monkeypatch)
+    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
     assert log.converged
     assert log.method == "newton"
-    assert (log.coarse_size, log.unpreconditioned) == (0, "the pair is not quadratic")
+    # the difference tangent is preconditioned like the constant one
+    assert log.coarse_size > 0 and log.unpreconditioned == ""
     grad = action_gradient(mesh, POISSON, robin_surface(1.0), state)
     assert np.abs(grad).max() <= 1e-10
 
 
 @pytest.mark.parametrize("newton", [False, True])
-def test_solve_from_trajectory_matches_static(newton):
+def test_solve_from_trajectory_matches_static(newton, monkeypatch):
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    bulk = dataclasses.replace(POISSON, quadratic=not newton)
-    static, _ = solve_stationary(mesh, bulk, robin_surface(1.0))
+    if newton:
+        force_newton(monkeypatch)
+    static, _ = solve_stationary(mesh, POISSON, robin_surface(1.0))
     initial = FieldState.from_trajectory(np.zeros((3, mesh.n_vertices, 1)), 0.1)
-    state, log = solve_stationary(mesh, bulk, robin_surface(1.0), initial)
-    assert log.converged
+    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0), initial)
+    assert log.converged and log.method == ("newton" if newton else "cg")
     assert np.abs(state.values - static.values).max() <= 1e-12
     # the solution replaces the middle snapshot; its neighbours are kept
     assert np.array_equal(state.trajectory[1], state.values)
@@ -766,7 +782,7 @@ def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
     assemble = ve._assemble_tangent
     # a symmetric positive definite tangent with the wrong Robin coefficient
     monkeypatch.setattr(ve, "_assemble_tangent",
-                        lambda mesh, bulk, surface: assemble(mesh, bulk, robin_surface(3.0)))
+                        lambda mesh, bulk, surface, *at: assemble(mesh, bulk, robin_surface(3.0)))
     state, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
     error = np.abs(state.values - exact_state.values).max()
     assert not log.converged or error <= 1e-8
@@ -776,31 +792,35 @@ def test_wrong_tangent_changes_iterations_not_solution(monkeypatch):
     assert np.abs(state.values - exact_state.values).max() <= 1e-8
 
 
-def test_zero_mean_gauge_covers_only_the_annihilated_shifts():
+def test_zero_mean_gauge_covers_only_the_annihilated_shifts(monkeypatch):
     """A shift the probe finds annihilated joins the gauge, and no other:
     component 0 carries a Robin potential with solution 1, component 1 is
-    pure Neumann with zero data."""
+    pure Neumann with zero data.  Newton, which does not probe the shifts,
+    reaches the same solution."""
     mesh = small_ball(2, 3)
     bulk = builtin_bulk("harmonic", n_components=2)
     surface = make_restricted_surface(
         2, gamma_bar=QuadraticPotential(np.diag([1.0, 0.0]), (-1.0, 0.0)))
-    for pair in ((bulk, surface), (dataclasses.replace(bulk, quadratic=False), surface)):
-        state, log = solve_stationary(mesh, *pair)
-        assert log.converged
+    for method in ("cg", "newton"):
+        if method == "newton":
+            force_newton(monkeypatch)
+        state, log = solve_stationary(mesh, bulk, surface)
+        assert log.converged and log.method == method
         assert np.abs(state.values[:, 0] - 1.0).max() <= 1e-8
-        g = action_gradient(mesh, *pair, state)
+        g = action_gradient(mesh, bulk, surface, state)
         assert np.abs(g).max() <= SolveOptions().tolerance
 
 
-def test_non_affine_quadratic_pair_is_rejected():
-    """A pair marked quadratic whose partial is not affine names the partial."""
-    quartic = dataclasses.replace(
-        POISSON, name="quartic",
-        density=lambda p, r, g: POISSON.density(p, r, g) + 0.25 * p[:, 0] ** 4,
-        d_phi=lambda p, r, g: POISSON.d_phi(p, r, g) + p**3)
-    assert quartic.quadratic
-    with pytest.raises(ValueError, match=r"quartic\.d_phi is not affine"):
-        solve_stationary(small_ball(1, 2), quartic, robin_surface(1.0))
+def test_non_affine_pair_converges_on_its_difference_tangent():
+    """A pair whose ``d_phi`` is not affine takes Newton steps on a
+    preconditioned difference tangent, one gradient per step besides the
+    initial one and the final check."""
+    mesh = small_ball(2, 3)
+    bulk = quartic_bulk()
+    state, log = solve_stationary(mesh, bulk, robin_surface(1.0))
+    assert log.method == "newton" and log.converged and log.coarse_size > 0
+    assert log.gradient_calls <= log.iterations + 4
+    assert np.abs(action_gradient(mesh, bulk, robin_surface(1.0), state)).max() <= 1e-10
 
 
 def test_solve_does_not_import_scipy():
@@ -876,9 +896,11 @@ def test_solve_never_evaluates_the_action(monkeypatch):
         raise AssertionError("the solve evaluated the action")
     monkeypatch.setattr(ve, "assemble_action", action)
     mesh = small_ball(2, 3)
-    for bulk in (POISSON, dataclasses.replace(POISSON, quadratic=False)):
-        _, log = solve_stationary(mesh, bulk, robin_surface(1.0))
-        assert log.converged
+    _, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    assert log.converged
+    force_newton(monkeypatch)
+    _, log = solve_stationary(mesh, POISSON, robin_surface(1.0))
+    assert log.converged and log.method == "newton"
 
 
 def test_tangent_cg_at_its_cap_is_reported(caplog, monkeypatch):
@@ -901,8 +923,8 @@ def test_failed_line_search_is_not_converged(caplog, monkeypatch):
     is affine, so only the trial at t = 1 costs a gradient."""
     assemble = ve._assemble_tangent
 
-    def wrong_sign(mesh, bulk, surface):
-        tangent = assemble(mesh, bulk, surface)
+    def wrong_sign(mesh, bulk, surface, *at):
+        tangent = assemble(mesh, bulk, surface, *at)
         return dataclasses.replace(tangent, data=-tangent.data)
     monkeypatch.setattr(ve, "_assemble_tangent", wrong_sign)
     mesh = small_ball(2, 3)
