@@ -3,29 +3,34 @@
 Subcommands: ``mesh-check`` (curvature convergence table), ``gradcheck``
 (finite differences vs the analytic action gradient), ``solve`` (stationary
 solve with residual reports), ``tolman`` (pressure-vs-radius table) and
-``verify`` (reduction equivalence report).  Options come from an optional
-JSON config file plus flags; flags win, unknown config keys are rejected.
+``verify`` (reduction equivalence report).  ``COMMANDS`` declares each option
+once; a JSON config file sets options under the flag names with ``_`` for
+``-``.  Flags win, unknown keys are rejected, and both sources get the same
+checks.  A bulk or surface spec takes exactly its parameter count:
+``harmonic`` and ``zero`` none, ``poisson_source:f`` and ``robin:beta`` one,
+``linear_elastic:lam,mu`` and ``isotropic:sigma,tau`` two.
 Exit codes: 0 all requested checks passed, 1 a computation or check failed,
-2 bad usage or config schema violation.
+2 bad usage or any value rejected before computing.
 
 Every output file starts with comment headers recording the tool version,
 a sha256 of the resolved config, and the RNG seed, so identical configs
 produce byte-identical outputs; ``verify_report.json`` carries them in its
 ``provenance`` object instead, so that it stays valid JSON.
 """
-from __future__ import annotations
-
 import argparse
+import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import __version__
-from .lagrangian_library import (builtin_bulk, make_isotropic_surface,
-                                 robin_surface, zero_surface)
+from .lagrangian_library import (harmonic, linear_elastic, make_isotropic_surface,
+                                 poisson_source, robin_surface, zero_surface)
 from .mesh_io import write_vertex_csv
 from .surface_mesh import (build_icosphere, curvature_identity_residual,
                            mean_curvature)
@@ -40,100 +45,115 @@ class ConfigError(ValueError):
     """Schema violation in config file or flags (exit code 2)."""
 
 
-def _numbers(kind, parts, what):
-    """``kind`` of each of ``parts``; one it cannot read is a ConfigError."""
+def _number(kind, least=-math.inf):
+    """Conversion to ``kind`` (int or float) of a number or decimal string of
+    at least ``least``; rejects booleans, nan, infinities, and fractions for int."""
+    def convert(value):
+        with contextlib.suppress(ValueError, OverflowError):
+            x = kind(value) if isinstance(value, str) else value
+            if type(x) in (int, float) and math.isfinite(x) and kind(x) == x and x >= least:
+                return kind(x)
+        raise ValueError({int: "an integer", float: "a finite number"}[kind]
+                         + (f" >= {least}" if least > -math.inf else ""))
+    return convert
+
+
+_integer, _positive, _real = _number(int), _number(int, 1), _number(float)
+
+
+def _choice(*choices):
+    def convert(value):
+        if value in choices:
+            return value
+        raise ValueError(f"one of {', '.join(choices)}")
+    convert.choices = choices
+    return convert
+
+
+def _path(value):
+    """A directory name, or None for $CURVBC_OUT or the current directory."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError("a path")
+    return value
+
+
+def _convert(kind, value, what):
+    """``kind(value)``.  A conversion rejects a value with ValueError(what it
+    wants), which becomes a ConfigError naming ``what``."""
     try:
-        return [kind(p) for p in parts]
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot read {what} as numbers") from None
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {value!r} is not {exc}") from None
+
+
+@contextlib.contextmanager
+def _building():
+    """A library range error while building from the config is bad usage."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_levels(text):
-    if isinstance(text, list):
-        levels = _numbers(int, text, f"levels {text!r}")
-    else:
-        lo, dots, hi = str(text).partition("..")
-        lo, hi = _numbers(int, (lo, hi if dots else lo), f"levels {text!r}")
-        levels = list(range(lo, hi + 1))
-    if not levels:
+    lo, dots, hi = text.partition("..")
+    lo, hi = (_convert(_integer, v, f"levels {text!r}") for v in (lo, hi if dots else lo))
+    if hi < lo:
         raise ConfigError(f"levels {text!r} hold no level")
-    return levels
+    return list(range(lo, hi + 1))
 
 
 def _parse_radii(text):
-    if isinstance(text, list):
-        vals = np.asarray(_numbers(float, text, f"radii {text!r}"))
-    else:
-        parts = str(text).split(":")
-        if len(parts) != 3:
-            raise ConfigError("radii must be start:stop:count or a list")
-        start, stop = _numbers(float, parts[:2], f"radii {text!r}")
-        vals = np.linspace(start, stop, *_numbers(int, parts[2:], f"radii {text!r}"))
-    if len(vals) == 0 or np.any(vals <= 0):
-        raise ConfigError("radii must be positive, at least one")
-    return vals
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError("radii must be start:stop:count")
+    return np.linspace(*(_convert(kind, v, f"radii {text!r}")
+                         for kind, v in zip((_real, _real, _positive), parts)))
 
 
-def _parse_bulk(text, n_components=None):
-    name, _, params = str(text).partition(":")
-    vals = _numbers(float, params.split(","), repr(text)) if params else []
-    k = n_components or 1
-    if name == "harmonic":
-        return builtin_bulk("harmonic", n_components=k)
-    if name == "poisson_source":
-        return builtin_bulk("poisson_source", source=vals[0] if vals else 1.0,
-                            n_components=k)
-    if name == "linear_elastic":
-        if len(vals) != 2:
-            raise ConfigError("linear_elastic needs lam,mu")
-        if n_components not in (None, 3):
-            raise ConfigError("linear_elastic is a 3-component bulk")
-        return builtin_bulk("linear_elastic", lam=vals[0], mu=vals[1])
-    raise ConfigError(f"unknown bulk lagrangian {name!r}")
-
-
-def _parse_surface(text, n_components):
-    name, _, params = str(text).partition(":")
-    vals = _numbers(float, params.split(","), repr(text)) if params else []
-    if name == "zero":
-        return zero_surface(n_components)
-    if name == "robin":
-        return robin_surface(vals[0] if vals else 1.0, n_components)
-    if name == "isotropic":
-        if len(vals) != 2:
-            raise ConfigError("isotropic needs sigma,tau")
-        if n_components != 3:
-            raise ConfigError("isotropic surface requires a 3-component bulk")
-        return make_isotropic_surface(vals[0], vals[1])
-    raise ConfigError(f"unknown surface lagrangian {name!r}")
-
-
-def _build_pair(cfg):
-    """Bulk and surface from config, with flexible bulks widened to the
-    3-component field the isotropic surface pair acts on."""
-    need3 = str(cfg["surface"]).partition(":")[0] == "isotropic"
-    bulk = _parse_bulk(cfg["bulk"], 3 if need3 else None)
-    return bulk, _parse_surface(cfg["surface"], bulk.n_components)
-
-
-SCHEMAS = {
-    "mesh-check": {"surface": "sphere", "radius": 1.0, "levels": "2..5",
-                   "h_tolerance": 0.02, "out": None, "seed": 0},
-    "gradcheck": {"bulk": "harmonic", "surface": "zero", "ball": 1.0,
-                  "surface_level": 1, "radial_layers": 3, "trials": 20,
-                  "tolerance": 1e-6, "out": None, "seed": 0},
-    "solve": {"bulk": "poisson_source:6", "surface": "robin:1", "ball": 1.0,
-              "surface_level": 3, "radial_layers": 6, "gauge": "none",
-              "tolerance": 1e-10, "out": None, "seed": 0},
-    "tolman": {"sigma": 1.0, "tau": 0.0, "radii": "0.5:10:20",
-               "out": None, "seed": 0},
-    "verify": {"trials": 25, "out": None, "seed": 0},
+# catalog name -> (parameter count, builder(n_components, *parameters))
+BULKS = {
+    "harmonic": (0, harmonic),
+    "poisson_source": (1, lambda k, f: poisson_source(f, k)),
+    "linear_elastic": (2, lambda k, lam, mu: linear_elastic(lam, mu)),
+}
+SURFACES = {
+    "zero": (0, zero_surface),
+    "robin": (1, lambda k, beta: robin_surface(beta, k)),
+    "isotropic": (2, lambda k, sigma, tau: make_isotropic_surface(sigma, tau)),
 }
 
 
-def _resolve_config(command, config_path, flag_values):
-    schema = SCHEMAS[command]
-    resolved = dict(schema)
+def _parse_spec(text, catalog, what):
+    """The catalog name of ``name:x,y`` and its builder bound to the numbers."""
+    name, _, params = text.partition(":")
+    if name not in catalog:
+        raise ConfigError(f"unknown {what} lagrangian {name!r}")
+    count, build = catalog[name]
+    numbers = [_convert(_real, p, f"{what} {text!r}")
+               for p in params.split(",")] if params else []
+    if len(numbers) != count:
+        raise ConfigError(f"{what} {text!r}: {name} takes {count} parameters, "
+                          f"not {len(numbers)}")
+    return name, lambda k: build(k, *numbers)
+
+
+def _build_problem(cfg):
+    """Bulk, surface and ball mesh from the config, with flexible bulks
+    widened to the 3-component field the isotropic surface pair acts on."""
+    surface_name, surface = _parse_spec(cfg["surface"], SURFACES, "surface")
+    _, bulk = _parse_spec(cfg["bulk"], BULKS, "bulk")
+    with _building():
+        bulk = bulk(3 if surface_name == "isotropic" else 1)
+        surface = surface(bulk.n_components)
+        mesh = build_ball_tetmesh(cfg["ball"], surface_level=cfg["surface_level"],
+                                  radial_layers=cfg["radial_layers"])
+    return bulk, surface, mesh
+
+
+def _resolve_config(command, config_path, flags):
+    options = {**COMMANDS[command].options, **SHARED}
+    given = {}
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -142,13 +162,13 @@ def _resolve_config(command, config_path, flag_values):
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        for key, value in data.items():
-            if key not in schema:
+        for key in data:
+            if key not in options:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
-            resolved[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            resolved[key] = value
+        given.update(data)
+    given.update((k, flags[k]) for k in options if flags.get(k) is not None)
+    resolved = {key: _convert(opt.convert, given.get(key, opt.default), key)
+                for key, opt in options.items()}
     resolved["command"] = command
     return resolved
 
@@ -160,15 +180,15 @@ def _config_sha(resolved):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _out_dir(resolved):
-    out = resolved.get("out") or os.environ.get("CURVBC_OUT") or "."
+def _out_path(resolved, name):
+    out = resolved["out"] or os.environ.get("CURVBC_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
 def _provenance(resolved):
     return {"curvbc": __version__, "config_sha256": _config_sha(resolved),
-            "seed": resolved.get("seed", 0)}
+            "seed": resolved["seed"]}
 
 
 def _headers(resolved):
@@ -177,24 +197,22 @@ def _headers(resolved):
             f"seed={p['seed']}")
 
 
-def _write_lines(path, headers, lines):
+def _write_lines(cfg, name, lines):
+    """Write ``lines`` under the provenance headers to output file ``name``."""
+    path = _out_path(cfg, name)
     with open(path, "w", encoding="utf-8") as fh:
-        for h in headers:
-            fh.write(f"# {h}\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines([f"# {h}\n" for h in _headers(cfg)] + [f"{line}\n" for line in lines])
+    return path
 
 
 # -- subcommands -----------------------------------------------------------
 
 def _run_mesh_check(cfg):
-    if cfg["surface"] != "sphere":
-        raise ConfigError("mesh-check supports surface=sphere")
-    radius = float(cfg["radius"])
-    levels = _parse_levels(cfg["levels"])
+    radius = cfg["radius"]
     rows = []
-    for level in levels:
-        mesh = build_icosphere(radius, level)
+    for level in _parse_levels(cfg["levels"]):
+        with _building():
+            mesh = build_icosphere(radius, level)
         H = mean_curvature(mesh)
         h_err = float(np.abs(H * radius - 1.0).max())
         ident = curvature_identity_residual(mesh)
@@ -208,15 +226,13 @@ def _run_mesh_check(cfg):
     monotone_h = all(b < a or b <= floor for a, b in zip(h_col, h_col[1:]))
     monotone_ident = all(b < a or b <= floor * 2.0 / radius
                          for a, b in zip(ident_col, ident_col[1:]))
-    final_ok = h_col[-1] <= float(cfg["h_tolerance"])
+    final_ok = h_col[-1] <= cfg["h_tolerance"]
     passed = monotone_h and monotone_ident and final_ok
 
-    out = _out_dir(cfg)
     lines = ["level,n_vertices,h_max_rel_error,identity_residual"]
     lines += [f"{l},{n},{h:.17g},{i:.17g}" for l, n, h, i in rows]
     lines.append(f"# passed={str(passed).lower()}")
-    path = os.path.join(out, "mesh_check.csv")
-    _write_lines(path, _headers(cfg), lines)
+    path = _write_lines(cfg, "mesh_check.csv", lines)
 
     print(f"{'level':>5s} {'verts':>7s} {'H rel err':>12s} {'identity':>12s}")
     for l, n, h, i in rows:
@@ -228,18 +244,13 @@ def _run_mesh_check(cfg):
 
 
 def _run_gradcheck(cfg):
-    bulk, surface = _build_pair(cfg)
-    mesh = build_ball_tetmesh(float(cfg["ball"]),
-                              surface_level=int(cfg["surface_level"]),
-                              radial_layers=int(cfg["radial_layers"]))
-    rng = np.random.default_rng(int(cfg["seed"]))
-    k = bulk.n_components
-    trials = int(cfg["trials"])
-    tol = float(cfg["tolerance"])
+    bulk, surface, mesh = _build_problem(cfg)
+    rng = np.random.default_rng(cfg["seed"])
+    tol = cfg["tolerance"]
 
     worst = 0.0
-    for _ in range(trials):
-        values = rng.standard_normal((mesh.n_vertices, k))
+    for _ in range(cfg["trials"]):
+        values = rng.standard_normal((mesh.n_vertices, bulk.n_components))
         state = FieldState(values)
         g = action_gradient(mesh, bulk, surface, state)
         d = rng.standard_normal(values.shape)
@@ -252,12 +263,10 @@ def _run_gradcheck(cfg):
         worst = max(worst, dev)
 
     passed = worst <= tol
-    out = _out_dir(cfg)
-    path = os.path.join(out, "gradcheck.txt")
-    _write_lines(path, _headers(cfg), [
+    path = _write_lines(cfg, "gradcheck.txt", [
         f"bulk={bulk.name}",
         f"surface={surface.name}",
-        f"trials={trials}",
+        f"trials={cfg['trials']}",
         f"max_rel_deviation={worst:.17g}",
         f"tolerance={tol:.17g}",
         f"passed={str(passed).lower()}",
@@ -270,25 +279,19 @@ def _run_gradcheck(cfg):
 
 
 def _run_solve(cfg):
-    bulk, surface = _build_pair(cfg)
-    mesh = build_ball_tetmesh(float(cfg["ball"]),
-                              surface_level=int(cfg["surface_level"]),
-                              radial_layers=int(cfg["radial_layers"]))
-    options = SolveOptions(tolerance=float(cfg["tolerance"]),
-                           gauge=str(cfg["gauge"]))
+    bulk, surface, mesh = _build_problem(cfg)
+    options = SolveOptions(tolerance=cfg["tolerance"], gauge=cfg["gauge"])
     state, log = solve_stationary(mesh, bulk, surface, options=options)
     report = natural_bc_residual(mesh, bulk, surface, state)
 
-    out = _out_dir(cfg)
     headers = _headers(cfg)
-    sol_path = os.path.join(out, "solution.csv")
+    sol_path = _out_path(cfg, "solution.csv")
     write_vertex_csv(mesh.vertices, state.values, sol_path,
                      comments=headers, column="phi")
-    res_path = os.path.join(out, "bc_residual.csv")
+    res_path = _out_path(cfg, "bc_residual.csv")
     write_vertex_csv(mesh.boundary.vertices, report.residual, res_path,
                      comments=headers, column="bc_residual")
-    log_path = os.path.join(out, "convergence.log")
-    _write_lines(log_path, headers, [
+    log_path = _write_lines(cfg, "convergence.log", [
         f"method={log.method}",
         f"iterations={log.iterations}",
         f"tangent_iterations={log.tangent_iterations}",
@@ -312,11 +315,11 @@ def _run_solve(cfg):
 
 
 def _run_tolman(cfg):
-    params = IsotropicSurfaceParams(float(cfg["sigma"]), float(cfg["tau"]))
     radii = _parse_radii(cfg["radii"])
-    curve = tolman_curve(params, radii)
-    out = _out_dir(cfg)
-    path = os.path.join(out, "tolman_curve.csv")
+    with _building():
+        params = IsotropicSurfaceParams(cfg["sigma"], cfg["tau"])
+        curve = tolman_curve(params, radii)
+    path = _out_path(cfg, "tolman_curve.csv")
     curve.write_csv(path, comments=_headers(cfg))
     print(f"sigma={params.sigma:g} tau={params.tau:g} delta={params.delta:g}; "
           f"{len(radii)} radii from {radii.min():g} to {radii.max():g}")
@@ -325,11 +328,9 @@ def _run_tolman(cfg):
 
 
 def _run_verify(cfg):
-    report = verify_reductions(trials=int(cfg["trials"]), seed=int(cfg["seed"]))
-    out = _out_dir(cfg)
-    txt_path = os.path.join(out, "verify_report.txt")
-    _write_lines(txt_path, _headers(cfg), report.format_table().splitlines())
-    json_path = os.path.join(out, "verify_report.json")
+    report = verify_reductions(trials=cfg["trials"], seed=cfg["seed"])
+    txt_path = _write_lines(cfg, "verify_report.txt", report.format_table().splitlines())
+    json_path = _out_path(cfg, "verify_report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump({"provenance": _provenance(cfg), "rows": report.to_rows()},
                   fh, indent=2)
@@ -337,6 +338,54 @@ def _run_verify(cfg):
     print(report.format_table())
     print(f"wrote {txt_path}, {json_path}")
     return 0 if report.all_passed else 1
+
+
+Option = namedtuple("Option", "convert default help")
+Command = namedtuple("Command", "run help options")
+
+SHARED = {
+    "out": Option(_path, None, "output directory (default $CURVBC_OUT or .)"),
+    "seed": Option(_integer, 0, "RNG seed for randomized trials"),
+}
+
+
+def _ball_problem(bulk, surface, surface_level, radial_layers):
+    """The options that pick a bulk/surface pair on a ball mesh."""
+    return {
+        "bulk": Option(str, bulk, "bulk density, e.g. harmonic, poisson_source:6"),
+        "surface": Option(str, surface, "surface pair, e.g. robin:1, isotropic:1,0.1"),
+        "ball": Option(_real, 1.0, "ball radius"),
+        "surface_level": Option(_integer, surface_level, "boundary icosphere subdivisions"),
+        "radial_layers": Option(_integer, radial_layers, "icosphere shells"),
+    }
+
+
+COMMANDS = {
+    "mesh-check": Command(_run_mesh_check, "curvature estimator convergence table", {
+        "surface": Option(_choice("sphere"), "sphere", "analytic surface kind"),
+        "radius": Option(_real, 1.0, "sphere radius"),
+        "levels": Option(str, "2..5", "subdivision range, e.g. 2..5"),
+        "h_tolerance": Option(_real, 0.02, "largest H error passed at the last level"),
+    }),
+    "gradcheck": Command(_run_gradcheck, "finite differences vs analytic gradient", {
+        **_ball_problem("harmonic", "zero", 1, 3),
+        "trials": Option(_positive, 20, "random states checked"),
+        "tolerance": Option(_real, 1e-6, "largest relative deviation passed"),
+    }),
+    "solve": Command(_run_solve, "stationary solve with residual reports", {
+        **_ball_problem("poisson_source:6", "robin:1", 3, 6),
+        "gauge": Option(_choice("none", "zero_mean", "rigid"), "none", "gauge modes removed"),
+        "tolerance": Option(_real, 1e-10, "gradient max-norm that stops the solve"),
+    }),
+    "tolman": Command(_run_tolman, "pressure-vs-radius table", {
+        "sigma": Option(_real, 1.0, "surface tension"),
+        "tau": Option(_real, 0.0, "curvature tension; delta = 2 tau / sigma"),
+        "radii": Option(str, "0.5:10:20", "start:stop:count"),
+    }),
+    "verify": Command(_run_verify, "reduction equivalence report", {
+        "trials": Option(_positive, 25, "random states per row"),
+    }),
+}
 
 
 def build_parser():
@@ -347,73 +396,23 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"curvbc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (default $CURVBC_OUT or .)")
-        p.add_argument("--seed", type=int, help="RNG seed for randomized trials")
-
-    p = sub.add_parser("mesh-check", help="curvature estimator convergence table")
-    common(p)
-    p.add_argument("--surface", help="analytic surface kind (sphere)")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--levels", help="subdivision range, e.g. 2..5")
-    p.add_argument("--h-tolerance", dest="h_tolerance", type=float)
-
-    p = sub.add_parser("gradcheck", help="finite differences vs analytic gradient")
-    common(p)
-    p.add_argument("--bulk", help="bulk density, e.g. harmonic, poisson_source:6")
-    p.add_argument("--surface", help="surface pair, e.g. robin:1, isotropic:1,0.1")
-    p.add_argument("--ball", type=float, help="ball radius")
-    p.add_argument("--surface-level", dest="surface_level", type=int)
-    p.add_argument("--radial-layers", dest="radial_layers", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("solve", help="stationary solve with residual reports")
-    common(p)
-    p.add_argument("--bulk")
-    p.add_argument("--surface")
-    p.add_argument("--ball", type=float)
-    p.add_argument("--surface-level", dest="surface_level", type=int)
-    p.add_argument("--radial-layers", dest="radial_layers", type=int)
-    p.add_argument("--gauge", choices=["none", "zero_mean", "rigid"])
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser("tolman", help="pressure-vs-radius table")
-    common(p)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--radii", help="start:stop:count")
-
-    p = sub.add_parser("verify", help="reduction equivalence report")
-    common(p)
-    p.add_argument("--trials", type=int)
-
+        # flags stay strings here: _resolve_config converts them like config values
+        for key, opt in {**SHARED, **command.options}.items():
+            choices = getattr(opt.convert, "choices", None)
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           metavar=choices and "{" + ",".join(choices) + "}",
+                           help=opt.help if opt.default is None
+                           else f"{opt.help} (default {opt.default})")
     return parser
 
 
-RUNNERS = {
-    "mesh-check": _run_mesh_check,
-    "gradcheck": _run_gradcheck,
-    "solve": _run_solve,
-    "tolman": _run_tolman,
-    "verify": _run_verify,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flag_values = {k: v for k, v in vars(args).items()
-                   if k not in ("command", "config")}
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args.command, args.config, flag_values)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return RUNNERS[args.command](cfg)
+        return COMMANDS[args.command].run(_resolve_config(args.command, args.config, vars(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

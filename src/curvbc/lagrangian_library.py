@@ -180,7 +180,7 @@ def linear_elastic(lam, mu):
 
 
 def builtin_bulk(name, **params):
-    """Catalog lookup for the bulk densities used by the CLI."""
+    """Catalog lookup for the bulk densities by name."""
     if name == "harmonic":
         return harmonic(params.get("n_components", 1))
     if name == "poisson_source":
@@ -296,9 +296,9 @@ def zero_surface(n_components=1):
 class IsotropicSurfaceParams:
     """Uniform tension pair (sigma, tau) with the derived length delta.
 
-    Requires sigma >= 0, with tau = 0 when sigma = 0, so that
-    ``delta = 2 tau / sigma`` is defined whenever tau is used.  sigma and
-    tau may be arrays of pairs; the checks and ``delta`` are elementwise.
+    Requires finite sigma >= 0 and finite tau, with tau = 0 when sigma = 0,
+    so that ``delta = 2 tau / sigma`` is defined whenever tau is used.  sigma
+    and tau may be arrays of pairs; the checks and ``delta`` are elementwise.
     """
 
     sigma: float
@@ -306,6 +306,8 @@ class IsotropicSurfaceParams:
 
     def __post_init__(self):
         sigma, tau = np.asarray(self.sigma), np.asarray(self.tau)
+        if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(tau))):
+            raise ValueError("sigma and tau must be finite")
         if np.any(sigma < 0):
             raise ValueError("surface tension sigma must be non-negative")
         if np.any((sigma == 0.0) & (tau != 0.0)):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def test_tolman_rejects_bad_radii(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
+BAD_VALUES = [
     ["mesh-check", "--levels", "2.."],
     ["mesh-check", "--levels", "x"],
     ["mesh-check", "--levels", "5..2"],
@@ -45,13 +47,84 @@ def test_tolman_rejects_bad_radii(tmp_path):
     ["tolman", "--radii", "a:2:3"],
     ["tolman", "--radii", "1:2:2.5"],
     ["tolman", "--radii", "1:2:0"],
-])
+    # each catalog name takes exactly its parameter count
+    ["gradcheck", "--bulk", "harmonic:5"],
+    ["gradcheck", "--bulk", "poisson_source:1,2"],
+    ["gradcheck", "--surface", "zero:3"],
+    ["gradcheck", "--surface", "robin:1,9"],
+    # ranges the library checks while the problem is built
+    ["solve", "--surface", "robin:-1"],
+    ["solve", "--bulk", "linear_elastic:1,-1"],
+    ["mesh-check", "--radius", "-1"],
+    ["solve", "--surface-level", "8"],
+    # a check of no trials checks nothing
+    ["gradcheck", "--trials", "0"],
+    ["gradcheck", "--trials", "-3"],
+    ["verify", "--trials", "0"],
+    # non-finite numbers
+    ["tolman", "--sigma", "nan"],
+    ["solve", "--ball", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES)
 def test_malformed_values_are_bad_usage(argv, tmp_path, capsys):
-    """A value that does not parse exits 2 with a config error, not 1 with
-    a Python message."""
+    """A value rejected before computing exits 2 with a config error, not 1
+    with a Python message or 0 with a meaningless result."""
     code = main(argv + ["--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES)
+def test_malformed_config_values_are_bad_usage(argv, tmp_path, capsys):
+    """The same value given in the config file gets the same check; one
+    that reads as JSON is given as a JSON number."""
+    command, flag, text = argv
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = text
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("solve", {"surface_level": 2.7}),
+    ("gradcheck", {"trials": True}),
+    ("solve", {"gauge": "bogus"}),
+    ("solve", {"ball": "x"}),
+    ("tolman", {"out": 5}),
+    ("tolman", {"seed": None}),
+])
+def test_config_values_of_the_wrong_type_are_bad_usage(command, config, tmp_path,
+                                                       monkeypatch, capsys):
+    # no --out flag, which would override a bad "out"
+    monkeypatch.setenv("CURVBC_OUT", str(tmp_path))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_seed_from_config_or_flag_hashes_the_same(tmp_path):
+    shas = []
+    for i, extra in enumerate([{"seed": 7}, {"seed": "7"}, None]):
+        out = tmp_path / str(i)
+        argv = ["tolman", "--radii", "1:2:2", "--out", str(out)]
+        if extra is None:
+            argv += ["--seed", "7"]
+        else:
+            cfg = tmp_path / f"{i}.json"
+            cfg.write_text(json.dumps(extra))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        lines = read_lines(out / "tolman_curve.csv")
+        assert_headers(lines, seed=7)
+        shas.append(lines[1])
+    assert shas[0] == shas[1] == shas[2]
 
 
 def test_identical_config_byte_identical_output(tmp_path):
@@ -62,6 +135,9 @@ def test_identical_config_byte_identical_output(tmp_path):
                      "--radii", "0.5:4:7", "--out", str(out)]) == 0
     assert (out_a / "tolman_curve.csv").read_bytes() == \
            (out_b / "tolman_curve.csv").read_bytes()
+    # the hash of this flag-only invocation is pinned across releases
+    assert read_lines(out_a / "tolman_curve.csv")[1] == (
+        "# config_sha256=f9eecb22092ad44b849a86154c5a62594766bc6e40910966b7232e144ce2523d")
 
 
 def test_mesh_check_passes(tmp_path):
@@ -101,6 +177,9 @@ def test_solve_emits_reports(tmp_path):
     for name in ("solution.csv", "bc_residual.csv", "convergence.log"):
         lines = read_lines(tmp_path / name)
         assert_headers(lines)
+        # pinned: the same as ``solve --surface-level 2 --radial-layers 3``
+        assert lines[1] == ("# config_sha256="
+                            "fd6ed132f2d0363868767cbeddd4a37615fe56c0c4d86111211886e317794984")
     log = read_lines(tmp_path / "convergence.log")
     assert any(l == "converged=true" for l in log)
     tangent = next(l for l in log if l.startswith("tangent_iterations="))
@@ -173,3 +252,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "curvbc" in capsys.readouterr().out
+
+
+def _readme_commands():
+    """The ``curvbc ...`` lines of README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("curvbc ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, tmp_path):
+    assert main(shlex.split(line)[1:] + ["--out", str(tmp_path)]) == 0

@@ -247,3 +247,12 @@ def test_isotropic_builder_and_params_reject_the_same_inputs(sigma, tau):
 
     assert rejects(make_isotropic_surface) == rejects(IsotropicSurfaceParams)
     assert rejects(make_isotropic_surface) == (sigma < 0 or (sigma == 0 and tau != 0))
+
+
+@pytest.mark.parametrize("sigma,tau", [
+    (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf),
+    ([1.0, np.nan], [0.0, 0.1]),
+])
+def test_isotropic_params_reject_non_finite(sigma, tau):
+    with pytest.raises(ValueError, match="finite"):
+        IsotropicSurfaceParams(sigma, tau)
