@@ -32,8 +32,8 @@ from . import __version__
 from .lagrangian_library import (harmonic, linear_elastic, make_isotropic_surface,
                                  poisson_source, robin_surface, zero_surface)
 from .mesh_io import write_vertex_csv
-from .surface_mesh import (build_icosphere, curvature_identity_residual,
-                           mean_curvature)
+from .surface_mesh import (MAX_SUBDIVISION_LEVEL, build_icosphere,
+                           curvature_identity_residual, mean_curvature)
 from .tolman_reduction import (IsotropicSurfaceParams, tolman_curve,
                                verify_reductions)
 from .variational_engine import (FieldState, SolveOptions, assemble_action,
@@ -58,7 +58,8 @@ def _number(kind, least=-math.inf):
     return convert
 
 
-_integer, _positive, _real = _number(int), _number(int, 1), _number(float)
+_integer, _natural, _positive = _number(int), _number(int, 0), _number(int, 1)
+_real = _number(float)
 
 
 def _choice(*choices):
@@ -96,10 +97,15 @@ def _building():
 
 
 def _parse_levels(text):
+    """The subdivision levels of ``lo..hi`` or ``lo``, all checked before any
+    mesh is built."""
     lo, dots, hi = text.partition("..")
     lo, hi = (_convert(_integer, v, f"levels {text!r}") for v in (lo, hi if dots else lo))
     if hi < lo:
         raise ConfigError(f"levels {text!r} hold no level")
+    if lo < 0 or hi > MAX_SUBDIVISION_LEVEL:
+        raise ConfigError(f"levels {text!r}: subdivision levels lie in "
+                          f"[0, {MAX_SUBDIVISION_LEVEL}]")
     return list(range(lo, hi + 1))
 
 
@@ -140,12 +146,17 @@ def _parse_spec(text, catalog, what):
 
 def _build_problem(cfg):
     """Bulk, surface and ball mesh from the config, with flexible bulks
-    widened to the 3-component field the isotropic surface pair acts on."""
+    widened to the 3-component field the isotropic surface pair acts on.
+    A rigid gauge on a field of other than 3 components is rejected before
+    the mesh is built."""
     surface_name, surface = _parse_spec(cfg["surface"], SURFACES, "surface")
     _, bulk = _parse_spec(cfg["bulk"], BULKS, "bulk")
     with _building():
         bulk = bulk(3 if surface_name == "isotropic" else 1)
         surface = surface(bulk.n_components)
+        if cfg.get("gauge") == "rigid" and bulk.n_components != 3:
+            raise ValueError(f"gauge rigid needs a 3-component field; {bulk.name} "
+                             f"has {bulk.n_components}")
         mesh = build_ball_tetmesh(cfg["ball"], surface_level=cfg["surface_level"],
                                   radial_layers=cfg["radial_layers"])
     return bulk, surface, mesh
@@ -345,7 +356,7 @@ Command = namedtuple("Command", "run help options")
 
 SHARED = {
     "out": Option(_path, None, "output directory (default $CURVBC_OUT or .)"),
-    "seed": Option(_integer, 0, "RNG seed for randomized trials"),
+    "seed": Option(_natural, 0, "RNG seed for randomized trials"),
 }
 
 

@@ -51,13 +51,47 @@ def _scatter(index, n, values):
     One ``np.bincount`` per trailing component gives what ``np.add.at`` gives,
     with the same summation order, at a fraction of its cost.
     """
+    flat = values.reshape(index.size, -1)
+    return _scatter_columns(index, n, flat.T).reshape((n,) + values.shape[index.ndim:])
+
+
+def _scatter_columns(index, n, columns):
+    """:func:`_scatter` of values given component-major: each of the
+    ``columns``, an iterable, has ``index``'s shape and holds one component.
+    Returns ``(n, k)`` for k columns.  A contiguous column is summed with no
+    copy, and each column may be dropped once it is summed."""
     idx = index.ravel()
-    tail = values.shape[index.ndim:]
-    flat = values.reshape(len(idx), -1)
-    out = np.empty((n, flat.shape[1]))
-    for j in range(flat.shape[1]):
-        out[:, j] = np.bincount(idx, flat[:, j], minlength=n)
-    return out.reshape((n,) + tail)
+    return np.column_stack([np.bincount(idx, column.ravel(), minlength=n)
+                            for column in columns])
+
+
+def _cross(a, b, out=None):
+    """``np.cross`` of vectors stored component-major, ``a[j]`` holding
+    component j: ``out[i] = a[j] b[k] - a[k] b[j]`` for cyclic (i, j, k).
+
+    Each component is formed as np.cross forms it, so the bits are the same,
+    but no input is copied and every operand is a contiguous vector.
+    """
+    out = np.empty(np.shape(a)) if out is None else out
+    tmp = np.empty_like(out[0])
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+    return out
+
+
+def _dot(a, b, out=None):
+    """Dot product of vectors stored component-major, summed as
+    ``np.einsum("mj,mj->m")`` sums the interleaved vectors: ``((0 + a0 b0)
+    + a2 b2) + a1 b1``.  Adding the +0 last gives the same bits: it only
+    turns a zero sum of -0 into +0."""
+    out = np.multiply(a[0], b[0], out=out)
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    out += 0.0
+    return out
 
 
 class TriangleMesh:
@@ -89,6 +123,10 @@ class TriangleMesh:
         weights (exact for vertices on a common sphere).
     vertex_mean_curvature : (n,) float, read-only
         :func:`mean_curvature`, computed on first access and kept.
+
+    The fields are computed on contiguous per-component (m,) vectors of the
+    edges and face normals, with the bits of np.cross, np.einsum and
+    np.linalg.norm on (m, 3) rows, and interleaved once when stored.
     """
 
     def __init__(self, vertices, triangles, validate=True):
@@ -105,29 +143,39 @@ class TriangleMesh:
         if np.any(self.triangles[:, [0, 1, 2]] == self.triangles[:, [1, 2, 0]]):
             raise MeshError("triangle with repeated vertex")
 
-        edges = self._compute_face_geometry()
+        edges, normals = self._compute_face_geometry()
         if validate:
             _check_face_quality(self)
             self._check_closed_oriented()
-        self._compute_vertex_normals(self._compute_corner_areas(edges))
-        self._compute_hat_gradients(edges)
+        lsq = _dot(edges, edges)                      # (3, m) squared edge lengths
+        self._compute_vertex_normals(normals, lsq)
+        self._compute_corner_areas(edges, lsq)
+        del lsq
+        self._compute_hat_gradients(normals, edges)
+        del edges
+        self.face_normals = np.ascontiguousarray(normals.T)
 
     # -- construction helpers -------------------------------------------
+    #
+    # ``edges[j, c]`` is component j of the edge opposite corner c,
+    # ``x[c+2] - x[c+1]``, and ``normals[j]`` component j of the face
+    # normals: (3, 3, m) and (3, m), so every operand is a contiguous vector.
 
     def _compute_face_geometry(self):
-        # e[c] is the edge opposite corner c, from one vertex gather per
-        # corner: no (m, 3, 3) gather of the corner positions
-        x = [self.vertices[c] for c in self.triangles.T]
-        edges = np.empty((len(self.triangles), 3, 3))
+        x = np.take(np.ascontiguousarray(self.vertices.T), self.triangles.T, axis=1)
+        edges = np.empty_like(x)
         for c in range(3):
-            np.subtract(x[(c + 2) % 3], x[(c + 1) % 3], out=edges[:, c])
+            np.subtract(x[:, (c + 2) % 3], x[:, (c + 1) % 3], out=edges[:, c])
         del x
-        cross = np.cross(edges[:, 2], -edges[:, 1])   # (x1-x0) x (x2-x0)
-        norm = np.linalg.norm(cross, axis=1)
+        # (x1 - x0) x (x2 - x0) = e1 x e2 = 2A n; its norm sums as
+        # np.linalg.norm sums a row
+        normals = _cross(edges[:, 1], edges[:, 2])
+        norm = np.sqrt((normals[0] * normals[0] + normals[1] * normals[1])
+                       + normals[2] * normals[2])
         self.face_areas = 0.5 * norm
         with np.errstate(invalid="ignore", divide="ignore"):
-            self.face_normals = cross / np.where(norm > 0.0, norm, 1.0)[:, None]
-        return edges
+            normals /= np.where(norm > 0.0, norm, 1.0)
+        return edges, normals
 
     def _check_closed_oriented(self):
         """Raise MeshError unless every edge is on exactly two faces, which
@@ -163,58 +211,55 @@ class TriangleMesh:
             f"{counts[bad]} face(s), expected 2"
         )
 
-    def _compute_corner_areas(self, e):
-        lsq = np.einsum("fcj,fcj->fc", e, e)          # squared edge lengths
+    def _compute_corner_areas(self, edges, lsq):
         # cot of the interior angle at corner c: u . v / |u x v| for the edges
         # u = -e[c+1], v = e[c+2] leaving c, where |u x v| = 2A at every corner
-        twice_area = 2.0 * self.face_areas
         cots = np.empty_like(lsq)
         for c in range(3):
-            cots[:, c] = -np.einsum("fj,fj->f", e[:, (c + 1) % 3], e[:, (c + 2) % 3])
-        cots /= np.where(twice_area > 0, twice_area, 1.0)[:, None]
-        self.corner_cots = cots
-
+            _dot(edges[:, (c + 1) % 3], edges[:, (c + 2) % 3], out=cots[c])
+        np.negative(cots, out=cots)
+        twice_area = 2.0 * self.face_areas
+        cots /= np.where(twice_area > 0, twice_area, 1.0)
+        self.corner_cots = np.ascontiguousarray(cots.T)
+        # Voronoi areas, and on a face with an obtuse corner the mixed areas
         weighted = lsq * cots
-        voronoi = (weighted[:, [1, 2, 0]] + weighted[:, [2, 0, 1]]) / 8.0
+        areas = np.empty_like(weighted)
+        for c in range(3):
+            np.add(weighted[(c + 1) % 3], weighted[(c + 2) % 3], out=areas[c])
+        del weighted
+        areas /= 8.0
         obtuse = cots < 0.0
-        any_obtuse = obtuse.any(axis=1)
-        areas = voronoi
+        any_obtuse = obtuse.any(axis=0)
         if any_obtuse.any():
-            fa = self.face_areas[:, None]
-            areas = np.where(
-                any_obtuse[:, None], np.where(obtuse, fa / 2.0, fa / 4.0), voronoi
-            )
-        self.corner_areas = areas
-        self.vertex_areas = _scatter(self.triangles, len(self.vertices), areas)
-        return lsq
+            fa = self.face_areas
+            np.copyto(areas, np.where(obtuse, fa / 2.0, fa / 4.0), where=any_obtuse)
+        self.corner_areas = np.ascontiguousarray(areas.T)
+        self.vertex_areas = _scatter(self.triangles, len(self.vertices), self.corner_areas)
 
-    def _compute_vertex_normals(self, lsq):
+    def _compute_vertex_normals(self, normals, lsq):
         # cross(u, v) / (|u|^2 |v|^2) per incident corner: exact for vertices
         # on a sphere, second order on smooth meshes; (x_{c+1} - x_c) x
-        # (x_{c+2} - x_c) is the face cross product 2A n at every corner c
-        cross = self.face_normals * (2.0 * self.face_areas)[:, None]
-        contrib = np.empty((3,) + cross.shape)        # (corner, face, 3)
-        for c in range(3):
-            denom = lsq[:, (c + 1) % 3] * lsq[:, (c + 2) % 3]
-            np.divide(cross, np.where(denom > 0, denom, 1.0)[:, None], out=contrib[c])
-        del cross
-        vn = _scatter(self.triangles.T, len(self.vertices), contrib)
+        # (x_{c+2} - x_c) is the face cross product 2A n at every corner c;
+        # one component's (corner, face) weights at a time
+        denom = lsq[[1, 2, 0]] * lsq[[2, 0, 1]]
+        denom = np.where(denom > 0, denom, 1.0)
+        cross = normals * (2.0 * self.face_areas)
+        vn = _scatter_columns(self.triangles.T, len(self.vertices),
+                              (component / denom for component in cross))
         norm = np.linalg.norm(vn, axis=1)
         self.vertex_normals = vn / np.where(norm > 0, norm, 1.0)[:, None]
 
-    def _compute_hat_gradients(self, edges):
+    def _compute_hat_gradients(self, normals, edges):
         # gradient of the hat function of corner c, constant on the face:
-        # (n x e_c) / (2A) with e_c the opposite edge; the cross product is
-        # written out per component (as np.cross forms it), so that no
-        # (m, 3, 3) temporary or input copy is made
-        normal = self.face_normals
-        grads = np.empty_like(edges)
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            np.multiply(normal[:, j, None], edges[:, :, k], out=grads[:, :, i])
-            grads[:, :, i] -= normal[:, k, None] * edges[:, :, j]
-        grads /= (2.0 * self.face_areas)[:, None, None]
-        self.hat_gradients = grads
+        # (n x e_c) / (2A) with e_c the opposite edge.  It is written over
+        # e_c, the last use of edges, so no second (3, 3, m) array is made
+        twice_area = 2.0 * self.face_areas
+        grad = np.empty_like(normals)
+        for c in range(3):
+            _cross(normals, edges[:, c], out=grad)
+            np.divide(grad, twice_area, out=edges[:, c])
+        del grad
+        self.hat_gradients = np.ascontiguousarray(edges.transpose(2, 1, 0))
 
     # -- basic queries ----------------------------------------------------
 
@@ -483,6 +528,14 @@ def build_icosphere(radius, level):
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+    verts, faces = _unit_icosphere(level)
+    return TriangleMesh(verts * radius, faces)
+
+
+def _unit_icosphere(level):
+    """Vertices and outward-wound faces of the unit icosphere of ``level``,
+    as arrays: no :class:`TriangleMesh` geometry is computed.  Raises
+    ValueError if level is outside [0, 7]."""
     if not (0 <= int(level) <= MAX_SUBDIVISION_LEVEL) or int(level) != level:
         raise ValueError(f"subdivision level must be an integer in [0, {MAX_SUBDIVISION_LEVEL}]")
     t = (1.0 + np.sqrt(5.0)) / 2.0
@@ -506,7 +559,7 @@ def build_icosphere(radius, level):
     verts /= np.linalg.norm(verts, axis=1)[:, None]
     for _ in range(int(level)):
         verts, faces = _subdivide_once(verts, faces)
-    return TriangleMesh(verts * radius, faces)
+    return verts, faces
 
 
 def _subdivide_once(verts, faces):

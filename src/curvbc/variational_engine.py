@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .surface_mesh import (TriangleMesh, _scatter, _vertex_grad_H,
-                           build_icosphere)
+from .surface_mesh import (TriangleMesh, _cross, _dot, _scatter, _unit_icosphere,
+                           _vertex_grad_H)
 # re-exported: the name is part of this module's namespace
 from .surface_mesh import mean_curvature  # noqa: F401
 
@@ -98,6 +98,10 @@ class TetMesh:
     tet_gradients : (m, 4, 3) gradients of the corner hat functions.
     corner_weights : (m, 4) quarter volumes, the corner quadrature weights.
     dual_volumes : (n,) quarter-volume lumped vertex measures.
+
+    The geometry is built from a corner-major copy of the tets, ``_BLOCK``
+    tets at a time, on contiguous per-component vectors
+    (:func:`_tet_block_geometry`); the boundary check reads the same copy.
     """
 
     def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
@@ -112,29 +116,20 @@ class TetMesh:
                 at = tuple(int(i) for i in np.argwhere((index < 0) | (index >= n))[0])
                 raise ValueError(f"{name}{list(at)} = {index[at]} is out of range "
                                  f"for {n} vertices")
-        # edges e_c = x_c - x_0: adjugate rows (e2 x e3, e3 x e1, e1 x e2) over
-        # 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3; a tet with
-        # 6V < 0 is flipped by swapping corners 2 and 3 and their rows (same 6V)
-        x0 = self.vertices[tets[:, 0]]
-        e1, e2, e3 = (self.vertices[tets[:, c]] - x0 for c in (1, 2, 3))
-        del x0
-        adj = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
-        six_v = np.einsum("mj,mj->m", e1, adj[:, 0])
-        del e1, e2, e3
-        flip = np.flatnonzero(six_v < 0)
-        tets = tets.copy()
-        tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2]
-        adj[flip, 1:] = adj[flip, :0:-1]
-        del flip
-        self.tets = tets
-        self.tet_volumes = np.abs(six_v) / 6.0
-        if np.any(self.tet_volumes <= 0):
-            raise ValueError("degenerate tetrahedron (zero volume)")
-        grads = np.empty((len(tets), 4, 3))
-        grads[:, 1:, :] = adj / six_v[:, None, None]
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        self.tet_gradients = grads
-        del adj   # (m, 3, 3); keeps it out of the boundary check's peak
+        # corner-major copy: corners[c] is the contiguous column of corner c
+        corners = tets.T.copy()
+        x = np.ascontiguousarray(self.vertices.T)
+        m = corners.shape[1]
+        self.tet_volumes = np.empty(m)
+        self.tet_gradients = np.empty((m, 4, 3))
+        flipped = np.empty(m, dtype=bool)
+        for start in range(0, m, _BLOCK):
+            b = slice(start, start + _BLOCK)
+            _tet_block_geometry(x, corners[:, b], self.tet_volumes[b],
+                                self.tet_gradients[b], flipped[b])
+        flip = np.flatnonzero(flipped)
+        corners[2, flip], corners[3, flip] = corners[3, flip], corners[2, flip]
+        self.tets = tets = np.ascontiguousarray(corners.T)
         self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
         self.dual_volumes = _scatter(tets, n, self.corner_weights)
         self.boundary = boundary
@@ -142,7 +137,7 @@ class TetMesh:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")
         if len(np.unique(self.boundary_vertex_ids)) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must be distinct")
-        _check_boundary_faces(tets, n, boundary.triangles, self.boundary_vertex_ids)
+        _check_boundary_faces(corners, n, boundary.triangles, self.boundary_vertex_ids)
         mask = np.ones(n, dtype=bool)
         mask[self.boundary_vertex_ids] = False
         self.interior_mask = mask
@@ -160,11 +155,48 @@ class TetMesh:
         return float(self.tet_volumes.sum())
 
 
+def _tet_block_geometry(x, corners, volumes, grads, flipped):
+    """Fill one block's ``volumes`` (b,), hat ``grads`` (b, 4, 3) and
+    ``flipped`` (b,) mask of negatively oriented tets, from the coordinate
+    rows ``x`` (3, n) and the block's ``corners`` (4, b).
+
+    With edges e_c = x_c - x_0, the adjugate rows (e2 x e3, e3 x e1, e1 x e2)
+    over 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3, and
+    corner 0's is minus their sum.  A tet with 6V < 0 is flipped by swapping
+    corners 2 and 3 and their rows (same 6V).  Every operand is a contiguous
+    per-component vector of the block, and products and sums are formed in
+    the order np.cross and np.einsum use on (b, 3) rows, so the results have
+    their bits.
+    """
+    xs = np.take(x, corners, axis=1)                  # (component, corner, b)
+    e = xs[:, 1:] - xs[:, :1]                         # edges of corners 1..3
+    del xs
+    g = np.empty((4, 3, corners.shape[1]))            # (corner, component, b)
+    _cross(e[:, 1], e[:, 2], out=g[1])
+    six_v = _dot(e[:, 0], g[1])
+    np.abs(six_v, out=volumes)
+    volumes /= 6.0
+    if np.any(volumes <= 0):
+        raise ValueError("degenerate tetrahedron (zero volume)")
+    _cross(e[:, 2], e[:, 0], out=g[2])
+    _cross(e[:, 0], e[:, 1], out=g[3])
+    del e
+    np.less(six_v, 0, out=flipped)
+    g[2], g[3] = np.where(flipped, g[3], g[2]), np.where(flipped, g[2], g[3])
+    g[1:] /= six_v
+    # minus the sum as numpy's reduction over rows forms it, from +0
+    np.add(g[1], g[2], out=g[0])
+    g[0] += g[3]
+    g[0] += 0.0
+    np.negative(g[0], out=g[0])
+    grads[...] = g.transpose(2, 0, 1)
+
+
 # faces of a positively oriented tet (0, 1, 2, 3), wound with outward normals
 _TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 
 
-def _check_boundary_faces(tets, n, triangles, ids):
+def _check_boundary_faces(corners, n, triangles, ids):
     """Raise ValueError unless the tet faces used once are the boundary triangles.
 
     With every boundary triangle added reversed, each face must occur exactly
@@ -178,19 +210,19 @@ def _check_boundary_faces(tets, n, triangles, ids):
     strictly increasing: two value sorts, with no row sort and no index
     sort.  Only a mesh that fails groups its rows by key
     (:func:`_name_bad_face`) to name the offending face.  Rows are
-    slot-major tet faces, then triangles.
+    slot-major tet faces, then triangles.  The tets come corner-major,
+    ``corners`` (4, m), the copy :class:`TetMesh` builds its geometry from,
+    so every corner column is contiguous and none is copied here.
     """
     if n >= 2**21:
         raise ValueError("the boundary check supports fewer than 2**21 vertices")
-    m = len(tets)
+    m = corners.shape[1]
     key = np.empty(4 * m + len(triangles), dtype=np.int64)
     odd = np.empty(len(key), dtype=bool)
-    # corner-major copies, so that every corner column below is contiguous
-    tet_corners, triangle_corners = np.ascontiguousarray(tets.T), ids[triangles.T]
     at = 0
-    for corners, (i, j, k) in ([(tet_corners, f) for f in _TET_FACES]
-                               + [(triangle_corners, (2, 1, 0))]):
-        a, b, c = corners[i], corners[j], corners[k]
+    for columns, (i, j, k) in ([(corners, f) for f in _TET_FACES]
+                               + [(ids[triangles.T], (2, 1, 0))]):
+        a, b, c = columns[i], columns[j], columns[k]
         rows = slice(at, at + len(a))
         at += len(a)
         # a three-comparator sorting network: the middle vertex goes to the
@@ -211,17 +243,16 @@ def _check_boundary_faces(tets, n, triangles, ids):
         np.greater(a, b, out=parity)
         parity ^= b > c
         parity ^= a > c
-    del tet_corners, triangle_corners
     even_keys, odd_keys = key[~odd], key[odd]
     even_keys.sort()
     odd_keys.sort()
     if np.array_equal(even_keys, odd_keys) and (even_keys[1:] > even_keys[:-1]).all():
         return
     del even_keys, odd_keys
-    _name_bad_face(tets, key, odd)
+    _name_bad_face(corners, key, odd)
 
 
-def _name_bad_face(tets, key, odd):
+def _name_bad_face(corners, key, odd):
     """Raise the ValueError of :func:`_check_boundary_faces` that names the
     offending face of the rows' ``key`` and ``odd`` parities: the rows are
     grouped by key, and the smallest key not held by exactly two rows of
@@ -233,10 +264,10 @@ def _name_bad_face(tets, key, odd):
     sizes = np.diff(np.r_[starts, len(order)])
     pair = order[np.minimum(starts + 1, len(order) - 1)]
     bad = (sizes != 2) | (odd[order[starts]] == odd[pair])
-    g, m = int(np.argmax(bad)), len(tets)
+    g, m = int(np.argmax(bad)), corners.shape[1]
     row = int(order[starts[g]:starts[g] + sizes[g]].max())   # a triangle if any
     what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
-            else f"face {tets[row % m, _TET_FACES[row // m]].tolist()} of tet {row % m}")
+            else f"face {corners[_TET_FACES[row // m], row % m].tolist()} of tet {row % m}")
     why = {1: "is used once" if row < 4 * m else "is not a tet face",
            2: "is wound inward"}.get(int(sizes[g]), f"is shared {sizes[g]} times")
     raise ValueError(f"boundary mismatch: {what} {why}")
@@ -261,10 +292,8 @@ def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
     if grading <= 0:
         raise ValueError("grading must be positive")
     center = np.asarray(center, dtype=float)
-    shell = build_icosphere(1.0, surface_level)
-    dirs = shell.vertices
+    dirs, faces = _unit_icosphere(surface_level)
     nd = len(dirs)
-    faces = shell.triangles
 
     r = np.array([radius * (layer / radial_layers) ** grading
                   for layer in range(1, radial_layers + 1)])
@@ -275,8 +304,10 @@ def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
     cone = np.column_stack([np.zeros(len(faces), dtype=np.int64), 1 + faces])
     bottom = 1 + np.sort(faces, axis=1) + (nd * np.arange(radial_layers - 1))[:, None, None]
     prism = np.concatenate([bottom, bottom + nd], axis=2)
+    del bottom
     split = [[0, 1, 2, 5], [0, 1, 4, 5], [0, 3, 4, 5]]   # b0b1b2t2, b0b1t1t2, b0t0t1t2
-    tets = np.vstack([cone, prism[:, :, split].reshape(-1, 4)])
+    tets = np.vstack([cone, np.take(prism, split, axis=2).reshape(-1, 4)])
+    del cone, prism   # not held through the TetMesh build
 
     boundary_ids = 1 + (radial_layers - 1) * nd + np.arange(nd)
     boundary = TriangleMesh(vertices[boundary_ids], faces)

@@ -64,6 +64,12 @@ BAD_VALUES = [
     # non-finite numbers
     ["tolman", "--sigma", "nan"],
     ["solve", "--ball", "inf"],
+    # values no run can use, rejected before anything is computed
+    ["gradcheck", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["solve", "--gauge", "rigid"],
+    ["mesh-check", "--levels", "2..9"],
+    ["mesh-check", "--levels", "8"],
 ]
 
 
@@ -89,6 +95,19 @@ def test_malformed_config_values_are_bad_usage(argv, tmp_path, capsys):
     cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["mesh-check", "--levels", "2..9"], "build_icosphere"),
+    (["solve", "--gauge", "rigid"], "build_ball_tetmesh"),
+])
+def test_bad_usage_builds_no_mesh(argv, builder, tmp_path, monkeypatch):
+    """A level range past the last one, or a rigid gauge on a scalar field,
+    is rejected before the first mesh is built, not after the others."""
+    built = []
+    monkeypatch.setattr(f"curvbc.cli.{builder}", lambda *a, **k: built.append(a))
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("command,config", [

@@ -5,7 +5,7 @@ decide by value sorts.  The grouping checks they replaced are kept here as
 references: a corrupted mesh must get the same decision and the same message
 from both.  The constructors' geometry is compared bit for bit with the
 formulas it replaced, on a relabelled ball whose input tets come with both
-orientations and on a perturbed icosphere.
+orientations, on a perturbed icosphere and on a coarse torus.
 """
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvbc import TetMesh, TriangleMesh, build_icosphere
-from curvbc.surface_mesh import _scatter
+from curvbc import TetMesh, TriangleMesh, build_ball_tetmesh, build_icosphere
+from curvbc.analytic_geometry import AnalyticSurface, sample_mesh
+from curvbc.surface_mesh import _cross, _dot, _scatter
 
 from test_assembler import permuted_ball_inputs
 
@@ -169,8 +170,8 @@ def test_tet_geometry_keeps_the_bits_of_the_edge_gather(seed):
 
 
 def reference_triangle_geometry(vertices, triangles):
-    """The ``TriangleMesh`` fields whose code changed, from one (m, 3, 3)
-    gather of the corner positions, whole-array normal weights and np.cross."""
+    """The ``TriangleMesh`` fields from one (m, 3, 3) gather of the corner
+    positions, whole-array normal weights, np.cross and np.einsum."""
     tri = vertices[triangles]
     e0, e1, e2 = tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]
     cross = np.cross(e2, -e1)
@@ -183,9 +184,20 @@ def reference_triangle_geometry(vertices, triangles):
     contrib = (normals * (2.0 * areas)[:, None])[None] / np.where(denom > 0, denom, 1.0)[:, :, None]
     vn = _scatter(triangles.T, len(vertices), contrib)
     vn_norm = np.linalg.norm(vn, axis=1)
+    cots = -np.stack([np.einsum("fj,fj->f", edges[:, (c + 1) % 3], edges[:, (c + 2) % 3])
+                      for c in range(3)], axis=1)
+    cots /= np.where(areas > 0, 2.0 * areas, 1.0)[:, None]
+    weighted = lsq * cots
+    voronoi = (weighted[:, [1, 2, 0]] + weighted[:, [2, 0, 1]]) / 8.0
+    obtuse = cots < 0.0
+    corner_areas = np.where(obtuse.any(axis=1)[:, None],
+                            np.where(obtuse, areas[:, None] / 2.0, areas[:, None] / 4.0), voronoi)
     return {"face_areas": areas, "face_normals": normals,
             "vertex_normals": vn / np.where(vn_norm > 0, vn_norm, 1.0)[:, None],
-            "hat_gradients": np.cross(normals[:, None, :], edges) / (2.0 * areas)[:, None, None]}
+            "hat_gradients": np.cross(normals[:, None, :], edges) / (2.0 * areas)[:, None, None],
+            "corner_cots": cots, "corner_areas": corner_areas,
+            "vertex_areas": np.bincount(triangles.ravel(), corner_areas.ravel(),
+                                        minlength=len(vertices))}
 
 
 def test_triangle_geometry_keeps_the_bits_of_the_corner_gather():
@@ -196,11 +208,21 @@ def test_triangle_geometry_keeps_the_bits_of_the_corner_gather():
     assert_same_bits(mesh, reference_triangle_geometry(vertices, sphere.triangles))
 
 
+def test_triangle_geometry_keeps_the_bits_on_obtuse_faces():
+    """On a coarse torus, whose obtuse faces take the mixed-area branch and
+    whose right angles give cotangents of -0."""
+    torus, _ = sample_mesh(AnalyticSurface.torus(2.0, 0.5), (12, 5))
+    mesh = TriangleMesh(torus.vertices, torus.triangles)
+    assert (mesh.corner_cots < 0).any() and np.signbit(mesh.corner_cots[mesh.corner_cots == 0]).any()
+    assert_same_bits(mesh, reference_triangle_geometry(torus.vertices, torus.triangles))
+
+
 def test_triangle_mesh_build_peak():
     """The constructor's tracemalloc peak above its inputs stays below twice
-    the arrays it keeps: 1.93 times on the level-5 icosphere, where the
-    (m, 3, 3) corner gather, np.cross's input copies and the whole-array
-    normal weights gave 2.17."""
+    the arrays it keeps: 1.52 times on the level-5 icosphere with the
+    geometry on component-major vectors, 1.93 with (m, 3) rows and per-corner
+    gathers, and 2.17 with the (m, 3, 3) corner gather, np.cross's input
+    copies and the whole-array normal weights."""
     sphere = build_icosphere(1.0, 5)
     vertices, triangles = sphere.vertices, sphere.triangles
     tracemalloc.start()
@@ -211,3 +233,51 @@ def test_triangle_mesh_build_peak():
         tracemalloc.stop()
     assert mesh.n_faces == 20480
     assert peak < 2.0 * live
+
+
+def test_tet_mesh_build_peak():
+    """The constructor's tracemalloc peak above its inputs stays below 1.7
+    times the arrays it keeps on the (3, 6) ball: 1.65 times with the
+    geometry built on per-component block vectors, where the (m, 3, 3)
+    edge and adjugate arrays gave 1.72.  The boundary check sets the peak."""
+    ball = build_ball_tetmesh(1.0, surface_level=3, radial_layers=6)
+    args = (ball.vertices, ball.tets, ball.boundary, ball.boundary_vertex_ids)
+    tracemalloc.start()
+    try:
+        mesh = TetMesh(*args)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_tets == 20480
+    assert peak < 1.7 * live
+
+
+SIGNED = [0.0, -0.0, 1.0, -1.5, 3e-300, -2.5e300]
+
+
+def test_component_helpers_keep_the_bits_of_cross_and_einsum():
+    """``_cross`` and ``_dot`` on component-major vectors give the bits of
+    np.cross and np.einsum on (m, 3) rows, signed zeros and overflow
+    included: every pair of vectors with components from ``SIGNED``."""
+    rows = np.array(np.meshgrid(*[SIGNED] * 3, indexing="ij")).reshape(3, -1).T
+    a = np.repeat(rows, len(rows), axis=0)
+    b = np.tile(rows, (len(rows), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross, dot = _cross(a.T, b.T), _dot(a.T, b.T)
+        assert cross.T.tobytes() == np.cross(a, b).tobytes()
+        assert dot.tobytes() == np.einsum("mj,mj->m", a, b).tobytes()
+
+
+def test_ball_builds_one_triangle_mesh(monkeypatch):
+    """The ball takes its shell directions from the icosphere arrays and
+    builds only its boundary mesh, whose vertices are the unit icosphere's
+    scaled by the radius."""
+    built = []
+    init = TriangleMesh.__init__
+    monkeypatch.setattr(TriangleMesh, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    ball = build_ball_tetmesh(2.0, surface_level=2, radial_layers=3)
+    assert len(built) == 1
+    sphere = build_icosphere(2.0, 2)
+    assert np.array_equal(ball.boundary.vertices, sphere.vertices)
+    assert np.array_equal(ball.boundary.triangles, sphere.triangles)
