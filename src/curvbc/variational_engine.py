@@ -40,6 +40,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import Optional
 
@@ -98,6 +99,8 @@ class TetMesh:
     tet_gradients : (m, 4, 3) gradients of the corner hat functions.
     corner_weights : (m, 4) quarter volumes, the corner quadrature weights.
     dual_volumes : (n,) quarter-volume lumped vertex measures.
+    boundary_layer : (t,) ids, in order, of the tets with a boundary vertex;
+        computed on first access and kept.
 
     The geometry is built from a corner-major copy of the tets, ``_BLOCK``
     tets at a time, on contiguous per-component vectors
@@ -135,7 +138,8 @@ class TetMesh:
         self.boundary = boundary
         if len(self.boundary_vertex_ids) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")
-        if len(np.unique(self.boundary_vertex_ids)) != boundary.n_vertices:
+        sorted_ids = np.sort(self.boundary_vertex_ids)
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ValueError("boundary_vertex_ids must be distinct")
         _check_boundary_faces(corners, n, boundary.triangles, self.boundary_vertex_ids)
         mask = np.ones(n, dtype=bool)
@@ -153,6 +157,10 @@ class TetMesh:
     @property
     def total_volume(self):
         return float(self.tet_volumes.sum())
+
+    @cached_property
+    def boundary_layer(self):
+        return np.flatnonzero(~self.interior_mask[self.tets].all(axis=1))
 
 
 def _tet_block_geometry(x, corners, volumes, grads, flipped):
@@ -414,7 +422,7 @@ def _corner(hat, weights, corner_rows, grad_rows):
     return corner
 
 
-def _simplex_pass(simplices, hat, values, rates, channels=(), rows=(), keep=None):
+def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
     """Assemble over blocks of ``_BLOCK`` simplices in one pass.
 
     Each block gathers its :func:`_pointwise` inputs and evaluates the
@@ -423,9 +431,8 @@ def _simplex_pass(simplices, hat, values, rates, channels=(), rows=(), keep=None
     a block writes its element corner rows into the channel's preallocated
     (m, c, k) corner array, scattered to the vertex rows by one bincount
     after the loop.  ``rows`` lists partials whose evaluated rows (a density,
-    say) are kept, ``c`` rows per simplex: for every simplex, or for the
-    simplices of the boolean mask ``keep`` in their order.  Returns the list
-    of scattered channel gradients and the list of kept rows.
+    say) are kept, ``c`` rows per simplex.  Returns the list of scattered
+    channel gradients and the list of kept rows, each ``(m * c, ...)``.
 
     The block size only bounds the temporaries: every element is computed
     by the same operations as in one whole-mesh block, and the scatter
@@ -436,30 +443,24 @@ def _simplex_pass(simplices, hat, values, rates, channels=(), rows=(), keep=None
     partials = {id(p): p for p in rows}
     partials.update((id(p), p) for _, *ps in channels for p in ps if p is not None)
     corners = [np.empty((m, c, k)) for _ in channels]
-    n_kept = m if keep is None else np.count_nonzero(keep)
     kept = [None] * len(rows)
-    done = 0                                    # kept simplices written so far
     for start in range(0, m, _BLOCK):
         b = slice(start, start + _BLOCK)
-        sel = slice(None) if keep is None else keep[b]
         at = _pointwise(simplices[b], hat[b], values, rates)
         ev = {key: p(*at) for key, p in partials.items()}
         for corner, (weights, d_phi, d_grad) in zip(corners, channels):
             corner[b] = _corner(hat[b], weights[b], ev.get(id(d_phi)), ev.get(id(d_grad)))
         for j, p in enumerate(rows):
             r = ev[id(p)]
-            r = r.reshape((-1, c) + r.shape[1:])[sel]
             if kept[j] is None:
-                kept[j] = np.empty((n_kept, c) + r.shape[2:])
-            kept[j][done:done + len(r)] = r
-        done += len(simplices[b][sel])
-    return ([_scatter(simplices, n, corner) for corner in corners],
-            [r.reshape((-1,) + r.shape[2:]) for r in kept])
+                kept[j] = np.empty((m * c,) + r.shape[1:])
+            kept[j][start * c:start * c + len(r)] = r
+    return [_scatter(simplices, n, corner) for corner in corners], kept
 
 
-def _bulk_pass(mesh, state, channels=(), rows=(), keep=None):
+def _bulk_pass(mesh, state, channels=(), rows=()):
     return _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
-                         state._rates_at(), channels, rows, keep)
+                         state._rates_at(), channels, rows)
 
 
 def bulk_action(mesh, bulk, state):
@@ -686,18 +687,21 @@ def natural_bc_residual(mesh, bulk, surface, state):
     trajectory = None if state.trajectory is None else state.trajectory[:, ids]
     rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
 
-    # the pointwise flux reads boundary vertex rows only: keep the momentum
-    # rows of the tets with a boundary vertex, whose sums those rows are
-    touch = ~mesh.interior_mask[mesh.tets].all(axis=1)
-    (g_bulk,), (bulk_d_grad,) = _bulk_pass(
-        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad], touch)
+    # both fluxes read boundary vertex rows only, which are sums over the
+    # tets with a boundary vertex: the bulk pass runs on those tets alone, and
+    # each boundary row receives the whole mesh's additions in the same order
+    layer = mesh.boundary_layer
+    tets, weights = mesh.tets[layer], mesh.corner_weights[layer]
+    (g_bulk,), (bulk_d_grad,) = _simplex_pass(
+        tets, mesh.tet_gradients[layer], state.values, state._rates_at(),
+        [(weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
-    mom = _scatter(mesh.tets[touch], mesh.n_vertices,
+    mom = _scatter(tets, mesh.n_vertices,
                    bulk_d_grad.reshape(-1, 4, state.n_components, 3)
-                   * mesh.corner_weights[touch][:, :, None, None])
+                   * weights[:, :, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 

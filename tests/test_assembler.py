@@ -515,7 +515,70 @@ def test_blocks_change_no_bits(monkeypatch):
     per_pass = -(-mesh.n_tets // block)
     assert gradient_calls == Counter(d_phi=per_pass, d_grad=per_pass)
     assert action_calls == Counter(density=per_pass)
-    assert report_calls == Counter(d_phi=per_pass, d_grad=per_pass)
+    # the report's bulk pass runs on the tets with a boundary vertex only
+    touching = np.count_nonzero(~mesh.interior_mask[mesh.tets].all(axis=1))
+    per_report = -(-touching // block)
+    assert report_calls == Counter(d_phi=per_report, d_grad=per_report)
+
+
+def whole_mesh_report(mesh, bulk, surface, state):
+    """Reference report whose bulk pass runs over every tet, keeping the
+    boundary rows, as the report did before it ran on the boundary layer."""
+    B, ids = mesh.boundary, mesh.boundary_vertex_ids
+    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
+    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
+    touch = ~mesh.interior_mask[mesh.tets].all(axis=1)
+    (g_bulk,), (d_grad,) = ve._bulk_pass(
+        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
+    flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
+    mom = _scatter(mesh.tets[touch], mesh.n_vertices,
+                   d_grad.reshape(-1, 4, state.n_components, 3)[touch]
+                   * mesh.corner_weights[touch][:, :, None, None])
+    mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
+    return {"residual": flux_weak - rhs, "flux_weak": flux_weak, "rhs": rhs,
+            "flux_pointwise": np.einsum("vkj,vj->vk", mom, B.vertex_normals),
+            **{f"terms.{name}": v for name, v in terms.items()}}
+
+
+BOUNDARY_LAYER_CASES = {
+    "default ball, k = 1": (
+        lambda: build_ball_tetmesh(1.0), 1,
+        lambda: (builtin_bulk("poisson_source", source=6.0), robin_surface(1.0))),
+    "(3, 6) ball, k = 3": (
+        lambda: build_ball_tetmesh(1.0, surface_level=3, radial_layers=6), 3,
+        lambda: (builtin_bulk("linear_elastic", lam=1.0, mu=1.0),
+                 make_isotropic_surface(1.0, 0.1))),
+    "permuted ball, k = 1": (lambda: permuted_ball(2), 1,
+                             lambda: (builtin_bulk("poisson_source", source=6.0),
+                                      curved_robin())),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_LAYER_CASES))
+def test_report_on_the_boundary_layer_keeps_the_bits(case):
+    """The report's bulk pass on the tets with a boundary vertex gives the
+    bytes of the whole-mesh pass, for a static and a trajectory state."""
+    build, k, pair = BOUNDARY_LAYER_CASES[case]
+    mesh = build()
+    layer = mesh.boundary_layer
+    assert 0 < len(layer) < mesh.n_tets
+    assert np.array_equal(layer, np.flatnonzero(~mesh.interior_mask[mesh.tets].all(axis=1)))
+    assert layer is mesh.boundary_layer
+    rng = np.random.default_rng(k)
+    bulk, surface = pair()
+    states = {"static": (bulk, surface, random_state(mesh, k, rng)),
+              "trajectory": (rate_coupled_bulk(bulk), rate_coupled_surface(surface),
+                             random_trajectory(mesh, k, rng))}
+    for kind, (b, s, state) in states.items():
+        report = natural_bc_residual(mesh, b, s, state)
+        expected = whole_mesh_report(mesh, b, s, state)
+        actual = {name: getattr(report, name)
+                  for name in ("residual", "flux_weak", "rhs", "flux_pointwise")}
+        actual.update((f"terms.{name}", v) for name, v in report.terms.items())
+        assert list(actual) == list(expected), kind
+        for name, value in expected.items():
+            assert actual[name].shape == value.shape, (kind, name)
+            assert actual[name].tobytes() == value.tobytes(), (kind, name)
 
 
 # -- assembled tangent -------------------------------------------------------------
