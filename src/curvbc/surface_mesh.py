@@ -105,8 +105,9 @@ class TriangleMesh:
         normals it induces are taken as the outward direction.
     validate : bool
         If True (default), enforce the closed-manifold, orientation and
-        face-quality invariants. ``validate=False`` is an escape hatch for
-        open patches used in low-level operator tests.
+        face-quality invariants, and that every vertex is on a face.
+        ``validate=False`` is an escape hatch for open patches used in
+        low-level operator tests.
 
     Attributes
     ----------
@@ -150,6 +151,9 @@ class TriangleMesh:
         if validate:
             _check_face_quality(self)
             self._check_closed_oriented()
+            used = np.bincount(self.triangles.ravel(), minlength=len(self.vertices))
+            if not used.all():
+                raise MeshError(f"vertex {np.argmin(used)} is on no face")
             self._closed = True
         lsq = _dot(edges, edges)                      # (3, m) squared edge lengths
         self._compute_vertex_normals(normals, lsq)
@@ -323,8 +327,10 @@ class CurvatureData:
     ``mean`` is the signed mean curvature H.  ``shape_op`` holds symmetric
     2x2 shape operators in the orthonormal tangent ``frames`` (trace equals
     2H exactly after the fit correction).  ``grad_H`` is the tangential
-    surface gradient of H as Cartesian vectors.  ``flagged`` lists vertices
-    whose 1-ring fit was rank deficient (isotropic H*I fallback used).
+    surface gradient of H as Cartesian vectors.  ``flagged`` lists the
+    vertices whose projected 1-ring edges are collinear or vanish to
+    roundoff, their Gram determinant at most ``16 eps`` times their squared
+    trace (:func:`shape_operator`); these get the isotropic H*I.
     """
 
     mean: np.ndarray
@@ -408,20 +414,34 @@ def _tangent_frames(normals):
 def shape_operator(mesh):
     """Per-vertex shape operator, mean curvature and curvature gradient.
 
-    The symmetric 2x2 operator is fitted from the 1-ring variation of the
-    vertex normals (least squares over projected edge/normal differences)
-    and then shifted so its trace equals 2H exactly, with H the mesh's
-    cached :func:`mean_curvature`; vertices of one 1-ring degree share one
-    batched fit (:func:`_lstsq_stack`).  Rank-deficient fits fall back to H*I
-    and the vertex is flagged.  grad_H is the per-face surface gradient of
-    the H field averaged back to vertices and projected tangentially.
+    The symmetric 2x2 operator ``[[a, b], [b, c]]`` is the least-squares fit
+    of ``S u = dn`` over the directed 1-ring edges of each vertex, with
+    ``u = E (x_t - x_h)`` and ``dn = E (n_t - n_h)`` projected on the head's
+    tangent frame ``E``.  Its 3 x 3 normal equations have the matrix
+    ``M = [[S00, S01, 0], [S01, S00 + S11, S01], [0, S01, S11]]`` of the
+    1-ring sums ``S00 = sum u0^2``, ``S01 = sum u0 u1``, ``S11 = sum u1^2``,
+    so ``det M = T D`` with ``T = S00 + S11`` and ``D = S00 S11 - S01^2``,
+    the Gram determinant of the projected edges; the fit is
+    ``adj(M) r / det M``, from the right-hand sums ``r``.  The fit is then
+    shifted so its trace equals 2H exactly, with H the mesh's cached
+    :func:`mean_curvature`.
+
+    A vertex is flagged, and given H*I, when ``D <= 16 eps T^2``: its
+    projected edges are collinear (or vanish) to roundoff.  For exactly
+    collinear edges ``D`` is 0, but the rounded sums and products leave up
+    to about ``(k + 1) eps T^2`` on a 1-ring of ``k`` edges (as ``S00 S11
+    <= T^2 / 4``), so the factor 16 covers every degree up to 15.  The
+    normal equations square the fit's condition number: a fitted vertex
+    carries a relative error of up to about ``eps T^2 / D``.  grad_H is the
+    per-face surface gradient of the H field averaged back to vertices and
+    projected tangentially.
     """
     H = mesh.vertex_mean_curvature
     frames = _tangent_frames(mesh.vertex_normals)
     n = mesh.n_vertices
-    # unique directed 1-ring edges, sorted by head and then by neighbour.  A
-    # sort and a neighbour compare, not np.unique, whose hash path (numpy
-    # 2.4) took 12.4 ms against 0.6 ms on 61,440 keys
+    # unique directed 1-ring edges (a validate=False patch may repeat a
+    # face).  A sort and a neighbour compare, not np.unique, whose hash path
+    # (numpy 2.4) took 12.4 ms against 0.6 ms on 61,440 keys
     tri = mesh.triangles
     key = tri.ravel() * n + tri[:, [1, 2, 0]].ravel()
     key.sort()
@@ -429,46 +449,25 @@ def shape_operator(mesh):
     np.not_equal(key[1:], key[:-1], out=first[1:])
     key = key[first]
     heads, tails = key // n, key % n
-    degree = np.bincount(heads, minlength=n)
-    starts = np.cumsum(degree) - degree
+    E = frames[heads]
     x, vn = mesh.vertices, mesh.vertex_normals
-    fit, full_rank = np.zeros((n, 3)), np.zeros(n, dtype=bool)
-    # one degree group at a time, in increasing degree: its frames, projected
-    # differences and fit rows
-    groups = np.bincount(degree)
-    groups[0] = 0
-    for deg in np.flatnonzero(groups):
-        ids = np.flatnonzero(degree == deg)
-        rows = (starts[ids][:, None] + np.arange(deg)).ravel()   # k * deg edge rows
-        h, t = heads[rows], tails[rows]
-        E = frames[h]                                   # (k * deg, 2, 3)
-        u = np.einsum("ekj,ej->ek", E, x[t] - x[h]).reshape(len(ids), deg, 2)
-        dn = np.einsum("ekj,ej->ek", E, vn[t] - vn[h]).reshape(len(ids), 2 * deg)
-        del E, h, t                                     # not held through the SVD
-        A = np.zeros((len(ids), deg, 2, 3))             # rows (u0, u1, 0), (0, u0, u1)
-        A[:, :, 0, :2] = u
-        A[:, :, 1, 1:] = u
-        fit[ids], rank = _lstsq_stack(A.reshape(len(ids), 2 * deg, 3), dn)
-        full_rank[ids] = rank == 3
-    S = fit[:, [[0, 1], [1, 2]]]
-    S += (0.5 * (2.0 * H - (fit[:, 0] + fit[:, 2])))[:, None, None] * np.eye(2)
-    S[~full_rank] = H[~full_rank, None, None] * np.eye(2)
+    u0, u1 = np.einsum("ekj,ej->ke", E, x[tails] - x[heads])
+    d0, d1 = np.einsum("ekj,ej->ke", E, vn[tails] - vn[heads])
+    del E
+    S00, S01, S11, r0, r1, r2 = _scatter_columns(
+        heads, n, (u0 * u0, u0 * u1, u1 * u1, u0 * d0, u1 * d0 + u0 * d1, u1 * d1)).T
+    T = S00 + S11
+    D = S00 * S11 - S01 * S01
+    fitted = D > 16.0 * np.finfo(float).eps * T * T
+    det = np.where(fitted, T * D, 1.0)
+    a = ((D + S11 * S11) * r0 - S01 * S11 * r1 + S01 * S01 * r2) / det
+    b = (S00 * S11 * r1 - S01 * (S11 * r0 + S00 * r2)) / det
+    c = (S01 * S01 * r0 - S00 * S01 * r1 + (D + S00 * S00) * r2) / det
+    S = np.stack([a, b, c], axis=1)[:, [[0, 1], [1, 2]]]
+    S += (H - 0.5 * (a + c))[:, None, None] * np.eye(2)
+    S[~fitted] = H[~fitted, None, None] * np.eye(2)
     return CurvatureData(mean=H, shape_op=S, frames=frames, grad_H=_vertex_grad_H(mesh),
-                         flagged=np.flatnonzero(~full_rank).tolist())
-
-
-def _lstsq_stack(A, b):
-    """Least squares of a stack, ``(k, m, p)`` and ``(k, m)``, by one batched SVD.
-
-    Returns the minimum-norm solutions ``(k, p)`` and ranks ``(k,)``.
-    Singular values at or below ``eps * max(m, p) * s_max`` count as zero,
-    the rule ``np.linalg.lstsq`` applies with ``rcond=None``.
-    """
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
-    coef = np.einsum("kmi,km->ki", U, b)
-    coef = np.where(keep, coef / np.where(keep, s, 1.0), 0.0)
-    return np.einsum("kij,ki->kj", Vh, coef), keep.sum(axis=1)
+                         flagged=np.flatnonzero(~fitted).tolist())
 
 
 def _vertex_grad_H(mesh):

@@ -86,7 +86,7 @@ class TetMesh:
     vertices : (n, 3) float array
     tets : (m, 4) int array
         Corner indices in ``[0, n)``; orientation is canonicalized to
-        positive volume.
+        positive volume.  A vertex on no tet raises ValueError naming it.
     boundary : TriangleMesh
         Closed outward-oriented boundary surface.
     boundary_vertex_ids : (nb,) int array
@@ -135,6 +135,10 @@ class TetMesh:
         self.tets = tets = np.ascontiguousarray(corners.T)
         self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
         self.dual_volumes = _scatter(tets, n, self.corner_weights)
+        # every tet has a positive volume, so a zero dual volume marks a
+        # vertex that no tet uses
+        if not self.dual_volumes.all():
+            raise ValueError(f"vertex {np.argmin(self.dual_volumes)} is on no tet")
         self.boundary = boundary
         if len(self.boundary_vertex_ids) != boundary.n_vertices:
             raise ValueError("boundary_vertex_ids must match the boundary mesh")

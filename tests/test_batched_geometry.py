@@ -1,10 +1,13 @@
 """The batched geometry layer against the per-vertex and per-point loops it replaced.
 
-``shape_operator`` fits every vertex of one 1-ring degree with one batched
-SVD, and the analytic jets and sampled meshes are built with array ops.
+``shape_operator`` fits every vertex at once from six per-vertex 1-ring
+sums: the 3 x 3 normal equations solved by their adjugate, with a vertex
+flagged when the Gram determinant of its projected edges is zero to
+roundoff.  The analytic jets and sampled meshes are built with array ops.
 The loops are kept here as references: the fit must agree with one
-``np.linalg.lstsq`` per vertex, and the sampled meshes and their jets must
-equal the scalar closed forms bit for bit.
+``np.linalg.lstsq`` per vertex, flagging the same vertices as its rank rule,
+and the sampled meshes and their jets must equal the scalar closed forms bit
+for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from hypothesis import given
 
 from curvbc import AnalyticSurface, TriangleMesh, evaluate_jet, sample_mesh, shape_operator
 from curvbc.analytic_geometry import GeometryJet
-from curvbc.surface_mesh import _lstsq_stack, _tangent_frames, _vertex_grad_H
+from curvbc.surface_mesh import _tangent_frames, _vertex_grad_H
 from test_off_sphere import AMPLITUDES, SEEDS, SETTINGS, perturbed_icosphere
 
 SPHERE = AnalyticSurface.sphere(2.0)
@@ -99,7 +102,7 @@ def test_fit_matches_loop_on_sampled_surfaces(surface, resolution):
     data = assert_fit_matches_loop(mesh)
     assert not data.flagged
     if surface is CYLINDER:
-        # the cap centres have degree n_u, the rest 6: two degree groups
+        # the cap centres have degree n_u, the rest 6
         degrees = np.bincount(mesh.triangles.ravel())
         assert set(degrees.tolist()) >= {6, 12}
 
@@ -112,28 +115,61 @@ def test_fit_matches_loop_on_open_patch_with_flagged_vertex():
         assert np.array_equal(data.shape_op[i], data.mean[i] * np.eye(2))
 
 
-def test_lstsq_stack_matches_lstsq_rank_rule():
-    rng = np.random.default_rng(7)
-    members = [rng.standard_normal((8, 3)) for _ in range(3)]
-    c = rng.integers(-3, 4, (8, 2)).astype(float)
-    members.append(np.column_stack([c, c[:, 0] + c[:, 1]]))           # rank 2
-    members.append(np.outer(rng.integers(1, 4, 8), [1.0, -2.0, 3.0]))   # rank 1
-    members.append(np.zeros((8, 3)))                                   # rank 0
-    # smallest singular value between eps * 3 and eps * 8 of the largest:
-    # the cut uses the longer side, 2 * deg rows, so this one is rank 2
-    U, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    for smallest in (1.2e-15, 2.5e-15):
-        members.append(U @ np.diag([1.0, 0.5, smallest]) @ V.T)
-    A = np.stack(members)
-    b = rng.standard_normal((len(A), 8))
-    x, rank = _lstsq_stack(A, b)
-    for k in range(len(A)):
-        ref, _, ref_rank, _ = np.linalg.lstsq(A[k], b[k], rcond=None)
-        assert rank[k] == ref_rank
-        if k < 6:   # the last two are too ill-conditioned to compare solutions
-            assert np.abs(x[k] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
-    assert rank.tolist() == [3, 3, 3, 2, 1, 0, 2, 3]
+def fan():
+    """Open fan of six triangles around vertex 0 on a paraboloid
+    (``validate=False``): every 1-ring has a Gram matrix of rank 2."""
+    angle = np.arange(6) * np.pi / 3.0 + 0.1
+    xy = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angle), 0.8 * np.sin(angle)])])
+    z = 0.3 * xy[:, 0] ** 2 + 0.7 * xy[:, 1] ** 2 + 0.2 * xy[:, 0] * xy[:, 1]
+    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    return TriangleMesh(np.column_stack([xy, z]), np.array(tris), validate=False)
+
+
+def reflected_pair(bend, lift):
+    """Vertex 0 on two triangles, the second the first's point reflection
+    through the z axis, moved by ``bend`` in y (``validate=False``).
+
+    With no bend the normal at vertex 0 is exactly the z axis, so its two
+    projected edges are exactly antiparallel: a Gram matrix of rank 1, whose
+    determinant D still rounds to about 0.1 eps T^2, not to 0.  The other
+    vertices lie on one triangle each, one edge apiece.  ``lift`` scales the
+    paraboloid the vertices lie on.
+    """
+    t, a = np.array([0.7, 0.2]), np.array([-0.25, 1.0])
+    xy = np.array([[0.0, 0.0], t, a, [-0.7, -0.2 + bend], -a])
+    z = lift * ((xy ** 2).sum(axis=1) + 0.25 * xy[:, 0] ** 2)
+    return TriangleMesh(np.column_stack([xy, z]), np.array([(0, 1, 2), (0, 3, 4)]),
+                        validate=False)
+
+
+def two_sided_sheet():
+    """One triangle in the plane x = 0 and its reverse (``validate=False``).
+    The face normals cancel, so the vertex normals are 0, the frames' first
+    axis is x and the second is 0: every projected edge is 0, a Gram matrix
+    of rank 0."""
+    verts = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.25], [0.0, 0.5, 1.0]])
+    return TriangleMesh(verts, np.array([(0, 1, 2), (0, 2, 1)]), validate=False)
+
+
+RINGS = {
+    "gram rank 2": (fan, []),
+    "gram rank 1": (lambda: reflected_pair(0.0, lift=0.4), [0, 1, 2, 3, 4]),
+    # the normal equations square the condition number of the fit (about
+    # 1e6 here), so this ring lies in a plane, where the normal differences
+    # are exactly 0 and so is either fit: the test is of the flag rule
+    "bent by 1e-6": (lambda: reflected_pair(1e-6, lift=0.0), [1, 2, 3, 4]),
+    "gram rank 0": (two_sided_sheet, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_rank_rule_on_hand_built_rings(name):
+    """The Gram rank of a 1-ring's projected edges, 2, 1 or 0, is lstsq's
+    rank 3, 2 or 0 of its fit (each nonzero edge gives two independent rows,
+    so rank 1 cannot arise).  Only rank 2 is fitted, with lstsq's flags."""
+    build, flagged = RINGS[name]
+    data = assert_fit_matches_loop(build())
+    assert data.flagged == flagged
 
 
 # -- analytic jets and sampled meshes --------------------------------------------

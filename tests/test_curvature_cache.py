@@ -5,10 +5,11 @@ The cotangent ``H`` of a ``TriangleMesh`` is evaluated at most once,
 whichever public entry point reaches it first, and callers of
 ``mean_curvature`` get a copy they may write into.  ``H`` is summed one
 coordinate at a time and is checked bit for bit against the interleaved
-``(6, m, 3)`` formulation it replaced.  ``shape_operator``'s
-1-ring edges and degree groups come from a sort, and are checked bit for bit
-against the ``np.unique`` formulation they replaced, kept here as the
-reference.  A source scan keeps hash-path ``np.unique`` calls out of the
+``(6, m, 3)`` formulation it replaced.  ``shape_operator`` takes its 1-ring
+edges from a sort and fits from per-vertex 1-ring sums; it is checked
+against the ``np.unique`` and batched-SVD formulation it replaced, kept here
+as the reference: the same flags and bits apart from the fit, which agrees
+to 1e-12.  A source scan keeps hash-path ``np.unique`` calls out of the
 package.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from curvbc import (
     sample_mesh,
     shape_operator,
 )
-from curvbc.surface_mesh import _lstsq_stack, _scatter, _tangent_frames, _vertex_grad_H
+from curvbc.surface_mesh import _scatter, _tangent_frames, _vertex_grad_H
 
 from test_assembler import perturbed_ball
 from test_batched_geometry import bump_patch
@@ -122,7 +123,8 @@ def interleaved_mean_curvature(mesh):
 
 def unique_shape_operator(mesh):
     """Reference: ``shape_operator`` with its 1-ring edges and degree groups
-    taken by ``np.unique``, as it was written before the sorts."""
+    taken by ``np.unique`` and each degree group fitted by one batched SVD,
+    as it was written before the sorts and the 1-ring sums."""
     H = mesh.vertex_mean_curvature
     frames = _tangent_frames(mesh.vertex_normals)
     n = mesh.n_vertices
@@ -143,8 +145,14 @@ def unique_shape_operator(mesh):
         A = np.zeros((len(ids), deg, 2, 3))
         A[:, :, 0, :2] = u
         A[:, :, 1, 1:] = u
-        fit[ids], rank = _lstsq_stack(A.reshape(len(ids), 2 * deg, 3), dn)
-        full_rank[ids] = rank == 3
+        # least squares of the stack by one batched SVD, with the rank rule
+        # of np.linalg.lstsq (rcond=None)
+        U, s, Vh = np.linalg.svd(A.reshape(len(ids), 2 * deg, 3), full_matrices=False)
+        keep = s > np.finfo(float).eps * max(2 * deg, 3) * s[:, :1]
+        coef = np.einsum("kmi,km->ki", U, dn)
+        coef = np.where(keep, coef / np.where(keep, s, 1.0), 0.0)
+        fit[ids] = np.einsum("kij,ki->kj", Vh, coef)
+        full_rank[ids] = keep.sum(axis=1) == 3
     S = fit[:, [[0, 1], [1, 2]]]
     S += (0.5 * (2.0 * H - (fit[:, 0] + fit[:, 2])))[:, None, None] * np.eye(2)
     S[~full_rank] = H[~full_rank, None, None] * np.eye(2)
@@ -177,11 +185,14 @@ def test_mean_curvature_keeps_the_bits_of_the_interleaved_sum(name):
 
 @pytest.mark.parametrize("name", list(GEOMETRY_MESHES))
 def test_shape_operator_keeps_the_bits_of_unique(name):
+    """The frames, grad_H, H and flags keep their bits; the fit from the
+    1-ring sums agrees with the SVD fit to 1e-12 of the largest entry."""
     mesh = GEOMETRY_MESHES[name]()
     data = shape_operator(mesh)
     S, frames, grad_H, flagged = unique_shape_operator(mesh)
-    for actual, expected in ((data.shape_op, S), (data.frames, frames),
-                             (data.grad_H, grad_H)):
+    assert data.shape_op.dtype == S.dtype and data.shape_op.shape == S.shape
+    assert np.abs(data.shape_op - S).max() <= 1e-12 * np.abs(S).max()
+    for actual, expected in ((data.frames, frames), (data.grad_H, grad_H)):
         assert actual.dtype == expected.dtype and actual.shape == expected.shape
         assert actual.tobytes() == expected.tobytes()
     assert data.flagged == flagged

@@ -26,6 +26,16 @@ def test_obj_roundtrip_exact(tmp_path):
     assert lines[1] == "# level 1"
 
 
+def test_obj_rejects_unused_vertex(tmp_path):
+    m = build_icosphere(1.0, 1)
+    path = tmp_path / "stray.obj"
+    write_obj(m, path)
+    path.write_text(path.read_text() + "v 2 0 0\n")
+    with pytest.raises(MeshError, match=f"^vertex {m.n_vertices} is on no face$"):
+        read_obj(path)
+    assert read_obj(path, validate=False).n_vertices == m.n_vertices + 1
+
+
 def test_obj_negative_indices(tmp_path):
     path = tmp_path / "neg.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")

@@ -114,6 +114,21 @@ def test_construction_rejects_inconsistent_orientation():
         TriangleMesh(m.vertices, tris)
 
 
+def test_construction_rejects_unused_vertex():
+    """A vertex on no face would get area 0, normal 0 and an H of nan."""
+    m = build_icosphere(1.0, 2)
+    appended = np.vstack([m.vertices, [[0.0, 2.0, 0.0]]])
+    with pytest.raises(MeshError, match=f"^vertex {m.n_vertices} is on no face$"):
+        TriangleMesh(appended, m.triangles)
+    # a second one at index 3 is the first named
+    verts = np.insert(appended, 3, [2.0, 0.0, 0.0], axis=0)
+    tris = np.where(m.triangles >= 3, m.triangles + 1, m.triangles)
+    with pytest.raises(MeshError, match="^vertex 3 is on no face$"):
+        TriangleMesh(verts, tris)
+    patch = TriangleMesh(verts, tris, validate=False)
+    assert patch.vertex_areas[3] == patch.vertex_areas[-1] == 0.0
+
+
 def test_vertex_normals_exact_on_sphere():
     m = build_icosphere(1.0, 3)
     assert np.abs(m.vertex_normals - m.vertices).max() <= 1e-12

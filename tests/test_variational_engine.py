@@ -184,6 +184,16 @@ def test_tet_mesh_rejects_indices_out_of_range(field, index, value):
         TetMesh(mesh.vertices, arrays["tets"], mesh.boundary, arrays["boundary_vertex_ids"])
 
 
+def test_tet_mesh_rejects_unused_vertex():
+    """A vertex on no tet would get a dual volume of 0, which turns off the
+    solve's preconditioner and makes the Euler-Lagrange residual nan."""
+    mesh = small_ball(2, 3)
+    n = mesh.n_vertices
+    verts = np.vstack([mesh.vertices, [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
+    with pytest.raises(ValueError, match=f"^vertex {n} is on no tet$"):
+        TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
+
+
 def boundary_variants():
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
     b, ids = mesh.boundary, mesh.boundary_vertex_ids
@@ -476,10 +486,10 @@ def test_bc_report_evaluates_each_partial_once(pair, monkeypatch):
         (mesh.n_vertices, bulk.n_components)))
     bulk_calls, surface_calls = Counter(), Counter()
 
-    def no_fit(A, b):
+    def no_fit(normals):
         raise AssertionError("the report must not run the shape-operator fit")
-    # every shape-operator fit solves through this module global
-    monkeypatch.setattr(surface_mesh, "_lstsq_stack", no_fit)
+    # every shape-operator fit projects on the frames of this module global
+    monkeypatch.setattr(surface_mesh, "_tangent_frames", no_fit)
     natural_bc_residual(mesh, counted(bulk, bulk_calls),
                         counted(surface, surface_calls), state)
     once = Counter(gamma0_d_phi=1, gamma0_d_grad=1, gamma_hat_d_phi=1, gamma_hat_d_grad=1)
