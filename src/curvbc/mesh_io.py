@@ -22,11 +22,14 @@ def read_off(path, validate=True):
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise MeshError(f"{path}: missing OFF header")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3  # skip edge count
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
+    if len(tokens) < 4 or not (tokens[1].isdecimal() and tokens[2].isdecimal()):
+        raise MeshError(f"{path}: expected vertex, face and edge counts, got {tokens[1:4]}")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4 + 3 * nv  # past the edge count and the vertices
+    if len(tokens) < pos:
+        raise MeshError(f"{path}: expected {3 * nv} vertex coordinates, "
+                        f"found {len(tokens) - 4}")
+    verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
     # "3 i j k" rows; up to the first non-triangle the rows stay aligned, so
     # the first row whose count is not 3 holds that face's vertex count
     rows = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64)

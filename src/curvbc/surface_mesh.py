@@ -93,6 +93,63 @@ def _dot(a, b, out=None):
     return out
 
 
+def _signed_keys(n, rows):
+    """uint64 keys ``2 f + odd`` of ``rows``, blocks of 2 or 3 vertex vectors
+    (directed edges or wound triangles): ``f`` holds a row's vertices sorted,
+    in base ``n``, and ``odd`` its permutation parity, so two rows wind a face
+    oppositely exactly when their keys are ``2 f`` and ``2 f + 1``.  Filled in
+    wrapping int64, the keys are exact as uint64: triangles need n < 2**21."""
+    key = np.empty(sum(len(block[0]) for block in rows), dtype=np.int64)
+    at = 0
+    for block in rows:
+        out = key[at:at + len(block[0])]
+        at += len(out)
+        a, b = block[:2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        odd = a > b
+        if len(block) == 3:
+            # the three-comparator network puts the middle vertex in out
+            c = block[2]
+            mid = np.minimum(hi, c)
+            np.maximum(hi, c, out=hi)
+            np.maximum(lo, mid, out=out)
+            np.minimum(lo, mid, out=lo)
+            del mid
+            lo *= n
+            lo += out
+            odd ^= (b > c) ^ (a > c)
+        np.multiply(lo, n, out=out)
+        out += hi
+        out *= 2
+        out += odd
+        del lo, hi, odd   # before the next block makes its own
+    return key.view(np.uint64)
+
+
+def _paired(key):
+    """Whether every face of the :func:`_signed_keys` ``key`` (sorted and
+    overwritten) is on exactly two rows of opposite winding: sorted pairs
+    ``(2 f, 2 f + 1)``, whose xor is 1, with f increasing between pairs."""
+    if len(key) % 2:
+        return False
+    key.sort()
+    first, second = key[0::2], key[1::2]
+    second ^= first
+    return bool((second == 1).all() and (first[1:] > first[:-1]).all())
+
+
+def _bad_face(key):
+    """Row indices of the smallest face of ``key``, which :func:`_paired`
+    rejects, that is not held by exactly two rows of opposite winding."""
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] >> 1 != key[:-1] >> 1])
+    sizes = np.diff(np.r_[starts, len(key)])
+    bad = (sizes != 2) | (key[starts] == key[np.minimum(starts + 1, len(key) - 1)])
+    g = int(np.argmax(bad))
+    return order[starts[g]:starts[g] + sizes[g]]
+
+
 class TriangleMesh:
     """Closed, consistently oriented triangle mesh with precomputed geometry.
 
@@ -105,9 +162,9 @@ class TriangleMesh:
         normals it induces are taken as the outward direction.
     validate : bool
         If True (default), enforce the closed-manifold, orientation and
-        face-quality invariants, and that every vertex is on a face.
-        ``validate=False`` is an escape hatch for open patches used in
-        low-level operator tests.
+        face-quality invariants (the closed check names the smallest bad
+        edge), and that every vertex is on a face.  ``validate=False`` is an
+        escape hatch for open patches used in low-level operator tests.
 
     Attributes
     ----------
@@ -185,39 +242,27 @@ class TriangleMesh:
             normals /= np.where(norm > 0.0, norm, 1.0)
         return edges, normals
 
+    def _edge_keys(self):
+        """:func:`_signed_keys` of the directed edges of the faces."""
+        t = np.ascontiguousarray(self.triangles.T)
+        return _signed_keys(len(self.vertices), [(t[c], t[(c + 1) % 3]) for c in range(3)])
+
     def _check_closed_oriented(self):
         """Raise MeshError unless every edge is on exactly two faces, which
-        traverse it in opposite directions.
-
-        That holds exactly when the sorted directed-edge keys ``head * n +
-        tail`` are strictly increasing (no directed edge twice) and equal to
-        the sorted reversed keys ``tail * n + head`` (each directed edge is
-        also traversed the other way): two value sorts.  Only a mesh that
-        fails counts its edges to name the offending one.
-        """
-        n = len(self.vertices)
-        heads = self.triangles.T.ravel()
-        tails = self.triangles[:, [1, 2, 0]].T.ravel()
-        directed = heads * n + tails
-        directed.sort()
-        reversed_keys = tails * n + heads
-        reversed_keys.sort()
-        if (directed[1:] > directed[:-1]).all() and np.array_equal(directed, reversed_keys):
+        traverse it in opposite directions.  A mesh that fails names its
+        smallest bad edge: as a directed edge traversed twice if it is on two
+        faces, else with its face count."""
+        if _paired(self._edge_keys()):
             return
-        uniq, counts = np.unique(directed, return_counts=True)
-        if np.any(counts > 1):
-            bad = uniq[np.argmax(counts > 1)]
-            raise MeshError(
-                f"inconsistent orientation: directed edge ({bad // n}, {bad % n}) "
-                "appears more than once"
-            )
-        uniq, counts = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
-                                 return_counts=True)
-        bad = np.argmax(counts != 2)
-        raise MeshError(
-            f"not a closed 2-manifold: edge ({uniq[bad] // n}, {uniq[bad] % n}) is on "
-            f"{counts[bad]} face(s), expected 2"
-        )
+        key = self._edge_keys()
+        rows = _bad_face(key)
+        face, odd = divmod(int(key[rows[0]]), 2)
+        edge = divmod(face, len(self.vertices))
+        if len(rows) == 2:
+            raise MeshError(f"inconsistent orientation: directed edge "
+                            f"{edge[::-1] if odd else edge} appears more than once")
+        raise MeshError(f"not a closed 2-manifold: edge {edge} is on {len(rows)} face(s), "
+                        "expected 2")
 
     def _compute_corner_areas(self, edges, lsq):
         # cot of the interior angle at corner c: u . v / |u x v| for the edges
@@ -308,12 +353,13 @@ class TriangleMesh:
         n = self.n_vertices
         if self._closed:
             return np.zeros(n, dtype=bool)
-        heads = np.concatenate([self.triangles[:, c] for c in range(3)])
-        tails = np.concatenate([self.triangles[:, (c + 1) % 3] for c in range(3)])
-        lo = np.minimum(heads, tails).astype(np.int64)
-        hi = np.maximum(heads, tails).astype(np.int64)
-        uniq, counts = np.unique(lo * n + hi, return_counts=True)
-        open_edges = uniq[counts == 1]
+        # an open edge is a face held by one row
+        face = self._edge_keys() >> 1
+        face.sort()
+        once = np.ones(len(face), dtype=bool)
+        once[1:] = face[1:] != face[:-1]
+        once[:-1] &= once[1:]
+        open_edges = face[once]
         mask = np.zeros(n, dtype=bool)
         mask[open_edges // n] = True
         mask[open_edges % n] = True

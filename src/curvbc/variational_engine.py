@@ -46,8 +46,8 @@ from typing import Optional
 
 import numpy as np
 
-from .surface_mesh import (TriangleMesh, _cross, _dot, _scatter, _unit_icosphere,
-                           _vertex_grad_H)
+from .surface_mesh import (TriangleMesh, _bad_face, _cross, _dot, _paired, _scatter,
+                           _signed_keys, _unit_icosphere, _vertex_grad_H)
 # re-exported: the name is part of this module's namespace
 from .surface_mesh import mean_curvature  # noqa: F401
 
@@ -88,7 +88,7 @@ class TetMesh:
         Corner indices in ``[0, n)``; orientation is canonicalized to
         positive volume.  A vertex on no tet raises ValueError naming it.
     boundary : TriangleMesh
-        Closed outward-oriented boundary surface.
+        Closed outward-oriented boundary surface, the tet faces used once.
     boundary_vertex_ids : (nb,) int array
         Volume vertex index, in ``[0, n)``, of each boundary-mesh vertex.
         An index out of range raises ValueError naming it.
@@ -104,7 +104,8 @@ class TetMesh:
 
     The geometry is built from a corner-major copy of the tets, ``_BLOCK``
     tets at a time, on contiguous per-component vectors
-    (:func:`_tet_block_geometry`); the boundary check reads the same copy.
+    (:func:`_tet_block_geometry`); the boundary check reads the same copy
+    and shares its face keys and pairing test with :class:`TriangleMesh`.
     """
 
     def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
@@ -214,74 +215,23 @@ def _check_boundary_faces(corners, n, triangles, ids):
     With every boundary triangle added reversed, each face must occur exactly
     twice with opposite windings: an interior face between its two
     positively oriented tets, a boundary face between its tet and the
-    outward boundary triangle.  A row's key holds its three vertices in
-    sorted order, and its parity says whether the row is an odd permutation
-    of them.  A face occurs exactly twice with opposite windings when its
-    key occurs once among the even rows and once among the odd ones, so the
-    mesh passes when the sorted keys of the two parities are equal and
-    strictly increasing: two value sorts, with no row sort and no index
-    sort.  Only a mesh that fails groups its rows by key
-    (:func:`_name_bad_face`) to name the offending face.  Rows are
-    slot-major tet faces, then triangles.  The tets come corner-major,
-    ``corners`` (4, m), the copy :class:`TetMesh` builds its geometry from,
-    so every corner column is contiguous and none is copied here.
+    outward boundary triangle: :func:`_paired` on the rows, slot-major tet
+    faces of the corner-major ``corners`` (4, m), then reversed triangles.
+    A mesh that fails names its smallest bad face, by a boundary triangle if
+    it has one.
     """
     if n >= 2**21:
         raise ValueError("the boundary check supports fewer than 2**21 vertices")
-    m = corners.shape[1]
-    key = np.empty(4 * m + len(triangles), dtype=np.int64)
-    odd = np.empty(len(key), dtype=bool)
-    at = 0
-    for columns, (i, j, k) in ([(corners, f) for f in _TET_FACES]
-                               + [(ids[triangles.T], (2, 1, 0))]):
-        a, b, c = columns[i], columns[j], columns[k]
-        rows = slice(at, at + len(a))
-        at += len(a)
-        # a three-comparator sorting network: the middle vertex goes to the
-        # key rows, which then take the key (lo n + mid) n + hi
-        out = key[rows]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        mid = np.minimum(hi, c)
-        np.maximum(hi, c, out=hi)
-        np.maximum(lo, mid, out=out)
-        np.minimum(lo, mid, out=lo)
-        lo *= n
-        lo += out
-        lo *= n
-        np.add(lo, hi, out=out)
-        del lo, hi, mid   # before the next block makes its own
-        # the row is an odd permutation of its sorted vertices
-        parity = odd[rows]
-        np.greater(a, b, out=parity)
-        parity ^= b > c
-        parity ^= a > c
-    even_keys, odd_keys = key[~odd], key[odd]
-    even_keys.sort()
-    odd_keys.sort()
-    if np.array_equal(even_keys, odd_keys) and (even_keys[1:] > even_keys[:-1]).all():
+    rows = ([tuple(corners[i] for i in face) for face in _TET_FACES]
+            + [tuple(ids[triangles.T][::-1])])
+    if _paired(_signed_keys(n, rows)):
         return
-    del even_keys, odd_keys
-    _name_bad_face(corners, key, odd)
-
-
-def _name_bad_face(corners, key, odd):
-    """Raise the ValueError of :func:`_check_boundary_faces` that names the
-    offending face of the rows' ``key`` and ``odd`` parities: the rows are
-    grouped by key, and the smallest key not held by exactly two rows of
-    opposite parity is named, by a boundary triangle if it has one."""
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    del key
-    sizes = np.diff(np.r_[starts, len(order)])
-    pair = order[np.minimum(starts + 1, len(order) - 1)]
-    bad = (sizes != 2) | (odd[order[starts]] == odd[pair])
-    g, m = int(np.argmax(bad)), corners.shape[1]
-    row = int(order[starts[g]:starts[g] + sizes[g]].max())   # a triangle if any
+    bad = _bad_face(_signed_keys(n, rows))
+    row, m = int(bad.max()), corners.shape[1]     # a triangle if any
     what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
             else f"face {corners[_TET_FACES[row // m], row % m].tolist()} of tet {row % m}")
     why = {1: "is used once" if row < 4 * m else "is not a tet face",
-           2: "is wound inward"}.get(int(sizes[g]), f"is shared {sizes[g]} times")
+           2: "is wound inward"}.get(len(bad), f"is shared {len(bad)} times")
     raise ValueError(f"boundary mismatch: {what} {why}")
 
 

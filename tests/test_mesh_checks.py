@@ -1,11 +1,16 @@
 """Mesh constructor checks and geometry against the code they replaced.
 
 ``TetMesh``'s boundary check and ``TriangleMesh``'s closed-orientation check
-decide by value sorts.  The grouping checks they replaced are kept here as
-references: a corrupted mesh must get the same decision and the same message
-from both.  The constructors' geometry is compared bit for bit with the
-formulas it replaced, on a relabelled ball whose input tets come with both
-orientations, on a perturbed icosphere and on a coarse torus.
+share one sort of signed face keys.  The grouping and counting checks they
+replaced are kept here as references: a corrupted mesh must get the same
+decision and the same message from both.  The tet messages are the grouping
+check's; the triangle reference names the smallest bad undirected edge, as
+the key check does.  The check is also run on index arrays alone, with keys
+past 2**63, and ``boundary_vertex_mask`` is compared with an edge count on
+every unvalidated patch the tests build.  The constructors' geometry is
+compared bit for bit with the formulas it replaced, on a relabelled ball
+whose input tets come with both orientations, on a perturbed icosphere and
+on a coarse torus.
 """
 from __future__ import annotations
 
@@ -18,12 +23,19 @@ from hypothesis import strategies as st
 
 from curvbc import TetMesh, TriangleMesh, build_ball_tetmesh, build_icosphere
 from curvbc.analytic_geometry import AnalyticSurface, sample_mesh
-from curvbc.surface_mesh import _cross, _dot, _scatter
+from curvbc.surface_mesh import _cross, _dot, _scatter, _signed_keys
+from curvbc.variational_engine import _check_boundary_faces
 
 from test_assembler import permuted_ball_inputs
+from test_batched_geometry import bump_patch, fan, reflected_pair, two_sided_sheet
+from test_curvature_cache import patch_with_duplicated_face
+from test_surface_mesh import flat_patch
+from test_variational_engine import boundary_variants
 
 # faces of a positively oriented tet (0, 1, 2, 3), wound with outward normals
 TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+# the largest vertex count the boundary check takes
+N_TOP = 2**21 - 1
 
 
 def oriented(vertices, tets):
@@ -67,21 +79,28 @@ def reference_boundary_message(tets, n, triangles, ids):
 
 
 def reference_surface_message(triangles, n):
-    """The counting closed-orientation check: its message, or None."""
+    """The counting closed-orientation check: its message, or None.
+
+    A mesh fails when a directed edge is on two faces or an edge is not on
+    exactly two.  The smallest edge either holds is named: as the directed
+    edge traversed twice if the edge is on two faces, else with its count."""
     heads = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
     tails = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
-    uniq, counts = np.unique(heads * n + tails, return_counts=True)
-    if np.any(counts > 1):
-        bad = uniq[np.argmax(counts > 1)]
-        return (f"inconsistent orientation: directed edge ({bad // n}, {bad % n}) "
+    directed, directed_counts = np.unique(heads * n + tails, return_counts=True)
+    edges, counts = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
+                              return_counts=True)
+    repeated = directed[directed_counts > 1]
+    bad = (counts != 2) | np.isin(edges, np.minimum(repeated // n, repeated % n) * n
+                                  + np.maximum(repeated // n, repeated % n))
+    if not bad.any():
+        return None
+    g = np.argmax(bad)
+    lo, hi = divmod(int(edges[g]), n)
+    if counts[g] == 2:
+        head, tail = (lo, hi) if lo * n + hi in repeated else (hi, lo)
+        return (f"inconsistent orientation: directed edge ({head}, {tail}) "
                 "appears more than once")
-    uniq, counts = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
-                             return_counts=True)
-    if np.any(counts != 2):
-        bad = np.argmax(counts != 2)
-        return (f"not a closed 2-manifold: edge ({uniq[bad] // n}, {uniq[bad] % n}) is on "
-                f"{counts[bad]} face(s), expected 2")
-    return None
+    return f"not a closed 2-manifold: edge ({lo}, {hi}) is on {counts[g]} face(s), expected 2"
 
 
 def message_of(build):
@@ -95,24 +114,40 @@ def message_of(build):
 
 BALL_CORRUPTIONS = ["swap two corners of a tet", "drop a tet", "duplicate a tet",
                     "reverse a boundary triangle"]
+# what each surface corruption does to the smallest edge it breaks
+SURFACE_CORRUPTIONS = {"drop a face": "is on 1 face(s)", "duplicate a face": "is on 3 face(s)",
+                       "reverse a face": "appears more than once"}
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(corruption=st.sampled_from(BALL_CORRUPTIONS + ["reverse a surface face"]),
+def surfaces():
+    """Icospheres of levels 0 to 3 and the coarse (12, 5) torus."""
+    torus, _ = sample_mesh(AnalyticSurface.torus(2.0, 0.5), (12, 5))
+    return [build_icosphere(1.0, level) for level in range(4)] + [torus]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(corruption=st.sampled_from(BALL_CORRUPTIONS + list(SURFACE_CORRUPTIONS)),
        seed=st.integers(0, 2**16))
 def test_value_sorts_decide_as_the_grouping_reference(corruption, seed):
-    """One random corruption of a relabelled (2, 3) ball or of an icosphere
-    gets the reference's decision and message.  Only a swap of two tet
-    corners, which the orientation canonicalizes, is accepted."""
+    """One random corruption of a relabelled (2, 3) ball, or of each of the
+    icospheres and the torus, gets the reference's decision and message.
+    Only a swap of two tet corners, which the orientation canonicalizes, is
+    accepted."""
     rng = np.random.default_rng(seed)
-    if corruption == "reverse a surface face":
-        sphere = build_icosphere(1.0, int(rng.integers(0, 4)))
-        triangles = sphere.triangles.copy()
-        face = rng.integers(len(triangles))
-        triangles[face] = triangles[face, ::-1]
-        expected = reference_surface_message(triangles, sphere.n_vertices)
-        assert expected.startswith("inconsistent orientation")
-        assert message_of(lambda: TriangleMesh(sphere.vertices, triangles)) == expected
+    if corruption in SURFACE_CORRUPTIONS:
+        for surface in surfaces():
+            triangles = surface.triangles.copy()
+            face = rng.integers(len(triangles))
+            if corruption == "drop a face":
+                triangles = np.delete(triangles, face, axis=0)
+            elif corruption == "duplicate a face":
+                triangles = np.insert(triangles, rng.integers(len(triangles) + 1),
+                                      triangles[face], axis=0)
+            else:
+                triangles[face] = triangles[face, ::-1]
+            expected = reference_surface_message(triangles, surface.n_vertices)
+            assert SURFACE_CORRUPTIONS[corruption] in expected
+            assert message_of(lambda: TriangleMesh(surface.vertices, triangles)) == expected
         return
     vertices, tets, boundary, ids = permuted_ball_inputs(seed)
     t = rng.integers(len(tets))
@@ -132,6 +167,74 @@ def test_value_sorts_decide_as_the_grouping_reference(corruption, seed):
                                           boundary.triangles, ids)
     assert (expected is None) == (corruption == "swap two corners of a tet")
     assert message_of(lambda: TetMesh(vertices, tets, boundary, ids)) == expected
+
+
+@pytest.mark.parametrize("tet", [(N_TOP - 4, N_TOP - 3, N_TOP - 2, N_TOP - 1),
+                                 (0, N_TOP - 3, N_TOP - 2, N_TOP - 1)])
+def test_boundary_check_keys_past_2_63(tet):
+    """The boundary check on index arrays alone: one tet and its four faces
+    as the boundary, with vertex ids near the largest the check takes.  The
+    signed keys pass 2**63 (all of them for the first tet, the face away
+    from vertex 0 for the second), so they must sort as uint64: the closed
+    set passes, and a set with one face reversed, or all four, fails with
+    the reference message, which names the smallest face."""
+    corners, ids = np.array(tet)[:, None], np.array(tet)
+    rows = [tuple(corners[i] for i in face) for face in TET_FACES]
+    assert (_signed_keys(N_TOP, rows) > 2**63).sum() == (4 if tet[0] else 1)
+    _check_boundary_faces(corners, N_TOP, TET_FACES, ids)
+    for reversed_faces in [[0], [1], [2], [3], [0, 1, 2, 3]]:
+        triangles = TET_FACES.copy()
+        triangles[reversed_faces] = triangles[reversed_faces, ::-1]
+        expected = reference_boundary_message(np.array([tet]), N_TOP, triangles, ids)
+        assert expected.endswith("is wound inward")
+        assert message_of(
+            lambda: _check_boundary_faces(corners, N_TOP, triangles, ids)) == expected
+    with pytest.raises(ValueError, match=r"^the boundary check supports fewer than 2\*\*21 "):
+        _check_boundary_faces(corners, N_TOP + 1, TET_FACES, ids)
+
+
+def reference_boundary_mask(triangles, n):
+    """Vertices on an edge that one face holds, counted by ``np.unique``."""
+    heads, tails = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    edges, counts = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails),
+                              return_counts=True)
+    mask = np.zeros(n, dtype=bool)
+    mask[edges[counts == 1] // n] = True
+    mask[edges[counts == 1] % n] = True
+    return mask
+
+
+def unvalidated_patches():
+    """The ``validate=False`` patches the tests build, by name."""
+    flat = flat_patch(4)
+    patches = {"flat grid": flat, "bump": bump_patch(), "fan": fan(),
+               "reflected pair": reflected_pair(0.0, lift=0.4),
+               "two-sided sheet": two_sided_sheet(),
+               "bump with a face listed twice": patch_with_duplicated_face(),
+               # face 4 is corner 3's only face
+               "flat grid with a face listed twice":
+                   (flat.vertices, np.insert(flat.triangles, 9, flat.triangles[4], axis=0)),
+               "one triangle": (np.eye(3), [[0, 1, 2]])}
+    sphere = build_icosphere(1.0, 1)
+    patches["sphere with a stray vertex"] = (np.vstack([sphere.vertices, [[0.0, 2.0, 0.0]]]),
+                                             sphere.triangles)
+    _, variants = boundary_variants()
+    for name, (vertices, triangles, *_) in variants.items():
+        patches[f"ball boundary, {name}"] = (vertices, triangles)
+    return {name: patch if isinstance(patch, TriangleMesh)
+            else TriangleMesh(*patch, validate=False) for name, patch in patches.items()}
+
+
+def test_boundary_vertex_mask_equals_the_counted_mask():
+    """On every patch, the vertices of the edges held by one face.  The
+    edges of a face listed twice are held two or more times, so are not
+    open: corner 3 of the flat grid leaves the mask when its face is."""
+    patches = unvalidated_patches()
+    for name, patch in patches.items():
+        expected = reference_boundary_mask(patch.triangles, patch.n_vertices)
+        assert np.array_equal(patch.boundary_vertex_mask(), expected), name
+    mask = patches["flat grid with a face listed twice"].boundary_vertex_mask()
+    assert mask.sum() == 11 and not mask[3]
 
 
 def reference_tet_geometry(vertices, tets):
@@ -237,9 +340,11 @@ def test_triangle_mesh_build_peak():
 
 def test_tet_mesh_build_peak():
     """The constructor's tracemalloc peak above its inputs stays below 1.7
-    times the arrays it keeps on the (3, 6) ball: 1.65 times with the
-    geometry built on per-component block vectors, where the (m, 3, 3)
-    edge and adjugate arrays gave 1.72.  The boundary check sets the peak."""
+    times the arrays it keeps on the (3, 6) ball: 1.57 times with one array
+    of signed face keys sorted in place, 1.65 when the keys of each winding
+    parity were copied out to be sorted, and 1.72 before that, with the
+    (m, 3, 3) edge and adjugate arrays.  Building the boundary check's keys
+    sets the peak."""
     ball = build_ball_tetmesh(1.0, surface_level=3, radial_layers=6)
     args = (ball.vertices, ball.tets, ball.boundary, ball.boundary_vertex_ids)
     tracemalloc.start()

@@ -74,6 +74,19 @@ def test_off_rejects_missing_header(tmp_path):
         read_off(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("OFF\n", "expected vertex, face and edge counts, got []"),
+    ("OFF\nx 4 0\n", "expected vertex, face and edge counts, got ['x', '4', '0']"),
+    ("OFF\n4 4 0\n0 0 0\n1 0 0\n", "expected 12 vertex coordinates, found 6"),
+])
+def test_off_rejects_malformed_header_and_vertices(tmp_path, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(MeshError) as error:
+        read_off(path)
+    assert str(error.value) == f"{path}: {message}"
+
+
 def loop_read_off_faces(path):
     """Reference: the per-face OFF loop the array parse replaced."""
     tokens = []
