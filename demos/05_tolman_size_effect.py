@@ -11,9 +11,8 @@ energy on an icosphere, and runs the built-in reduction audit.
 """
 import numpy as np
 
-from curvbc import (IsotropicSurfaceParams, build_icosphere, mean_curvature,
-                    make_isotropic_surface, surface_action, tolman_curve,
-                    verify_reductions)
+from curvbc import (IsotropicSurfaceParams, build_icosphere, make_isotropic_surface,
+                    surface_action, tolman_curve, verify_reductions)
 
 params = IsotropicSurfaceParams(sigma=1.0, tau=0.05)
 print(f"sigma = {params.sigma}, tau = {params.tau}, delta = {params.delta}")
@@ -36,11 +35,10 @@ print("finite-difference inflation of the discrete surface energy")
 print(f"{'R':>4} {'level':>6} {'dE/d_eps / area':>16} {'dp formula':>11} {'rel dev':>9}")
 for R in (1.0, 2.0, 4.0):
     mesh = build_icosphere(R, 3)
-    H = mean_curvature(mesh)
     radial = mesh.vertices / R
 
     def energy(eps):
-        plain, curv = surface_action(mesh, surf, eps * radial, mean_curv=H)
+        plain, curv = surface_action(mesh, surf, eps * radial)
         return plain + curv
 
     per_area = (energy(step) - energy(-step)) / (2 * step) / mesh.total_area

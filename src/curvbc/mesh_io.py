@@ -29,10 +29,10 @@ def read_off(path, validate=True):
     if len(tokens) < pos:
         raise MeshError(f"{path}: expected {3 * nv} vertex coordinates, "
                         f"found {len(tokens) - 4}")
-    verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+    verts = _parsed(path, "vertex coordinate", np.array, tokens[4:pos], float).reshape(nv, 3)
     # "3 i j k" rows; up to the first non-triangle the rows stay aligned, so
     # the first row whose count is not 3 holds that face's vertex count
-    rows = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64)
+    rows = _parsed(path, "face record", np.array, tokens[pos:pos + 4 * nf], np.int64)
     rows = rows[:len(rows) - len(rows) % 4].reshape(-1, 4)
     polygons = np.flatnonzero(rows[:, 0] != 3)
     if polygons.size:
@@ -113,9 +113,18 @@ def _obj_records(text, path):
     # a corner's vertex index ends at its first '/'
     slash = np.r_[np.flatnonzero(text == ord("/")), len(text)]
     f_end = np.minimum(end[f_tok], slash[np.searchsorted(slash, start[f_tok])])
-    coords = _numbers(text, start[v_tok], end[v_tok], float).reshape(-1, 3)
-    corners = _numbers(text, start[f_tok], f_end, np.int64).reshape(-1, 3)
-    return coords, corners, np.cumsum(is_v)[is_f]
+    coords = _parsed(path, "vertex coordinate", _numbers, text, start[v_tok], end[v_tok], float)
+    corners = _parsed(path, "face index", _numbers, text, start[f_tok], f_end, np.int64)
+    return coords.reshape(-1, 3), corners.reshape(-1, 3), np.cumsum(is_v)[is_f]
+
+
+def _parsed(path, what, parse, *args):
+    """``parse(*args)``, whose ValueError on a malformed number is raised as
+    a MeshError naming the file and ``what`` was read."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise MeshError(f"{path}: malformed {what}") from exc
 
 
 def _numbers(text, start, end, dtype):

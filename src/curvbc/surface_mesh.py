@@ -27,7 +27,7 @@ divergence theorem holds to machine precision on closed meshes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -380,15 +380,13 @@ class CurvatureData:
     """
 
     mean: np.ndarray
-    shape_op: np.ndarray | None = None
-    frames: np.ndarray | None = None
-    grad_H: np.ndarray | None = None
-    flagged: list = field(default_factory=list)
+    shape_op: np.ndarray
+    frames: np.ndarray
+    grad_H: np.ndarray
+    flagged: list
 
     def principal_curvatures(self):
         """Eigenvalues of the shape operator, shape (n, 2), ascending."""
-        if self.shape_op is None:
-            raise ValueError("shape operator not computed")
         return np.linalg.eigvalsh(self.shape_op)
 
 

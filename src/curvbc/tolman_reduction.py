@@ -35,7 +35,6 @@ tension carries a positive pressure jump.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -439,9 +438,6 @@ class ReductionReport:
             "tolerance": r.tolerance,
             "note": r.note,
         } for r in self.rows]
-
-    def to_json(self):
-        return json.dumps(self.to_rows(), indent=2)
 
 
 class _CubicPotential:

@@ -11,11 +11,12 @@ action, stationarity of the total action encodes the curvature-dependent
 natural boundary condition, and a pure transport term integrates to zero.
 
 Tets and boundary triangles, actions, gradients and residual reports share
-one element-then-scatter path (:func:`_simplex_pass`).  It runs over blocks
-of ``_BLOCK`` simplices: each block gathers its corner-expanded inputs,
-evaluates every partial it needs once, and writes its element corner rows
-into one preallocated corner array per channel; one bincount scatter per
-channel then adds the whole array into the vertex rows.  Blocking bounds the
+one element-then-scatter path (:func:`_simplex_pass`), whose one output is
+a channel: a partial evaluated at the corners, weighted and scattered to the
+vertices.  It runs over blocks of ``_BLOCK`` simplices: each block gathers
+its corner-expanded inputs, evaluates every partial it needs once, and
+writes its element corner rows into one corner array per channel; one
+bincount scatter per channel then adds the whole array into the vertex rows.  Blocking bounds the
 temporaries to a few MB, whatever the mesh size, and changes no bits: each
 element is computed by the same operations, and the scatter order is fixed.
 The solve looks for a zero of the gradient, not for a minimum: it is one
@@ -67,6 +68,9 @@ _BLOCK = 8192
 # relative deviation between a partial's Jacobians at zero and at a random
 # point above which the partial counts as not affine
 _AFFINE_TOLERANCE = 1e-8
+# exponent of the ball's shell radii: below 1 it clusters the shells near the
+# boundary, where flux accuracy matters, and fattens the innermost cone cells
+_SHELL_GRADING = 0.7
 # cells per bounding-box axis of the voxel grid that cuts the boundary into
 # the patches of the tangent preconditioner's coarse aggregates
 _PATCH_GRID = 3
@@ -235,31 +239,25 @@ def _check_boundary_faces(corners, n, triangles, ids):
     raise ValueError(f"boundary mismatch: {what} {why}")
 
 
-def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
-                       radial_layers=12, grading=0.7):
+def build_ball_tetmesh(radius=1.0, surface_level=4, radial_layers=12):
     """Tetrahedralize a ball with icosphere layers joined by prism splits.
 
-    Vertices are a center point plus ``radial_layers`` concentric icosphere
+    Vertices are the origin plus ``radial_layers`` concentric icosphere
     shells; each prism between consecutive shells is cut into three tets
     with diagonals chosen by sorted vertex index so neighbouring prisms
-    agree, and the innermost shell is coned to the center.  Shell radii
-    follow ``radius * (layer/radial_layers)**grading``; exponents below 1
-    cluster layers near the boundary, where flux accuracy matters, and
-    fatten the innermost cone cells.
+    agree, and the innermost shell is coned to the origin.  Shell radii
+    follow ``radius * (layer/radial_layers)**_SHELL_GRADING``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if radial_layers < 1:
         raise ValueError("need at least one radial layer")
-    if grading <= 0:
-        raise ValueError("grading must be positive")
-    center = np.asarray(center, dtype=float)
     dirs, faces = _unit_icosphere(surface_level)
     nd = len(dirs)
 
-    r = np.array([radius * (layer / radial_layers) ** grading
+    r = np.array([radius * (layer / radial_layers) ** _SHELL_GRADING
                   for layer in range(1, radial_layers + 1)])
-    vertices = np.vstack([center, (center + r[:, None, None] * dirs).reshape(-1, 3)])
+    vertices = np.vstack([np.zeros(3), (r[:, None, None] * dirs).reshape(-1, 3)])
 
     # shell l (1-based) holds vertices 1 + (l - 1) * nd + i; each prism's
     # corners are its sorted bottom triangle b0 b1 b2, then the top t0 t1 t2
@@ -278,10 +276,17 @@ def build_ball_tetmesh(radius=1.0, center=(0.0, 0.0, 0.0), surface_level=4,
 
 # -- field states ------------------------------------------------------------
 
+def _columns(values):
+    """Float vertex rows (n, k); a vertex scalar field (n,) is one column."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
 @dataclass
 class FieldState:
     """Vertex field values, optionally with a short trajectory around them.
 
+    ``values`` are (n, k), or (n,) for a scalar field, read as one column.
     ``trajectory`` is (s, n, k) with odd s >= 3; ``values`` must equal the
     middle snapshot.  Rates are central differences at the middle snapshot
     (one-sided at the trajectory ends when snapshot rates are requested).
@@ -292,7 +297,7 @@ class FieldState:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.values = _columns(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be (n, k)")
         if self.trajectory is not None:
@@ -352,19 +357,18 @@ def _pointwise(simplices, hat, values, rates):
     k = values.shape[1]
     phi_c = values[simplices]                             # (m, c, k)
     grad = np.einsum("tck,tcj->tkj", phi_c, hat)
-    rate = (np.zeros((m * c, k)) if rates is None
-            else np.atleast_2d(rates)[simplices].reshape(m * c, k))
+    rate = np.zeros((m * c, k)) if rates is None else rates[simplices].reshape(m * c, k)
     return phi_c.reshape(m * c, k), rate, np.repeat(grad, c, axis=0)
 
 
 def _corner(hat, weights, corner_rows, grad_rows):
-    """Element corner rows (m, c, k) of the chain rule of ``sum weights * L``.
+    """Element corner rows (m, c, width) of the chain rule of ``sum weights * L``.
 
-    ``corner_rows`` (``m * c``, k) are evaluated ``d_phi`` rows (or any
-    corner partial), weighted at the corners.  ``grad_rows`` (``m * c``, k,
-    3) are evaluated ``d_grad`` rows, weighted and summed over the corners of
-    each simplex, then contracted once with the hat gradients.  Either may
-    be None.
+    ``corner_rows`` (``m * c``, ...) are the evaluated rows of any partial,
+    weighted at the corners at the width of a row: k for a ``d_phi``, 1 for
+    a density, 3k for a ``d_grad``.  ``grad_rows`` (``m * c``, k, 3) are
+    evaluated ``d_grad`` rows, weighted and summed over the corners of each
+    simplex, then contracted once with the hat gradients.  Either may be None.
     """
     m, c = weights.shape
     corner = 0.0
@@ -376,66 +380,60 @@ def _corner(hat, weights, corner_rows, grad_rows):
     return corner
 
 
-def _simplex_pass(simplices, hat, values, rates, channels=(), rows=()):
-    """Assemble over blocks of ``_BLOCK`` simplices in one pass.
+def _channel_corners(hat, channels, b, at):
+    """:func:`_corner` rows of each ``(weights, d_phi, d_grad)`` channel on
+    the simplices ``b`` (a slice), from their :func:`_pointwise` inputs
+    ``at``.  Each distinct partial is evaluated once."""
+    partials = {id(p): p for _, *ps in channels for p in ps if p is not None}
+    ev = {key: p(*at) for key, p in partials.items()}
+    return [_corner(hat[b], weights[b], ev.get(id(d_phi)), ev.get(id(d_grad)))
+            for weights, d_phi, d_grad in channels]
 
-    Each block gathers its :func:`_pointwise` inputs and evaluates the
-    partials it needs, each distinct partial once.  ``channels`` lists
-    ``(weights, d_phi, d_grad)`` chain-rule channels (see :func:`_corner`);
-    a block writes its element corner rows into the channel's preallocated
-    (m, c, k) corner array, scattered to the vertex rows by one bincount
-    after the loop.  ``rows`` lists partials whose evaluated rows (a density,
-    say) are kept, ``c`` rows per simplex.  Returns the list of scattered
-    channel gradients and the list of kept rows, each ``(m * c, ...)``.
+
+def _simplex_pass(simplices, hat, values, rates, channels):
+    """The ``(weights, d_phi, d_grad)`` channels (see :func:`_corner`),
+    scattered to vertex rows (n, width), from one pass over blocks of
+    ``_BLOCK`` simplices.  Each block writes its :func:`_channel_corners` into
+    each channel's (m, c, width) corner array, and one bincount per channel
+    scatters it after the loop.  A density channel ``(weights, density,
+    None)`` sums to the action.
 
     The block size only bounds the temporaries: every element is computed
     by the same operations as in one whole-mesh block, and the scatter
     adds in the row order of ``simplices``, so no result depends on it.
     """
     m, c = simplices.shape
-    n, k = values.shape
-    partials = {id(p): p for p in rows}
-    partials.update((id(p), p) for _, *ps in channels for p in ps if p is not None)
-    corners = [np.empty((m, c, k)) for _ in channels]
-    kept = [None] * len(rows)
+    corners = [None] * len(channels)
     for start in range(0, m, _BLOCK):
         b = slice(start, start + _BLOCK)
         at = _pointwise(simplices[b], hat[b], values, rates)
-        ev = {key: p(*at) for key, p in partials.items()}
-        for corner, (weights, d_phi, d_grad) in zip(corners, channels):
-            corner[b] = _corner(hat[b], weights[b], ev.get(id(d_phi)), ev.get(id(d_grad)))
-        for j, p in enumerate(rows):
-            r = ev[id(p)]
-            if kept[j] is None:
-                kept[j] = np.empty((m * c,) + r.shape[1:])
-            kept[j][start * c:start * c + len(r)] = r
-    return [_scatter(simplices, n, corner) for corner in corners], kept
-
-
-def _bulk_pass(mesh, state, channels=(), rows=()):
-    return _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
-                         state._rates_at(), channels, rows)
+        for j, rows in enumerate(_channel_corners(hat, channels, b, at)):
+            if corners[j] is None:
+                corners[j] = np.empty((m, c, rows.shape[2]))
+            corners[j][b] = rows
+    return [_scatter(simplices, len(values), corner) for corner in corners]
 
 
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    _, (density,) = _bulk_pass(mesh, state, rows=[bulk.density])
-    return float(mesh.corner_weights.ravel() @ density)
+    density, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+                             [(mesh.corner_weights, bulk.density, None)])
+    return float(density.sum())
 
 
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    (g,), _ = _bulk_pass(mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)])
+    g, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+                       [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)])
     return g
 
 
-def _surface_weights(mesh, mean_curv=None):
+def _surface_weights(mesh):
     """Corner weights of the plain (``w``) and curvature (``-2 H w``) terms."""
-    H = mesh.vertex_mean_curvature if mean_curv is None else mean_curv
     w = mesh.corner_areas
-    return w, -2.0 * H[mesh.triangles] * w
+    return w, -2.0 * mesh.vertex_mean_curvature[mesh.triangles] * w
 
 
 def _surface_channels(surface, w, wc):
@@ -447,25 +445,25 @@ def _surface_channels(surface, w, wc):
             "curv_div": (wc, None, surface.gamma_hat_d_grad)}
 
 
-def surface_action(mesh, surface, values, rates=None, mean_curv=None):
+def surface_action(mesh, surface, values, rates=None):
     """Boundary action split (plain gamma0 part, -2H gamma_hat part).
 
-    ``values`` are per-vertex fields on the triangle mesh itself; use
-    :func:`assemble_action` for fields defined on a tet mesh.
+    ``values`` (and ``rates``) are per-vertex fields on the triangle mesh
+    itself, (n, k) or (n,) for one component; use :func:`assemble_action`
+    for fields defined on a tet mesh.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    w, wc = _surface_weights(mesh, mean_curv)
-    _, (plain, curv) = _simplex_pass(mesh.triangles, mesh.hat_gradients, values, rates,
-                                     rows=[surface.gamma0, surface.gamma_hat])
-    return float(w.ravel() @ plain), float(wc.ravel() @ curv)
+    w, wc = _surface_weights(mesh)
+    plain, curv = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values), rates,
+                                [(w, surface.gamma0, None), (wc, surface.gamma_hat, None)])
+    return float(plain.sum()), float(curv.sum())
 
 
-def surface_action_gradient(mesh, surface, values, rates=None, mean_curv=None):
-    """Exact gradient of the boundary action on a triangle mesh."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    w, wc = _surface_weights(mesh, mean_curv)
-    g, _ = _simplex_pass(mesh.triangles, mesh.hat_gradients, values, rates,
-                         list(_surface_channels(surface, w, wc).values()))
+def surface_action_gradient(mesh, surface, values, rates=None):
+    """Exact gradient of the boundary action on a triangle mesh, for fields
+    as :func:`surface_action` takes them."""
+    w, wc = _surface_weights(mesh)
+    g = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values), rates,
+                      list(_surface_channels(surface, w, wc).values()))
     return g[0] + g[1] + g[2] + g[3]
 
 
@@ -542,8 +540,8 @@ def euler_lagrange_residual(mesh, bulk, state):
     res = bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
     if state.trajectory is not None and bulk.rate_dependent:
         def momentum(values, rates):
-            (p,), _ = _simplex_pass(mesh.tets, mesh.tet_gradients, values, rates,
-                                    [(mesh.corner_weights, bulk.d_rate, None)])
+            p, = _simplex_pass(mesh.tets, mesh.tet_gradients, values, rates,
+                               [(mesh.corner_weights, bulk.d_rate, None)])
             return p / mesh.dual_volumes[:, None]
         res -= _rate_bracket(state, momentum)
     return res
@@ -579,18 +577,18 @@ def surface_bc_terms(mesh, surface, state):
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     a = mesh.vertex_areas[:, None]
     w, wc = _surface_weights(mesh)
-    # the four channels and the frozen-weight curvature gradient channel of
-    # the diagnostic split, from one pass that keeps the gamma_hat_d_grad rows
+    # the four channels, then those of the diagnostic split: the frozen-weight
+    # curvature gradient and the gamma_hat_d_grad rows put in the corner slot
     channels = _surface_channels(surface, w, wc)
-    (*g, R_frozen), (hat_d_grad,) = _simplex_pass(
+    *g, R_frozen, W = _simplex_pass(
         tri, hat, state.values, state._rates_at(),
-        [*channels.values(), (w, None, surface.gamma_hat_d_grad)], [surface.gamma_hat_d_grad])
+        [*channels.values(), (w, None, surface.gamma_hat_d_grad),
+         (w, surface.gamma_hat_d_grad, None)])
     terms = {name: -gi / a for name, gi in zip(channels, g)}
     rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
 
     # diagnostic split of the curvature gradient channel
-    W = _scatter(tri, n, hat_d_grad.reshape(-1, 3, state.n_components, 3)
-                 * w[:, :, None, None]) / a[:, :, None]
+    W = W.reshape(n, state.n_components, 3) / a[:, :, None]
     terms["curv_div_frozen"] = 2.0 * mesh.vertex_mean_curvature[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(mesh))
 
@@ -598,7 +596,7 @@ def surface_bc_terms(mesh, surface, state):
                                                  (wc, surface.gamma_hat_d_rate)) if d is not None]
     if state.trajectory is not None and rate_channels:
         def momentum(values, rates):
-            return sum(_simplex_pass(tri, hat, values, rates, rate_channels)[0]) / a
+            return sum(_simplex_pass(tri, hat, values, rates, rate_channels)) / a
         terms["rate_bracket"] = _rate_bracket(state, momentum)
         rhs = rhs + terms["rate_bracket"]
     return rhs, terms
@@ -643,20 +641,18 @@ def natural_bc_residual(mesh, bulk, surface, state):
 
     # both fluxes read boundary vertex rows only, which are sums over the
     # tets with a boundary vertex: the bulk pass runs on those tets alone, and
-    # each boundary row receives the whole mesh's additions in the same order
+    # each boundary row receives the whole mesh's additions in the same order;
+    # the momentum channel puts the d_grad rows in the corner slot
     layer = mesh.boundary_layer
-    tets, weights = mesh.tets[layer], mesh.corner_weights[layer]
-    (g_bulk,), (bulk_d_grad,) = _simplex_pass(
-        tets, mesh.tet_gradients[layer], state.values, state._rates_at(),
-        [(weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
+    weights = mesh.corner_weights[layer]
+    g_bulk, mom = _simplex_pass(
+        mesh.tets[layer], mesh.tet_gradients[layer], state.values, state._rates_at(),
+        [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
 
     # independent pointwise flux: dual-volume-averaged momentum dotted with normals
-    mom = _scatter(tets, mesh.n_vertices,
-                   bulk_d_grad.reshape(-1, 4, state.n_components, 3)
-                   * weights[:, :, None, None])
-    mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
+    mom = mom[ids].reshape(-1, state.n_components, 3) / mesh.dual_volumes[ids][:, None, None]
     flux_pointwise = np.einsum("vkj,vj->vk", mom, B.vertex_normals)
 
     return BCResidualReport(residual, flux_weak, rhs, terms, flux_pointwise,
@@ -932,9 +928,7 @@ def _difference_tangents(simplices, hat, block, channels, state, k):
         moved = corners.copy()
         moved[:, b, i] += move
         at = _pointwise(own, hat[block], moved.reshape(-1, k), corner_rates)
-        ev = {id(p): p(*at) for _, *ps in channels for p in ps if p is not None}
-        return sum(_corner(hat[block], w[block], ev.get(id(d_phi)), ev.get(id(d_grad)))
-                   for w, d_phi, d_grad in channels)
+        return sum(_channel_corners(hat, channels, block, at))
     out = np.empty((len(own), c, c, k, k))
     for b, i in np.ndindex(c, k):
         out[:, :, b, :, i] = (rows(b, i, h) - rows(b, i, -h)) / (2.0 * h)

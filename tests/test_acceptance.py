@@ -158,12 +158,10 @@ def test_criterion_5_droplet_normal_condition():
         devs = []
         for level in (2, 3):
             mesh = build_icosphere(radius, level)
-            H = mean_curvature(mesh)
             radial = mesh.vertices / radius
 
             def act(eps):
-                plain, curv = surface_action(mesh, surf, eps * radial,
-                                             mean_curv=H)
+                plain, curv = surface_action(mesh, surf, eps * radial)
                 return plain + curv
 
             per_area = (act(step) - act(-step)) / (2 * step) / mesh.total_area

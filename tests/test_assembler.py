@@ -45,7 +45,7 @@ from curvbc import (
 )
 from curvbc import variational_engine as ve
 from curvbc.surface_mesh import _scatter
-from curvbc.variational_engine import surface_action_gradient
+from curvbc.variational_engine import surface_action, surface_action_gradient
 
 from test_variational_engine import counted, force_newton, quartic_bulk
 
@@ -432,16 +432,35 @@ def test_surface_bc_terms_rejects_bad_states():
         surface_bc_terms(B, curved_robin(), FieldState(np.zeros((B.n_vertices + 1, 1))))
 
 
-def test_explicit_mean_curvature_wins():
-    mesh = perturbed_ball(3, 0.04)
-    B = mesh.boundary
-    surface = curved_robin()
-    values = np.random.default_rng(3).standard_normal((B.n_vertices, 1))
-    H_other = np.linspace(0.5, 1.5, B.n_vertices)
-    expected = sum(ref_surface_channels(B, surface, values, np.zeros_like(values), H_other))
-    assert_close(surface_action_gradient(B, surface, values, mean_curv=H_other), expected)
-    cached = surface_action_gradient(B, surface, values)
-    assert np.abs(cached - expected).max() > 1e-6
+@pytest.mark.parametrize("steps", [0, 5])
+def test_actions_equal_the_weighted_density_dot(steps):
+    """The sums of the density channels are the ``weights . density`` dots
+    of the corner rows, up to the roundoff of their summation order."""
+    mesh = perturbed_ball(13, 0.04)
+    rng = np.random.default_rng(13)
+    bulk, surface = builtin_bulk("poisson_source", source=6.0), curved_robin()
+    if steps:
+        bulk, surface = rate_coupled_bulk(bulk), rate_coupled_surface(surface)
+        state = random_trajectory(mesh, 1, rng, steps)
+    else:
+        state = random_state(mesh, 1, rng)
+    B, ids = mesh.boundary, mesh.boundary_vertex_ids
+    w = B.corner_areas.ravel()
+    args = ref_pointwise(B.triangles, B.hat_gradients, state.values[ids], state.rates()[ids])
+    expected = [
+        mesh.corner_weights.ravel() @ bulk.density(*ref_pointwise(
+            mesh.tets, mesh.tet_gradients, state.values, state.rates())),
+        w @ surface.gamma0(*args),
+        (-2.0 * mean_curvature(B)[B.triangles].ravel() * w) @ surface.gamma_hat(*args)]
+    action = assemble_action(mesh, bulk, surface, state)
+    actual = [[bulk_action(mesh, bulk, state), action.bulk],
+              *zip(surface_action(B, surface, state.values[ids], state._rates_at(ids)),
+                   (action.surface_plain, action.surface_curvature))]
+    for value, got in zip(expected, actual):
+        assert abs(value) > 0.1
+        for g in got:
+            assert abs(g - value) <= 1e-13 * abs(value)
+    assert abs(action.total - sum(expected)) <= 1e-13 * sum(map(abs, expected))
 
 
 def test_mean_curvature_cached_once_per_mesh():
@@ -522,19 +541,17 @@ def test_blocks_change_no_bits(monkeypatch):
 
 
 def whole_mesh_report(mesh, bulk, surface, state):
-    """Reference report whose bulk pass runs over every tet, keeping the
-    boundary rows, as the report did before it ran on the boundary layer."""
+    """Reference report whose bulk channels run over every tet, as the
+    report's did before they ran on the boundary layer."""
     B, ids = mesh.boundary, mesh.boundary_vertex_ids
     trajectory = None if state.trajectory is None else state.trajectory[:, ids]
     rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
-    touch = ~mesh.interior_mask[mesh.tets].all(axis=1)
-    (g_bulk,), (d_grad,) = ve._bulk_pass(
-        mesh, state, [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)], [bulk.d_grad])
+    weights = mesh.corner_weights
+    g_bulk, mom = ve._simplex_pass(
+        mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+        [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
-    mom = _scatter(mesh.tets[touch], mesh.n_vertices,
-                   d_grad.reshape(-1, 4, state.n_components, 3)[touch]
-                   * mesh.corner_weights[touch][:, :, None, None])
-    mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
+    mom = mom[ids].reshape(-1, state.n_components, 3) / mesh.dual_volumes[ids][:, None, None]
     return {"residual": flux_weak - rhs, "flux_weak": flux_weak, "rhs": rhs,
             "flux_pointwise": np.einsum("vkj,vj->vk", mom, B.vertex_normals),
             **{f"terms.{name}": v for name, v in terms.items()}}

@@ -78,6 +78,8 @@ def test_off_rejects_missing_header(tmp_path):
     ("OFF\n", "expected vertex, face and edge counts, got []"),
     ("OFF\nx 4 0\n", "expected vertex, face and edge counts, got ['x', '4', '0']"),
     ("OFF\n4 4 0\n0 0 0\n1 0 0\n", "expected 12 vertex coordinates, found 6"),
+    ("OFF\n3 1 0\n0 0 x\n1 0 0\n0 1 0\n3 0 1 2\n", "malformed vertex coordinate"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 y\n", "malformed face record"),
 ])
 def test_off_rejects_malformed_header_and_vertices(tmp_path, text, message):
     path = tmp_path / "bad.off"
@@ -320,6 +322,9 @@ def test_obj_reports_the_first_bad_record(tmp_path, text, message):
 
 def test_obj_rejects_malformed_numbers(tmp_path):
     path = tmp_path / "bad.obj"
-    path.write_text("v 0 0 zero\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-    with pytest.raises(ValueError):
-        read_obj(path, validate=False)
+    for text, what in (("v 0 0 zero\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "vertex coordinate"),
+                       ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 z\n", "face index")):
+        path.write_text(text)
+        with pytest.raises(MeshError) as error:
+            read_obj(path, validate=False)
+        assert str(error.value) == f"{path}: malformed {what}"

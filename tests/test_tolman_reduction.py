@@ -208,7 +208,7 @@ def test_verify_reductions_report():
     assert finding.note
     table = report.format_table()
     assert "adapted_normal_row_printed_signs" in table
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_rows()))
     assert len(payload) == len(report.rows)
     assert all("max_deviation" in entry for entry in payload)
 

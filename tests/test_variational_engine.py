@@ -240,7 +240,7 @@ def test_ball_mesh_validation():
     with pytest.raises(ValueError):
         build_ball_tetmesh(-1.0)
     with pytest.raises(ValueError):
-        build_ball_tetmesh(1.0, grading=0.0)
+        build_ball_tetmesh(1.0, radial_layers=0)
 
 
 # ------------------------------------------------------------- field state
@@ -254,6 +254,24 @@ def test_field_state_validation():
         FieldState(vals, trajectory=np.zeros((3, n, 1)))
     with pytest.raises(ValueError):
         FieldState(vals + 1.0, trajectory=np.zeros((3, n, 1)), dt=0.1)
+
+
+def test_field_state_reads_a_scalar_field_as_one_column():
+    n = 8
+    values = np.arange(n, dtype=float)
+    state = FieldState(values)
+    assert state.values.shape == (n, 1) and state.n_components == 1
+    assert np.array_equal(state.values[:, 0], values)
+
+
+def test_surface_action_reads_a_scalar_field_as_one_column():
+    mesh = build_icosphere(1.0, 1)
+    surface = robin_surface(1.0)
+    values = np.linspace(-1.0, 1.0, mesh.n_vertices)
+    assert surface_action(mesh, surface, values) == surface_action(mesh, surface, values[:, None])
+    gradient = ve.surface_action_gradient(mesh, surface, values)
+    assert gradient.shape == (mesh.n_vertices, 1)
+    assert np.array_equal(gradient, ve.surface_action_gradient(mesh, surface, values[:, None]))
 
 
 def test_field_state_rates():
