@@ -10,8 +10,8 @@ are used only as cross-checks in the tests.
 The second fundamental form follows the droplet convention
 ``b_AB = d_A(n_out) . d_B(x)`` so a sphere has ``b = g/R`` and ``H = +1/R``.
 With the inward normal as the third frame vector, the same numbers agree
-with the classical adapted-frame expansions; ``adapted_coefficient_divergence``
-lets callers pick either frame explicitly.
+with the classical adapted-frame expansions, whose frame
+``adapted_coefficient_divergence`` uses.
 """
 from __future__ import annotations
 
@@ -270,34 +270,28 @@ def _sample_torus(surface, n_u, n_v):
 
 # -- adapted-frame coefficient calculus ------------------------------------
 
-def adapted_coefficient_divergence(jet, coeffs, inward_frame=True, coeff_partials=None):
+def adapted_coefficient_divergence(jet, coeffs):
     """Exact surface covariant divergence of a coefficient field, per Cartesian slot.
 
-    ``coeffs[..., A, m]`` holds the adapted components of a two-index object
-    c^{A m}: m = 0, 1 are contravariant tangential slots and m = 2 is the
-    component along the frame normal (inward normal when ``inward_frame``).
-    The adapted components are constant unless ``coeff_partials[..., A, m]``
-    supplies the chart partial of c^{A m} along coordinate A.  Leading axes
-    ``...`` run over the points of a stacked jet.
+    ``coeffs[..., A, m]`` holds the constant adapted components of a
+    two-index object c^{A m}: m = 0, 1 are contravariant tangential slots and
+    m = 2 is the component along the inward normal.  Leading axes ``...``
+    run over the points of a stacked jet.
 
     Returns the Cartesian 3-vector ``div_A c^{A .}``, expanding the frame
     rotation with the Gauss-Weingarten relations of the jet.
     """
     c = np.asarray(coeffs, dtype=float)
-    eps = 1.0 if inward_frame else -1.0
-    nu = -jet.normal if inward_frame else jet.normal
+    nu = -jet.normal
     tangents = jet.tangents                                   # (..., 2, 3): g_1, g_2
     frame = np.concatenate([tangents, nu[..., None, :]], axis=-2)
     trace_gamma = np.einsum("...aba->...b", jet.christoffel)  # Gamma^A_BA as a function of B
     # d_A W^A with W^A = c[A,C] g_C + c[A,2] nu: d_A g_C = Gamma^D_AC g_D
-    # + eps b_AC nu and d_A nu = -eps b_A^D g_D; then the trace term Gamma^A_AB W^B
-    out = (np.einsum("...ac,...dac,...dj->...j", c[..., :2], jet.christoffel, tangents)
-           + eps * np.einsum("...ac,...ac->...", c[..., :2], jet.second_form)[..., None] * nu
-           - eps * np.einsum("...a,...ad,...dj->...j", c[..., 2], jet.shape_mixed, tangents)
-           + np.einsum("...b,...bm,...mj->...j", trace_gamma, c, frame))
-    if coeff_partials is not None:
-        out = out + np.einsum("...am,...mj->...j", np.asarray(coeff_partials, dtype=float), frame)
-    return out
+    # + b_AC nu and d_A nu = -b_A^D g_D; then the trace term Gamma^A_AB W^B
+    return (np.einsum("...ac,...dac,...dj->...j", c[..., :2], jet.christoffel, tangents)
+            + np.einsum("...ac,...ac->...", c[..., :2], jet.second_form)[..., None] * nu
+            - np.einsum("...a,...ad,...dj->...j", c[..., 2], jet.shape_mixed, tangents)
+            + np.einsum("...b,...bm,...mj->...j", trace_gamma, c, frame))
 
 
 @dataclass

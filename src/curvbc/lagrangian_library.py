@@ -4,7 +4,8 @@ Bulk densities are functions of the field value, its time rate and its
 spatial gradient; surface densities split into a plain term and a term the
 assembler multiplies by minus twice the local mean curvature.  Every entry
 carries hand-written partial derivatives; ``check_partials`` verifies them
-against central finite differences on random states.
+against central finite differences on random states.  A density depends on
+the time rate exactly when it gives a rate partial; no catalog entry does.
 
 Shapes: ``phi`` and ``rate`` are (m, k), gradients are (m, k, 3) with
 ``grad[i, c, j]`` the j-th spatial partial of component c at sample i.
@@ -62,15 +63,16 @@ def quadratic_potential(beta, n_components=1):
 @dataclass
 class BulkLagrangian:
     """Volume energy density L(phi, rate, grad) with exact partials, of any
-    form: the solver's probe of the partials tells whether it is quadratic."""
+    form: the solver's probe of the partials tells whether it is quadratic.
+    L depends on the field rate exactly when the keyword-only ``d_rate`` is
+    given; None means dL/d(rate) = 0, as ``check_partials`` checks."""
 
     name: str
     n_components: int
     density: Callable
     d_phi: Callable
-    d_rate: Callable
     d_grad: Callable
-    rate_dependent: bool = False
+    d_rate: Optional[Callable] = field(default=None, kw_only=True)
 
 
 @dataclass
@@ -79,10 +81,12 @@ class SurfaceLagrangian:
 
     The assembled surface action integrates ``gamma0 - 2 H gamma_hat``
     over the boundary.  Evaluators share the bulk signature; the gradient
-    argument is the tangential surface gradient of the field.  Rate
-    partials are optional (None means the density ignores the rate); they
-    only matter for the time-derivative terms of the boundary condition.
-    As for :class:`BulkLagrangian`, the densities may take any form.
+    argument is the tangential surface gradient of the field.  As for
+    :class:`BulkLagrangian`, a density depends on the field rate exactly
+    when it gives its rate partial: None (the default) means that density
+    ignores the rate.  The pair's boundary condition has a rate bracket, and
+    needs a trajectory, exactly when either rate partial is given.  The
+    densities may take any form.
     """
 
     name: str
@@ -93,7 +97,6 @@ class SurfaceLagrangian:
     gamma_hat: Callable
     gamma_hat_d_phi: Callable
     gamma_hat_d_grad: Callable
-    rate_dependent: bool = False
     meta: dict = field(default_factory=dict)
     gamma0_d_rate: Optional[Callable] = None
     gamma_hat_d_rate: Optional[Callable] = None
@@ -110,13 +113,10 @@ def harmonic(n_components=1):
     def d_phi(phi, rate, grad):
         return np.zeros_like(phi)
 
-    def d_rate(phi, rate, grad):
-        return np.zeros_like(phi)
-
     def d_grad(phi, rate, grad):
         return grad.copy()
 
-    return BulkLagrangian("harmonic", int(n_components), density, d_phi, d_rate, d_grad)
+    return BulkLagrangian("harmonic", int(n_components), density, d_phi, d_grad)
 
 
 def poisson_source(source, n_components=1):
@@ -132,14 +132,11 @@ def poisson_source(source, n_components=1):
         out[:, 0] = -f
         return out
 
-    def d_rate(phi, rate, grad):
-        return np.zeros_like(phi)
-
     def d_grad(phi, rate, grad):
         return grad.copy()
 
     return BulkLagrangian(f"poisson_source({f:g})", int(n_components), density,
-                          d_phi, d_rate, d_grad)
+                          d_phi, d_grad)
 
 
 def linear_elastic(lam, mu):
@@ -166,9 +163,6 @@ def linear_elastic(lam, mu):
     def d_phi(phi, rate, grad):
         return np.zeros_like(phi)
 
-    def d_rate(phi, rate, grad):
-        return np.zeros_like(phi)
-
     def d_grad(phi, rate, grad):
         eps = strain(grad)
         tr = np.einsum("mkk->m", eps)
@@ -176,7 +170,7 @@ def linear_elastic(lam, mu):
         out[:, np.arange(3), np.arange(3)] += lam * tr[:, None]
         return out
 
-    return BulkLagrangian(f"linear_elastic({lam:g},{mu:g})", 3, density, d_phi, d_rate, d_grad)
+    return BulkLagrangian(f"linear_elastic({lam:g},{mu:g})", 3, density, d_phi, d_grad)
 
 
 def builtin_bulk(name, **params):
@@ -279,13 +273,11 @@ def robin_surface(beta, n_components=1):
     """Quadratic boundary penalty gamma0 = 0.5 beta |phi|^2, no curvature term."""
     if beta < 0:
         raise ValueError("robin coefficient beta must be non-negative")
-    spec = make_restricted_surface(
+    return make_restricted_surface(
         n_components,
         gamma_bar=quadratic_potential(float(beta), n_components),
         name=f"robin({beta:g})",
     )
-    spec.meta["beta"] = float(beta)
-    return spec
 
 
 def zero_surface(n_components=1):
@@ -330,16 +322,12 @@ def make_isotropic_surface(sigma, tau):
     curvature-tension tau, as checked by :class:`IsotropicSurfaceParams`.
     """
     params = IsotropicSurfaceParams(float(sigma), float(tau))
-    spec = make_restricted_surface(
+    return make_restricted_surface(
         3,
         chi=params.sigma * np.eye(3),
         kappa=params.tau * np.eye(3),
         name=f"isotropic({params.sigma:g},{params.tau:g})",
     )
-    spec.meta.update(sigma=params.sigma, tau=params.tau)
-    if params.sigma > 0:
-        spec.meta["delta"] = params.delta
-    return spec
 
 
 # -- derivative verification ------------------------------------------------
@@ -373,12 +361,19 @@ def _fd_check(value_fn, partial_fn, args, slot, step, rng):
     return float(np.abs(proj - fd).max() / scale)
 
 
+def _no_rate(phi, rate, grad):
+    """The rate partial of a density that gives none: zero."""
+    return np.zeros_like(rate)
+
+
 def check_partials(spec, trials=20, seed=0):
     """Verify a catalog entry's partials against central differences.
 
     Runs ``trials`` random states of 40 points each, with central-difference
     step 1e-6, and reports the worst relative deviation per derivative slot;
-    the check passes at 1e-6.
+    the check passes at 1e-6.  Every rate slot is checked: an absent rate
+    partial as zero, so a density that reads the rate without giving its
+    partial fails.
     """
     step, tolerance, n_samples = 1e-6, 1e-6, 40
     rng = np.random.default_rng(seed)
@@ -387,12 +382,14 @@ def check_partials(spec, trials=20, seed=0):
 
     if isinstance(spec, BulkLagrangian):
         pairs = [("d_phi", spec.density, spec.d_phi, 0),
-                 ("d_rate", spec.density, spec.d_rate, 1),
+                 ("d_rate", spec.density, spec.d_rate or _no_rate, 1),
                  ("d_grad", spec.density, spec.d_grad, 2)]
     else:
         pairs = [("gamma0_d_phi", spec.gamma0, spec.gamma0_d_phi, 0),
+                 ("gamma0_d_rate", spec.gamma0, spec.gamma0_d_rate or _no_rate, 1),
                  ("gamma0_d_grad", spec.gamma0, spec.gamma0_d_grad, 2),
                  ("gamma_hat_d_phi", spec.gamma_hat, spec.gamma_hat_d_phi, 0),
+                 ("gamma_hat_d_rate", spec.gamma_hat, spec.gamma_hat_d_rate or _no_rate, 1),
                  ("gamma_hat_d_grad", spec.gamma_hat, spec.gamma_hat_d_grad, 2)]
 
     for _ in range(trials):

@@ -12,8 +12,8 @@ import numpy as np
 from .surface_mesh import MeshError, TriangleMesh
 
 
-def read_off(path, validate=True):
-    """Read an ASCII OFF file with triangular faces into a TriangleMesh."""
+def read_off(path):
+    """Read an ASCII OFF file with triangular faces into a validated TriangleMesh."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:
@@ -40,20 +40,21 @@ def read_off(path, validate=True):
                         f"got {rows[polygons[0], 0]}-gon")
     if len(rows) < nf:
         raise MeshError(f"{path}: expected {nf} faces, found {len(rows)}")
-    return TriangleMesh(verts, rows[:, 1:], validate=validate)
+    return TriangleMesh(verts, rows[:, 1:])
 
 
 # bytes of whole lines that ``read_obj`` parses per array pass
 _OBJ_CHUNK = 1 << 18
 
 
-def read_obj(path, validate=True):
-    """Read an ASCII OBJ file (v/f records, triangles only) into a TriangleMesh.
+def read_obj(path):
+    """Read an ASCII OBJ file (v/f records, triangles only) into a validated
+    TriangleMesh.
 
     Face indices may take the ``v/vt/vn`` forms; a negative index counts
     back from the vertices read so far.
     """
-    return TriangleMesh(*_obj_arrays(path), validate=validate)
+    return TriangleMesh(*_obj_arrays(path))
 
 
 def _obj_arrays(path):

@@ -320,8 +320,8 @@ def isotropic_bc_values(params, H, grad_H=None, metric_inv=None):
     projection); tangential value is ``-2 tau`` times the raised curvature
     gradient, evaluated in an orthonormal tangent frame unless a metric
     inverse is supplied (the metric-derivative terms of the chart form are
-    coordinate artifacts and vanish in orthonormal frames).  The normal
-    value is elementwise: ``H`` may be an array, and so may the params.
+    coordinate artifacts and vanish in orthonormal frames).  Both values are
+    per point: ``H`` may be a stack of points, and so may the params.
     """
     H = np.asarray(H, dtype=float)
     normal = (2.0 * params.sigma * H - 4.0 * params.tau * H**2)[()]
@@ -330,7 +330,8 @@ def isotropic_bc_values(params, H, grad_H=None, metric_inv=None):
     else:
         grad_H = np.asarray(grad_H, dtype=float)
         ginv = np.eye(2) if metric_inv is None else np.asarray(metric_inv, dtype=float)
-        tangential = -2.0 * params.tau * (ginv @ grad_H)
+        tau = np.asarray(params.tau, dtype=float)[..., None]
+        tangential = -2.0 * tau * np.einsum("...ab,...b->...a", ginv, grad_H)
     return tangential, normal
 
 

@@ -286,29 +286,34 @@ def _columns(values):
 class FieldState:
     """Vertex field values, optionally with a short trajectory around them.
 
-    ``values`` are (n, k), or (n,) for a scalar field, read as one column.
-    ``trajectory`` is (s, n, k) with odd s >= 3; ``values`` must equal the
-    middle snapshot.  Rates are central differences at the middle snapshot
-    (one-sided at the trajectory ends when snapshot rates are requested).
+    ``values`` are (n, k) and ``trajectory`` (s, n, k) with odd s >= 3, or
+    (n,) and (s, n) for a scalar field, read as one column; ``values`` must
+    equal the middle snapshot.  ``rates``, computed once, are the central
+    differences there, and None for a static state, whose partials see zero
+    rates (:meth:`snapshot_rates` are one-sided at the ends).  A pair needs a
+    trajectory exactly where a rate partial it gives enters a rate bracket.
     """
 
     values: np.ndarray
     trajectory: Optional[np.ndarray] = None
     dt: Optional[float] = None
+    rates: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.values = _columns(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be (n, k)")
         if self.trajectory is not None:
-            self.trajectory = np.asarray(self.trajectory, dtype=float)
+            trajectory = np.asarray(self.trajectory, dtype=float)
+            self.trajectory = trajectory[..., None] if trajectory.ndim == 2 else trajectory
             s = self.trajectory.shape[0]
             if self.trajectory.ndim != 3 or s < 3 or s % 2 == 0:
-                raise ValueError("trajectory must be (s, n, k) with odd s >= 3")
+                raise ValueError("trajectory must be (s, n, k) or (s, n) with odd s >= 3")
             if self.dt is None or self.dt <= 0:
                 raise ValueError("trajectory requires a positive dt")
             if not np.array_equal(self.trajectory[s // 2], self.values):
                 raise ValueError("values must equal the middle trajectory snapshot")
+            self.rates = self.snapshot_rates(s // 2)
 
     @classmethod
     def from_trajectory(cls, trajectory, dt):
@@ -318,16 +323,6 @@ class FieldState:
     @property
     def n_components(self):
         return self.values.shape[1]
-
-    def rates(self):
-        """Field rate at the middle snapshot; zeros for a static state."""
-        if self.trajectory is None:
-            return np.zeros_like(self.values)
-        return self.snapshot_rates(self.trajectory.shape[0] // 2)
-
-    def _rates_at(self, ids=slice(None)):
-        """Middle-snapshot rates at ``ids``; None for a static state."""
-        return None if self.trajectory is None else self.rates()[ids]
 
     def snapshot_rates(self, s):
         traj = self.trajectory
@@ -417,7 +412,7 @@ def _simplex_pass(simplices, hat, values, rates, channels):
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    density, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+    density, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state.rates,
                              [(mesh.corner_weights, bulk.density, None)])
     return float(density.sum())
 
@@ -425,7 +420,7 @@ def bulk_action(mesh, bulk, state):
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    g, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+    g, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state.rates,
                        [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)])
     return g
 
@@ -496,9 +491,8 @@ def assemble_action(mesh, bulk, surface, state, surface_transport=None):
     """
     _check_components(mesh, bulk, surface, state)
     b = bulk_action(mesh, bulk, state)
-    ids = mesh.boundary_vertex_ids
-    plain, curv = surface_action(mesh.boundary, surface, state.values[ids],
-                                 state._rates_at(ids))
+    on_boundary = _boundary_state(mesh, state)
+    plain, curv = surface_action(mesh.boundary, surface, on_boundary.values, on_boundary.rates)
 
     transport = 0.0
     if surface_transport is not None:
@@ -518,10 +512,17 @@ def action_gradient(mesh, bulk, surface, state):
     """Exact gradient of the total action with respect to vertex values."""
     _check_components(mesh, bulk, surface, state)
     out = bulk_action_gradient(mesh, bulk, state)
-    ids = mesh.boundary_vertex_ids
-    out[ids] += surface_action_gradient(mesh.boundary, surface, state.values[ids],
-                                        state._rates_at(ids))
+    on_boundary = _boundary_state(mesh, state)
+    out[mesh.boundary_vertex_ids] += surface_action_gradient(
+        mesh.boundary, surface, on_boundary.values, on_boundary.rates)
     return out
+
+
+def _boundary_state(mesh, state):
+    """``state`` on the boundary vertices of a tet mesh, trajectory and all."""
+    ids = mesh.boundary_vertex_ids
+    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
+    return FieldState(state.values[ids], trajectory, state.dt)
 
 
 # -- residual reports ---------------------------------------------------------
@@ -530,15 +531,17 @@ def euler_lagrange_residual(mesh, bulk, state):
     """Pointwise Euler-Lagrange defect, one row per vertex.
 
     Interior rows divide the bulk gradient by dual volumes, recovering
-    dL/dphi - div(dL/dgrad) (+ the rate bracket along a trajectory); rows at
-    boundary vertices additionally contain the flux and are reported as-is.
+    dL/dphi - div(dL/dgrad), minus the rate bracket d/dt dL/d(rate) exactly
+    when the bulk gives ``d_rate``: such a bulk needs a state with a
+    trajectory.  Rows at boundary vertices additionally contain the flux
+    and are reported as-is.
     """
     _check_components(mesh, bulk, None, state)
-    if bulk.rate_dependent and state.trajectory is None:
+    if bulk.d_rate is not None and state.trajectory is None:
         raise ValueError("bulk lagrangian depends on the field rate; supply "
                          "a FieldState with a trajectory")
     res = bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
-    if state.trajectory is not None and bulk.rate_dependent:
+    if bulk.d_rate is not None:
         def momentum(values, rates):
             p, = _simplex_pass(mesh.tets, mesh.tet_gradients, values, rates,
                                [(mesh.corner_weights, bulk.d_rate, None)])
@@ -564,24 +567,27 @@ def surface_bc_terms(mesh, surface, state):
     Returns ``(rhs, terms)`` for a state on the mesh vertices: ``rhs``, minus
     the boundary action gradient over vertex areas, sums the ``terms``
     channels ``gamma0_phi``, ``gamma0_div``, ``curv_phi``, ``curv_div`` and,
-    along a trajectory, ``rate_bracket``.  The diagnostic ``curv_div_frozen``
+    exactly when the pair gives a rate partial, ``rate_bracket``: such a
+    pair needs a state with a trajectory.  The diagnostic ``curv_div_frozen``
     + ``grad_H_term`` (vertex gradient of the cached H) differs from
     ``curv_div`` by a discretization-order product rule.  Each partial is
     evaluated once.  The tangential part of ``rhs`` is a weak quantity: it
     converges paired with smooth test fields, not pointwise off the sphere.
     """
     _check_components(mesh, None, surface, state)
-    if surface.rate_dependent and state.trajectory is None:
-        raise ValueError("surface lagrangian depends on the field rate; supply "
-                         "a FieldState with a trajectory")
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     a = mesh.vertex_areas[:, None]
     w, wc = _surface_weights(mesh)
+    rate_channels = [(wt, d, None) for wt, d in ((w, surface.gamma0_d_rate),
+                                                 (wc, surface.gamma_hat_d_rate)) if d is not None]
+    if rate_channels and state.trajectory is None:
+        raise ValueError("surface lagrangian depends on the field rate; supply "
+                         "a FieldState with a trajectory")
     # the four channels, then those of the diagnostic split: the frozen-weight
     # curvature gradient and the gamma_hat_d_grad rows put in the corner slot
     channels = _surface_channels(surface, w, wc)
     *g, R_frozen, W = _simplex_pass(
-        tri, hat, state.values, state._rates_at(),
+        tri, hat, state.values, state.rates,
         [*channels.values(), (w, None, surface.gamma_hat_d_grad),
          (w, surface.gamma_hat_d_grad, None)])
     terms = {name: -gi / a for name, gi in zip(channels, g)}
@@ -592,9 +598,7 @@ def surface_bc_terms(mesh, surface, state):
     terms["curv_div_frozen"] = 2.0 * mesh.vertex_mean_curvature[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(mesh))
 
-    rate_channels = [(wt, d, None) for wt, d in ((w, surface.gamma0_d_rate),
-                                                 (wc, surface.gamma_hat_d_rate)) if d is not None]
-    if state.trajectory is not None and rate_channels:
+    if rate_channels:
         def momentum(values, rates):
             return sum(_simplex_pass(tri, hat, values, rates, rate_channels)) / a
         terms["rate_bracket"] = _rate_bracket(state, momentum)
@@ -636,8 +640,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     _check_components(mesh, bulk, surface, state)
     B = mesh.boundary
     ids = mesh.boundary_vertex_ids
-    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
-    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
+    rhs, terms = surface_bc_terms(B, surface, _boundary_state(mesh, state))
 
     # both fluxes read boundary vertex rows only, which are sums over the
     # tets with a boundary vertex: the bulk pass runs on those tets alone, and
@@ -646,7 +649,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     layer = mesh.boundary_layer
     weights = mesh.corner_weights[layer]
     g_bulk, mom = _simplex_pass(
-        mesh.tets[layer], mesh.tet_gradients[layer], state.values, state._rates_at(),
+        mesh.tets[layer], mesh.tet_gradients[layer], state.values, state.rates,
         [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
@@ -917,7 +920,7 @@ def _difference_tangents(simplices, hat, block, channels, state, k):
     (1 + max |values|)``; the rates stay.  Each move starts from a fresh copy
     of the corner values, whose bits a move and its reverse would not restore."""
     c = simplices.shape[1]
-    values, rates = state.values, state._rates_at()
+    values, rates = state.values, state.rates
     h = np.cbrt(np.finfo(float).eps) * (1.0 + float(np.abs(values).max()))
     corners = values[simplices[block]]
     # each simplex indexes its own rows of the moved corner values

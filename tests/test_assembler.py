@@ -88,11 +88,9 @@ def rate_coupled_bulk(base, c=0.3):
         density=lambda p, r, g: base.density(p, r, g) + extra(p, r),
         d_phi=lambda p, r, g: base.d_phi(p, r, g)
         + c * np.einsum("mk,mk->m", r, r)[:, None] * p,
-        d_rate=lambda p, r, g: base.d_rate(p, r, g)
-        + c * np.einsum("mk,mk->m", p, p)[:, None] * r,
+        d_rate=lambda p, r, g: c * np.einsum("mk,mk->m", p, p)[:, None] * r,
         d_grad=lambda p, r, g: base.d_grad(p, r, g)
-        + c * np.einsum("mk,mk->m", r, r)[:, None, None] * g,
-        rate_dependent=True)
+        + c * np.einsum("mk,mk->m", r, r)[:, None, None] * g)
 
 
 def rate_coupled_surface(base, c0=0.2, c1=0.5):
@@ -121,7 +119,6 @@ def rate_coupled_surface(base, c0=0.2, c1=0.5):
         gamma_hat=add(base.gamma_hat, c1),
         gamma_hat_d_phi=add_d_phi(base.gamma_hat_d_phi, c1),
         gamma_hat_d_grad=add_d_grad(base.gamma_hat_d_grad, c1),
-        rate_dependent=True,
         gamma0_d_rate=d_rate(c0), gamma_hat_d_rate=d_rate(c1))
 
 
@@ -161,7 +158,6 @@ def advected_bulk(b=(0.3, -0.5, 0.2), coupling=((1.0, 0.5), (-0.3, 0.8))):
                                  + 0.5 * np.einsum("mk,mk->m", p, p)
                                  + np.einsum("mc,mc->m", p, advection(g))),
         d_phi=lambda p, r, g: p + advection(g),
-        d_rate=lambda p, r, g: np.zeros_like(p),
         d_grad=lambda p, r, g: g + np.einsum("mc,cd,j->mdj", p, a, b))
 
 
@@ -193,6 +189,11 @@ def random_trajectory(mesh, k, rng, steps=5, dt=0.05):
 
 
 # -- the np.add.at formulation ---------------------------------------------------
+
+def rates_or_zeros(state):
+    """The state's middle-snapshot rates; zeros for a static state."""
+    return np.zeros_like(state.values) if state.rates is None else state.rates
+
 
 def ref_pointwise(simplices, hat, values, rates):
     m, c = simplices.shape
@@ -240,16 +241,16 @@ def ref_surface_channels(B, surface, values, rates, H):
 
 def ref_action_gradient(mesh, bulk, surface, state):
     ids = mesh.boundary_vertex_ids
-    out = ref_bulk_gradient(mesh, bulk, state.values, state.rates())
+    out = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))
     H = mean_curvature(mesh.boundary)
     gs = sum(ref_surface_channels(mesh.boundary, surface, state.values[ids],
-                                  state.rates()[ids], H))
+                                  rates_or_zeros(state)[ids], H))
     np.add.at(out, ids, gs)
     return out
 
 
 def ref_euler_lagrange(mesh, bulk, state):
-    res = ref_bulk_gradient(mesh, bulk, state.values, state.rates())
+    res = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))
     res /= mesh.dual_volumes[:, None]
     mid = state.trajectory.shape[0] // 2
     w = np.repeat(mesh.tet_volumes / 4.0, 4)
@@ -269,8 +270,8 @@ def ref_natural_bc(mesh, bulk, surface, state):
     a = B.vertex_areas[:, None]
     H = mean_curvature(B)
     n, tri = B.n_vertices, B.triangles
-    flux_weak = ref_bulk_gradient(mesh, bulk, state.values, state.rates())[ids] / a
-    bvals, brates = state.values[ids], state.rates()[ids]
+    flux_weak = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))[ids] / a
+    bvals, brates = state.values[ids], rates_or_zeros(state)[ids]
     P, G, Q, R = ref_surface_channels(B, surface, bvals, brates, H)
     terms = {"gamma0_phi": -P / a, "gamma0_div": -G / a,
              "curv_phi": -Q / a, "curv_div": -R / a}
@@ -295,7 +296,7 @@ def ref_natural_bc(mesh, bulk, surface, state):
         span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
         terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
         rhs = rhs + terms["rate_bracket"]
-    args_b = ref_pointwise(mesh.tets, mesh.tet_gradients, state.values, state.rates())
+    args_b = ref_pointwise(mesh.tets, mesh.tet_gradients, state.values, rates_or_zeros(state))
     wb = np.repeat(mesh.tet_volumes / 4.0, 4)
     mom = ref_corner(mesh.n_vertices, mesh.tets, bulk.d_grad(*args_b) * wb[:, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
@@ -446,15 +447,16 @@ def test_actions_equal_the_weighted_density_dot(steps):
         state = random_state(mesh, 1, rng)
     B, ids = mesh.boundary, mesh.boundary_vertex_ids
     w = B.corner_areas.ravel()
-    args = ref_pointwise(B.triangles, B.hat_gradients, state.values[ids], state.rates()[ids])
+    rates = rates_or_zeros(state)
+    args = ref_pointwise(B.triangles, B.hat_gradients, state.values[ids], rates[ids])
     expected = [
         mesh.corner_weights.ravel() @ bulk.density(*ref_pointwise(
-            mesh.tets, mesh.tet_gradients, state.values, state.rates())),
+            mesh.tets, mesh.tet_gradients, state.values, rates)),
         w @ surface.gamma0(*args),
         (-2.0 * mean_curvature(B)[B.triangles].ravel() * w) @ surface.gamma_hat(*args)]
     action = assemble_action(mesh, bulk, surface, state)
     actual = [[bulk_action(mesh, bulk, state), action.bulk],
-              *zip(surface_action(B, surface, state.values[ids], state._rates_at(ids)),
+              *zip(surface_action(B, surface, state.values[ids], rates[ids]),
                    (action.surface_plain, action.surface_curvature))]
     for value, got in zip(expected, actual):
         assert abs(value) > 0.1
@@ -548,7 +550,7 @@ def whole_mesh_report(mesh, bulk, surface, state):
     rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
     weights = mesh.corner_weights
     g_bulk, mom = ve._simplex_pass(
-        mesh.tets, mesh.tet_gradients, state.values, state._rates_at(),
+        mesh.tets, mesh.tet_gradients, state.values, state.rates,
         [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     mom = mom[ids].reshape(-1, state.n_components, 3) / mesh.dual_volumes[ids][:, None, None]

@@ -1,6 +1,8 @@
 """Bulk and surface Lagrangian catalog: densities, partials, validation."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,10 +60,50 @@ def test_corrupted_partial_detected():
     def bad_d_grad(phi, rate, grad):
         return 1.02 * base.d_grad(phi, rate, grad)
 
-    broken = BulkLagrangian("broken", 1, base.density, base.d_phi,
-                            base.d_rate, bad_d_grad)
+    broken = BulkLagrangian("broken", 1, base.density, base.d_phi, bad_d_grad)
     report = check_partials(broken, seed=0)
     assert not report.passed
+
+
+def kinetic(value):
+    """``value`` plus ``0.5 |rate|^2``, and that term's rate partial."""
+    return (lambda p, r, g: value(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
+            lambda p, r, g: r.copy())
+
+
+def test_catalog_bulks_give_no_rate_partial():
+    for entry in CATALOG:
+        if isinstance(entry, BulkLagrangian):
+            assert entry.d_rate is None
+            assert check_partials(entry, seed=0).max_err["d_rate"] == 0.0
+
+
+def test_rate_density_without_its_partial_fails():
+    """A density that reads the rate fails the check unless it gives the
+    rate partial: an absent partial is checked as zero."""
+    base = harmonic()
+    density, d_rate = kinetic(base.density)
+    without = dataclasses.replace(base, name="kinetic", density=density)
+    report = check_partials(without, seed=0)
+    assert not report.passed and report.max_err["d_rate"] > 0.1
+    assert check_partials(dataclasses.replace(without, d_rate=d_rate), seed=0).passed
+
+
+@pytest.mark.parametrize("slot", ["gamma0", "gamma_hat"])
+def test_surface_rate_partials_are_checked(slot):
+    base = robin_surface(1.0)
+    density, d_rate = kinetic(getattr(base, slot))
+    given = dataclasses.replace(base, **{slot: density, f"{slot}_d_rate": d_rate})
+    report = check_partials(given, seed=0)
+    assert report.passed, str(report)
+    assert set(report.max_err) >= {"gamma0_d_rate", "gamma_hat_d_rate"}
+
+    def wrong(p, r, g):
+        return 1.02 * d_rate(p, r, g)
+    report = check_partials(dataclasses.replace(given, **{f"{slot}_d_rate": wrong}), seed=0)
+    assert not report.passed and report.max_err[f"{slot}_d_rate"] > 1e-3
+    report = check_partials(dataclasses.replace(given, **{f"{slot}_d_rate": None}), seed=0)
+    assert not report.passed and report.max_err[f"{slot}_d_rate"] > 0.1
 
 
 def test_elastic_density_at_identity_strain():
@@ -160,16 +202,18 @@ def test_potentials():
 
 
 def test_isotropic_metadata():
+    """The tensions are the restricted coefficients ``chi = sigma I`` and
+    ``kappa = tau I``; the parameters derive delta."""
     surf = make_isotropic_surface(2.0, 0.3)
-    assert surf.meta["sigma"] == 2.0
-    assert surf.meta["tau"] == 0.3
-    assert abs(surf.meta["delta"] - 0.3) <= 1e-15
+    assert np.array_equal(surf.meta["chi"], 2.0 * np.eye(3))
+    assert np.array_equal(surf.meta["kappa"], 0.3 * np.eye(3))
+    assert abs(IsotropicSurfaceParams(2.0, 0.3).delta - 0.3) <= 1e-15
 
 
 def test_isotropic_metadata_without_tension():
     surf = make_isotropic_surface(0.0, 0.0)
-    assert surf.meta["sigma"] == 0.0 and surf.meta["tau"] == 0.0
-    assert "delta" not in surf.meta
+    assert not surf.meta["chi"].any() and not surf.meta["kappa"].any()
+    assert IsotropicSurfaceParams(0.0, 0.0).delta == 0.0
 
 
 # -- the uniform-tension pair is a restricted pair ------------------------------

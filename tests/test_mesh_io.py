@@ -12,6 +12,7 @@ from curvbc import (
     write_obj,
     write_vertex_csv,
 )
+from curvbc.mesh_io import _obj_arrays
 
 
 def test_obj_roundtrip_exact(tmp_path):
@@ -33,21 +34,20 @@ def test_obj_rejects_unused_vertex(tmp_path):
     path.write_text(path.read_text() + "v 2 0 0\n")
     with pytest.raises(MeshError, match=f"^vertex {m.n_vertices} is on no face$"):
         read_obj(path)
-    assert read_obj(path, validate=False).n_vertices == m.n_vertices + 1
 
 
 def test_obj_negative_indices(tmp_path):
     path = tmp_path / "neg.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
-    m = read_obj(path, validate=False)
-    assert np.array_equal(m.triangles, [[0, 1, 2]])
+    _, faces = _obj_arrays(path)
+    assert np.array_equal(faces, [[0, 1, 2]])
 
 
 def test_obj_rejects_non_triangles(tmp_path):
     path = tmp_path / "quad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     with pytest.raises(MeshError):
-        read_obj(path, validate=False)
+        _obj_arrays(path)
 
 
 def test_obj_missing_file(tmp_path):
@@ -219,17 +219,17 @@ def test_obj_slash_forms_and_inline_comments(tmp_path):
         "f 1/1/1 2//1 3/2 # one face\n"
         "\n"
     )
-    m = read_obj(path, validate=False)
-    assert np.array_equal(m.triangles, [[0, 1, 2]])
-    assert np.array_equal(m.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    verts, faces = _obj_arrays(path)
+    assert np.array_equal(faces, [[0, 1, 2]])
+    assert np.array_equal(verts, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
 def test_obj_negative_index_counts_from_vertices_read_so_far(tmp_path):
     path = tmp_path / "neg_more.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
                     "v 1 1 0\nf -3 -1 -2\nf 2 4 3\n")
-    m = read_obj(path, validate=False)
-    assert np.array_equal(m.triangles, [[0, 1, 2], [1, 3, 2], [1, 3, 2]])
+    _, faces = _obj_arrays(path)
+    assert np.array_equal(faces, [[0, 1, 2], [1, 3, 2], [1, 3, 2]])
 
 
 @pytest.mark.parametrize("text", ["# only a comment\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\n",
@@ -238,26 +238,27 @@ def test_obj_without_records(tmp_path, text):
     path = tmp_path / "empty.obj"
     path.write_text(text)
     with pytest.raises(MeshError, match="no usable v/f records"):
-        read_obj(path, validate=False)
+        _obj_arrays(path)
 
 
 def test_obj_rejects_short_vertex(tmp_path):
     path = tmp_path / "short.obj"
     path.write_text("v 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n")
     with pytest.raises(MeshError, match="fewer than 3 coordinates"):
-        read_obj(path, validate=False)
+        _obj_arrays(path)
 
 
 def token_read_obj_arrays(path):
     """Line-by-line reference reader: one Python string per token."""
     coords, corners, seen = [], [], []
-    for raw in open(path, encoding="utf-8"):
-        parts = raw.split("#", 1)[0].split()
-        if parts and parts[0] == "v":
-            coords += parts[1:4]
-        elif parts and parts[0] == "f":
-            corners += parts[1:4]
-            seen.append(len(coords) // 3)
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            parts = raw.split("#", 1)[0].split()
+            if parts and parts[0] == "v":
+                coords += parts[1:4]
+            elif parts and parts[0] == "f":
+                corners += parts[1:4]
+                seen.append(len(coords) // 3)
     idx = np.array([c.split("/", 1)[0] for c in corners], dtype=np.int64).reshape(-1, 3)
     return (np.array(coords, dtype=float).reshape(-1, 3),
             np.where(idx > 0, idx - 1, np.array(seen)[:, None] + idx))
@@ -296,10 +297,10 @@ def test_obj_reader_equals_token_reader(tmp_path, monkeypatch, newline, chunk):
         monkeypatch.setattr(mesh_io, "_OBJ_CHUNK", chunk)
     path = tmp_path / "messy.obj"
     path.write_bytes(newline.join(messy_obj(np.random.default_rng(len(newline)))).encode())
-    mesh = read_obj(path, validate=False)
+    arrays = _obj_arrays(path)
     verts, faces = token_read_obj_arrays(path)
-    assert mesh.vertices.tobytes() == verts.tobytes()
-    assert mesh.triangles.tobytes() == faces.tobytes()
+    assert arrays[0].tobytes() == verts.tobytes()
+    assert arrays[1].tobytes() == faces.tobytes()
     written = tmp_path / "sphere.obj"
     write_obj(build_icosphere(1.0, 3), written, comments=("a", "b"))
     mesh = read_obj(written)
@@ -317,7 +318,7 @@ def test_obj_reports_the_first_bad_record(tmp_path, text, message):
     path = tmp_path / "bad.obj"
     path.write_text(text)
     with pytest.raises(MeshError, match=message):
-        read_obj(path, validate=False)
+        _obj_arrays(path)
 
 
 def test_obj_rejects_malformed_numbers(tmp_path):
@@ -326,5 +327,5 @@ def test_obj_rejects_malformed_numbers(tmp_path):
                        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 z\n", "face index")):
         path.write_text(text)
         with pytest.raises(MeshError) as error:
-            read_obj(path, validate=False)
+            _obj_arrays(path)
         assert str(error.value) == f"{path}: malformed {what}"

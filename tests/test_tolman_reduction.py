@@ -142,6 +142,28 @@ def test_isotropic_bc_values_rows():
     assert np.abs(tangential + 2 * 0.1 * grad_H).max() <= 1e-14
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_isotropic_bc_values_stacked_equal_per_point(m):
+    """A stack of points gives each point's values, with or without a
+    stack of metric inverses and of params (2 points once mixed, 3 raised)."""
+    rng = np.random.default_rng(m)
+    H, grad_H = rng.uniform(0.2, 2.0, m), rng.standard_normal((m, 2))
+    a = rng.standard_normal((m, 2, 2))
+    metric_inv = a @ a.transpose(0, 2, 1) + np.eye(2)
+    sigma, tau = rng.uniform(1.0, 2.0, m), rng.uniform(0.0, 0.3, m)
+    for stacked in (False, True):
+        params = IsotropicSurfaceParams(sigma, tau) if stacked else IsotropicSurfaceParams(1.0, 0.1)
+        for ginv in (None, metric_inv):
+            tangential, normal = isotropic_bc_values(params, H, grad_H, ginv)
+            assert tangential.shape == (m, 2) and normal.shape == (m,)
+            for i in range(m):
+                one = isotropic_bc_values(
+                    IsotropicSurfaceParams(sigma[i], tau[i]) if stacked else params,
+                    H[i], grad_H[i], None if ginv is None else ginv[i])
+                assert np.array_equal(tangential[i], one[0])
+                assert normal[i] == one[1]
+
+
 def test_pressure_identities():
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -330,11 +352,8 @@ def test_stacked_adapted_expansions_match_single_jets():
     chi, kappa = rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3))
     dchi, dkap = rng.standard_normal((n, 2, 3)), rng.standard_normal((n, 2, 3))
     dgb, dgh = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
-    for inward in (True, False):
-        assert_rows_match(
-            adapted_coefficient_divergence(stack, chi, inward, dchi),
-            [adapted_coefficient_divergence(jet, chi[i], inward, dchi[i])
-             for i, jet in enumerate(jets)])
+    assert_rows_match(adapted_coefficient_divergence(stack, chi),
+                      [adapted_coefficient_divergence(jet, chi[i]) for i, jet in enumerate(jets)])
     terms = expansion_terms(stack, chi, kappa, dgb, dgh, dchi, dkap)
     single = [expansion_terms(jet, chi[i], kappa[i], dgb[i], dgh[i], dchi[i], dkap[i])
               for i, jet in enumerate(jets)]

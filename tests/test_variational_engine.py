@@ -274,13 +274,56 @@ def test_surface_action_reads_a_scalar_field_as_one_column():
     assert np.array_equal(gradient, ve.surface_action_gradient(mesh, surface, values[:, None]))
 
 
+def harmonic_kinetic_bulk():
+    """``0.5 |grad phi|^2 + 0.5 |rate|^2``, rate partial given."""
+    return dataclasses.replace(
+        HARMONIC, name="harmonic+kinetic",
+        density=lambda p, r, g: HARMONIC.density(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
+        d_rate=lambda p, r, g: r.copy())
+
+
+def surface_kinetic():
+    """``robin(1)`` plus ``0.5 |rate|^2`` in the plain term, rate partial given."""
+    robin = robin_surface(1.0)
+    return dataclasses.replace(
+        robin, name="robin+kinetic",
+        gamma0=lambda p, r, g: robin.gamma0(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
+        gamma0_d_rate=lambda p, r, g: r.copy())
+
+
+def test_field_state_reads_a_scalar_trajectory_as_one_column():
+    mesh = small_ball()
+    rng = np.random.default_rng(21)
+    trajectory = rng.standard_normal((5, mesh.n_vertices))
+    scalar = FieldState.from_trajectory(trajectory, 0.1)
+    column = FieldState.from_trajectory(trajectory[:, :, None], 0.1)
+    assert scalar.trajectory.shape == (5, mesh.n_vertices, 1)
+    assert scalar.rates.tobytes() == column.rates.tobytes()
+    for bulk, surface in ((POISSON, robin_surface(1.0)),
+                          (harmonic_kinetic_bulk(), surface_kinetic())):
+        assert (assemble_action(mesh, bulk, surface, scalar)
+                == assemble_action(mesh, bulk, surface, column))
+        assert (action_gradient(mesh, bulk, surface, scalar).tobytes()
+                == action_gradient(mesh, bulk, surface, column).tobytes())
+        assert (euler_lagrange_residual(mesh, bulk, scalar).tobytes()
+                == euler_lagrange_residual(mesh, bulk, column).tobytes())
+        reports = [natural_bc_residual(mesh, bulk, surface, s) for s in (scalar, column)]
+        for name in ("residual", "flux_weak", "rhs", "flux_pointwise"):
+            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
+        assert list(reports[0].terms) == list(reports[1].terms)
+        for name, value in reports[0].terms.items():
+            assert value.tobytes() == reports[1].terms[name].tobytes()
+    assert "rate_bracket" in reports[0].terms
+
+
 def test_field_state_rates():
     n, dt = 5, 0.1
     c = np.arange(n, dtype=float)[:, None]
     times = (np.arange(5) - 2) * dt
     traj = np.stack([c * t for t in times])
     state = FieldState.from_trajectory(traj, dt)
-    assert np.abs(state.rates() - c).max() <= 1e-12
+    assert np.abs(state.rates - c).max() <= 1e-12
+    assert FieldState(traj[2]).rates is None
     assert np.abs(state.snapshot_rates(0) - c).max() <= 1e-12  # linear: one-sided exact
     assert np.abs(state.snapshot_rates(3) - c).max() <= 1e-12
 
@@ -431,7 +474,6 @@ def make_kinetic_bulk():
         d_phi=lambda p, r, g: np.zeros_like(p),
         d_rate=lambda p, r, g: r.copy(),
         d_grad=lambda p, r, g: np.zeros_like(g),
-        rate_dependent=True,
     )
 
 
@@ -451,11 +493,27 @@ def test_bulk_rate_bracket():
         assert np.abs(res[inner] + 2.0 * c[inner]).max() <= 1e-10
 
 
-def test_rate_dependent_bulk_needs_trajectory():
+def test_bulk_with_rate_partial_needs_trajectory():
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    with pytest.raises(ValueError):
-        euler_lagrange_residual(mesh, make_kinetic_bulk(),
-                                FieldState(np.zeros((mesh.n_vertices, 1))))
+    static = FieldState(np.zeros((mesh.n_vertices, 1)))
+    for bulk in (make_kinetic_bulk(), harmonic_kinetic_bulk()):
+        with pytest.raises(ValueError, match="supply a FieldState with a trajectory"):
+            euler_lagrange_residual(mesh, bulk, static)
+
+
+def test_bulk_rate_partial_adds_the_bracket():
+    """A bulk gives its rate bracket exactly when it gives ``d_rate``: the
+    harmonic-plus-kinetic residual is the harmonic one minus the lumped
+    d/dt of the rate, here the second difference of a 3-snapshot trajectory."""
+    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
+    dt = 0.1
+    trajectory = np.random.default_rng(8).standard_normal((3, mesh.n_vertices, 1))
+    state = FieldState.from_trajectory(trajectory, dt)
+    harmonic = euler_lagrange_residual(mesh, HARMONIC, state)
+    res = euler_lagrange_residual(mesh, harmonic_kinetic_bulk(), state)
+    bracket = (trajectory[2] - 2.0 * trajectory[1] + trajectory[0]) / dt**2
+    assert np.abs(res - harmonic).max() > 100.0
+    assert np.abs(res - (harmonic - bracket)).max() <= 1e-12 * np.abs(bracket).max()
 
 
 # ---------------------------------------------------- boundary condition
@@ -543,7 +601,6 @@ def test_surface_rate_bracket():
         gamma0=lambda p, r, g: 0.5 * np.einsum("mk,mk->m", r, r),
         gamma0_d_phi=zero_v, gamma0_d_grad=zero_g,
         gamma_hat=zero_s, gamma_hat_d_phi=zero_v, gamma_hat_d_grad=zero_g,
-        rate_dependent=True,
         gamma0_d_rate=lambda p, r, g: r.copy(),
     )
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
@@ -573,7 +630,6 @@ def test_surface_curvature_rate_bracket():
         gamma0=zero_s, gamma0_d_phi=zero_v, gamma0_d_grad=zero_g,
         gamma_hat=lambda p, r, g: 0.5 * np.einsum("mk,mk->m", r, r),
         gamma_hat_d_phi=zero_v, gamma_hat_d_grad=zero_g,
-        rate_dependent=True,
         gamma_hat_d_rate=lambda p, r, g: r.copy(),
     )
     mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
@@ -882,7 +938,6 @@ def make_negated_bulk():
         density=lambda p, r, g: -0.5 * (np.einsum("mkj,mkj->m", g, g)
                                         + np.einsum("mk,mk->m", p, p)),
         d_phi=lambda p, r, g: -p,
-        d_rate=lambda p, r, g: np.zeros_like(p),
         d_grad=lambda p, r, g: -g,
     )
 
