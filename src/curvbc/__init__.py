@@ -22,9 +22,9 @@ from .analytic_geometry import (AnalyticSurface, GeometryJet,
                                 evaluate_jet, expansion_terms, sample_mesh)
 from .lagrangian_library import (BulkLagrangian, IsotropicSurfaceParams,
                                  SurfaceLagrangian, QuadraticPotential,
-                                 ZeroPotential, builtin_bulk, check_partials,
-                                 harmonic, linear_elastic, make_isotropic_surface,
-                                 make_restricted_surface, poisson_source,
+                                 RestrictedSurface, ZeroPotential, builtin_bulk,
+                                 check_partials, harmonic, linear_elastic,
+                                 make_isotropic_surface, poisson_source,
                                  quadratic_potential, robin_surface,
                                  zero_surface)
 from .mesh_io import read_obj, read_off, write_obj, write_vertex_csv
@@ -53,9 +53,9 @@ __all__ = [
     "AnalyticSurface", "GeometryJet", "adapted_coefficient_divergence",
     "evaluate_jet", "expansion_terms", "sample_mesh",
     "BulkLagrangian", "SurfaceLagrangian", "QuadraticPotential",
-    "ZeroPotential", "builtin_bulk", "check_partials", "harmonic",
-    "linear_elastic", "make_isotropic_surface", "make_restricted_surface",
-    "poisson_source", "quadratic_potential", "robin_surface", "zero_surface",
+    "RestrictedSurface", "ZeroPotential", "builtin_bulk", "check_partials",
+    "harmonic", "linear_elastic", "make_isotropic_surface", "poisson_source",
+    "quadratic_potential", "robin_surface", "zero_surface",
     "read_obj", "read_off", "write_obj", "write_vertex_csv",
     "CurvatureData", "MeshError", "MeshQualityError", "TriangleMesh",
     "build_icosphere", "curvature_identity_residual", "integrate_surface",

@@ -6,6 +6,10 @@ assembler multiplies by minus twice the local mean curvature.  Every entry
 carries hand-written partial derivatives; ``check_partials`` verifies them
 against central finite differences on random states.  A density depends on
 the time rate exactly when it gives a rate partial; no catalog entry does.
+Every catalog surface pair (zero, Robin, uniform tension) is a
+:class:`RestrictedSurface`, which is stated once, by its coefficients, and
+builds its partials from them.  The constructors refuse non-finite
+parameters.
 
 Shapes: ``phi`` and ``rate`` are (m, k), gradients are (m, k, 3) with
 ``grad[i, c, j]`` the j-th spatial partial of component c at sample i.
@@ -83,10 +87,11 @@ class SurfaceLagrangian:
     over the boundary.  Evaluators share the bulk signature; the gradient
     argument is the tangential surface gradient of the field.  As for
     :class:`BulkLagrangian`, a density depends on the field rate exactly
-    when it gives its rate partial: None (the default) means that density
-    ignores the rate.  The pair's boundary condition has a rate bracket, and
-    needs a trajectory, exactly when either rate partial is given.  The
-    densities may take any form.
+    when it gives its keyword-only rate partial: None (the default) means
+    that density ignores the rate.  The pair's boundary condition has a rate
+    bracket, and needs a trajectory, exactly when either rate partial is
+    given.  The densities may take any form; a pair stated by its
+    coefficients is a :class:`RestrictedSurface`.
     """
 
     name: str
@@ -97,12 +102,19 @@ class SurfaceLagrangian:
     gamma_hat: Callable
     gamma_hat_d_phi: Callable
     gamma_hat_d_grad: Callable
-    meta: dict = field(default_factory=dict)
-    gamma0_d_rate: Optional[Callable] = None
-    gamma_hat_d_rate: Optional[Callable] = None
+    gamma0_d_rate: Optional[Callable] = field(default=None, kw_only=True)
+    gamma_hat_d_rate: Optional[Callable] = field(default=None, kw_only=True)
 
 
 # -- bulk catalog -----------------------------------------------------------
+
+def _finite(label, value):
+    """``value`` as a float, refused under ``label`` unless finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    return value
+
 
 def harmonic(n_components=1):
     """Dirichlet energy, L = 0.5 |grad phi|^2 summed over components."""
@@ -122,7 +134,7 @@ def harmonic(n_components=1):
 def poisson_source(source, n_components=1):
     """L = 0.5 |grad phi|^2 - source * phi_0; stationary points solve
     laplace(phi_0) = -source."""
-    f = float(source)
+    f = _finite("source", source)
 
     def density(phi, rate, grad):
         return 0.5 * np.einsum("mkj,mkj->m", grad, grad) - f * phi[:, 0]
@@ -145,8 +157,7 @@ def linear_elastic(lam, mu):
     L = 0.5 lam tr(eps)^2 + mu tr(eps^2), eps the symmetric gradient.
     Requires mu > 0 and a non-negative bulk modulus lam + 2 mu / 3.
     """
-    lam = float(lam)
-    mu = float(mu)
+    lam, mu = _finite("lam", lam), _finite("mu", mu)
     if mu <= 0:
         raise ValueError("shear modulus mu must be positive")
     if lam + 2.0 * mu / 3.0 < 0:
@@ -187,101 +198,101 @@ def builtin_bulk(name, **params):
 
 # -- surface catalog --------------------------------------------------------
 
-def make_restricted_surface(
-    n_components,
-    gamma_bar=None,
-    chi_tilde=None,
-    gamma0_potential=None,
-    chi=None,
-    gamma_hat_potential=None,
-    kappa_hat=None,
-    gamma1_potential=None,
-    kappa=None,
-    name="restricted",
-):
-    """Surface pair linear in the field gradient.
+def _channel(pot, drift, drift_pot, couple):
+    """density(phi, grad) = pot(phi) + drift . grad(drift_pot(phi)) + couple_c . grad phi_c,
+    with its phi and grad partials."""
+    def dens(phi, rate, grad):
+        out = pot.value(phi)
+        if drift is not None:
+            out = out + np.einsum("j,mcj,mc->m", drift, grad, drift_pot.grad(phi))
+        if couple is not None:
+            out = out + np.einsum("cj,mcj->m", couple, grad)
+        return out
+
+    def dens_d_phi(phi, rate, grad):
+        out = pot.grad(phi)
+        if drift is not None:
+            # d/dphi_c of drift . grad(drift_pot): hessian contraction
+            out = out + np.einsum("j,mdj,mdc->mc", drift, grad, drift_pot.hess(phi))
+        return out
+
+    def dens_d_grad(phi, rate, grad):
+        out = np.zeros_like(grad)
+        if drift is not None:
+            out += np.einsum("j,mc->mcj", drift, drift_pot.grad(phi))
+        if couple is not None:
+            out += couple[None, :, :]
+        return out
+
+    return dens, dens_d_phi, dens_d_grad
+
+
+@dataclass
+class RestrictedSurface(SurfaceLagrangian):
+    """Surface pair linear in the field gradient, stated by its coefficients.
 
     gamma0 term: gamma_bar(phi) + chi_tilde . grad(gamma0_potential(phi))
     + sum_c chi[c] . grad phi_c, and analogously for the curvature-weighted
     term with kappa_hat / gamma1_potential / kappa.  Vector coefficients are
     Cartesian: ``chi_tilde`` is (3,) and ``chi`` is (k, 3).  Only tangential
-    parts contribute since surface gradients are tangential.
+    parts contribute since surface gradients are tangential.  The
+    coefficients are the only init fields: the six partials are built from
+    them, so ``dataclasses.replace`` of a coefficient rebuilds the densities
+    and the reduction together, and a replaced density is refused.  No
+    density reads the rate.
     """
-    k = int(n_components)
-    zero = ZeroPotential()
-    gbar = gamma_bar if gamma_bar is not None else zero
-    g0 = gamma0_potential if gamma0_potential is not None else zero
-    ghat = gamma_hat_potential if gamma_hat_potential is not None else zero
-    g1 = gamma1_potential if gamma1_potential is not None else zero
-    ct = None if chi_tilde is None else np.asarray(chi_tilde, dtype=float).reshape(3)
-    cc = None if chi is None else np.asarray(chi, dtype=float).reshape(k, 3)
-    kh = None if kappa_hat is None else np.asarray(kappa_hat, dtype=float).reshape(3)
-    kk = None if kappa is None else np.asarray(kappa, dtype=float).reshape(k, 3)
 
-    def channel(pot, drift, drift_pot, couple):
-        # density(phi, grad) for  pot(phi) + drift . grad(drift_pot(phi)) + couple_c . grad phi_c
-        def dens(phi, rate, grad):
-            out = pot.value(phi)
-            if drift is not None:
-                out = out + np.einsum("j,mcj,mc->m", drift, grad, drift_pot.grad(phi))
-            if couple is not None:
-                out = out + np.einsum("cj,mcj->m", couple, grad)
-            return out
+    n_components: int
+    gamma_bar: Optional[object] = None
+    chi_tilde: Optional[np.ndarray] = None
+    gamma0_potential: Optional[object] = None
+    chi: Optional[np.ndarray] = None
+    gamma_hat_potential: Optional[object] = None
+    kappa_hat: Optional[np.ndarray] = None
+    gamma1_potential: Optional[object] = None
+    kappa: Optional[np.ndarray] = None
+    name: str = field(default="restricted", kw_only=True)
+    gamma0: Callable = field(init=False)
+    gamma0_d_phi: Callable = field(init=False)
+    gamma0_d_grad: Callable = field(init=False)
+    gamma_hat: Callable = field(init=False)
+    gamma_hat_d_phi: Callable = field(init=False)
+    gamma_hat_d_grad: Callable = field(init=False)
+    gamma0_d_rate: None = field(default=None, init=False)
+    gamma_hat_d_rate: None = field(default=None, init=False)
 
-        def dens_d_phi(phi, rate, grad):
-            out = pot.grad(phi)
-            if drift is not None:
-                # d/dphi_c of drift . grad(drift_pot): hessian contraction
-                out = out + np.einsum("j,mdj,mdc->mc", drift, grad, drift_pot.hess(phi))
-            return out
+    def __post_init__(self):
+        k = self.n_components = int(self.n_components)
 
-        def dens_d_grad(phi, rate, grad):
-            out = np.zeros_like(grad)
-            if drift is not None:
-                out += np.einsum("j,mc->mcj", drift, drift_pot.grad(phi))
-            if couple is not None:
-                out += couple[None, :, :]
-            return out
+        def vectors(arr, shape):
+            return None if arr is None else np.asarray(arr, dtype=float).reshape(shape)
 
-        return dens, dens_d_phi, dens_d_grad
+        def pot(p):
+            return ZeroPotential() if p is None else p
 
-    g0_dens, g0_dphi, g0_dgrad = channel(gbar, ct, g0, cc)
-    gh_dens, gh_dphi, gh_dgrad = channel(ghat, kh, g1, kk)
-    return SurfaceLagrangian(
-        name,
-        k,
-        g0_dens,
-        g0_dphi,
-        g0_dgrad,
-        gh_dens,
-        gh_dphi,
-        gh_dgrad,
-        meta={
-            "chi_tilde": ct,
-            "chi": cc,
-            "kappa_hat": kh,
-            "kappa": kk,
-            "gamma_bar": gamma_bar,
-            "gamma0": gamma0_potential,
-            "gamma_hat": gamma_hat_potential,
-            "gamma1": gamma1_potential,
-        },
-    )
+        self.chi_tilde, self.kappa_hat = vectors(self.chi_tilde, 3), vectors(self.kappa_hat, 3)
+        self.chi, self.kappa = vectors(self.chi, (k, 3)), vectors(self.kappa, (k, 3))
+        self.gamma0, self.gamma0_d_phi, self.gamma0_d_grad = _channel(
+            pot(self.gamma_bar), self.chi_tilde, pot(self.gamma0_potential), self.chi)
+        self.gamma_hat, self.gamma_hat_d_phi, self.gamma_hat_d_grad = _channel(
+            pot(self.gamma_hat_potential), self.kappa_hat, pot(self.gamma1_potential),
+            self.kappa)
 
 
 def robin_surface(beta, n_components=1):
     """Quadratic boundary penalty gamma0 = 0.5 beta |phi|^2, no curvature term."""
+    beta = _finite("robin coefficient beta", beta)
     if beta < 0:
         raise ValueError("robin coefficient beta must be non-negative")
-    return make_restricted_surface(
+    return RestrictedSurface(
         n_components,
-        gamma_bar=quadratic_potential(float(beta), n_components),
+        gamma_bar=quadratic_potential(beta, n_components),
         name=f"robin({beta:g})",
     )
 
 
 def zero_surface(n_components=1):
-    return make_restricted_surface(n_components, name="zero")
+    return RestrictedSurface(n_components, name="zero")
 
 
 @dataclass(frozen=True)
@@ -322,7 +333,7 @@ def make_isotropic_surface(sigma, tau):
     curvature-tension tau, as checked by :class:`IsotropicSurfaceParams`.
     """
     params = IsotropicSurfaceParams(float(sigma), float(tau))
-    return make_restricted_surface(
+    return RestrictedSurface(
         3,
         chi=params.sigma * np.eye(3),
         kappa=params.tau * np.eye(3),

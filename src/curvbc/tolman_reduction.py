@@ -42,7 +42,7 @@ import numpy as np
 
 from .analytic_geometry import (AnalyticSurface, GeometryJet, _stacked_jet,
                                 adapted_coefficient_divergence, expansion_terms)
-from .lagrangian_library import (IsotropicSurfaceParams, SurfaceLagrangian,
+from .lagrangian_library import (IsotropicSurfaceParams, RestrictedSurface,
                                  make_isotropic_surface)
 from .surface_mesh import build_icosphere
 
@@ -188,25 +188,22 @@ def tie_curvature_channel(coeffs, delta):
 
 
 def coeffs_from_surface(surf, point):
-    """Chart-indexed point coefficients of a catalog surface Lagrangian.
+    """Chart-indexed point coefficients of a :class:`RestrictedSurface`.
 
     Constant Cartesian coefficient vectors project onto the chart with the
     exact covariant divergence -2 H (c . n) of a tangentially projected
-    constant field.  Rejects surface specs without restricted structure.
-    A stacked ``point`` gives stacked coefficients.
+    constant field.  Rejects any other surface pair.  A stacked ``point``
+    gives stacked coefficients.
     """
-    if not isinstance(surf, SurfaceLagrangian):
-        raise ValueError("expected a catalog SurfaceLagrangian")
-    meta = surf.meta
-    if not {"chi", "chi_tilde", "kappa", "kappa_hat"} <= meta.keys():
-        raise ValueError(f"surface Lagrangian {surf.name!r} is not in restricted form")
+    if not isinstance(surf, RestrictedSurface):
+        name = getattr(surf, "name", type(surf).__name__)
+        raise ValueError(f"surface Lagrangian {name!r} is not in restricted form")
     H = np.asarray(point.mean_curvature)
     tang = point.tangents
 
     def channel(arr):
         if arr is None:
             return None, None
-        arr = np.asarray(arr, dtype=float)
         rows = np.atleast_2d(arr)                          # a drift vector is one row
         chart = np.einsum("...ab,...bj,cj->...ac", point.metric_inv, tang, rows)
         div = -2.0 * H[..., None] * np.einsum("cj,...j->...c", rows, point.normal)
@@ -214,17 +211,17 @@ def coeffs_from_surface(surf, point):
             return chart[..., 0], div[..., 0][()]
         return chart, div
 
-    chi, div_chi = channel(meta["chi"])
-    kappa, div_kappa = channel(meta["kappa"])
-    chi_tilde, div_ct = channel(meta["chi_tilde"])
-    kappa_hat, div_kh = channel(meta["kappa_hat"])
+    chi, div_chi = channel(surf.chi)
+    kappa, div_kappa = channel(surf.kappa)
+    chi_tilde, div_ct = channel(surf.chi_tilde)
+    kappa_hat, div_kh = channel(surf.kappa_hat)
     return RestrictedPointCoeffs(
         surf.n_components,
-        gamma_bar=meta.get("gamma_bar"),
-        gamma_hat=meta.get("gamma_hat"),
+        gamma_bar=surf.gamma_bar,
+        gamma_hat=surf.gamma_hat_potential,
         chi=chi, kappa=kappa,
-        chi_tilde=chi_tilde, gamma0=meta.get("gamma0"),
-        kappa_hat=kappa_hat, gamma1=meta.get("gamma1"),
+        chi_tilde=chi_tilde, gamma0=surf.gamma0_potential,
+        kappa_hat=kappa_hat, gamma1=surf.gamma1_potential,
         div_chi=div_chi, div_kappa=div_kappa,
         div_chi_tilde=0.0 if div_ct is None else div_ct,
         div_kappa_hat=0.0 if div_kh is None else div_kh,
@@ -273,16 +270,14 @@ def general_bc_rhs(point, coeffs):
             - 2.0 * np.einsum("...ak,...a->...k", pihat, point.grad_H))
 
 
-def reduced_bc_rhs(surf, point):
+def reduced_bc_rhs(point, coeffs):
     """Right-hand side of the reduced boundary condition.
 
     Keeps the potential gradients, the coefficient divergences and the
     curvature-gradient coupling; the drift channels are dropped, which is
     exact when they are covariantly constant and the curvature is uniform
-    (the general route keeps their full contribution).  ``surf`` is either
-    a :class:`RestrictedPointCoeffs` or a restricted catalog SurfaceLagrangian.
+    (the general route keeps their full contribution).
     """
-    coeffs = coeffs_from_surface(surf, point) if isinstance(surf, SurfaceLagrangian) else surf
     phi = point.phi
     H = np.asarray(point.mean_curvature)[..., None]
     return (-_pot_grad(coeffs.gamma_bar, phi)
@@ -547,7 +542,7 @@ def verify_reductions(trials=25, seed=0):
     coeffs = _random_coeffs(rng, 3, n)
     coeffs.div_chi_tilde = 0.0
     coeffs.div_kappa_hat = 0.0
-    dev = worst(general_bc_rhs(point, coeffs) - reduced_bc_rhs(coeffs, point))
+    dev = worst(general_bc_rhs(point, coeffs) - reduced_bc_rhs(point, coeffs))
     rows.append(ReductionRow(
         "reduced_equals_general_uniform_curvature", dev <= TIGHT, dev, TIGHT,
         "drift-channel derivative terms cancel through the potential hessians"))

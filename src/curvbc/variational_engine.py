@@ -325,7 +325,12 @@ class FieldState:
         return self.values.shape[1]
 
     def snapshot_rates(self, s):
+        """Rates at snapshot ``s`` in ``[0, s_count - 1]``; a static state has none."""
         traj = self.trajectory
+        if traj is None:
+            raise ValueError("a static state has no snapshots")
+        if not 0 <= s < traj.shape[0]:
+            raise ValueError(f"snapshot {s} is outside [0, {traj.shape[0] - 1}]")
         if s == 0:
             return (traj[1] - traj[0]) / self.dt
         if s == traj.shape[0] - 1:

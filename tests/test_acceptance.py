@@ -13,6 +13,7 @@ from curvbc import (
     BoundaryPoint,
     FieldState,
     IsotropicSurfaceParams,
+    RestrictedSurface,
     action_gradient,
     assemble_action,
     build_ball_tetmesh,
@@ -27,7 +28,6 @@ from curvbc import (
     isotropic_bc_values,
     linear_elastic,
     make_isotropic_surface,
-    make_restricted_surface,
     mean_curvature,
     natural_bc_residual,
     poisson_source,
@@ -82,7 +82,7 @@ def test_criterion_3_variation_consistency():
     rng = np.random.default_rng(1)
 
     def restricted(k):
-        return make_restricted_surface(
+        return RestrictedSurface(
             k,
             gamma_bar=quadratic_potential(0.7, k),
             chi=rng.standard_normal((k, 3)),
@@ -203,7 +203,7 @@ def test_criterion_7_extended_formula():
         for jet in jets:
             point = BoundaryPoint.from_jet(jet, rng.standard_normal(k),
                                            rng.standard_normal((2, k)))
-            surf = make_restricted_surface(
+            surf = RestrictedSurface(
                 k,
                 gamma_bar=quadratic_potential(rng.uniform(0.2, 1.5), k),
                 chi=rng.standard_normal((k, 3)),

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from curvbc import (
     BulkLagrangian,
     FieldState,
+    RestrictedSurface,
     SolveOptions,
     SurfaceLagrangian,
     TetMesh,
@@ -34,7 +35,6 @@ from curvbc import (
     bulk_action,
     euler_lagrange_residual,
     make_isotropic_surface,
-    make_restricted_surface,
     mean_curvature,
     natural_bc_residual,
     quadratic_potential,
@@ -70,7 +70,7 @@ def perturbed_ball(seed, amplitude):
 
 def curved_robin():
     """Robin pair with a curvature-weighted potential and gradient couplings."""
-    return make_restricted_surface(
+    return RestrictedSurface(
         1, gamma_bar=quadratic_potential(1.0),
         chi=[[0.3, -0.2, 0.5]],
         gamma_hat_potential=quadratic_potential(0.4),
@@ -136,7 +136,7 @@ def drift_surface():
     """Restricted pair with drift terms in both channels: ``chi_tilde . grad
     gamma0_potential(phi)`` and ``kappa_hat . grad gamma1_potential(phi)``
     couple the field to its gradient."""
-    return make_restricted_surface(
+    return RestrictedSurface(
         1, gamma_bar=quadratic_potential(1.0),
         chi_tilde=[0.4, -0.3, 0.2], gamma0_potential=quadratic_potential(0.7),
         kappa_hat=[-0.2, 0.5, 0.1], gamma1_potential=quadratic_potential(0.3),

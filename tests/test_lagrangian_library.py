@@ -11,6 +11,8 @@ from curvbc import (
     BoundaryPoint,
     BulkLagrangian,
     IsotropicSurfaceParams,
+    RestrictedSurface,
+    SurfaceLagrangian,
     ZeroPotential,
     build_icosphere,
     builtin_bulk,
@@ -20,7 +22,6 @@ from curvbc import (
     harmonic,
     linear_elastic,
     make_isotropic_surface,
-    make_restricted_surface,
     poisson_source,
     quadratic_potential,
     reduced_bc_rhs,
@@ -65,6 +66,13 @@ def test_corrupted_partial_detected():
     assert not report.passed
 
 
+def general_surface(surface, **partials):
+    """A general :class:`SurfaceLagrangian` with ``surface``'s partials, the
+    given ``partials`` in place of its own."""
+    given = {f.name: getattr(surface, f.name) for f in dataclasses.fields(SurfaceLagrangian)}
+    return SurfaceLagrangian(**{**given, **partials})
+
+
 def kinetic(value):
     """``value`` plus ``0.5 |rate|^2``, and that term's rate partial."""
     return (lambda p, r, g: value(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
@@ -93,7 +101,7 @@ def test_rate_density_without_its_partial_fails():
 def test_surface_rate_partials_are_checked(slot):
     base = robin_surface(1.0)
     density, d_rate = kinetic(getattr(base, slot))
-    given = dataclasses.replace(base, **{slot: density, f"{slot}_d_rate": d_rate})
+    given = general_surface(base, **{slot: density, f"{slot}_d_rate": d_rate})
     report = check_partials(given, seed=0)
     assert report.passed, str(report)
     assert set(report.max_err) >= {"gamma0_d_rate", "gamma_hat_d_rate"}
@@ -145,6 +153,57 @@ def test_isotropic_rigid_motion_invariance():
     assert np.abs(d_phi).max() == 0.0
 
 
+def test_restricted_pair_is_its_coefficients():
+    """A restricted pair is stated once, by its coefficients: its densities
+    cannot be replaced apart from them, and a replaced coefficient rebuilds
+    the densities and the reduction together."""
+    base = robin_surface(1.0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(base, gamma0=lambda p, r, g: 3.0 * p[:, 0] ** 2,
+                            gamma0_d_phi=lambda p, r, g: 6.0 * p)
+    with pytest.raises(TypeError):
+        RestrictedSurface(1, gamma0_d_rate=lambda p, r, g: r.copy())
+
+    replaced = dataclasses.replace(base, gamma_bar=quadratic_potential(3.0))
+    direct = robin_surface(3.0)
+    assert check_partials(replaced, seed=0).max_err == check_partials(direct, seed=0).max_err
+    phi = np.array([[0.5]])
+    assert replaced.gamma0_d_phi(phi, phi, np.zeros((1, 1, 3))).tolist() == [[1.5]]
+    jet = evaluate_jet(AnalyticSurface.sphere(2.0), 0.8, 1.1)
+    point = BoundaryPoint.from_jet(jet, np.array([0.5]), np.zeros((2, 1)))
+    rhs = reduced_bc_rhs(point, coeffs_from_surface(replaced, point))
+    assert rhs.tolist() == [-1.5]
+    assert rhs.tobytes() == reduced_bc_rhs(point, coeffs_from_surface(direct, point)).tobytes()
+    # the same partials in a general pair carry no coefficients to reduce
+    with pytest.raises(ValueError, match="not in restricted form"):
+        coeffs_from_surface(general_surface(replaced), point)
+
+
+def test_restricted_coefficients_are_float_arrays_through_replace():
+    surf = RestrictedSurface(2, chi=[[1, 0, 0], [0, 2, 0]], kappa_hat=(0, 0, 3))
+    assert surf.chi.dtype == float and surf.chi.shape == (2, 3)
+    assert surf.kappa_hat.dtype == float and surf.kappa_hat.shape == (3,)
+    again = dataclasses.replace(surf, name="again")
+    assert again.name == "again" and again.gamma0_d_rate is None
+    assert np.array_equal(again.chi, surf.chi) and np.array_equal(again.kappa_hat, surf.kappa_hat)
+    rng = np.random.default_rng(0)
+    phi, rate, grad = (rng.standard_normal(s) for s in ((5, 2), (5, 2), (5, 2, 3)))
+    for name in ("gamma0", "gamma0_d_grad", "gamma_hat", "gamma_hat_d_phi"):
+        assert np.array_equal(getattr(again, name)(phi, rate, grad),
+                              getattr(surf, name)(phi, rate, grad))
+
+
+def test_surface_rate_partials_are_keyword_only():
+    partials = [getattr(robin_surface(1.0), name) for name in (
+        "gamma0", "gamma0_d_phi", "gamma0_d_grad",
+        "gamma_hat", "gamma_hat_d_phi", "gamma_hat_d_grad")]
+    d_rate = kinetic(partials[0])[1]
+    with pytest.raises(TypeError):
+        SurfaceLagrangian("nine", 1, *partials, d_rate)
+    pair = SurfaceLagrangian("keyword", 1, *partials, gamma0_d_rate=d_rate)
+    assert pair.gamma0_d_rate is d_rate and pair.gamma_hat_d_rate is None
+
+
 def test_plain_channels_leave_reduced_rhs_unchanged():
     # constant drift-channel coefficients drop out of the reduced relation
     jet = evaluate_jet(AnalyticSurface.sphere(2.0), 0.8, 1.1)
@@ -153,8 +212,8 @@ def test_plain_channels_leave_reduced_rhs_unchanged():
     dphi = rng.standard_normal((2, 2))
     point = BoundaryPoint.from_jet(jet, phi, dphi)
 
-    bare = make_restricted_surface(2, gamma_bar=quadratic_potential(0.7, 2))
-    extended = make_restricted_surface(
+    bare = RestrictedSurface(2, gamma_bar=quadratic_potential(0.7, 2))
+    extended = RestrictedSurface(
         2,
         gamma_bar=quadratic_potential(0.7, 2),
         chi_tilde=rng.standard_normal(3),
@@ -162,8 +221,8 @@ def test_plain_channels_leave_reduced_rhs_unchanged():
         kappa_hat=rng.standard_normal(3),
         gamma1_potential=quadratic_potential(-0.4, 2),
     )
-    lhs = reduced_bc_rhs(bare, point)
-    rhs = reduced_bc_rhs(extended, point)
+    lhs = reduced_bc_rhs(point, coeffs_from_surface(bare, point))
+    rhs = reduced_bc_rhs(point, coeffs_from_surface(extended, point))
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -180,6 +239,12 @@ def test_validation_errors():
         linear_elastic(-10.0, 1.0)
     with pytest.raises(ValueError):
         builtin_bulk("nope")
+    bad = float("nan"), float("inf"), -float("inf")
+    for make in (robin_surface, poisson_source, lambda x: linear_elastic(1.0, x),
+                 lambda x: linear_elastic(x, 1.0)):
+        for x in bad:
+            with pytest.raises(ValueError, match="must be finite"):
+                make(x)
 
 
 def test_builtin_bulk_dispatch():
@@ -205,14 +270,14 @@ def test_isotropic_metadata():
     """The tensions are the restricted coefficients ``chi = sigma I`` and
     ``kappa = tau I``; the parameters derive delta."""
     surf = make_isotropic_surface(2.0, 0.3)
-    assert np.array_equal(surf.meta["chi"], 2.0 * np.eye(3))
-    assert np.array_equal(surf.meta["kappa"], 0.3 * np.eye(3))
+    assert np.array_equal(surf.chi, 2.0 * np.eye(3))
+    assert np.array_equal(surf.kappa, 0.3 * np.eye(3))
     assert abs(IsotropicSurfaceParams(2.0, 0.3).delta - 0.3) <= 1e-15
 
 
 def test_isotropic_metadata_without_tension():
     surf = make_isotropic_surface(0.0, 0.0)
-    assert not surf.meta["chi"].any() and not surf.meta["kappa"].any()
+    assert not surf.chi.any() and not surf.kappa.any()
     assert IsotropicSurfaceParams(0.0, 0.0).delta == 0.0
 
 

@@ -11,6 +11,7 @@ from curvbc import (
     AnalyticSurface,
     BoundaryPoint,
     RestrictedPointCoeffs,
+    RestrictedSurface,
     adapted_coefficient_divergence,
     expansion_terms,
     IsotropicSurfaceParams,
@@ -23,7 +24,6 @@ from curvbc import (
     general_bc_rhs,
     isotropic_bc_values,
     make_isotropic_surface,
-    make_restricted_surface,
     quadratic_potential,
     reduced_bc_rhs,
     solve_stationary,
@@ -47,9 +47,9 @@ def sphere_point(seed=0, k=2):
 
 def test_reduced_rhs_robin_form():
     beta = 0.5
-    surf = make_restricted_surface(1, gamma_bar=quadratic_potential(beta))
+    surf = RestrictedSurface(1, gamma_bar=quadratic_potential(beta))
     point = sphere_point(k=1)
-    rhs = reduced_bc_rhs(surf, point)
+    rhs = reduced_bc_rhs(point, coeffs_from_surface(surf, point))
     assert np.abs(rhs + beta * point.phi).max() <= 1e-14
 
 
@@ -64,7 +64,7 @@ def test_coeffs_require_restricted_form():
 
 
 def test_reduced_equals_general_for_restricted_surface():
-    surf = make_restricted_surface(
+    surf = RestrictedSurface(
         2,
         gamma_bar=quadratic_potential(0.7, 2),
         gamma_hat_potential=quadratic_potential(0.2, 2),
@@ -72,14 +72,14 @@ def test_reduced_equals_general_for_restricted_surface():
     point = sphere_point(seed=4)
     coeffs = coeffs_from_surface(surf, point)
     assert np.abs(general_bc_rhs(point, coeffs)
-                  - reduced_bc_rhs(surf, point)).max() <= 1e-10
+                  - reduced_bc_rhs(point, coeffs)).max() <= 1e-10
 
 
 def test_extended_rhs_zero_delta_matches_general():
     point = sphere_point(seed=5, k=2)
     rng = np.random.default_rng(5)
     coeffs = coeffs_from_surface(
-        make_restricted_surface(
+        RestrictedSurface(
             2,
             gamma_bar=quadratic_potential(0.9, 2),
             chi_tilde=rng.standard_normal(3),
@@ -96,7 +96,7 @@ def test_tie_scales_drift_channels():
     point = sphere_point(seed=6, k=2)
     rng = np.random.default_rng(6)
     coeffs = coeffs_from_surface(
-        make_restricted_surface(
+        RestrictedSurface(
             2,
             gamma_bar=quadratic_potential(0.9, 2),
             chi=rng.standard_normal((2, 3)),
@@ -118,7 +118,7 @@ def test_tied_pair_matches_extended_rhs():
         point = BoundaryPoint.from_jet(jet, rng.standard_normal(2),
                                        rng.standard_normal((2, 2)))
         coeffs = coeffs_from_surface(
-            make_restricted_surface(
+            RestrictedSurface(
                 2,
                 gamma_bar=quadratic_potential(0.9, 2),
                 chi=rng.standard_normal((2, 3)),
@@ -288,8 +288,8 @@ def test_stacked_bc_rhs_match_single_points(k):
     delta = rng.uniform(-0.4, 0.4, N_STACK)
     assert_rows_match(general_bc_rhs(point, coeffs),
                       [general_bc_rhs(p, c) for p, c in singles])
-    assert_rows_match(reduced_bc_rhs(coeffs, point),
-                      [reduced_bc_rhs(c, p) for p, c in singles])
+    assert_rows_match(reduced_bc_rhs(point, coeffs),
+                      [reduced_bc_rhs(p, c) for p, c in singles])
     assert_rows_match(extended_bc_rhs(point, coeffs, delta),
                       [extended_bc_rhs(p, c, d) for (p, c), d in zip(singles, delta)])
     assert_rows_match(general_bc_rhs(point, tie_curvature_channel(coeffs, delta)),
@@ -302,7 +302,7 @@ def test_stacked_bc_rhs_match_single_points(k):
 
 def test_stacked_coeffs_from_surface_match_single_points():
     rng = np.random.default_rng(5)
-    surf = make_restricted_surface(
+    surf = RestrictedSurface(
         2, gamma_bar=quadratic_potential(0.9, 2), chi=rng.standard_normal((2, 3)),
         chi_tilde=rng.standard_normal(3), gamma0_potential=quadratic_potential(0.4, 2),
         kappa=rng.standard_normal((2, 3)), kappa_hat=rng.standard_normal(3),
@@ -330,7 +330,7 @@ def test_stacked_coeffs_from_surface_match_single_points():
 def test_catalog_surface_on_a_two_axis_stack():
     """Catalog potentials take rows, so a (2, 6) stack equals the flat one."""
     rng = np.random.default_rng(8)
-    surf = make_restricted_surface(
+    surf = RestrictedSurface(
         2, gamma_bar=quadratic_potential(0.9, 2), chi_tilde=rng.standard_normal(3),
         gamma0_potential=quadratic_potential(0.4, 2), kappa_hat=rng.standard_normal(3),
         gamma1_potential=quadratic_potential(-0.3, 2))

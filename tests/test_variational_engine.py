@@ -35,9 +35,10 @@ from curvbc import (
 )
 from curvbc import surface_mesh
 from curvbc import variational_engine as ve
-from curvbc.lagrangian_library import (BulkLagrangian, QuadraticPotential, SurfaceLagrangian,
-                                       make_restricted_surface)
+from curvbc.lagrangian_library import (BulkLagrangian, QuadraticPotential, RestrictedSurface,
+                                       SurfaceLagrangian)
 from curvbc.variational_engine import _cg
+from test_lagrangian_library import general_surface
 
 POISSON = builtin_bulk("poisson_source", source=6.0)
 HARMONIC = builtin_bulk("harmonic")
@@ -285,7 +286,7 @@ def harmonic_kinetic_bulk():
 def surface_kinetic():
     """``robin(1)`` plus ``0.5 |rate|^2`` in the plain term, rate partial given."""
     robin = robin_surface(1.0)
-    return dataclasses.replace(
+    return general_surface(
         robin, name="robin+kinetic",
         gamma0=lambda p, r, g: robin.gamma0(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
         gamma0_d_rate=lambda p, r, g: r.copy())
@@ -326,6 +327,17 @@ def test_field_state_rates():
     assert FieldState(traj[2]).rates is None
     assert np.abs(state.snapshot_rates(0) - c).max() <= 1e-12  # linear: one-sided exact
     assert np.abs(state.snapshot_rates(3) - c).max() <= 1e-12
+
+
+def test_snapshot_rates_reject_snapshots_outside_the_trajectory():
+    traj = np.arange(15.0).reshape(5, 3) ** 2
+    state = FieldState.from_trajectory(traj, 0.1)
+    assert np.allclose(state.snapshot_rates(4)[:, 0], [630.0, 690.0, 750.0])
+    for s in (-1, 5, -5):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
+            state.snapshot_rates(s)
+    with pytest.raises(ValueError, match="static state"):
+        FieldState(traj[2]).snapshot_rates(0)
 
 
 # ------------------------------------------------------------------ action
@@ -539,15 +551,15 @@ def test_classical_robin_recovery():
 
 
 def counted(lagrangian, calls):
-    """Copy of ``lagrangian`` whose callable fields count their calls."""
+    """General copy of ``lagrangian`` whose callable fields count their calls."""
     def wrap(name, fn):
         def call(*args):
             calls[name] += 1
             return fn(*args)
         return call
-    return dataclasses.replace(lagrangian, **{
-        f.name: wrap(f.name, getattr(lagrangian, f.name))
-        for f in dataclasses.fields(lagrangian) if callable(getattr(lagrangian, f.name))})
+    kind = BulkLagrangian if isinstance(lagrangian, BulkLagrangian) else SurfaceLagrangian
+    values = {f.name: getattr(lagrangian, f.name) for f in dataclasses.fields(kind)}
+    return kind(**{name: wrap(name, v) if callable(v) else v for name, v in values.items()})
 
 
 @pytest.mark.parametrize("pair", [
@@ -576,6 +588,41 @@ def test_bc_report_evaluates_each_partial_once(pair, monkeypatch):
     surface_bc_terms(mesh.boundary, counted(surface, surface_calls),
                      FieldState(state.values[mesh.boundary_vertex_ids]))
     assert surface_calls == once
+
+
+def wrap_in_place(lagrangian, calls):
+    """Wrap every callable field of ``lagrangian`` in place, counting calls,
+    as the benchmark's span tracer does with ``dataclasses.fields`` and
+    ``setattr``."""
+    for f in dataclasses.fields(lagrangian):
+        fn = getattr(lagrangian, f.name)
+        if callable(fn):
+            def call(*args, _fn=fn, _name=f.name):
+                calls[_name] += 1
+                return _fn(*args)
+            setattr(lagrangian, f.name, call)
+
+
+@pytest.mark.parametrize("pair,gauge", [
+    (lambda: (builtin_bulk("poisson_source", source=6.0), robin_surface(1.0)), "none"),
+    (lambda: (builtin_bulk("linear_elastic", mu=1.0, lam=1.0),
+              make_isotropic_surface(1.0, 0.1)), "rigid"),
+], ids=["robin", "rigid_tension"])
+def test_solve_keeps_its_bits_with_partials_wrapped_in_place(pair, gauge):
+    mesh = small_ball(2, 3)
+    options = SolveOptions(gauge=gauge)
+    expected, expected_log = solve_stationary(mesh, *pair(), options=options)
+    bulk, surface = pair()
+    calls = Counter()
+    wrap_in_place(bulk, calls)
+    wrap_in_place(surface, calls)
+    state, log = solve_stationary(mesh, bulk, surface, options=options)
+    assert state.values.tobytes() == expected.values.tobytes()
+    assert log.residual_norms == expected_log.residual_norms
+    # the densities themselves are read by the action
+    assert assemble_action(mesh, bulk, surface, state) == assemble_action(mesh, *pair(), state)
+    assert set(calls) >= {"gamma0", "gamma0_d_phi", "gamma0_d_grad",
+                          "gamma_hat", "gamma_hat_d_phi", "gamma_hat_d_grad"}
 
 
 def test_bc_residual_refines_at_oracle():
@@ -883,7 +930,7 @@ def test_zero_mean_gauge_covers_only_the_annihilated_shifts(monkeypatch):
     reaches the same solution."""
     mesh = small_ball(2, 3)
     bulk = builtin_bulk("harmonic", n_components=2)
-    surface = make_restricted_surface(
+    surface = RestrictedSurface(
         2, gamma_bar=QuadraticPotential(np.diag([1.0, 0.0]), (-1.0, 0.0)))
     for method in ("cg", "newton"):
         if method == "newton":
@@ -959,7 +1006,7 @@ def test_negative_definite_pair_reaches_its_stationary_point(caplog):
 def test_indefinite_pair_converges_in_one_step(caplog):
     """A Robin potential of the wrong sign makes the tangent indefinite; its
     one stationary point is one full tangent step away."""
-    surface = make_restricted_surface(1, gamma_bar=QuadraticPotential([[-0.5]]))
+    surface = RestrictedSurface(1, gamma_bar=QuadraticPotential([[-0.5]]))
     mesh = small_ball(2, 3)
     with caplog.at_level("WARNING", logger="curvbc"):
         state, log = solve_stationary(mesh, POISSON, surface)
