@@ -150,13 +150,30 @@ def _bad_face(key):
     return order[starts[g]:starts[g] + sizes[g]]
 
 
+def _check_finite(vertices, error):
+    """Raise ``error`` naming the first vertex row of ``vertices`` (n, 3)
+    with a coordinate that is not finite."""
+    if not np.isfinite(vertices).all():
+        i = int(np.argmin(np.isfinite(vertices).all(axis=1)))
+        raise error(f"vertex {i} is not finite: {vertices[i].tolist()}")
+
+
+def _check_radius(radius):
+    """Raise ValueError unless ``radius`` is finite and positive."""
+    if not np.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+
+
 class TriangleMesh:
     """Closed, consistently oriented triangle mesh with precomputed geometry.
 
     Parameters
     ----------
     vertices : array_like of shape (n, 3)
-        Vertex positions.
+        Vertex positions; a vertex with a coordinate that is not finite
+        raises MeshError naming the first.
     triangles : array_like of shape (m, 3)
         Vertex indices of each face. Winding must be consistent; the face
         normals it induces are taken as the outward direction.
@@ -197,11 +214,13 @@ class TriangleMesh:
             raise MeshError("vertices must have shape (n, 3)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must have shape (m, 3)")
+        _check_finite(self.vertices, MeshError)
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise MeshError("triangle indices out of range")
-        if np.any(self.triangles[:, [0, 1, 2]] == self.triangles[:, [1, 2, 0]]):
+        a, b, c = self.triangles.T
+        if np.any((a == b) | (b == c) | (c == a)):
             raise MeshError("triangle with repeated vertex")
 
         edges, normals = self._compute_face_geometry()
@@ -589,15 +608,18 @@ def build_icosphere(radius, level):
     """Icosahedron subdivided ``level`` times, vertices projected to ``radius``.
 
     Vertex/face counts are 10*4^level + 2 and 20*4^level.  Faces wind so
-    normals point outward.
+    normals point outward.  Each subdivision keeps the vertices it splits
+    and numbers the new edge midpoints after them, in the order their edges
+    are first met, scanning the faces in order and each face's edges ab,
+    bc, ca; face ``(a, b, c)`` becomes ``(a, ab, ca)``, ``(b, bc, ab)``,
+    ``(c, ca, bc)``, ``(ab, bc, ca)``, in that order.
 
     Raises
     ------
     ValueError
-        If radius <= 0 or level is outside [0, 7].
+        If radius is not finite, radius <= 0 or level is outside [0, 7].
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     verts, faces = _unit_icosphere(level)
     return TriangleMesh(verts * radius, faces)
 
@@ -637,16 +659,25 @@ def _subdivide_once(verts, faces):
 
     Midpoints are numbered after the old vertices in the order their edges
     are first met, scanning faces in order and edges ab, bc, ca in each.
+    Edge slot ``3 f + e`` of face f runs from ``a[3 f + e]`` to
+    ``b[3 f + e]``.  One argsort of the undirected edge keys groups each
+    edge's slots; a group's smallest slot is where its edge is first met,
+    and a running count of those first slots numbers the midpoints.
     """
-    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = edges.min(axis=1) * len(verts) + edges.max(axis=1)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ends = edges[first[order]]
-    p = verts[ends[:, 0]] + verts[ends[:, 1]]
+    a = faces.reshape(-1)
+    b = faces[:, [1, 2, 0]].reshape(-1)
+    key = np.minimum(a, b) * len(verts) + np.maximum(a, b)
+    perm = np.argsort(key)
+    key = key[perm]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    first = np.minimum.reduceat(perm, starts)
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    number = np.cumsum(is_first)              # 1 + midpoint number at a first slot
+    mid = np.empty_like(perm)
+    mid[perm] = np.repeat(number[first] + (len(verts) - 1), np.diff(np.r_[starts, len(key)]))
+    p = verts[a[is_first]] + verts[b[is_first]]
     p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]   # sums as np.linalg.norm(row) does
-    corners = np.hstack([faces, len(verts) + rank[inverse].reshape(-1, 3)])  # a b c ab bc ca
+    corners = np.hstack([faces, mid.reshape(-1, 3)])    # a b c ab bc ca
     split = [[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]]
     return np.vstack([verts, p]), corners[:, split].reshape(-1, 3)

@@ -47,8 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .surface_mesh import (TriangleMesh, _bad_face, _cross, _dot, _paired, _scatter,
-                           _signed_keys, _unit_icosphere, _vertex_grad_H)
+from .surface_mesh import (TriangleMesh, _bad_face, _check_finite, _check_radius, _cross,
+                           _dot, _paired, _scatter, _signed_keys, _unit_icosphere,
+                           _vertex_grad_H)
 # re-exported: the name is part of this module's namespace
 from .surface_mesh import mean_curvature  # noqa: F401
 
@@ -88,6 +89,8 @@ class TetMesh:
     Parameters
     ----------
     vertices : (n, 3) float array
+        A vertex with a coordinate that is not finite raises ValueError
+        naming the first.
     tets : (m, 4) int array
         Corner indices in ``[0, n)``; orientation is canonicalized to
         positive volume.  A vertex on no tet raises ValueError naming it.
@@ -114,6 +117,7 @@ class TetMesh:
 
     def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
         self.vertices = np.asarray(vertices, dtype=float)
+        _check_finite(self.vertices, ValueError)
         tets = np.asarray(tets, dtype=np.int64)
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise ValueError("tets must be (m, 4)")
@@ -248,8 +252,7 @@ def build_ball_tetmesh(radius=1.0, surface_level=4, radial_layers=12):
     agree, and the innermost shell is coned to the origin.  Shell radii
     follow ``radius * (layer/radial_layers)**_SHELL_GRADING``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     if radial_layers < 1:
         raise ValueError("need at least one radial layer")
     dirs, faces = _unit_icosphere(surface_level)

@@ -55,16 +55,34 @@ def test_obj_missing_file(tmp_path):
         read_obj(tmp_path / "missing.obj")
 
 
+TETRAHEDRON_FACES = "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n"
+
+
 def test_off_tetrahedron(tmp_path):
     path = tmp_path / "t.off"
     path.write_text(
-        "OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-        "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n"
+        "OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" + TETRAHEDRON_FACES
     )
     m = read_off(path)
     assert m.n_vertices == 4
     assert m.n_faces == 4
     assert abs(m.enclosed_volume() - 1.0 / 6.0) <= 1e-14
+
+
+def test_obj_rejects_non_finite_vertex(tmp_path):
+    """Read without the check, the mesh had a nan H at every vertex."""
+    path = tmp_path / "nan.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv nan 0 1\nv 0 0 1\n"
+                    "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 3\n")
+    with pytest.raises(MeshError, match=r"^vertex 2 is not finite: \[nan, 0\.0, 1\.0\]$"):
+        read_obj(path)
+
+
+def test_off_rejects_non_finite_vertex(tmp_path):
+    path = tmp_path / "inf.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 -inf\n" + TETRAHEDRON_FACES)
+    with pytest.raises(MeshError, match=r"^vertex 3 is not finite: \[0\.0, 0\.0, -inf\]$"):
+        read_off(path)
 
 
 def test_off_rejects_missing_header(tmp_path):

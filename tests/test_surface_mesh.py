@@ -1,6 +1,8 @@
 """Triangle mesh construction, curvature estimators, and surface calculus."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from curvbc import (
     surface_divergence,
     surface_gradient,
 )
-from curvbc.surface_mesh import _subdivide_once
+from curvbc.surface_mesh import MAX_SUBDIVISION_LEVEL, _unit_icosphere
 
 # roundoff floor for sequences that are already exact on sphere fixtures
 FLOOR = 1e-10
@@ -63,12 +65,23 @@ def loop_subdivide_once(verts, faces):
 
 
 def test_subdivision_matches_loop_reference():
-    for level in range(4):
-        m = build_icosphere(1.0, level)
-        verts, faces = _subdivide_once(m.vertices, m.triangles)
-        ref_verts, ref_faces = loop_subdivide_once(m.vertices, m.triangles)
-        assert np.array_equal(faces, ref_faces)
-        np.testing.assert_array_max_ulp(verts, ref_verts, maxulp=1)
+    """The numbering ``build_icosphere`` states, bit for bit: each level is
+    the loop reference applied to the level below, from the icosahedron."""
+    verts, faces = _unit_icosphere(0)
+    for level in range(1, 5):
+        verts, faces = loop_subdivide_once(verts, faces)
+        got_verts, got_faces = _unit_icosphere(level)
+        assert got_faces.dtype == faces.dtype and np.array_equal(got_faces, faces)
+        assert got_verts.shape == verts.shape and got_verts.tobytes() == verts.tobytes()
+
+
+def test_icosphere_top_level_builds_validated():
+    level = MAX_SUBDIVISION_LEVEL
+    m = build_icosphere(1.0, level)
+    assert level == 7
+    assert m.n_vertices == 10 * 4**level + 2
+    assert m.n_faces == 20 * 4**level
+    assert not m.boundary_vertex_mask().any()
 
 
 def test_icosphere_validation():
@@ -76,6 +89,25 @@ def test_icosphere_validation():
         build_icosphere(-1.0, 2)
     with pytest.raises(ValueError):
         build_icosphere(1.0, -1)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+def test_icosphere_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match=f"^radius must be finite, got {radius}$"):
+        build_icosphere(radius, 1)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite_vertex(value, validate):
+    """A non-finite vertex would give non-finite areas that pass the
+    quality check, and non-finite H."""
+    m = build_icosphere(1.0, 1)
+    verts = m.vertices.copy()
+    verts[9, 1] = verts[5, 2] = value
+    message = f"vertex 5 is not finite: {verts[5].tolist()}"
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        TriangleMesh(verts, m.triangles, validate=validate)
 
 
 def test_construction_rejects_bad_indices():
@@ -90,11 +122,12 @@ def test_construction_rejects_open_mesh():
         TriangleMesh(verts, np.array([[0, 1, 2]]))
 
 
-def test_construction_rejects_repeated_vertex():
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (2, 0)])
+def test_construction_rejects_repeated_vertex(i, j):
     m = build_icosphere(1.0, 0)
     tris = m.triangles.copy()
-    tris[0, 1] = tris[0, 0]
-    with pytest.raises(MeshError):
+    tris[0, j] = tris[0, i]
+    with pytest.raises(MeshError, match="^triangle with repeated vertex$"):
         TriangleMesh(m.vertices, tris)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -183,6 +184,24 @@ def test_tet_mesh_rejects_indices_out_of_range(field, index, value):
     with pytest.raises(ValueError, match=rf"^{field}\[{at}\] = {value} is out of range "
                                          rf"for {n} vertices$"):
         TetMesh(mesh.vertices, arrays["tets"], mesh.boundary, arrays["boundary_vertex_ids"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tet_mesh_rejects_non_finite_vertex(value):
+    mesh = small_ball(1, 2)
+    verts = mesh.vertices.copy()
+    verts[[40, 7], 2] = value
+    message = f"vertex 7 is not finite: {verts[7].tolist()}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+def test_ball_rejects_non_finite_radius(radius):
+    """A nan radius used to fail the boundary check, with a face of the
+    default ball "wound inward"."""
+    with pytest.raises(ValueError, match=f"^radius must be finite, got {radius}$"):
+        build_ball_tetmesh(radius)
 
 
 def test_tet_mesh_rejects_unused_vertex():
