@@ -28,6 +28,7 @@ class AnalyticSurface:
 
     kind is "sphere" (radius), "cylinder" (radius, length; caps added when
     sampling) or "torus" (r_major, r_minor with r_major > r_minor > 0).
+    Every parameter must be finite.
     """
 
     kind: str
@@ -35,21 +36,32 @@ class AnalyticSurface:
 
     @staticmethod
     def sphere(radius):
+        radius, = _finite_params("sphere", radius)
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        return AnalyticSurface("sphere", (float(radius),))
+        return AnalyticSurface("sphere", (radius,))
 
     @staticmethod
     def cylinder(radius, length):
+        params = radius, length = _finite_params("cylinder", radius, length)
         if radius <= 0 or length <= 0:
             raise ValueError("cylinder radius and length must be positive")
-        return AnalyticSurface("cylinder", (float(radius), float(length)))
+        return AnalyticSurface("cylinder", params)
 
     @staticmethod
     def torus(r_major, r_minor):
+        params = r_major, r_minor = _finite_params("torus", r_major, r_minor)
         if not (r_major > r_minor > 0):
             raise ValueError("torus requires r_major > r_minor > 0")
-        return AnalyticSurface("torus", (float(r_major), float(r_minor)))
+        return AnalyticSurface("torus", params)
+
+
+def _finite_params(kind, *values):
+    """``values`` as a tuple of floats, refused unless every one is finite."""
+    values = tuple(float(v) for v in values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kind} parameters must be finite, got {values}")
+    return values
 
 
 @dataclass

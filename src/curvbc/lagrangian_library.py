@@ -1,17 +1,15 @@
 """Catalog of bulk and surface energy densities with exact partials.
 
-Bulk densities are functions of the field value, its time rate and its
-spatial gradient; surface densities split into a plain term and a term the
-assembler multiplies by minus twice the local mean curvature.  Every entry
-carries hand-written partial derivatives; ``check_partials`` verifies them
-against central finite differences on random states.  A density depends on
-the time rate exactly when it gives a rate partial; no catalog entry does.
-Every catalog surface pair (zero, Robin, uniform tension) is a
-:class:`RestrictedSurface`, which is stated once, by its coefficients, and
-builds its partials from them.  The constructors refuse non-finite
-parameters.
+Bulk densities are functions of the field value and its spatial gradient;
+surface densities split into a plain term and a term the assembler
+multiplies by minus twice the local mean curvature.  Every entry carries
+hand-written partial derivatives; ``check_partials`` verifies them against
+central finite differences on random states.  Every catalog surface pair
+(zero, Robin, uniform tension) is a :class:`RestrictedSurface`, which is
+stated once, by its coefficients, and builds its partials from them.  The
+constructors refuse non-finite parameters.
 
-Shapes: ``phi`` and ``rate`` are (m, k), gradients are (m, k, 3) with
+Shapes: ``phi`` is (m, k), gradients are (m, k, 3) with
 ``grad[i, c, j]`` the j-th spatial partial of component c at sample i.
 All evaluators are vectorized over the leading axis.
 """
@@ -66,17 +64,14 @@ def quadratic_potential(beta, n_components=1):
 
 @dataclass
 class BulkLagrangian:
-    """Volume energy density L(phi, rate, grad) with exact partials, of any
-    form: the solver's probe of the partials tells whether it is quadratic.
-    L depends on the field rate exactly when the keyword-only ``d_rate`` is
-    given; None means dL/d(rate) = 0, as ``check_partials`` checks."""
+    """Volume energy density L(phi, grad) with exact partials, of any form:
+    the solver's probe of the partials tells whether it is quadratic."""
 
     name: str
     n_components: int
     density: Callable
     d_phi: Callable
     d_grad: Callable
-    d_rate: Optional[Callable] = field(default=None, kw_only=True)
 
 
 @dataclass
@@ -85,13 +80,9 @@ class SurfaceLagrangian:
 
     The assembled surface action integrates ``gamma0 - 2 H gamma_hat``
     over the boundary.  Evaluators share the bulk signature; the gradient
-    argument is the tangential surface gradient of the field.  As for
-    :class:`BulkLagrangian`, a density depends on the field rate exactly
-    when it gives its keyword-only rate partial: None (the default) means
-    that density ignores the rate.  The pair's boundary condition has a rate
-    bracket, and needs a trajectory, exactly when either rate partial is
-    given.  The densities may take any form; a pair stated by its
-    coefficients is a :class:`RestrictedSurface`.
+    argument is the tangential surface gradient of the field.  The densities
+    may take any form; a pair stated by its coefficients is a
+    :class:`RestrictedSurface`.
     """
 
     name: str
@@ -102,8 +93,6 @@ class SurfaceLagrangian:
     gamma_hat: Callable
     gamma_hat_d_phi: Callable
     gamma_hat_d_grad: Callable
-    gamma0_d_rate: Optional[Callable] = field(default=None, kw_only=True)
-    gamma_hat_d_rate: Optional[Callable] = field(default=None, kw_only=True)
 
 
 # -- bulk catalog -----------------------------------------------------------
@@ -119,13 +108,13 @@ def _finite(label, value):
 def harmonic(n_components=1):
     """Dirichlet energy, L = 0.5 |grad phi|^2 summed over components."""
 
-    def density(phi, rate, grad):
+    def density(phi, grad):
         return 0.5 * np.einsum("mkj,mkj->m", grad, grad)
 
-    def d_phi(phi, rate, grad):
+    def d_phi(phi, grad):
         return np.zeros_like(phi)
 
-    def d_grad(phi, rate, grad):
+    def d_grad(phi, grad):
         return grad.copy()
 
     return BulkLagrangian("harmonic", int(n_components), density, d_phi, d_grad)
@@ -136,15 +125,15 @@ def poisson_source(source, n_components=1):
     laplace(phi_0) = -source."""
     f = _finite("source", source)
 
-    def density(phi, rate, grad):
+    def density(phi, grad):
         return 0.5 * np.einsum("mkj,mkj->m", grad, grad) - f * phi[:, 0]
 
-    def d_phi(phi, rate, grad):
+    def d_phi(phi, grad):
         out = np.zeros_like(phi)
         out[:, 0] = -f
         return out
 
-    def d_grad(phi, rate, grad):
+    def d_grad(phi, grad):
         return grad.copy()
 
     return BulkLagrangian(f"poisson_source({f:g})", int(n_components), density,
@@ -166,15 +155,15 @@ def linear_elastic(lam, mu):
     def strain(grad):
         return 0.5 * (grad + np.swapaxes(grad, 1, 2))
 
-    def density(phi, rate, grad):
+    def density(phi, grad):
         eps = strain(grad)
         tr = np.einsum("mkk->m", eps)
         return 0.5 * lam * tr**2 + mu * np.einsum("mij,mij->m", eps, eps)
 
-    def d_phi(phi, rate, grad):
+    def d_phi(phi, grad):
         return np.zeros_like(phi)
 
-    def d_grad(phi, rate, grad):
+    def d_grad(phi, grad):
         eps = strain(grad)
         tr = np.einsum("mkk->m", eps)
         out = 2.0 * mu * eps
@@ -201,7 +190,7 @@ def builtin_bulk(name, **params):
 def _channel(pot, drift, drift_pot, couple):
     """density(phi, grad) = pot(phi) + drift . grad(drift_pot(phi)) + couple_c . grad phi_c,
     with its phi and grad partials."""
-    def dens(phi, rate, grad):
+    def dens(phi, grad):
         out = pot.value(phi)
         if drift is not None:
             out = out + np.einsum("j,mcj,mc->m", drift, grad, drift_pot.grad(phi))
@@ -209,14 +198,14 @@ def _channel(pot, drift, drift_pot, couple):
             out = out + np.einsum("cj,mcj->m", couple, grad)
         return out
 
-    def dens_d_phi(phi, rate, grad):
+    def dens_d_phi(phi, grad):
         out = pot.grad(phi)
         if drift is not None:
             # d/dphi_c of drift . grad(drift_pot): hessian contraction
             out = out + np.einsum("j,mdj,mdc->mc", drift, grad, drift_pot.hess(phi))
         return out
 
-    def dens_d_grad(phi, rate, grad):
+    def dens_d_grad(phi, grad):
         out = np.zeros_like(grad)
         if drift is not None:
             out += np.einsum("j,mc->mcj", drift, drift_pot.grad(phi))
@@ -238,8 +227,7 @@ class RestrictedSurface(SurfaceLagrangian):
     parts contribute since surface gradients are tangential.  The
     coefficients are the only init fields: the six partials are built from
     them, so ``dataclasses.replace`` of a coefficient rebuilds the densities
-    and the reduction together, and a replaced density is refused.  No
-    density reads the rate.
+    and the reduction together, and a replaced density is refused.
     """
 
     n_components: int
@@ -258,8 +246,6 @@ class RestrictedSurface(SurfaceLagrangian):
     gamma_hat: Callable = field(init=False)
     gamma_hat_d_phi: Callable = field(init=False)
     gamma_hat_d_grad: Callable = field(init=False)
-    gamma0_d_rate: None = field(default=None, init=False)
-    gamma_hat_d_rate: None = field(default=None, init=False)
 
     def __post_init__(self):
         k = self.n_components = int(self.n_components)
@@ -372,19 +358,12 @@ def _fd_check(value_fn, partial_fn, args, slot, step, rng):
     return float(np.abs(proj - fd).max() / scale)
 
 
-def _no_rate(phi, rate, grad):
-    """The rate partial of a density that gives none: zero."""
-    return np.zeros_like(rate)
-
-
 def check_partials(spec, trials=20, seed=0):
     """Verify a catalog entry's partials against central differences.
 
     Runs ``trials`` random states of 40 points each, with central-difference
     step 1e-6, and reports the worst relative deviation per derivative slot;
-    the check passes at 1e-6.  Every rate slot is checked: an absent rate
-    partial as zero, so a density that reads the rate without giving its
-    partial fails.
+    the check passes at 1e-6.
     """
     step, tolerance, n_samples = 1e-6, 1e-6, 40
     rng = np.random.default_rng(seed)
@@ -393,22 +372,18 @@ def check_partials(spec, trials=20, seed=0):
 
     if isinstance(spec, BulkLagrangian):
         pairs = [("d_phi", spec.density, spec.d_phi, 0),
-                 ("d_rate", spec.density, spec.d_rate or _no_rate, 1),
-                 ("d_grad", spec.density, spec.d_grad, 2)]
+                 ("d_grad", spec.density, spec.d_grad, 1)]
     else:
         pairs = [("gamma0_d_phi", spec.gamma0, spec.gamma0_d_phi, 0),
-                 ("gamma0_d_rate", spec.gamma0, spec.gamma0_d_rate or _no_rate, 1),
-                 ("gamma0_d_grad", spec.gamma0, spec.gamma0_d_grad, 2),
+                 ("gamma0_d_grad", spec.gamma0, spec.gamma0_d_grad, 1),
                  ("gamma_hat_d_phi", spec.gamma_hat, spec.gamma_hat_d_phi, 0),
-                 ("gamma_hat_d_rate", spec.gamma_hat, spec.gamma_hat_d_rate or _no_rate, 1),
-                 ("gamma_hat_d_grad", spec.gamma_hat, spec.gamma_hat_d_grad, 2)]
+                 ("gamma_hat_d_grad", spec.gamma_hat, spec.gamma_hat_d_grad, 1)]
 
     for _ in range(trials):
         phi = rng.standard_normal((n_samples, k))
-        rate = rng.standard_normal((n_samples, k))
         grad = rng.standard_normal((n_samples, k, 3))
         for label, value_fn, partial_fn, slot in pairs:
-            err = _fd_check(value_fn, partial_fn, (phi, rate, grad), slot, step, rng)
+            err = _fd_check(value_fn, partial_fn, (phi, grad), slot, step, rng)
             errs[label] = max(errs.get(label, 0.0), err)
 
     passed = all(e <= tolerance for e in errs.values())

@@ -249,8 +249,7 @@ def general_bc_rhs(point, coeffs):
     """Right-hand side of the unreduced curvature boundary condition.
 
     Full chain rule through the restricted pair at one point (or a stack of
-    points), Cartesian components with the outward flux normal.  Rate terms
-    are zero for the rate-independent family handled here.
+    points), Cartesian components with the outward flux normal.
     """
     phi = point.phi
     H = np.asarray(point.mean_curvature)[..., None]

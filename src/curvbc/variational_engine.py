@@ -2,8 +2,8 @@
 
 Fields live on the vertices of a tetrahedral mesh whose closed boundary is
 a :class:`~curvbc.surface_mesh.TriangleMesh`.  The action is the one-point
-gradient quadrature of the bulk density over tets (potential and rate terms
-lumped to the corners) plus a corner-area quadrature of the boundary pair
+gradient quadrature of the bulk density over tets (potential terms lumped
+to the corners) plus a corner-area quadrature of the boundary pair
 ``gamma0 - 2 H gamma_hat``.  Gradients are exact chain rules of that
 discrete functional, which makes three statements identities rather than
 approximations: the gradient matches finite differences of the assembled
@@ -43,7 +43,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
-from typing import Optional
 
 import numpy as np
 
@@ -89,8 +88,8 @@ class TetMesh:
     Parameters
     ----------
     vertices : (n, 3) float array
-        A vertex with a coordinate that is not finite raises ValueError
-        naming the first.
+        Another shape raises ValueError, and so does a vertex with a
+        coordinate that is not finite, naming the first.
     tets : (m, 4) int array
         Corner indices in ``[0, n)``; orientation is canonicalized to
         positive volume.  A vertex on no tet raises ValueError naming it.
@@ -117,6 +116,8 @@ class TetMesh:
 
     def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
         self.vertices = np.asarray(vertices, dtype=float)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError("vertices must have shape (n, 3)")
         _check_finite(self.vertices, ValueError)
         tets = np.asarray(tets, dtype=np.int64)
         if tets.ndim != 2 or tets.shape[1] != 4:
@@ -287,58 +288,19 @@ def _columns(values):
 
 @dataclass
 class FieldState:
-    """Vertex field values, optionally with a short trajectory around them.
-
-    ``values`` are (n, k) and ``trajectory`` (s, n, k) with odd s >= 3, or
-    (n,) and (s, n) for a scalar field, read as one column; ``values`` must
-    equal the middle snapshot.  ``rates``, computed once, are the central
-    differences there, and None for a static state, whose partials see zero
-    rates (:meth:`snapshot_rates` are one-sided at the ends).  A pair needs a
-    trajectory exactly where a rate partial it gives enters a rate bracket.
-    """
+    """Vertex field values (n, k), or (n,) for a scalar field, read as one
+    column."""
 
     values: np.ndarray
-    trajectory: Optional[np.ndarray] = None
-    dt: Optional[float] = None
-    rates: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.values = _columns(self.values)
         if self.values.ndim != 2:
             raise ValueError("values must be (n, k)")
-        if self.trajectory is not None:
-            trajectory = np.asarray(self.trajectory, dtype=float)
-            self.trajectory = trajectory[..., None] if trajectory.ndim == 2 else trajectory
-            s = self.trajectory.shape[0]
-            if self.trajectory.ndim != 3 or s < 3 or s % 2 == 0:
-                raise ValueError("trajectory must be (s, n, k) or (s, n) with odd s >= 3")
-            if self.dt is None or self.dt <= 0:
-                raise ValueError("trajectory requires a positive dt")
-            if not np.array_equal(self.trajectory[s // 2], self.values):
-                raise ValueError("values must equal the middle trajectory snapshot")
-            self.rates = self.snapshot_rates(s // 2)
-
-    @classmethod
-    def from_trajectory(cls, trajectory, dt):
-        trajectory = np.asarray(trajectory, dtype=float)
-        return cls(trajectory[trajectory.shape[0] // 2], trajectory, dt)
 
     @property
     def n_components(self):
         return self.values.shape[1]
-
-    def snapshot_rates(self, s):
-        """Rates at snapshot ``s`` in ``[0, s_count - 1]``; a static state has none."""
-        traj = self.trajectory
-        if traj is None:
-            raise ValueError("a static state has no snapshots")
-        if not 0 <= s < traj.shape[0]:
-            raise ValueError(f"snapshot {s} is outside [0, {traj.shape[0] - 1}]")
-        if s == 0:
-            return (traj[1] - traj[0]) / self.dt
-        if s == traj.shape[0] - 1:
-            return (traj[-1] - traj[-2]) / self.dt
-        return (traj[s + 1] - traj[s - 1]) / (2.0 * self.dt)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -353,15 +315,12 @@ def _check_components(mesh, bulk, surface, state):
         raise ValueError("surface lagrangian component count mismatch")
 
 
-def _pointwise(simplices, hat, values, rates):
-    """Corner-expanded quadrature inputs (phi, rate, grad), ``m * c`` rows;
-    ``rates=None`` (a static state) gives zero rate rows."""
+def _pointwise(simplices, hat, values):
+    """Corner-expanded quadrature inputs (phi, grad), ``m * c`` rows."""
     m, c = simplices.shape
-    k = values.shape[1]
     phi_c = values[simplices]                             # (m, c, k)
     grad = np.einsum("tck,tcj->tkj", phi_c, hat)
-    rate = np.zeros((m * c, k)) if rates is None else rates[simplices].reshape(m * c, k)
-    return phi_c.reshape(m * c, k), rate, np.repeat(grad, c, axis=0)
+    return phi_c.reshape(m * c, values.shape[1]), np.repeat(grad, c, axis=0)
 
 
 def _corner(hat, weights, corner_rows, grad_rows):
@@ -393,7 +352,7 @@ def _channel_corners(hat, channels, b, at):
             for weights, d_phi, d_grad in channels]
 
 
-def _simplex_pass(simplices, hat, values, rates, channels):
+def _simplex_pass(simplices, hat, values, channels):
     """The ``(weights, d_phi, d_grad)`` channels (see :func:`_corner`),
     scattered to vertex rows (n, width), from one pass over blocks of
     ``_BLOCK`` simplices.  Each block writes its :func:`_channel_corners` into
@@ -409,7 +368,7 @@ def _simplex_pass(simplices, hat, values, rates, channels):
     corners = [None] * len(channels)
     for start in range(0, m, _BLOCK):
         b = slice(start, start + _BLOCK)
-        at = _pointwise(simplices[b], hat[b], values, rates)
+        at = _pointwise(simplices[b], hat[b], values)
         for j, rows in enumerate(_channel_corners(hat, channels, b, at)):
             if corners[j] is None:
                 corners[j] = np.empty((m, c, rows.shape[2]))
@@ -420,7 +379,7 @@ def _simplex_pass(simplices, hat, values, rates, channels):
 def bulk_action(mesh, bulk, state):
     """Volume part of the action for a state on a tet mesh."""
     _check_components(mesh, bulk, None, state)
-    density, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state.rates,
+    density, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
                              [(mesh.corner_weights, bulk.density, None)])
     return float(density.sum())
 
@@ -428,7 +387,7 @@ def bulk_action(mesh, bulk, state):
 def bulk_action_gradient(mesh, bulk, state):
     """Exact gradient of :func:`bulk_action` with respect to vertex values."""
     _check_components(mesh, bulk, None, state)
-    g, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values, state.rates,
+    g, = _simplex_pass(mesh.tets, mesh.tet_gradients, state.values,
                        [(mesh.corner_weights, bulk.d_phi, bulk.d_grad)])
     return g
 
@@ -448,24 +407,24 @@ def _surface_channels(surface, w, wc):
             "curv_div": (wc, None, surface.gamma_hat_d_grad)}
 
 
-def surface_action(mesh, surface, values, rates=None):
+def surface_action(mesh, surface, values):
     """Boundary action split (plain gamma0 part, -2H gamma_hat part).
 
-    ``values`` (and ``rates``) are per-vertex fields on the triangle mesh
-    itself, (n, k) or (n,) for one component; use :func:`assemble_action`
-    for fields defined on a tet mesh.
+    ``values`` is a per-vertex field on the triangle mesh itself, (n, k) or
+    (n,) for one component; use :func:`assemble_action` for fields defined
+    on a tet mesh.
     """
     w, wc = _surface_weights(mesh)
-    plain, curv = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values), rates,
+    plain, curv = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values),
                                 [(w, surface.gamma0, None), (wc, surface.gamma_hat, None)])
     return float(plain.sum()), float(curv.sum())
 
 
-def surface_action_gradient(mesh, surface, values, rates=None):
+def surface_action_gradient(mesh, surface, values):
     """Exact gradient of the boundary action on a triangle mesh, for fields
     as :func:`surface_action` takes them."""
     w, wc = _surface_weights(mesh)
-    g = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values), rates,
+    g = _simplex_pass(mesh.triangles, mesh.hat_gradients, _columns(values),
                       list(_surface_channels(surface, w, wc).values()))
     return g[0] + g[1] + g[2] + g[3]
 
@@ -499,8 +458,7 @@ def assemble_action(mesh, bulk, surface, state, surface_transport=None):
     """
     _check_components(mesh, bulk, surface, state)
     b = bulk_action(mesh, bulk, state)
-    on_boundary = _boundary_state(mesh, state)
-    plain, curv = surface_action(mesh.boundary, surface, on_boundary.values, on_boundary.rates)
+    plain, curv = surface_action(mesh.boundary, surface, state.values[mesh.boundary_vertex_ids])
 
     transport = 0.0
     if surface_transport is not None:
@@ -520,17 +478,9 @@ def action_gradient(mesh, bulk, surface, state):
     """Exact gradient of the total action with respect to vertex values."""
     _check_components(mesh, bulk, surface, state)
     out = bulk_action_gradient(mesh, bulk, state)
-    on_boundary = _boundary_state(mesh, state)
-    out[mesh.boundary_vertex_ids] += surface_action_gradient(
-        mesh.boundary, surface, on_boundary.values, on_boundary.rates)
-    return out
-
-
-def _boundary_state(mesh, state):
-    """``state`` on the boundary vertices of a tet mesh, trajectory and all."""
     ids = mesh.boundary_vertex_ids
-    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
-    return FieldState(state.values[ids], trajectory, state.dt)
+    out[ids] += surface_action_gradient(mesh.boundary, surface, state.values[ids])
+    return out
 
 
 # -- residual reports ---------------------------------------------------------
@@ -539,34 +489,11 @@ def euler_lagrange_residual(mesh, bulk, state):
     """Pointwise Euler-Lagrange defect, one row per vertex.
 
     Interior rows divide the bulk gradient by dual volumes, recovering
-    dL/dphi - div(dL/dgrad), minus the rate bracket d/dt dL/d(rate) exactly
-    when the bulk gives ``d_rate``: such a bulk needs a state with a
-    trajectory.  Rows at boundary vertices additionally contain the flux
-    and are reported as-is.
+    dL/dphi - div(dL/dgrad).  Rows at boundary vertices additionally
+    contain the flux and are reported as-is.
     """
     _check_components(mesh, bulk, None, state)
-    if bulk.d_rate is not None and state.trajectory is None:
-        raise ValueError("bulk lagrangian depends on the field rate; supply "
-                         "a FieldState with a trajectory")
-    res = bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
-    if bulk.d_rate is not None:
-        def momentum(values, rates):
-            p, = _simplex_pass(mesh.tets, mesh.tet_gradients, values, rates,
-                               [(mesh.corner_weights, bulk.d_rate, None)])
-            return p / mesh.dual_volumes[:, None]
-        res -= _rate_bracket(state, momentum)
-    return res
-
-
-def _rate_bracket(state, momentum):
-    """d/dt of ``momentum(values, rates)`` between the snapshots around the
-    middle.  A 3-snapshot trajectory has one-sided end rates, which place the
-    momenta at the half-steps: a staggered first difference."""
-    mid = state.trajectory.shape[0] // 2
-    before, after = (momentum(state.trajectory[s], state.snapshot_rates(s))
-                     for s in (mid - 1, mid + 1))
-    span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
-    return (after - before) / span
+    return bulk_action_gradient(mesh, bulk, state) / mesh.dual_volumes[:, None]
 
 
 def surface_bc_terms(mesh, surface, state):
@@ -574,28 +501,22 @@ def surface_bc_terms(mesh, surface, state):
 
     Returns ``(rhs, terms)`` for a state on the mesh vertices: ``rhs``, minus
     the boundary action gradient over vertex areas, sums the ``terms``
-    channels ``gamma0_phi``, ``gamma0_div``, ``curv_phi``, ``curv_div`` and,
-    exactly when the pair gives a rate partial, ``rate_bracket``: such a
-    pair needs a state with a trajectory.  The diagnostic ``curv_div_frozen``
-    + ``grad_H_term`` (vertex gradient of the cached H) differs from
-    ``curv_div`` by a discretization-order product rule.  Each partial is
-    evaluated once.  The tangential part of ``rhs`` is a weak quantity: it
-    converges paired with smooth test fields, not pointwise off the sphere.
+    channels ``gamma0_phi``, ``gamma0_div``, ``curv_phi`` and ``curv_div``.
+    The diagnostic ``curv_div_frozen`` + ``grad_H_term`` (vertex gradient of
+    the cached H) differs from ``curv_div`` by a discretization-order
+    product rule.  Each partial is evaluated once.  The tangential part of
+    ``rhs`` is a weak quantity: it converges paired with smooth test fields,
+    not pointwise off the sphere.
     """
     _check_components(mesh, None, surface, state)
     tri, hat, n = mesh.triangles, mesh.hat_gradients, mesh.n_vertices
     a = mesh.vertex_areas[:, None]
     w, wc = _surface_weights(mesh)
-    rate_channels = [(wt, d, None) for wt, d in ((w, surface.gamma0_d_rate),
-                                                 (wc, surface.gamma_hat_d_rate)) if d is not None]
-    if rate_channels and state.trajectory is None:
-        raise ValueError("surface lagrangian depends on the field rate; supply "
-                         "a FieldState with a trajectory")
     # the four channels, then those of the diagnostic split: the frozen-weight
     # curvature gradient and the gamma_hat_d_grad rows put in the corner slot
     channels = _surface_channels(surface, w, wc)
     *g, R_frozen, W = _simplex_pass(
-        tri, hat, state.values, state.rates,
+        tri, hat, state.values,
         [*channels.values(), (w, None, surface.gamma_hat_d_grad),
          (w, surface.gamma_hat_d_grad, None)])
     terms = {name: -gi / a for name, gi in zip(channels, g)}
@@ -605,12 +526,6 @@ def surface_bc_terms(mesh, surface, state):
     W = W.reshape(n, state.n_components, 3) / a[:, :, None]
     terms["curv_div_frozen"] = 2.0 * mesh.vertex_mean_curvature[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, _vertex_grad_H(mesh))
-
-    if rate_channels:
-        def momentum(values, rates):
-            return sum(_simplex_pass(tri, hat, values, rates, rate_channels)) / a
-        terms["rate_bracket"] = _rate_bracket(state, momentum)
-        rhs = rhs + terms["rate_bracket"]
     return rhs, terms
 
 
@@ -648,7 +563,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     _check_components(mesh, bulk, surface, state)
     B = mesh.boundary
     ids = mesh.boundary_vertex_ids
-    rhs, terms = surface_bc_terms(B, surface, _boundary_state(mesh, state))
+    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids]))
 
     # both fluxes read boundary vertex rows only, which are sums over the
     # tets with a boundary vertex: the bulk pass runs on those tets alone, and
@@ -657,7 +572,7 @@ def natural_bc_residual(mesh, bulk, surface, state):
     layer = mesh.boundary_layer
     weights = mesh.corner_weights[layer]
     g_bulk, mom = _simplex_pass(
-        mesh.tets[layer], mesh.tet_gradients[layer], state.values, state.rates,
+        mesh.tets[layer], mesh.tet_gradients[layer], state.values,
         [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     residual = flux_weak - rhs
@@ -832,22 +747,20 @@ def _tangent_pattern(simplices, n):
 def _probe_jacobian(partial, k):
     """Jacobian of an affine partial in ``(phi, grad)``, from ``4 k + 1`` probes.
 
-    The probes are zero and one unit value per ``phi`` and per ``grad`` input,
-    at zero rate.  Returns a (k, 4 k) array for a ``d_phi`` and a (3 k, 4 k)
-    array for a ``d_grad``: rows are the flattened outputs, columns the
-    ``phi`` inputs, then the ``grad`` inputs (component-major).  The same
-    probes around a seeded random point of ``(phi, rate, grad)`` must give
-    the same Jacobian to ``_AFFINE_TOLERANCE`` of the probed values;
-    otherwise the partial is not affine and None is returned.
+    The probes are zero and one unit value per ``phi`` and per ``grad``
+    input.  Returns a (k, 4 k) array for a ``d_phi`` and a (3 k, 4 k) array
+    for a ``d_grad``: rows are the flattened outputs, columns the ``phi``
+    inputs, then the ``grad`` inputs (component-major).  The same probes
+    around a seeded random point of ``(phi, grad)`` must give the same
+    Jacobian to ``_AFFINE_TOLERANCE`` of the probed values; otherwise the
+    partial is not affine and None is returned.
     """
     q = 4 * k
     unit = np.vstack([np.zeros(q), np.eye(q)])
     # stdlib random: importing numpy.random would add about 6 MB of RSS
     point = random.Random(0)
     x = np.vstack([unit, [point.gauss(0.0, 1.0) for _ in range(q)] + unit])
-    rate = np.zeros((2 * (q + 1), k))
-    rate[q + 1:] = [point.gauss(0.0, 1.0) for _ in range(k)]
-    out = partial(x[:, :k], rate, x[:, k:].reshape(-1, k, 3)).reshape(2, q + 1, -1)
+    out = partial(x[:, :k], x[:, k:].reshape(-1, k, 3)).reshape(2, q + 1, -1)
     jac = (out[:, 1:] - out[:, :1]).transpose(0, 2, 1)
     affine = np.abs(jac[1] - jac[0]).max() <= _AFFINE_TOLERANCE * np.abs(out).max()
     return jac[0] if affine else None
@@ -925,20 +838,19 @@ def _difference_tangents(simplices, hat, block, channels, state, k):
     ``state``, as :func:`_element_tangents` returns them.  Column ``(b, i)``
     is the central difference of the corner rows, summed over the
     ``channels``, as corner ``b``'s component ``i`` moves by ``h = cbrt(eps)
-    (1 + max |values|)``; the rates stay.  Each move starts from a fresh copy
-    of the corner values, whose bits a move and its reverse would not restore."""
+    (1 + max |values|)``.  Each move starts from a fresh copy of the corner
+    values, whose bits a move and its reverse would not restore."""
     c = simplices.shape[1]
-    values, rates = state.values, state.rates
+    values = state.values
     h = np.cbrt(np.finfo(float).eps) * (1.0 + float(np.abs(values).max()))
     corners = values[simplices[block]]
     # each simplex indexes its own rows of the moved corner values
     own = np.arange(corners.size // k).reshape(-1, c)
-    corner_rates = None if rates is None else rates[simplices[block]].reshape(-1, k)
 
     def rows(b, i, move):
         moved = corners.copy()
         moved[:, b, i] += move
-        at = _pointwise(own, hat[block], moved.reshape(-1, k), corner_rates)
+        at = _pointwise(own, hat[block], moved.reshape(-1, k))
         return sum(_channel_corners(hat, channels, block, at))
     out = np.empty((len(own), c, c, k, k))
     for b, i in np.ndindex(c, k):
@@ -1189,9 +1101,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
     affine along the step, so its trials after ``t = 1`` are tested on ``g
     + t (g(1) - g)`` and only an accepted one gets an exact gradient.
     Nothing asks for a decrease of the action, so on a nonconvex pair
-    Newton may stop at a saddle or a maximum.  An ``initial`` state with a
-    trajectory keeps it: the solve moves its middle snapshot and holds the
-    middle rates fixed.
+    Newton may stop at a saddle or a maximum.
 
     Under ``gauge="none"`` a quadratic solve first probes the constant shift
     of each component.  A shift the operator annihilates joins the gauge;
@@ -1229,22 +1139,13 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
             return vec
         return vec - basis @ (basis.T @ vec)
 
-    def state_at(values):
-        # the middle snapshot moves to ``values``; the middle rates, central
-        # differences of its neighbours, stay those of ``initial``
-        if initial.trajectory is None:
-            return FieldState(values)
-        trajectory = initial.trajectory.copy()
-        trajectory[trajectory.shape[0] // 2] = values
-        return FieldState(values, trajectory, initial.dt)
-
     jacobians = _probe_partials(bulk, surface)
     quadratic = all(j is not None for j in jacobians.values())
     log = ConvergenceLog(method="cg" if quadratic else "newton", iterations=0)
 
     def grad_at(values):
         log.gradient_calls += 1
-        return action_gradient(mesh, bulk, surface, state_at(values)).ravel()
+        return action_gradient(mesh, bulk, surface, FieldState(values)).ravel()
 
     def report(note):
         log.notes.append(note)
@@ -1281,7 +1182,7 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
         if it == 0 or not quadratic:
             start = perf_counter()
             tangent = _assemble_tangent(mesh, bulk, surface,
-                                        None if quadratic else state_at(phi), jacobians)
+                                        None if quadratic else FieldState(phi), jacobians)
             log.tangent_assembly_s += perf_counter() - start
             start = perf_counter()
             precondition, log.coarse_size, log.unpreconditioned = _two_level(
@@ -1329,4 +1230,4 @@ def solve_stationary(mesh, bulk, surface, initial=None, options=None):
 
     log.final_residual = float(np.abs(project(grad_at(phi))).max())
     log.converged = log.final_residual <= options.tolerance and not line_search_failed
-    return state_at(phi), log
+    return FieldState(phi), log

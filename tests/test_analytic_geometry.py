@@ -28,6 +28,15 @@ def test_domain_validation():
         AnalyticSurface.torus(1.0, -0.1)
     with pytest.raises(ValueError):
         AnalyticSurface.cylinder(-1.0, 1.0)
+    # nan passes every order test and inf the torus's: both are refused by name
+    for build, params in ((AnalyticSurface.sphere, (np.nan,)),
+                          (AnalyticSurface.sphere, (np.inf,)),
+                          (AnalyticSurface.cylinder, (np.inf, 1.0)),
+                          (AnalyticSurface.cylinder, (1.0, np.nan)),
+                          (AnalyticSurface.torus, (np.inf, 1.0)),
+                          (AnalyticSurface.torus, (2.0, np.nan))):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            build(*params)
 
 
 def test_jet_metric_inverse():

@@ -33,6 +33,7 @@ from curvbc import (
     build_ball_tetmesh,
     builtin_bulk,
     bulk_action,
+    check_partials,
     euler_lagrange_residual,
     make_isotropic_surface,
     mean_curvature,
@@ -77,49 +78,48 @@ def curved_robin():
         kappa=[[-0.1, 0.4, 0.2]], name="curved_robin")
 
 
-def rate_coupled_bulk(base, c=0.3):
-    """``base`` plus ``0.5 c |rate|^2 |phi|^2``: the rate enters every partial."""
+def _sq(a):
+    """Squared norm of each sample's rows: (m, ...) -> (m,)."""
+    a = a.reshape(len(a), -1)
+    return np.einsum("mi,mi->m", a, a)
 
-    def extra(phi, rate):
-        return 0.5 * c * np.einsum("mk,mk->m", rate, rate) * np.einsum("mk,mk->m", phi, phi)
 
+def grad_coupled_bulk(base, c=0.3):
+    """``base`` plus ``0.5 c |phi|^2 |grad phi|^2``: the value and the
+    gradient enter both partials."""
     return BulkLagrangian(
-        base.name + "+rate", base.n_components,
-        density=lambda p, r, g: base.density(p, r, g) + extra(p, r),
-        d_phi=lambda p, r, g: base.d_phi(p, r, g)
-        + c * np.einsum("mk,mk->m", r, r)[:, None] * p,
-        d_rate=lambda p, r, g: c * np.einsum("mk,mk->m", p, p)[:, None] * r,
-        d_grad=lambda p, r, g: base.d_grad(p, r, g)
-        + c * np.einsum("mk,mk->m", r, r)[:, None, None] * g)
+        base.name + "+coupled", base.n_components,
+        density=lambda p, g: base.density(p, g) + 0.5 * c * _sq(p) * _sq(g),
+        d_phi=lambda p, g: base.d_phi(p, g) + c * _sq(g)[:, None] * p,
+        d_grad=lambda p, g: base.d_grad(p, g) + c * _sq(p)[:, None, None] * g)
 
 
-def rate_coupled_surface(base, c0=0.2, c1=0.5):
-    """``base`` plus rate terms in both channels, with rate partials."""
-
-    def sq(a):
-        return np.einsum("mk,mk->m", a, a)
+def grad_coupled_surface(base, c0=0.2, c1=0.5):
+    """``base`` plus ``0.5 c |phi|^2 |grad phi|^2`` in both channels, with
+    ``c0`` in the plain one and ``c1`` in the curvature one."""
 
     def add(value, c):
-        return lambda p, r, g: value(p, r, g) + 0.5 * c * sq(r) * sq(p)
+        return lambda p, g: value(p, g) + 0.5 * c * _sq(p) * _sq(g)
 
     def add_d_phi(d_phi, c):
-        return lambda p, r, g: d_phi(p, r, g) + c * sq(r)[:, None] * p
+        return lambda p, g: d_phi(p, g) + c * _sq(g)[:, None] * p
 
     def add_d_grad(d_grad, c):
-        return lambda p, r, g: d_grad(p, r, g) + c * sq(r)[:, None, None] * g
-
-    def d_rate(c):
-        return lambda p, r, g: c * sq(p)[:, None] * r
+        return lambda p, g: d_grad(p, g) + c * _sq(p)[:, None, None] * g
 
     return SurfaceLagrangian(
-        base.name + "+rate", base.n_components,
+        base.name + "+coupled", base.n_components,
         gamma0=add(base.gamma0, c0),
         gamma0_d_phi=add_d_phi(base.gamma0_d_phi, c0),
         gamma0_d_grad=add_d_grad(base.gamma0_d_grad, c0),
         gamma_hat=add(base.gamma_hat, c1),
         gamma_hat_d_phi=add_d_phi(base.gamma_hat_d_phi, c1),
-        gamma_hat_d_grad=add_d_grad(base.gamma_hat_d_grad, c1),
-        gamma0_d_rate=d_rate(c0), gamma_hat_d_rate=d_rate(c1))
+        gamma_hat_d_grad=add_d_grad(base.gamma_hat_d_grad, c1))
+
+
+# ``poisson_source(6) x curved_robin`` made non-affine in every partial
+GRAD_COUPLED = (lambda: grad_coupled_bulk(builtin_bulk("poisson_source", source=6.0)),
+                lambda: grad_coupled_surface(curved_robin()))
 
 
 PAIRS = {
@@ -154,11 +154,11 @@ def advected_bulk(b=(0.3, -0.5, 0.2), coupling=((1.0, 0.5), (-0.3, 0.8))):
 
     return BulkLagrangian(
         "advected", 2,
-        density=lambda p, r, g: (0.5 * np.einsum("mkj,mkj->m", g, g)
-                                 + 0.5 * np.einsum("mk,mk->m", p, p)
-                                 + np.einsum("mc,mc->m", p, advection(g))),
-        d_phi=lambda p, r, g: p + advection(g),
-        d_grad=lambda p, r, g: g + np.einsum("mc,cd,j->mdj", p, a, b))
+        density=lambda p, g: (0.5 * np.einsum("mkj,mkj->m", g, g)
+                              + 0.5 * np.einsum("mk,mk->m", p, p)
+                              + np.einsum("mc,mc->m", p, advection(g))),
+        d_phi=lambda p, g: p + advection(g),
+        d_grad=lambda p, g: g + np.einsum("mc,cd,j->mdj", p, a, b))
 
 
 # the quadratic pairs the assembled tangent is checked on
@@ -177,31 +177,25 @@ TANGENT_PAIRS = {
 }
 
 
+# the pairs the residual reports and the actions are checked on: a catalog
+# pair, and the same pair made non-affine in every partial
+REPORT_PAIRS = {
+    "poisson_source x curved_robin": PAIRS["poisson_source x curved_robin"],
+    "grad_coupled x grad_coupled": GRAD_COUPLED,
+}
+
+
 def random_state(mesh, k, rng):
     return FieldState(rng.standard_normal((mesh.n_vertices, k)))
 
 
-def random_trajectory(mesh, k, rng, steps=5, dt=0.05):
-    times = (np.arange(steps) - steps // 2) * dt
-    a, b, c = rng.standard_normal((3, mesh.n_vertices, k))
-    return FieldState.from_trajectory(
-        np.stack([a + b * t + c * t**2 for t in times]), dt)
-
-
 # -- the np.add.at formulation ---------------------------------------------------
 
-def rates_or_zeros(state):
-    """The state's middle-snapshot rates; zeros for a static state."""
-    return np.zeros_like(state.values) if state.rates is None else state.rates
-
-
-def ref_pointwise(simplices, hat, values, rates):
+def ref_pointwise(simplices, hat, values):
     m, c = simplices.shape
-    k = values.shape[1]
     phi_c = values[simplices]
     grad = np.einsum("tck,tcj->tkj", phi_c, hat)
-    return (phi_c.reshape(m * c, k), rates[simplices].reshape(m * c, k),
-            np.repeat(grad, c, axis=0))
+    return phi_c.reshape(m * c, values.shape[1]), np.repeat(grad, c, axis=0)
 
 
 def ref_corner(n, simplices, arr):
@@ -218,8 +212,8 @@ def ref_grad(n, simplices, hat, arr):
     return ref_corner(n, simplices, corner.reshape(m * c, k))
 
 
-def ref_bulk_gradient(mesh, bulk, values, rates):
-    args = ref_pointwise(mesh.tets, mesh.tet_gradients, values, rates)
+def ref_bulk_gradient(mesh, bulk, values):
+    args = ref_pointwise(mesh.tets, mesh.tet_gradients, values)
     w = np.repeat(mesh.tet_volumes / 4.0, 4)
     n = mesh.n_vertices
     return (ref_corner(n, mesh.tets, bulk.d_phi(*args) * w[:, None])
@@ -227,9 +221,9 @@ def ref_bulk_gradient(mesh, bulk, values, rates):
                        bulk.d_grad(*args) * w[:, None, None]))
 
 
-def ref_surface_channels(B, surface, values, rates, H):
+def ref_surface_channels(B, surface, values, H):
     """Scattered channels P, G, Q, R of the plain and curvature terms."""
-    args = ref_pointwise(B.triangles, B.hat_gradients, values, rates)
+    args = ref_pointwise(B.triangles, B.hat_gradients, values)
     w = B.corner_areas.ravel()
     wc = -2.0 * H[B.triangles].ravel() * w
     n, tri, hat = B.n_vertices, B.triangles, B.hat_gradients
@@ -241,27 +235,10 @@ def ref_surface_channels(B, surface, values, rates, H):
 
 def ref_action_gradient(mesh, bulk, surface, state):
     ids = mesh.boundary_vertex_ids
-    out = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))
+    out = ref_bulk_gradient(mesh, bulk, state.values)
     H = mean_curvature(mesh.boundary)
-    gs = sum(ref_surface_channels(mesh.boundary, surface, state.values[ids],
-                                  rates_or_zeros(state)[ids], H))
-    np.add.at(out, ids, gs)
+    np.add.at(out, ids, sum(ref_surface_channels(mesh.boundary, surface, state.values[ids], H)))
     return out
-
-
-def ref_euler_lagrange(mesh, bulk, state):
-    res = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))
-    res /= mesh.dual_volumes[:, None]
-    mid = state.trajectory.shape[0] // 2
-    w = np.repeat(mesh.tet_volumes / 4.0, 4)
-    momenta = []
-    for s in (mid - 1, mid + 1):
-        args = ref_pointwise(mesh.tets, mesh.tet_gradients, state.trajectory[s],
-                             state.snapshot_rates(s))
-        p = ref_corner(mesh.n_vertices, mesh.tets, bulk.d_rate(*args) * w[:, None])
-        momenta.append(p / mesh.dual_volumes[:, None])
-    span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
-    return res - (momenta[1] - momenta[0]) / span
 
 
 def ref_natural_bc(mesh, bulk, surface, state):
@@ -270,12 +247,12 @@ def ref_natural_bc(mesh, bulk, surface, state):
     a = B.vertex_areas[:, None]
     H = mean_curvature(B)
     n, tri = B.n_vertices, B.triangles
-    flux_weak = ref_bulk_gradient(mesh, bulk, state.values, rates_or_zeros(state))[ids] / a
-    bvals, brates = state.values[ids], rates_or_zeros(state)[ids]
-    P, G, Q, R = ref_surface_channels(B, surface, bvals, brates, H)
+    flux_weak = ref_bulk_gradient(mesh, bulk, state.values)[ids] / a
+    bvals = state.values[ids]
+    P, G, Q, R = ref_surface_channels(B, surface, bvals, H)
     terms = {"gamma0_phi": -P / a, "gamma0_div": -G / a,
              "curv_phi": -Q / a, "curv_div": -R / a}
-    args = ref_pointwise(tri, B.hat_gradients, bvals, brates)
+    args = ref_pointwise(tri, B.hat_gradients, bvals)
     w = B.corner_areas.ravel()
     dg = surface.gamma_hat_d_grad(*args) * w[:, None, None]
     R_frozen = ref_grad(n, tri, B.hat_gradients, dg)
@@ -283,20 +260,7 @@ def ref_natural_bc(mesh, bulk, surface, state):
     terms["curv_div_frozen"] = 2.0 * H[:, None] * (R_frozen / a)
     terms["grad_H_term"] = -2.0 * np.einsum("vkj,vj->vk", W, shape_operator(B).grad_H)
     rhs = terms["gamma0_phi"] + terms["gamma0_div"] + terms["curv_phi"] + terms["curv_div"]
-    if state.trajectory is not None and surface.gamma0_d_rate is not None:
-        wc = -2.0 * H[tri].ravel() * w
-        mid = state.trajectory.shape[0] // 2
-        momenta = []
-        for s in (mid - 1, mid + 1):
-            args_s = ref_pointwise(tri, B.hat_gradients, state.trajectory[s][ids],
-                                   state.snapshot_rates(s)[ids])
-            p = (ref_corner(n, tri, surface.gamma0_d_rate(*args_s) * w[:, None])
-                 + ref_corner(n, tri, surface.gamma_hat_d_rate(*args_s) * wc[:, None]))
-            momenta.append(p / a)
-        span = state.dt if state.trajectory.shape[0] == 3 else 2.0 * state.dt
-        terms["rate_bracket"] = (momenta[1] - momenta[0]) / span
-        rhs = rhs + terms["rate_bracket"]
-    args_b = ref_pointwise(mesh.tets, mesh.tet_gradients, state.values, rates_or_zeros(state))
+    args_b = ref_pointwise(mesh.tets, mesh.tet_gradients, state.values)
     wb = np.repeat(mesh.tet_volumes / 4.0, 4)
     mom = ref_corner(mesh.n_vertices, mesh.tets, bulk.d_grad(*args_b) * wb[:, None, None])
     mom = mom[ids] / mesh.dual_volumes[ids][:, None, None]
@@ -346,45 +310,27 @@ def test_gradient_matches_central_differences(pair, seed, amplitude):
         assert abs(np.vdot(grad, d) - fd) <= 1e-8 * (1.0 + abs(fd))
 
 
-@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("pair", sorted({**PAIRS, **REPORT_PAIRS}))
 @given(seed=SEEDS, amplitude=AMPLITUDES)
 @SETTINGS
 def test_gradient_equals_add_at_reference(pair, seed, amplitude):
+    """The gradient and the Euler-Lagrange rows are the np.add.at chain rule."""
     mesh = perturbed_ball(seed, amplitude)
-    bulk, surface = (make() for make in PAIRS[pair])
+    bulk, surface = (make() for make in {**PAIRS, **REPORT_PAIRS}[pair])
     state = random_state(mesh, bulk.n_components, np.random.default_rng(seed))
     assert_close(action_gradient(mesh, bulk, surface, state),
                  ref_action_gradient(mesh, bulk, surface, state))
-
-
-@pytest.mark.parametrize("steps", [3, 5])
-@given(seed=SEEDS, amplitude=AMPLITUDES)
-@SETTINGS
-def test_trajectory_gradient_equals_add_at_reference(steps, seed, amplitude):
-    mesh = perturbed_ball(seed, amplitude)
-    bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
-    surface = rate_coupled_surface(curved_robin())
-    state = random_trajectory(mesh, 1, np.random.default_rng(seed), steps)
-    assert_close(action_gradient(mesh, bulk, surface, state),
-                 ref_action_gradient(mesh, bulk, surface, state))
-    expected = ref_euler_lagrange(mesh, bulk, state)
+    expected = ref_bulk_gradient(mesh, bulk, state.values) / mesh.dual_volumes[:, None]
     assert_close(euler_lagrange_residual(mesh, bulk, state), expected)
 
 
-@pytest.mark.parametrize("case", ["static", "trajectory"])
+@pytest.mark.parametrize("pair", REPORT_PAIRS)
 @given(seed=SEEDS, amplitude=AMPLITUDES)
 @SETTINGS
-def test_bc_report_equals_add_at_reference(case, seed, amplitude):
+def test_bc_report_equals_add_at_reference(pair, seed, amplitude):
     mesh = perturbed_ball(seed, amplitude)
-    rng = np.random.default_rng(seed)
-    if case == "static":
-        bulk = builtin_bulk("poisson_source", source=6.0)
-        surface = curved_robin()
-        state = random_state(mesh, 1, rng)
-    else:
-        bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
-        surface = rate_coupled_surface(curved_robin())
-        state = random_trajectory(mesh, 1, rng)
+    bulk, surface = (make() for make in REPORT_PAIRS[pair])
+    state = random_state(mesh, 1, np.random.default_rng(seed))
     report = natural_bc_residual(mesh, bulk, surface, state)
     expected = ref_natural_bc(mesh, bulk, surface, state)
     # residual = flux_weak - rhs cancels; measure it on the scale of its parts
@@ -398,65 +344,48 @@ def test_bc_report_equals_add_at_reference(case, seed, amplitude):
     assert_close(report.flux_pointwise, expected["flux_pointwise"])
 
 
-@pytest.mark.parametrize("steps", [0, 3, 5])
+@pytest.mark.parametrize("pair", REPORT_PAIRS)
 @given(seed=SEEDS, amplitude=AMPLITUDES)
 @SETTINGS
-def test_surface_bc_terms_equal_report(steps, seed, amplitude):
+def test_surface_bc_terms_equal_report(pair, seed, amplitude):
     mesh = perturbed_ball(seed, amplitude)
-    rng = np.random.default_rng(seed)
-    ids = mesh.boundary_vertex_ids
-    if steps == 0:
-        bulk = builtin_bulk("poisson_source", source=6.0)
-        surface = curved_robin()
-        state = random_state(mesh, 1, rng)
-        boundary_state = FieldState(state.values[ids])
-    else:
-        bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
-        surface = rate_coupled_surface(curved_robin())
-        state = random_trajectory(mesh, 1, rng, steps)
-        boundary_state = FieldState.from_trajectory(state.trajectory[:, ids], state.dt)
-    rhs, terms = surface_bc_terms(mesh.boundary, surface, boundary_state)
+    bulk, surface = (make() for make in REPORT_PAIRS[pair])
+    state = random_state(mesh, 1, np.random.default_rng(seed))
+    rhs, terms = surface_bc_terms(mesh.boundary, surface,
+                                  FieldState(state.values[mesh.boundary_vertex_ids]))
     report = natural_bc_residual(mesh, bulk, surface, state)
     assert np.array_equal(rhs, report.rhs)
     assert list(terms) == list(report.terms)
-    assert ("rate_bracket" in terms) == (steps > 0)
     for name, value in terms.items():
         assert np.array_equal(value, report.terms[name])
 
 
 def test_surface_bc_terms_rejects_bad_states():
     B = perturbed_ball(2, 0.03).boundary
-    with pytest.raises(ValueError, match="trajectory"):
-        surface_bc_terms(B, rate_coupled_surface(curved_robin()),
-                         FieldState(np.zeros((B.n_vertices, 1))))
+    with pytest.raises(ValueError, match="component count mismatch"):
+        surface_bc_terms(B, curved_robin(), FieldState(np.zeros((B.n_vertices, 2))))
     with pytest.raises(ValueError, match="wrong number of vertices"):
         surface_bc_terms(B, curved_robin(), FieldState(np.zeros((B.n_vertices + 1, 1))))
 
 
-@pytest.mark.parametrize("steps", [0, 5])
-def test_actions_equal_the_weighted_density_dot(steps):
+@pytest.mark.parametrize("pair", REPORT_PAIRS)
+def test_actions_equal_the_weighted_density_dot(pair):
     """The sums of the density channels are the ``weights . density`` dots
     of the corner rows, up to the roundoff of their summation order."""
     mesh = perturbed_ball(13, 0.04)
-    rng = np.random.default_rng(13)
-    bulk, surface = builtin_bulk("poisson_source", source=6.0), curved_robin()
-    if steps:
-        bulk, surface = rate_coupled_bulk(bulk), rate_coupled_surface(surface)
-        state = random_trajectory(mesh, 1, rng, steps)
-    else:
-        state = random_state(mesh, 1, rng)
+    bulk, surface = (make() for make in REPORT_PAIRS[pair])
+    state = random_state(mesh, 1, np.random.default_rng(13))
     B, ids = mesh.boundary, mesh.boundary_vertex_ids
     w = B.corner_areas.ravel()
-    rates = rates_or_zeros(state)
-    args = ref_pointwise(B.triangles, B.hat_gradients, state.values[ids], rates[ids])
+    args = ref_pointwise(B.triangles, B.hat_gradients, state.values[ids])
     expected = [
         mesh.corner_weights.ravel() @ bulk.density(*ref_pointwise(
-            mesh.tets, mesh.tet_gradients, state.values, rates)),
+            mesh.tets, mesh.tet_gradients, state.values)),
         w @ surface.gamma0(*args),
         (-2.0 * mean_curvature(B)[B.triangles].ravel() * w) @ surface.gamma_hat(*args)]
     action = assemble_action(mesh, bulk, surface, state)
     actual = [[bulk_action(mesh, bulk, state), action.bulk],
-              *zip(surface_action(B, surface, state.values[ids], rates[ids]),
+              *zip(surface_action(B, surface, state.values[ids]),
                    (action.surface_plain, action.surface_curvature))]
     for value, got in zip(expected, actual):
         assert abs(value) > 0.1
@@ -494,9 +423,7 @@ def test_blocks_change_no_bits(monkeypatch):
     mesh = perturbed_ball(11, 0.04)
     rng = np.random.default_rng(11)
     static = random_state(mesh, 1, rng)
-    moving = random_trajectory(mesh, 1, rng, steps=5)
-    rate_bulk = rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0))
-    rate_surface = rate_coupled_surface(curved_robin())
+    coupled_bulk, coupled_surface = (make() for make in GRAD_COUPLED)
     calls = Counter()
     bulk = counted(builtin_bulk("poisson_source", source=6.0), calls)
     surface = curved_robin()
@@ -517,10 +444,10 @@ def test_blocks_change_no_bits(monkeypatch):
         action, action_calls = counting(lambda: bulk_action(mesh, bulk, static))
         report, report_calls = counting(lambda: natural_bc_residual(mesh, bulk, surface, static))
         out = {"action_gradient": gradient, "bulk_action": np.array(action),
-               "euler_lagrange": euler_lagrange_residual(mesh, rate_bulk, moving),
+               "euler_lagrange": euler_lagrange_residual(mesh, coupled_bulk, static),
                **report_fields("static", report),
-               **report_fields("trajectory", natural_bc_residual(
-                   mesh, rate_bulk, rate_surface, moving))}
+               **report_fields("coupled", natural_bc_residual(
+                   mesh, coupled_bulk, coupled_surface, static))}
         return out, gradient_calls, action_calls, report_calls
 
     assert mesh.n_tets <= ve._BLOCK
@@ -546,11 +473,10 @@ def whole_mesh_report(mesh, bulk, surface, state):
     """Reference report whose bulk channels run over every tet, as the
     report's did before they ran on the boundary layer."""
     B, ids = mesh.boundary, mesh.boundary_vertex_ids
-    trajectory = None if state.trajectory is None else state.trajectory[:, ids]
-    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids], trajectory, state.dt))
+    rhs, terms = surface_bc_terms(B, surface, FieldState(state.values[ids]))
     weights = mesh.corner_weights
     g_bulk, mom = ve._simplex_pass(
-        mesh.tets, mesh.tet_gradients, state.values, state.rates,
+        mesh.tets, mesh.tet_gradients, state.values,
         [(weights, bulk.d_phi, bulk.d_grad), (weights, bulk.d_grad, None)])
     flux_weak = g_bulk[ids] / B.vertex_areas[:, None]
     mom = mom[ids].reshape(-1, state.n_components, 3) / mesh.dual_volumes[ids][:, None, None]
@@ -576,7 +502,8 @@ BOUNDARY_LAYER_CASES = {
 @pytest.mark.parametrize("case", list(BOUNDARY_LAYER_CASES))
 def test_report_on_the_boundary_layer_keeps_the_bits(case):
     """The report's bulk pass on the tets with a boundary vertex gives the
-    bytes of the whole-mesh pass, for a static and a trajectory state."""
+    bytes of the whole-mesh pass, for the case's pair and for that pair
+    made non-affine in every partial."""
     build, k, pair = BOUNDARY_LAYER_CASES[case]
     mesh = build()
     layer = mesh.boundary_layer
@@ -585,9 +512,9 @@ def test_report_on_the_boundary_layer_keeps_the_bits(case):
     assert layer is mesh.boundary_layer
     rng = np.random.default_rng(k)
     bulk, surface = pair()
-    states = {"static": (bulk, surface, random_state(mesh, k, rng)),
-              "trajectory": (rate_coupled_bulk(bulk), rate_coupled_surface(surface),
-                             random_trajectory(mesh, k, rng))}
+    states = {"catalog": (bulk, surface, random_state(mesh, k, rng)),
+              "coupled": (grad_coupled_bulk(bulk), grad_coupled_surface(surface),
+                          random_state(mesh, k, rng))}
     for kind, (b, s, state) in states.items():
         report = natural_bc_residual(mesh, b, s, state)
         expected = whole_mesh_report(mesh, b, s, state)
@@ -605,9 +532,7 @@ def test_report_on_the_boundary_layer_keeps_the_bits(case):
 # pairs that are not quadratic: their tangent is taken at a state
 NON_AFFINE_PAIRS = {
     "quartic x robin": (quartic_bulk, lambda: robin_surface(1.0)),
-    "rate_coupled x rate_coupled": (
-        lambda: rate_coupled_bulk(builtin_bulk("poisson_source", source=6.0)),
-        lambda: rate_coupled_surface(curved_robin())),
+    "grad_coupled x grad_coupled": GRAD_COUPLED,
 }
 AT_STATE = " at a state"
 
@@ -617,10 +542,9 @@ AT_STATE = " at a state"
     name + AT_STATE for name in sorted(TANGENT_PAIRS) + sorted(NON_AFFINE_PAIRS)])
 def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
     """The assembled tangent applied to x is g(x) - g(0), for any block size.
-    At a state x (a trajectory's middle snapshot, with its rates), the
-    difference tangent of a quadratic pair equals its constant tangent, and
-    that of any other pair applied to v is ``(g(x + e v) - g(x - e v)) / 2
-    e``, with the rates held."""
+    At a random state s, the difference tangent of a quadratic pair equals
+    its constant tangent, and that of any other pair applied to x is
+    ``(g(s + e x) - g(s - e x)) / 2 e``."""
     mesh = perturbed_ball(7, 0.04)
     name = pair.removesuffix(AT_STATE)
     bulk, surface = (make() for make in {**TANGENT_PAIRS, **NON_AFFINE_PAIRS}[name])
@@ -634,7 +558,7 @@ def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
                     - action_gradient(mesh, bulk, surface, FieldState(np.zeros_like(x)))).ravel()
         assert_close(ve._assemble_tangent(mesh, bulk, surface)(x.ravel()), expected)
         return
-    state = random_trajectory(mesh, bulk.n_components, rng)
+    state = random_state(mesh, bulk.n_components, rng)
     tangent = ve._assemble_tangent(mesh, bulk, surface, state)
     if name in TANGENT_PAIRS:
         # measured: at most 6.5e-12
@@ -642,15 +566,25 @@ def test_tangent_equals_gradient_difference(pair, block, monkeypatch):
         return
 
     def gradient(values):
-        trajectory = state.trajectory.copy()
-        trajectory[len(trajectory) // 2] = values
-        return action_gradient(mesh, bulk, surface,
-                               FieldState(values, trajectory, state.dt)).ravel()
+        return action_gradient(mesh, bulk, surface, FieldState(values)).ravel()
     e = 1e-5
     # measured: at most 2.6e-11
     assert_close(tangent(x.ravel()),
                  (gradient(state.values + e * x) - gradient(state.values - e * x)) / (2 * e),
                  rtol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_grad_coupled_partials_are_exact_and_not_affine(k):
+    """The coupled terms have exact partials, and every partial of the
+    coupled pair, in the bulk and in both surface channels, is non-affine."""
+    bulk = grad_coupled_bulk(builtin_bulk("harmonic", n_components=k))
+    surface = grad_coupled_surface(robin_surface(1.0, k))
+    for spec in (bulk, surface):
+        report = check_partials(spec, trials=5, seed=k)
+        assert report.passed, str(report)
+    jacobians = ve._probe_partials(bulk, surface)
+    assert len(jacobians) == 6 and all(j is None for j in jacobians.values())
 
 
 def test_tangent_pairs_reach_cross_blocks():

@@ -42,24 +42,18 @@ CATALOG = [
 ]
 
 
-def worst_err(report):
-    if isinstance(report.max_err, dict):
-        return max(report.max_err.values())
-    return report.max_err
-
-
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_catalog_partials(entry):
     report = check_partials(entry, seed=0)
     assert report.passed, str(report)
-    assert worst_err(report) <= 1e-6
+    assert max(report.max_err.values()) <= 1e-6
 
 
 def test_corrupted_partial_detected():
     base = harmonic()
 
-    def bad_d_grad(phi, rate, grad):
-        return 1.02 * base.d_grad(phi, rate, grad)
+    def bad_d_grad(phi, grad):
+        return 1.02 * base.d_grad(phi, grad)
 
     broken = BulkLagrangian("broken", 1, base.density, base.d_phi, bad_d_grad)
     report = check_partials(broken, seed=0)
@@ -73,51 +67,28 @@ def general_surface(surface, **partials):
     return SurfaceLagrangian(**{**given, **partials})
 
 
-def kinetic(value):
-    """``value`` plus ``0.5 |rate|^2``, and that term's rate partial."""
-    return (lambda p, r, g: value(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
-            lambda p, r, g: r.copy())
-
-
-def test_catalog_bulks_give_no_rate_partial():
+def test_check_partials_has_a_value_and_a_gradient_slot_per_density():
+    """A density takes ``(phi, grad)``: the check has its two partials' slots."""
     for entry in CATALOG:
-        if isinstance(entry, BulkLagrangian):
-            assert entry.d_rate is None
-            assert check_partials(entry, seed=0).max_err["d_rate"] == 0.0
+        slots = ({"d_phi", "d_grad"} if isinstance(entry, BulkLagrangian) else
+                 {"gamma0_d_phi", "gamma0_d_grad", "gamma_hat_d_phi", "gamma_hat_d_grad"})
+        assert set(check_partials(entry, trials=2, seed=0).max_err) == slots
 
 
-def test_rate_density_without_its_partial_fails():
-    """A density that reads the rate fails the check unless it gives the
-    rate partial: an absent partial is checked as zero."""
-    base = harmonic()
-    density, d_rate = kinetic(base.density)
-    without = dataclasses.replace(base, name="kinetic", density=density)
-    report = check_partials(without, seed=0)
-    assert not report.passed and report.max_err["d_rate"] > 0.1
-    assert check_partials(dataclasses.replace(without, d_rate=d_rate), seed=0).passed
-
-
-@pytest.mark.parametrize("slot", ["gamma0", "gamma_hat"])
-def test_surface_rate_partials_are_checked(slot):
-    base = robin_surface(1.0)
-    density, d_rate = kinetic(getattr(base, slot))
-    given = general_surface(base, **{slot: density, f"{slot}_d_rate": d_rate})
-    report = check_partials(given, seed=0)
-    assert report.passed, str(report)
-    assert set(report.max_err) >= {"gamma0_d_rate", "gamma_hat_d_rate"}
-
-    def wrong(p, r, g):
-        return 1.02 * d_rate(p, r, g)
-    report = check_partials(dataclasses.replace(given, **{f"{slot}_d_rate": wrong}), seed=0)
-    assert not report.passed and report.max_err[f"{slot}_d_rate"] > 1e-3
-    report = check_partials(dataclasses.replace(given, **{f"{slot}_d_rate": None}), seed=0)
-    assert not report.passed and report.max_err[f"{slot}_d_rate"] > 0.1
+def test_rate_partials_are_refused():
+    """No density has a time rate, so no pair takes a rate partial."""
+    bulk, surface = harmonic(), robin_surface(1.0)
+    with pytest.raises(TypeError):
+        BulkLagrangian("rate", 1, bulk.density, bulk.d_phi, bulk.d_grad, d_rate=bulk.d_phi)
+    partials = [getattr(surface, f.name) for f in dataclasses.fields(SurfaceLagrangian)[2:]]
+    with pytest.raises(TypeError):
+        SurfaceLagrangian("rate", 1, *partials, gamma0_d_rate=surface.gamma0_d_phi)
 
 
 def test_elastic_density_at_identity_strain():
     entry = linear_elastic(1.0, 1.0)
     grad = np.tile(np.eye(3), (4, 1, 1))
-    dens = entry.density(np.zeros((4, 3)), np.zeros((4, 3)), grad)
+    dens = entry.density(np.zeros((4, 3)), grad)
     assert np.abs(dens - 7.5).max() <= 1e-14
 
 
@@ -126,16 +97,16 @@ def test_harmonic_quadratic_homogeneity():
     rng = np.random.default_rng(0)
     grad = rng.standard_normal((5, 1, 3))
     zeros = np.zeros((5, 1))
-    ratio = entry.density(zeros, zeros, 2.0 * grad) - 4.0 * entry.density(zeros, zeros, grad)
+    ratio = entry.density(zeros, 2.0 * grad) - 4.0 * entry.density(zeros, grad)
     assert np.abs(ratio).max() <= 1e-14
 
 
 def test_poisson_source_linear_term():
     entry = poisson_source(6.0)
     phi = np.ones((3, 1))
-    dens_zero_grad = entry.density(phi, np.zeros_like(phi), np.zeros((3, 1, 3)))
+    dens_zero_grad = entry.density(phi, np.zeros((3, 1, 3)))
     assert np.abs(dens_zero_grad + 6.0).max() <= 1e-14
-    assert np.abs(entry.d_phi(phi, np.zeros_like(phi), np.zeros((3, 1, 3))) + 6.0).max() <= 1e-14
+    assert np.abs(entry.d_phi(phi, np.zeros((3, 1, 3))) + 6.0).max() <= 1e-14
 
 
 def test_isotropic_rigid_motion_invariance():
@@ -149,7 +120,7 @@ def test_isotropic_rigid_motion_invariance():
     scale = 1.0 + np.abs(values).max() * mesh.total_area
     assert abs(plain) <= 1e-10 * scale
     assert abs(curv) <= 1e-10 * scale
-    d_phi = surf.gamma0_d_phi(values, np.zeros_like(values), np.zeros((len(values), 3, 3)))
+    d_phi = surf.gamma0_d_phi(values, np.zeros((len(values), 3, 3)))
     assert np.abs(d_phi).max() == 0.0
 
 
@@ -159,16 +130,14 @@ def test_restricted_pair_is_its_coefficients():
     the densities and the reduction together."""
     base = robin_surface(1.0)
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(base, gamma0=lambda p, r, g: 3.0 * p[:, 0] ** 2,
-                            gamma0_d_phi=lambda p, r, g: 6.0 * p)
-    with pytest.raises(TypeError):
-        RestrictedSurface(1, gamma0_d_rate=lambda p, r, g: r.copy())
+        dataclasses.replace(base, gamma0=lambda p, g: 3.0 * p[:, 0] ** 2,
+                            gamma0_d_phi=lambda p, g: 6.0 * p)
 
     replaced = dataclasses.replace(base, gamma_bar=quadratic_potential(3.0))
     direct = robin_surface(3.0)
     assert check_partials(replaced, seed=0).max_err == check_partials(direct, seed=0).max_err
     phi = np.array([[0.5]])
-    assert replaced.gamma0_d_phi(phi, phi, np.zeros((1, 1, 3))).tolist() == [[1.5]]
+    assert replaced.gamma0_d_phi(phi, np.zeros((1, 1, 3))).tolist() == [[1.5]]
     jet = evaluate_jet(AnalyticSurface.sphere(2.0), 0.8, 1.1)
     point = BoundaryPoint.from_jet(jet, np.array([0.5]), np.zeros((2, 1)))
     rhs = reduced_bc_rhs(point, coeffs_from_surface(replaced, point))
@@ -184,24 +153,12 @@ def test_restricted_coefficients_are_float_arrays_through_replace():
     assert surf.chi.dtype == float and surf.chi.shape == (2, 3)
     assert surf.kappa_hat.dtype == float and surf.kappa_hat.shape == (3,)
     again = dataclasses.replace(surf, name="again")
-    assert again.name == "again" and again.gamma0_d_rate is None
+    assert again.name == "again"
     assert np.array_equal(again.chi, surf.chi) and np.array_equal(again.kappa_hat, surf.kappa_hat)
     rng = np.random.default_rng(0)
-    phi, rate, grad = (rng.standard_normal(s) for s in ((5, 2), (5, 2), (5, 2, 3)))
+    phi, grad = (rng.standard_normal(s) for s in ((5, 2), (5, 2, 3)))
     for name in ("gamma0", "gamma0_d_grad", "gamma_hat", "gamma_hat_d_phi"):
-        assert np.array_equal(getattr(again, name)(phi, rate, grad),
-                              getattr(surf, name)(phi, rate, grad))
-
-
-def test_surface_rate_partials_are_keyword_only():
-    partials = [getattr(robin_surface(1.0), name) for name in (
-        "gamma0", "gamma0_d_phi", "gamma0_d_grad",
-        "gamma_hat", "gamma_hat_d_phi", "gamma_hat_d_grad")]
-    d_rate = kinetic(partials[0])[1]
-    with pytest.raises(TypeError):
-        SurfaceLagrangian("nine", 1, *partials, d_rate)
-    pair = SurfaceLagrangian("keyword", 1, *partials, gamma0_d_rate=d_rate)
-    assert pair.gamma0_d_rate is d_rate and pair.gamma_hat_d_rate is None
+        assert np.array_equal(getattr(again, name)(phi, grad), getattr(surf, name)(phi, grad))
 
 
 def test_plain_channels_leave_reduced_rhs_unchanged():
@@ -328,18 +285,18 @@ def test_isotropic_coeffs_match_reference(sigma, tau):
 
 def test_isotropic_densities_are_trace_weighted():
     rng = np.random.default_rng(2)
-    phi, rate = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    phi = rng.standard_normal((30, 3))
     grad = rng.standard_normal((30, 3, 3))
     surf = make_isotropic_surface(1.7, 0.2)
     trace = np.einsum("mkk->m", grad)
-    assert np.abs(surf.gamma0(phi, rate, grad) - 1.7 * trace).max() <= 1e-14
-    assert np.abs(surf.gamma_hat(phi, rate, grad) - 0.2 * trace).max() <= 1e-14
-    assert np.array_equal(surf.gamma0_d_grad(phi, rate, grad),
+    assert np.abs(surf.gamma0(phi, grad) - 1.7 * trace).max() <= 1e-14
+    assert np.abs(surf.gamma_hat(phi, grad) - 0.2 * trace).max() <= 1e-14
+    assert np.array_equal(surf.gamma0_d_grad(phi, grad),
                           np.broadcast_to(1.7 * np.eye(3), grad.shape))
-    assert np.array_equal(surf.gamma_hat_d_grad(phi, rate, grad),
+    assert np.array_equal(surf.gamma_hat_d_grad(phi, grad),
                           np.broadcast_to(0.2 * np.eye(3), grad.shape))
-    assert not surf.gamma0_d_phi(phi, rate, grad).any()
-    assert not surf.gamma_hat_d_phi(phi, rate, grad).any()
+    assert not surf.gamma0_d_phi(phi, grad).any()
+    assert not surf.gamma_hat_d_phi(phi, grad).any()
 
 
 @pytest.mark.parametrize("sigma,tau", [

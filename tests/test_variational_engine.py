@@ -39,7 +39,6 @@ from curvbc import variational_engine as ve
 from curvbc.lagrangian_library import (BulkLagrangian, QuadraticPotential, RestrictedSurface,
                                        SurfaceLagrangian)
 from curvbc.variational_engine import _cg
-from test_lagrangian_library import general_surface
 
 POISSON = builtin_bulk("poisson_source", source=6.0)
 HARMONIC = builtin_bulk("harmonic")
@@ -49,8 +48,8 @@ def quartic_bulk():
     """``poisson_source(6) + 1.25 phi^4``: its ``d_phi`` is not affine."""
     return dataclasses.replace(
         POISSON, name="quartic",
-        density=lambda p, r, g: POISSON.density(p, r, g) + 1.25 * p[:, 0] ** 4,
-        d_phi=lambda p, r, g: POISSON.d_phi(p, r, g) + 5.0 * p**3)
+        density=lambda p, g: POISSON.density(p, g) + 1.25 * p[:, 0] ** 4,
+        d_phi=lambda p, g: POISSON.d_phi(p, g) + 5.0 * p**3)
 
 
 def force_newton(monkeypatch):
@@ -196,6 +195,18 @@ def test_tet_mesh_rejects_non_finite_vertex(value):
         TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
+@pytest.mark.parametrize("columns", [4, 2])
+def test_tet_mesh_rejects_vertices_of_wrong_shape(columns):
+    """Vertices must be 3-D points: a fourth zero column and a missing third
+    coordinate are refused before any geometry is built."""
+    mesh = small_ball(1, 2)
+    verts = np.column_stack([mesh.vertices, np.zeros(mesh.n_vertices)])[:, :columns]
+    with pytest.raises(ValueError, match=r"^vertices must have shape \(n, 3\)$"):
+        TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
+    with pytest.raises(ValueError, match=r"^vertices must have shape \(n, 3\)$"):
+        TetMesh(mesh.vertices.ravel(), mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
+
+
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
 def test_ball_rejects_non_finite_radius(radius):
     """A nan radius used to fail the boundary check, with a face of the
@@ -266,14 +277,17 @@ def test_ball_mesh_validation():
 # ------------------------------------------------------------- field state
 
 def test_field_state_validation():
+    """A state is its vertex values alone: rows of one or more components."""
     n = 8
     vals = np.zeros((n, 1))
-    with pytest.raises(ValueError):
-        FieldState(vals, trajectory=np.zeros((4, n, 1)), dt=0.1)
-    with pytest.raises(ValueError):
-        FieldState(vals, trajectory=np.zeros((3, n, 1)))
-    with pytest.raises(ValueError):
-        FieldState(vals + 1.0, trajectory=np.zeros((3, n, 1)), dt=0.1)
+    assert [f.name for f in dataclasses.fields(FieldState)] == ["values"]
+    for bad in (np.zeros((3, n, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="values must be"):
+            FieldState(bad)
+    with pytest.raises(TypeError):
+        FieldState(vals, np.zeros((3, n, 1)))
+    with pytest.raises(TypeError):
+        FieldState(vals, trajectory=np.zeros((3, n, 1)), dt=0.1)
 
 
 def test_field_state_reads_a_scalar_field_as_one_column():
@@ -294,97 +308,7 @@ def test_surface_action_reads_a_scalar_field_as_one_column():
     assert np.array_equal(gradient, ve.surface_action_gradient(mesh, surface, values[:, None]))
 
 
-def harmonic_kinetic_bulk():
-    """``0.5 |grad phi|^2 + 0.5 |rate|^2``, rate partial given."""
-    return dataclasses.replace(
-        HARMONIC, name="harmonic+kinetic",
-        density=lambda p, r, g: HARMONIC.density(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
-        d_rate=lambda p, r, g: r.copy())
-
-
-def surface_kinetic():
-    """``robin(1)`` plus ``0.5 |rate|^2`` in the plain term, rate partial given."""
-    robin = robin_surface(1.0)
-    return general_surface(
-        robin, name="robin+kinetic",
-        gamma0=lambda p, r, g: robin.gamma0(p, r, g) + 0.5 * np.einsum("mk,mk->m", r, r),
-        gamma0_d_rate=lambda p, r, g: r.copy())
-
-
-def test_field_state_reads_a_scalar_trajectory_as_one_column():
-    mesh = small_ball()
-    rng = np.random.default_rng(21)
-    trajectory = rng.standard_normal((5, mesh.n_vertices))
-    scalar = FieldState.from_trajectory(trajectory, 0.1)
-    column = FieldState.from_trajectory(trajectory[:, :, None], 0.1)
-    assert scalar.trajectory.shape == (5, mesh.n_vertices, 1)
-    assert scalar.rates.tobytes() == column.rates.tobytes()
-    for bulk, surface in ((POISSON, robin_surface(1.0)),
-                          (harmonic_kinetic_bulk(), surface_kinetic())):
-        assert (assemble_action(mesh, bulk, surface, scalar)
-                == assemble_action(mesh, bulk, surface, column))
-        assert (action_gradient(mesh, bulk, surface, scalar).tobytes()
-                == action_gradient(mesh, bulk, surface, column).tobytes())
-        assert (euler_lagrange_residual(mesh, bulk, scalar).tobytes()
-                == euler_lagrange_residual(mesh, bulk, column).tobytes())
-        reports = [natural_bc_residual(mesh, bulk, surface, s) for s in (scalar, column)]
-        for name in ("residual", "flux_weak", "rhs", "flux_pointwise"):
-            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
-        assert list(reports[0].terms) == list(reports[1].terms)
-        for name, value in reports[0].terms.items():
-            assert value.tobytes() == reports[1].terms[name].tobytes()
-    assert "rate_bracket" in reports[0].terms
-
-
-def test_field_state_rates():
-    n, dt = 5, 0.1
-    c = np.arange(n, dtype=float)[:, None]
-    times = (np.arange(5) - 2) * dt
-    traj = np.stack([c * t for t in times])
-    state = FieldState.from_trajectory(traj, dt)
-    assert np.abs(state.rates - c).max() <= 1e-12
-    assert FieldState(traj[2]).rates is None
-    assert np.abs(state.snapshot_rates(0) - c).max() <= 1e-12  # linear: one-sided exact
-    assert np.abs(state.snapshot_rates(3) - c).max() <= 1e-12
-
-
-def test_snapshot_rates_reject_snapshots_outside_the_trajectory():
-    traj = np.arange(15.0).reshape(5, 3) ** 2
-    state = FieldState.from_trajectory(traj, 0.1)
-    assert np.allclose(state.snapshot_rates(4)[:, 0], [630.0, 690.0, 750.0])
-    for s in (-1, 5, -5):
-        with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
-            state.snapshot_rates(s)
-    with pytest.raises(ValueError, match="static state"):
-        FieldState(traj[2]).snapshot_rates(0)
-
-
 # ------------------------------------------------------------------ action
-
-@pytest.mark.parametrize("bulk,surface", [
-    (POISSON, robin_surface(1.0)),
-    (builtin_bulk("linear_elastic"), make_isotropic_surface(1.0, 0.1)),
-], ids=["poisson_robin", "elastic_isotropic"])
-def test_static_state_equals_still_trajectory(bulk, surface):
-    # a static state's zero rate rows are made, not gathered; the result is
-    # the same bit for bit as a trajectory that does not move
-    mesh = small_ball()
-    values = np.random.default_rng(8).standard_normal((mesh.n_vertices, bulk.n_components))
-    static = FieldState(values)
-    still = FieldState.from_trajectory(np.stack([values] * 3), 0.1)
-    assert np.array_equal(action_gradient(mesh, bulk, surface, static),
-                          action_gradient(mesh, bulk, surface, still))
-    assert (assemble_action(mesh, bulk, surface, static)
-            == assemble_action(mesh, bulk, surface, still))
-    a = natural_bc_residual(mesh, bulk, surface, static)
-    b = natural_bc_residual(mesh, bulk, surface, still)
-    assert np.array_equal(a.residual, b.residual)
-    assert np.array_equal(a.flux_pointwise, b.flux_pointwise)
-    assert a.terms.keys() == b.terms.keys()
-    assert all(np.array_equal(a.terms[k], b.terms[k]) for k in a.terms)
-    # a pure rate density sees zero rates on a static state
-    assert bulk_action(mesh, make_kinetic_bulk(), FieldState(values[:, :1])) == 0.0
-
 
 def test_bulk_action_linear_field():
     mesh = small_ball()
@@ -498,55 +422,6 @@ def test_euler_lagrange_poisson_refines():
     assert devs[2] <= 0.05
 
 
-def make_kinetic_bulk():
-    return BulkLagrangian(
-        "kinetic", 1,
-        density=lambda p, r, g: 0.5 * np.einsum("mk,mk->m", r, r),
-        d_phi=lambda p, r, g: np.zeros_like(p),
-        d_rate=lambda p, r, g: r.copy(),
-        d_grad=lambda p, r, g: np.zeros_like(g),
-    )
-
-
-def test_bulk_rate_bracket():
-    # kinetic density: residual of phi = c t^2 is -d/dt (c * 2 t) = -2c
-    kinetic = make_kinetic_bulk()
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    rng = np.random.default_rng(9)
-    c = rng.standard_normal((mesh.n_vertices, 1))
-    for steps in (3, 5):
-        dt = 0.01
-        times = (np.arange(steps) - steps // 2) * dt
-        traj = np.stack([c * t**2 for t in times])
-        state = FieldState.from_trajectory(traj, dt)
-        res = euler_lagrange_residual(mesh, kinetic, state)
-        inner = mesh.interior_mask
-        assert np.abs(res[inner] + 2.0 * c[inner]).max() <= 1e-10
-
-
-def test_bulk_with_rate_partial_needs_trajectory():
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    static = FieldState(np.zeros((mesh.n_vertices, 1)))
-    for bulk in (make_kinetic_bulk(), harmonic_kinetic_bulk()):
-        with pytest.raises(ValueError, match="supply a FieldState with a trajectory"):
-            euler_lagrange_residual(mesh, bulk, static)
-
-
-def test_bulk_rate_partial_adds_the_bracket():
-    """A bulk gives its rate bracket exactly when it gives ``d_rate``: the
-    harmonic-plus-kinetic residual is the harmonic one minus the lumped
-    d/dt of the rate, here the second difference of a 3-snapshot trajectory."""
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    dt = 0.1
-    trajectory = np.random.default_rng(8).standard_normal((3, mesh.n_vertices, 1))
-    state = FieldState.from_trajectory(trajectory, dt)
-    harmonic = euler_lagrange_residual(mesh, HARMONIC, state)
-    res = euler_lagrange_residual(mesh, harmonic_kinetic_bulk(), state)
-    bracket = (trajectory[2] - 2.0 * trajectory[1] + trajectory[0]) / dt**2
-    assert np.abs(res - harmonic).max() > 100.0
-    assert np.abs(res - (harmonic - bracket)).max() <= 1e-12 * np.abs(bracket).max()
-
-
 # ---------------------------------------------------- boundary condition
 
 def test_neumann_limit_residual_is_flux():
@@ -656,57 +531,6 @@ def test_bc_residual_refines_at_oracle():
         devs.append(weighted_l2(report.residual[:, 0], w) / scale)
     assert devs[1] < devs[0]
     assert devs[1] <= 0.03
-
-
-def test_surface_rate_bracket():
-    zero_s = lambda p, r, g: np.zeros(p.shape[0])
-    zero_v = lambda p, r, g: np.zeros_like(p)
-    zero_g = lambda p, r, g: np.zeros_like(g)
-    surf = SurfaceLagrangian(
-        "surface_kinetic", 1,
-        gamma0=lambda p, r, g: 0.5 * np.einsum("mk,mk->m", r, r),
-        gamma0_d_phi=zero_v, gamma0_d_grad=zero_g,
-        gamma_hat=zero_s, gamma_hat_d_phi=zero_v, gamma_hat_d_grad=zero_g,
-        gamma0_d_rate=lambda p, r, g: r.copy(),
-    )
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal((mesh.n_vertices, 1))
-    for steps in (3, 5):
-        dt = 0.01
-        times = (np.arange(steps) - steps // 2) * dt
-        traj = np.stack([c * t**2 for t in times])
-        state = FieldState.from_trajectory(traj, dt)
-        report = natural_bc_residual(mesh, HARMONIC, surf, state)
-        expected = -2.0 * c[mesh.boundary_vertex_ids]
-        assert np.abs(report.residual - expected).max() <= 1e-10
-
-    with pytest.raises(ValueError):
-        natural_bc_residual(mesh, HARMONIC, surf,
-                            FieldState(np.zeros((mesh.n_vertices, 1))))
-
-
-def test_surface_curvature_rate_bracket():
-    # rate term in the curvature channel carries the -2H weight
-    zero_s = lambda p, r, g: np.zeros(p.shape[0])
-    zero_v = lambda p, r, g: np.zeros_like(p)
-    zero_g = lambda p, r, g: np.zeros_like(g)
-    surf = SurfaceLagrangian(
-        "curvature_kinetic", 1,
-        gamma0=zero_s, gamma0_d_phi=zero_v, gamma0_d_grad=zero_g,
-        gamma_hat=lambda p, r, g: 0.5 * np.einsum("mk,mk->m", r, r),
-        gamma_hat_d_phi=zero_v, gamma_hat_d_grad=zero_g,
-        gamma_hat_d_rate=lambda p, r, g: r.copy(),
-    )
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal((mesh.n_vertices, 1))
-    dt = 0.01
-    traj = np.stack([c * t**2 for t in (-dt, 0.0, dt)])
-    state = FieldState.from_trajectory(traj, dt)
-    report = natural_bc_residual(mesh, HARMONIC, surf, state)
-    # unit sphere boundary: rhs = 2H * (-phi..) = -4c, residual = flux - rhs
-    assert np.abs(report.residual - 4.0 * c[mesh.boundary_vertex_ids]).max() <= 1e-10
 
 
 # ------------------------------------------------------------------ solve
@@ -844,22 +668,6 @@ def test_solve_newton_path_stationary(monkeypatch):
     assert log.coarse_size > 0 and log.unpreconditioned == ""
     grad = action_gradient(mesh, POISSON, robin_surface(1.0), state)
     assert np.abs(grad).max() <= 1e-10
-
-
-@pytest.mark.parametrize("newton", [False, True])
-def test_solve_from_trajectory_matches_static(newton, monkeypatch):
-    mesh = build_ball_tetmesh(1.0, surface_level=1, radial_layers=2)
-    if newton:
-        force_newton(monkeypatch)
-    static, _ = solve_stationary(mesh, POISSON, robin_surface(1.0))
-    initial = FieldState.from_trajectory(np.zeros((3, mesh.n_vertices, 1)), 0.1)
-    state, log = solve_stationary(mesh, POISSON, robin_surface(1.0), initial)
-    assert log.converged and log.method == ("newton" if newton else "cg")
-    assert np.abs(state.values - static.values).max() <= 1e-12
-    # the solution replaces the middle snapshot; its neighbours are kept
-    assert np.array_equal(state.trajectory[1], state.values)
-    assert np.array_equal(state.trajectory[[0, 2]], initial.trajectory[[0, 2]])
-    assert state.dt == initial.dt
 
 
 def test_solve_stationarity_gradient():
@@ -1001,10 +809,10 @@ def make_negated_bulk():
     whose one stationary point is 0."""
     return BulkLagrangian(
         "negated", 1,
-        density=lambda p, r, g: -0.5 * (np.einsum("mkj,mkj->m", g, g)
-                                        + np.einsum("mk,mk->m", p, p)),
-        d_phi=lambda p, r, g: -p,
-        d_grad=lambda p, r, g: -g,
+        density=lambda p, g: -0.5 * (np.einsum("mkj,mkj->m", g, g)
+                                     + np.einsum("mk,mk->m", p, p)),
+        d_phi=lambda p, g: -p,
+        d_grad=lambda p, g: -g,
     )
 
 
