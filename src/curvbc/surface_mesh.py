@@ -1,9 +1,10 @@
-"""Discrete differential geometry on closed oriented triangle meshes.
+"""Tetrahedral meshes and the closed oriented triangle meshes that bound them.
 
-This module provides the discrete carriers for a boundary surface: lumped
-(mixed-Voronoi) vertex areas, outward vertex normals, signed mean curvature,
-a per-vertex shape operator, and the first-order surface calculus (gradient,
-divergence, integration) that the variational assembly is built on.
+This module owns both simplex kinds: :class:`TetMesh`, and for a boundary
+surface :class:`TriangleMesh`, with lumped (mixed-Voronoi) vertex areas,
+outward vertex normals, signed mean curvature, a per-vertex shape operator,
+and the first-order surface calculus (gradient, divergence, integration)
+that the variational assembly is built on.
 
 Field conventions
 -----------------
@@ -28,11 +29,17 @@ divergence theorem holds to machine precision on closed meshes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 DEGENERATE_AREA_REL = 1e-12
 MAX_SUBDIVISION_LEVEL = 7
+# simplices per block of a tet-geometry or assembly pass: keeps temporaries cache-sized
+_BLOCK = 8192
+# exponent of the ball's shell radii: below 1 it clusters the shells near the
+# boundary, where flux accuracy matters, and fattens the innermost cone cells
+_SHELL_GRADING = 0.7
 
 
 class MeshError(ValueError):
@@ -150,12 +157,37 @@ def _bad_face(key):
     return order[starts[g]:starts[g] + sizes[g]]
 
 
-def _check_finite(vertices, error):
-    """Raise ``error`` naming the first vertex row of ``vertices`` (n, 3)
-    with a coordinate that is not finite."""
+def _mesh_arrays(vertices, *indices):
+    """A mesh's finite float ``vertices`` (n, 3) and its ``indices``, each
+    ``(name, values, columns)``: int64 (m, columns), or (m,) for ``columns=None``,
+    of whole numbers in ``[0, n)``; all contiguous.  MeshError names the first
+    bad vertex or entry, looked for only on failure: an int array costs one
+    ``min`` and one ``max``."""
+    vertices = np.ascontiguousarray(vertices, dtype=float)
+    if vertices.ndim != 2 or vertices.shape[1] != 3:
+        raise MeshError("vertices must have shape (n, 3)")
     if not np.isfinite(vertices).all():
         i = int(np.argmin(np.isfinite(vertices).all(axis=1)))
-        raise error(f"vertex {i} is not finite: {vertices[i].tolist()}")
+        raise MeshError(f"vertex {i} is not finite: {vertices[i].tolist()}")
+
+    def refuse(name, index, bad, why):
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise MeshError(f"{name}{list(at)} = {index[at]} {why}")
+
+    arrays, n = [vertices], len(vertices)
+    for name, index, columns in indices:
+        index = np.ascontiguousarray(index)
+        if index.ndim != (2 if columns else 1) or columns and index.shape[1] != columns:
+            raise MeshError(f"{name} must have shape (m, {columns})" if columns
+                            else f"{name} must be 1-D, got shape {index.shape}")
+        if index.dtype.kind not in "iu":    # a fraction or nan is refused, not truncated
+            index = index.astype(float)
+            if (index != np.floor(index)).any():
+                refuse(name, index, index != np.floor(index), "is not an integer")
+        if index.size and (index.min() < 0 or index.max() >= n):
+            refuse(name, index, (index < 0) | (index >= n), f"is out of range for {n} vertices")
+        arrays.append(index.astype(np.int64, copy=False))
+    return arrays
 
 
 def _check_radius(radius):
@@ -172,8 +204,7 @@ class TriangleMesh:
     Parameters
     ----------
     vertices : array_like of shape (n, 3)
-        Vertex positions; a vertex with a coordinate that is not finite
-        raises MeshError naming the first.
+        Vertex positions, finite (:func:`_mesh_arrays` checks both arrays).
     triangles : array_like of shape (m, 3)
         Vertex indices of each face. Winding must be consistent; the face
         normals it induces are taken as the outward direction.
@@ -208,17 +239,7 @@ class TriangleMesh:
     def __init__(self, vertices, triangles, validate=True):
         self._mean_curvature = None
         self._closed = False
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise MeshError("vertices must have shape (n, 3)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must have shape (m, 3)")
-        _check_finite(self.vertices, MeshError)
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
-        ):
-            raise MeshError("triangle indices out of range")
+        self.vertices, self.triangles = _mesh_arrays(vertices, ("triangles", triangles, 3))
         a, b, c = self.triangles.T
         if np.any((a == b) | (b == c) | (c == a)):
             raise MeshError("triangle with repeated vertex")
@@ -602,6 +623,155 @@ def curvature_identity_residual(mesh):
     return float(np.max(np.abs(div_v[keep] - 2.0 * H[keep])))
 
 
+# -- tetrahedral meshes -----------------------------------------------------
+
+class TetMesh:
+    """Tetrahedral mesh of a solid with a closed triangulated boundary; every
+    input error raises MeshError, the arrays' as for a :class:`TriangleMesh`.
+
+    Parameters
+    ----------
+    vertices : (n, 3) float array
+    tets : (m, 4) int array
+        Corner indices in ``[0, n)``; orientation is canonicalized to
+        positive volume.
+    boundary : TriangleMesh
+        Closed outward-oriented boundary surface, the tet faces used once.
+    boundary_vertex_ids : (nb,) int array
+        Volume vertex index, in ``[0, n)``, of each boundary-mesh vertex.
+
+    Attributes
+    ----------
+    tet_volumes : (m,) positive volumes.
+    tet_gradients : (m, 4, 3) gradients of the corner hat functions.
+    corner_weights : (m, 4) quarter volumes, the corner quadrature weights.
+    dual_volumes : (n,) quarter-volume lumped vertex measures.
+    boundary_layer : (t,) ids, in order, of the tets with a boundary vertex;
+        computed on first access and kept.
+
+    The geometry is built from a corner-major copy of the tets, ``_BLOCK``
+    tets at a time, on contiguous per-component vectors
+    (:func:`_tet_block_geometry`); the boundary check reads the same copy
+    and shares its face keys and pairing test with :class:`TriangleMesh`.
+    """
+
+    def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
+        self.vertices, tets, self.boundary_vertex_ids = _mesh_arrays(
+            vertices, ("tets", tets, 4), ("boundary_vertex_ids", boundary_vertex_ids, None))
+        n = len(self.vertices)
+        # corner-major copy: corners[c] is the contiguous column of corner c
+        corners = tets.T.copy()
+        x = np.ascontiguousarray(self.vertices.T)
+        m = corners.shape[1]
+        self.tet_volumes = np.empty(m)
+        self.tet_gradients = np.empty((m, 4, 3))
+        flipped = np.empty(m, dtype=bool)
+        for start in range(0, m, _BLOCK):
+            b = slice(start, start + _BLOCK)
+            _tet_block_geometry(x, corners[:, b], self.tet_volumes[b],
+                                self.tet_gradients[b], flipped[b])
+        flip = np.flatnonzero(flipped)
+        corners[2, flip], corners[3, flip] = corners[3, flip], corners[2, flip]
+        self.tets = tets = np.ascontiguousarray(corners.T)
+        self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
+        self.dual_volumes = _scatter(tets, n, self.corner_weights)
+        # every tet has a positive volume, so a zero dual volume marks a
+        # vertex that no tet uses
+        if not self.dual_volumes.all():
+            raise MeshError(f"vertex {np.argmin(self.dual_volumes)} is on no tet")
+        self.boundary = boundary
+        if len(self.boundary_vertex_ids) != boundary.n_vertices:
+            raise MeshError("boundary_vertex_ids must match the boundary mesh")
+        self.interior_mask = mask = np.ones(n, dtype=bool)
+        mask[self.boundary_vertex_ids] = False
+        if n - np.count_nonzero(mask) != len(self.boundary_vertex_ids):
+            raise MeshError("boundary_vertex_ids must be distinct")
+        _check_boundary_faces(corners, n, boundary.triangles, self.boundary_vertex_ids)
+
+    @property
+    def n_vertices(self):
+        return len(self.vertices)
+
+    @property
+    def n_tets(self):
+        return len(self.tets)
+
+    @property
+    def total_volume(self):
+        return float(self.tet_volumes.sum())
+
+    @cached_property
+    def boundary_layer(self):
+        return np.flatnonzero(~self.interior_mask[self.tets].all(axis=1))
+
+
+def _tet_block_geometry(x, corners, volumes, grads, flipped):
+    """Fill one block's ``volumes`` (b,), hat ``grads`` (b, 4, 3) and
+    ``flipped`` (b,) mask of negatively oriented tets, from the coordinate
+    rows ``x`` (3, n) and the block's ``corners`` (4, b).
+
+    With edges e_c = x_c - x_0, the adjugate rows (e2 x e3, e3 x e1, e1 x e2)
+    over 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3, and
+    corner 0's is minus their sum.  A tet with 6V < 0 is flipped by swapping
+    corners 2 and 3 and their rows (same 6V).  Every operand is a contiguous
+    per-component vector of the block, and products and sums are formed in
+    the order np.cross and np.einsum use on (b, 3) rows, so the results have
+    their bits.
+    """
+    xs = np.take(x, corners, axis=1)                  # (component, corner, b)
+    e = xs[:, 1:] - xs[:, :1]                         # edges of corners 1..3
+    del xs
+    g = np.empty((4, 3, corners.shape[1]))            # (corner, component, b)
+    _cross(e[:, 1], e[:, 2], out=g[1])
+    six_v = _dot(e[:, 0], g[1])
+    np.abs(six_v, out=volumes)
+    volumes /= 6.0
+    if np.any(volumes <= 0):
+        raise MeshError("degenerate tetrahedron (zero volume)")
+    _cross(e[:, 2], e[:, 0], out=g[2])
+    _cross(e[:, 0], e[:, 1], out=g[3])
+    del e
+    np.less(six_v, 0, out=flipped)
+    g[2], g[3] = np.where(flipped, g[3], g[2]), np.where(flipped, g[2], g[3])
+    g[1:] /= six_v
+    # minus the sum as numpy's reduction over rows forms it, from +0
+    np.add(g[1], g[2], out=g[0])
+    g[0] += g[3]
+    g[0] += 0.0
+    np.negative(g[0], out=g[0])
+    grads[...] = g.transpose(2, 0, 1)
+
+
+# faces of a positively oriented tet (0, 1, 2, 3), wound with outward normals
+_TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+
+def _check_boundary_faces(corners, n, triangles, ids):
+    """Raise MeshError unless the tet faces used once are the boundary triangles.
+
+    With every boundary triangle added reversed, each face must occur exactly
+    twice with opposite windings: an interior face between its two
+    positively oriented tets, a boundary face between its tet and the
+    outward boundary triangle: :func:`_paired` on the rows, slot-major tet
+    faces of the corner-major ``corners`` (4, m), then reversed triangles.
+    A mesh that fails names its smallest bad face, by a boundary triangle if
+    it has one.
+    """
+    if n >= 2**21:
+        raise MeshError("the boundary check supports fewer than 2**21 vertices")
+    rows = ([tuple(corners[i] for i in face) for face in _TET_FACES]
+            + [tuple(ids[triangles.T][::-1])])
+    if _paired(_signed_keys(n, rows)):
+        return
+    bad = _bad_face(_signed_keys(n, rows))
+    row, m = int(bad.max()), corners.shape[1]     # a triangle if any
+    what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
+            else f"face {corners[_TET_FACES[row // m], row % m].tolist()} of tet {row % m}")
+    why = {1: "is used once" if row < 4 * m else "is not a tet face",
+           2: "is wound inward"}.get(len(bad), f"is shared {len(bad)} times")
+    raise MeshError(f"boundary mismatch: {what} {why}")
+
+
 # -- primitive builders ---------------------------------------------------
 
 def build_icosphere(radius, level):
@@ -624,11 +794,46 @@ def build_icosphere(radius, level):
     return TriangleMesh(verts * radius, faces)
 
 
+def build_ball_tetmesh(radius=1.0, surface_level=4, radial_layers=12):
+    """Tetrahedralize a ball with icosphere layers joined by prism splits.
+
+    Vertices are the origin plus ``radial_layers`` concentric icosphere
+    shells; each prism between consecutive shells is cut into three tets
+    with diagonals chosen by sorted vertex index so neighbouring prisms
+    agree, and the innermost shell is coned to the origin.  Shell radii
+    follow ``radius * (layer/radial_layers)**_SHELL_GRADING``.
+    """
+    _check_radius(radius)
+    if not (1 <= radial_layers < np.inf and int(radial_layers) == radial_layers):
+        raise ValueError(f"radial_layers must be an integer >= 1, got {radial_layers}")
+    radial_layers = int(radial_layers)
+    dirs, faces = _unit_icosphere(surface_level)
+    nd = len(dirs)
+
+    r = np.array([radius * (layer / radial_layers) ** _SHELL_GRADING
+                  for layer in range(1, radial_layers + 1)])
+    vertices = np.vstack([np.zeros(3), (r[:, None, None] * dirs).reshape(-1, 3)])
+
+    # shell l (1-based) holds vertices 1 + (l - 1) * nd + i; each prism's
+    # corners are its sorted bottom triangle b0 b1 b2, then the top t0 t1 t2
+    cone = np.column_stack([np.zeros(len(faces), dtype=np.int64), 1 + faces])
+    bottom = 1 + np.sort(faces, axis=1) + (nd * np.arange(radial_layers - 1))[:, None, None]
+    prism = np.concatenate([bottom, bottom + nd], axis=2)
+    del bottom
+    split = [[0, 1, 2, 5], [0, 1, 4, 5], [0, 3, 4, 5]]   # b0b1b2t2, b0b1t1t2, b0t0t1t2
+    tets = np.vstack([cone, np.take(prism, split, axis=2).reshape(-1, 4)])
+    del cone, prism   # not held through the TetMesh build
+
+    boundary_ids = 1 + (radial_layers - 1) * nd + np.arange(nd)
+    boundary = TriangleMesh(vertices[boundary_ids], faces)
+    return TetMesh(vertices, tets, boundary, boundary_ids)
+
+
 def _unit_icosphere(level):
     """Vertices and outward-wound faces of the unit icosphere of ``level``,
     as arrays: no :class:`TriangleMesh` geometry is computed.  Raises
     ValueError if level is outside [0, 7]."""
-    if not (0 <= int(level) <= MAX_SUBDIVISION_LEVEL) or int(level) != level:
+    if not (0 <= level <= MAX_SUBDIVISION_LEVEL and int(level) == level):
         raise ValueError(f"subdivision level must be an integer in [0, {MAX_SUBDIVISION_LEVEL}]")
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(

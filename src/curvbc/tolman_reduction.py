@@ -355,8 +355,8 @@ class TolmanCurve:
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
-        if np.any(self.radii <= 0):
-            raise ValueError("radii must be positive")
+        if not (np.isfinite(self.radii) & (self.radii > 0)).all():
+            raise ValueError("radii must be finite and positive")
         H = 1.0 / self.radii
         self.mean_curvatures = H
         self.dp_young_laplace = 2.0 * self.params.sigma * H

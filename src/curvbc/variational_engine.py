@@ -1,10 +1,10 @@
 """Discrete action assembly, functional gradients, residuals and solvers.
 
-Fields live on the vertices of a tetrahedral mesh whose closed boundary is
-a :class:`~curvbc.surface_mesh.TriangleMesh`.  The action is the one-point
-gradient quadrature of the bulk density over tets (potential terms lumped
-to the corners) plus a corner-area quadrature of the boundary pair
-``gamma0 - 2 H gamma_hat``.  Gradients are exact chain rules of that
+Fields live on the vertices of a :class:`~curvbc.surface_mesh.TetMesh` whose
+closed boundary is a :class:`~curvbc.surface_mesh.TriangleMesh`.  The action
+is the one-point gradient quadrature of the bulk density over tets (potential
+terms lumped to the corners) plus a corner-area quadrature of the boundary
+pair ``gamma0 - 2 H gamma_hat``.  Gradients are exact chain rules of that
 discrete functional, which makes three statements identities rather than
 approximations: the gradient matches finite differences of the assembled
 action, stationarity of the total action encodes the curvature-dependent
@@ -41,16 +41,13 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
-from .surface_mesh import (TriangleMesh, _bad_face, _check_finite, _check_radius, _cross,
-                           _dot, _paired, _scatter, _signed_keys, _unit_icosphere,
-                           _vertex_grad_H)
-# re-exported: the name is part of this module's namespace
-from .surface_mesh import mean_curvature  # noqa: F401
+from .surface_mesh import _BLOCK, _scatter, _vertex_grad_H
+# re-exported: the names are part of this module's namespace
+from .surface_mesh import TetMesh, build_ball_tetmesh, mean_curvature  # noqa: F401
 
 
 _LOG = logging.getLogger("curvbc")
@@ -63,14 +60,9 @@ _DECREASE = 1e-4
 _TRANSPORT_TOLERANCE = 1e-10
 # relative 2-norm tolerance of a step's CG solve on the assembled tangent
 _TANGENT_TOLERANCE = 1e-10
-# simplices per assembly block: keeps a block's temporaries cache-sized
-_BLOCK = 8192
 # relative deviation between a partial's Jacobians at zero and at a random
 # point above which the partial counts as not affine
 _AFFINE_TOLERANCE = 1e-8
-# exponent of the ball's shell radii: below 1 it clusters the shells near the
-# boundary, where flux accuracy matters, and fattens the innermost cone cells
-_SHELL_GRADING = 0.7
 # cells per bounding-box axis of the voxel grid that cuts the boundary into
 # the patches of the tangent preconditioner's coarse aggregates
 _PATCH_GRID = 3
@@ -78,204 +70,6 @@ _PATCH_GRID = 3
 
 class SingularProblemError(RuntimeError):
     """Stationarity system has a nullspace incompatible with the data."""
-
-
-# -- tetrahedral meshes -----------------------------------------------------
-
-class TetMesh:
-    """Tetrahedral mesh of a solid with a closed triangulated boundary.
-
-    Parameters
-    ----------
-    vertices : (n, 3) float array
-        Another shape raises ValueError, and so does a vertex with a
-        coordinate that is not finite, naming the first.
-    tets : (m, 4) int array
-        Corner indices in ``[0, n)``; orientation is canonicalized to
-        positive volume.  A vertex on no tet raises ValueError naming it.
-    boundary : TriangleMesh
-        Closed outward-oriented boundary surface, the tet faces used once.
-    boundary_vertex_ids : (nb,) int array
-        Volume vertex index, in ``[0, n)``, of each boundary-mesh vertex.
-        An index out of range raises ValueError naming it.
-
-    Attributes
-    ----------
-    tet_volumes : (m,) positive volumes.
-    tet_gradients : (m, 4, 3) gradients of the corner hat functions.
-    corner_weights : (m, 4) quarter volumes, the corner quadrature weights.
-    dual_volumes : (n,) quarter-volume lumped vertex measures.
-    boundary_layer : (t,) ids, in order, of the tets with a boundary vertex;
-        computed on first access and kept.
-
-    The geometry is built from a corner-major copy of the tets, ``_BLOCK``
-    tets at a time, on contiguous per-component vectors
-    (:func:`_tet_block_geometry`); the boundary check reads the same copy
-    and shares its face keys and pairing test with :class:`TriangleMesh`.
-    """
-
-    def __init__(self, vertices, tets, boundary, boundary_vertex_ids):
-        self.vertices = np.asarray(vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError("vertices must have shape (n, 3)")
-        _check_finite(self.vertices, ValueError)
-        tets = np.asarray(tets, dtype=np.int64)
-        if tets.ndim != 2 or tets.shape[1] != 4:
-            raise ValueError("tets must be (m, 4)")
-        self.boundary_vertex_ids = np.asarray(boundary_vertex_ids, dtype=np.int64)
-        n = len(self.vertices)
-        for name, index in (("tets", tets), ("boundary_vertex_ids", self.boundary_vertex_ids)):
-            if index.size and (index.min() < 0 or index.max() >= n):
-                at = tuple(int(i) for i in np.argwhere((index < 0) | (index >= n))[0])
-                raise ValueError(f"{name}{list(at)} = {index[at]} is out of range "
-                                 f"for {n} vertices")
-        # corner-major copy: corners[c] is the contiguous column of corner c
-        corners = tets.T.copy()
-        x = np.ascontiguousarray(self.vertices.T)
-        m = corners.shape[1]
-        self.tet_volumes = np.empty(m)
-        self.tet_gradients = np.empty((m, 4, 3))
-        flipped = np.empty(m, dtype=bool)
-        for start in range(0, m, _BLOCK):
-            b = slice(start, start + _BLOCK)
-            _tet_block_geometry(x, corners[:, b], self.tet_volumes[b],
-                                self.tet_gradients[b], flipped[b])
-        flip = np.flatnonzero(flipped)
-        corners[2, flip], corners[3, flip] = corners[3, flip], corners[2, flip]
-        self.tets = tets = np.ascontiguousarray(corners.T)
-        self.corner_weights = np.repeat(self.tet_volumes / 4.0, 4).reshape(-1, 4)
-        self.dual_volumes = _scatter(tets, n, self.corner_weights)
-        # every tet has a positive volume, so a zero dual volume marks a
-        # vertex that no tet uses
-        if not self.dual_volumes.all():
-            raise ValueError(f"vertex {np.argmin(self.dual_volumes)} is on no tet")
-        self.boundary = boundary
-        if len(self.boundary_vertex_ids) != boundary.n_vertices:
-            raise ValueError("boundary_vertex_ids must match the boundary mesh")
-        sorted_ids = np.sort(self.boundary_vertex_ids)
-        if (sorted_ids[1:] == sorted_ids[:-1]).any():
-            raise ValueError("boundary_vertex_ids must be distinct")
-        _check_boundary_faces(corners, n, boundary.triangles, self.boundary_vertex_ids)
-        mask = np.ones(n, dtype=bool)
-        mask[self.boundary_vertex_ids] = False
-        self.interior_mask = mask
-
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    @property
-    def n_tets(self):
-        return len(self.tets)
-
-    @property
-    def total_volume(self):
-        return float(self.tet_volumes.sum())
-
-    @cached_property
-    def boundary_layer(self):
-        return np.flatnonzero(~self.interior_mask[self.tets].all(axis=1))
-
-
-def _tet_block_geometry(x, corners, volumes, grads, flipped):
-    """Fill one block's ``volumes`` (b,), hat ``grads`` (b, 4, 3) and
-    ``flipped`` (b,) mask of negatively oriented tets, from the coordinate
-    rows ``x`` (3, n) and the block's ``corners`` (4, b).
-
-    With edges e_c = x_c - x_0, the adjugate rows (e2 x e3, e3 x e1, e1 x e2)
-    over 6V = e1 . (e2 x e3) are the hat gradients of corners 1..3, and
-    corner 0's is minus their sum.  A tet with 6V < 0 is flipped by swapping
-    corners 2 and 3 and their rows (same 6V).  Every operand is a contiguous
-    per-component vector of the block, and products and sums are formed in
-    the order np.cross and np.einsum use on (b, 3) rows, so the results have
-    their bits.
-    """
-    xs = np.take(x, corners, axis=1)                  # (component, corner, b)
-    e = xs[:, 1:] - xs[:, :1]                         # edges of corners 1..3
-    del xs
-    g = np.empty((4, 3, corners.shape[1]))            # (corner, component, b)
-    _cross(e[:, 1], e[:, 2], out=g[1])
-    six_v = _dot(e[:, 0], g[1])
-    np.abs(six_v, out=volumes)
-    volumes /= 6.0
-    if np.any(volumes <= 0):
-        raise ValueError("degenerate tetrahedron (zero volume)")
-    _cross(e[:, 2], e[:, 0], out=g[2])
-    _cross(e[:, 0], e[:, 1], out=g[3])
-    del e
-    np.less(six_v, 0, out=flipped)
-    g[2], g[3] = np.where(flipped, g[3], g[2]), np.where(flipped, g[2], g[3])
-    g[1:] /= six_v
-    # minus the sum as numpy's reduction over rows forms it, from +0
-    np.add(g[1], g[2], out=g[0])
-    g[0] += g[3]
-    g[0] += 0.0
-    np.negative(g[0], out=g[0])
-    grads[...] = g.transpose(2, 0, 1)
-
-
-# faces of a positively oriented tet (0, 1, 2, 3), wound with outward normals
-_TET_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
-
-
-def _check_boundary_faces(corners, n, triangles, ids):
-    """Raise ValueError unless the tet faces used once are the boundary triangles.
-
-    With every boundary triangle added reversed, each face must occur exactly
-    twice with opposite windings: an interior face between its two
-    positively oriented tets, a boundary face between its tet and the
-    outward boundary triangle: :func:`_paired` on the rows, slot-major tet
-    faces of the corner-major ``corners`` (4, m), then reversed triangles.
-    A mesh that fails names its smallest bad face, by a boundary triangle if
-    it has one.
-    """
-    if n >= 2**21:
-        raise ValueError("the boundary check supports fewer than 2**21 vertices")
-    rows = ([tuple(corners[i] for i in face) for face in _TET_FACES]
-            + [tuple(ids[triangles.T][::-1])])
-    if _paired(_signed_keys(n, rows)):
-        return
-    bad = _bad_face(_signed_keys(n, rows))
-    row, m = int(bad.max()), corners.shape[1]     # a triangle if any
-    what = (f"boundary triangle {row - 4 * m}" if row >= 4 * m
-            else f"face {corners[_TET_FACES[row // m], row % m].tolist()} of tet {row % m}")
-    why = {1: "is used once" if row < 4 * m else "is not a tet face",
-           2: "is wound inward"}.get(len(bad), f"is shared {len(bad)} times")
-    raise ValueError(f"boundary mismatch: {what} {why}")
-
-
-def build_ball_tetmesh(radius=1.0, surface_level=4, radial_layers=12):
-    """Tetrahedralize a ball with icosphere layers joined by prism splits.
-
-    Vertices are the origin plus ``radial_layers`` concentric icosphere
-    shells; each prism between consecutive shells is cut into three tets
-    with diagonals chosen by sorted vertex index so neighbouring prisms
-    agree, and the innermost shell is coned to the origin.  Shell radii
-    follow ``radius * (layer/radial_layers)**_SHELL_GRADING``.
-    """
-    _check_radius(radius)
-    if radial_layers < 1:
-        raise ValueError("need at least one radial layer")
-    dirs, faces = _unit_icosphere(surface_level)
-    nd = len(dirs)
-
-    r = np.array([radius * (layer / radial_layers) ** _SHELL_GRADING
-                  for layer in range(1, radial_layers + 1)])
-    vertices = np.vstack([np.zeros(3), (r[:, None, None] * dirs).reshape(-1, 3)])
-
-    # shell l (1-based) holds vertices 1 + (l - 1) * nd + i; each prism's
-    # corners are its sorted bottom triangle b0 b1 b2, then the top t0 t1 t2
-    cone = np.column_stack([np.zeros(len(faces), dtype=np.int64), 1 + faces])
-    bottom = 1 + np.sort(faces, axis=1) + (nd * np.arange(radial_layers - 1))[:, None, None]
-    prism = np.concatenate([bottom, bottom + nd], axis=2)
-    del bottom
-    split = [[0, 1, 2, 5], [0, 1, 4, 5], [0, 3, 4, 5]]   # b0b1b2t2, b0b1t1t2, b0t0t1t2
-    tets = np.vstack([cone, np.take(prism, split, axis=2).reshape(-1, 4)])
-    del cone, prism   # not held through the TetMesh build
-
-    boundary_ids = 1 + (radial_layers - 1) * nd + np.arange(nd)
-    boundary = TriangleMesh(vertices[boundary_ids], faces)
-    return TetMesh(vertices, tets, boundary, boundary_ids)
 
 
 # -- field states ------------------------------------------------------------

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from curvbc import TetMesh, TriangleMesh, build_ball_tetmesh, build_icosphere
 from curvbc.analytic_geometry import AnalyticSurface, sample_mesh
-from curvbc.surface_mesh import _cross, _dot, _scatter, _signed_keys
-from curvbc.variational_engine import _check_boundary_faces
+from curvbc.surface_mesh import _check_boundary_faces, _cross, _dot, _scatter, _signed_keys
 
 from test_assembler import permuted_ball_inputs
 from test_batched_geometry import bump_patch, fan, reflected_pair, two_sided_sheet

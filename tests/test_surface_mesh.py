@@ -91,6 +91,14 @@ def test_icosphere_validation():
         build_icosphere(1.0, -1)
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, 2.5, 8])
+def test_icosphere_rejects_a_level_that_is_not_an_integer_in_range(level):
+    """An inf level used to raise numpy's OverflowError, and nan its
+    ValueError "cannot convert float NaN to integer"."""
+    with pytest.raises(ValueError, match=r"^subdivision level must be an integer in \[0, 7\]$"):
+        build_icosphere(1.0, level)
+
+
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
 def test_icosphere_rejects_non_finite_radius(radius):
     with pytest.raises(ValueError, match=f"^radius must be finite, got {radius}$"):
@@ -111,9 +119,14 @@ def test_construction_rejects_non_finite_vertex(value, validate):
 
 
 def test_construction_rejects_bad_indices():
+    """The first bad entry is named, as :class:`~curvbc.TetMesh` names it."""
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=r"^triangles\[0, 2\] = 3 is out of range for 3 vertices$"):
         TriangleMesh(verts, np.array([[0, 1, 3]]))
+    with pytest.raises(MeshError, match=r"^triangles\[0, 1\] = 1.5 is not an integer$"):
+        TriangleMesh(verts, np.array([[0, 1.5, 2]]))
+    with pytest.raises(MeshError, match=r"^triangles must have shape \(m, 3\)$"):
+        TriangleMesh(verts, np.array([0, 1, 2]))
 
 
 def test_construction_rejects_open_mesh():

@@ -206,6 +206,13 @@ def test_curve_validates_radii():
         tolman_curve(IsotropicSurfaceParams(1.0, 0.1), np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf])
+def test_curve_rejects_non_finite_radii(radius):
+    """A nan radius gave a row of nans, which passed both identity checks."""
+    with pytest.raises(ValueError, match="^radii must be finite and positive$"):
+        tolman_curve(IsotropicSurfaceParams(1.0, 0.1), [radius, 1.0])
+
+
 def test_curve_csv_format(tmp_path):
     curve = tolman_curve(IsotropicSurfaceParams(1.0, 0.05),
                          np.linspace(0.2, 10.0, 50))

@@ -14,6 +14,7 @@ import pytest
 import curvbc
 from curvbc import (
     FieldState,
+    MeshError,
     SingularProblemError,
     SolveOptions,
     TetMesh,
@@ -165,7 +166,7 @@ def test_tet_mesh_rejects_zero_volume():
     mesh = small_ball(1, 2)
     tets = mesh.tets.copy()
     tets[0, 3] = tets[0, 2]
-    with pytest.raises(ValueError, match="zero volume"):
+    with pytest.raises(MeshError, match="zero volume"):
         TetMesh(mesh.vertices, tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
@@ -180,8 +181,8 @@ def test_tet_mesh_rejects_indices_out_of_range(field, index, value):
     arrays = {"tets": mesh.tets.copy(), "boundary_vertex_ids": mesh.boundary_vertex_ids.copy()}
     arrays[field][index] = value
     at = ", ".join(map(str, index))
-    with pytest.raises(ValueError, match=rf"^{field}\[{at}\] = {value} is out of range "
-                                         rf"for {n} vertices$"):
+    with pytest.raises(MeshError, match=rf"^{field}\[{at}\] = {value} is out of range "
+                                        rf"for {n} vertices$"):
         TetMesh(mesh.vertices, arrays["tets"], mesh.boundary, arrays["boundary_vertex_ids"])
 
 
@@ -191,7 +192,7 @@ def test_tet_mesh_rejects_non_finite_vertex(value):
     verts = mesh.vertices.copy()
     verts[[40, 7], 2] = value
     message = f"vertex 7 is not finite: {verts[7].tolist()}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
         TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
@@ -201,9 +202,9 @@ def test_tet_mesh_rejects_vertices_of_wrong_shape(columns):
     coordinate are refused before any geometry is built."""
     mesh = small_ball(1, 2)
     verts = np.column_stack([mesh.vertices, np.zeros(mesh.n_vertices)])[:, :columns]
-    with pytest.raises(ValueError, match=r"^vertices must have shape \(n, 3\)$"):
+    with pytest.raises(MeshError, match=r"^vertices must have shape \(n, 3\)$"):
         TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
-    with pytest.raises(ValueError, match=r"^vertices must have shape \(n, 3\)$"):
+    with pytest.raises(MeshError, match=r"^vertices must have shape \(n, 3\)$"):
         TetMesh(mesh.vertices.ravel(), mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
@@ -221,7 +222,7 @@ def test_tet_mesh_rejects_unused_vertex():
     mesh = small_ball(2, 3)
     n = mesh.n_vertices
     verts = np.vstack([mesh.vertices, [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
-    with pytest.raises(ValueError, match=f"^vertex {n} is on no tet$"):
+    with pytest.raises(MeshError, match=f"^vertex {n} is on no tet$"):
         TetMesh(verts, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
 
 
@@ -252,7 +253,7 @@ def test_tet_mesh_rejects_mismatched_boundary(case):
     mesh, variants = boundary_variants()
     verts, tris, ids, tets, message = variants[case]
     boundary = TriangleMesh(verts, tris, validate=False)
-    with pytest.raises(ValueError, match=f"^boundary mismatch: {message}$"):
+    with pytest.raises(MeshError, match=f"^boundary mismatch: {message}$"):
         TetMesh(mesh.vertices, tets, boundary, ids)
 
 
@@ -272,6 +273,57 @@ def test_ball_mesh_validation():
         build_ball_tetmesh(-1.0)
     with pytest.raises(ValueError):
         build_ball_tetmesh(1.0, radial_layers=0)
+
+
+@pytest.mark.parametrize("layers", [2.5, np.nan, np.inf, 0.5])
+def test_ball_rejects_non_integer_layers(layers):
+    """A fraction, nan or inf used to fail in ``range`` with a TypeError; a
+    whole float is taken as its integer, as a subdivision level is."""
+    with pytest.raises(ValueError, match=f"^radial_layers must be an integer >= 1, got {layers}$"):
+        build_ball_tetmesh(1.0, surface_level=1, radial_layers=layers)
+
+
+def test_ball_takes_a_whole_float_layer_count():
+    whole, ints = (build_ball_tetmesh(1.0, surface_level=1, radial_layers=n) for n in (2.0, 2))
+    for name in ["vertices", "tets", "tet_gradients", "boundary_vertex_ids"]:
+        assert getattr(whole, name).tobytes() == getattr(ints, name).tobytes(), name
+
+
+def test_tet_mesh_rejects_non_integral_indices():
+    """A fraction or nan index is named, not truncated; whole floats are the
+    same indices."""
+    mesh = small_ball(1, 2)
+    args = (mesh.vertices, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids)
+    with pytest.raises(MeshError, match=rf"^tets\[0, 0\] = {mesh.tets[0, 0] + 0.4} "
+                                        "is not an integer$"):
+        TetMesh(args[0], mesh.tets + 0.4, *args[2:])
+    ids = mesh.boundary_vertex_ids.astype(float)
+    ids[5] = np.nan
+    with pytest.raises(MeshError, match=r"^boundary_vertex_ids\[5\] = nan is not an integer$"):
+        TetMesh(*args[:3], ids)
+    whole = TetMesh(args[0], mesh.tets.astype(float), args[2],
+                    mesh.boundary_vertex_ids.astype(float))
+    assert whole.tets.tobytes() == mesh.tets.tobytes()
+    assert whole.boundary_vertex_ids.tobytes() == mesh.boundary_vertex_ids.tobytes()
+
+
+def test_tet_mesh_rejects_boundary_ids_not_1d():
+    """A column of ids used to fail in numpy's mask assignment."""
+    mesh = small_ball(1, 2)
+    nb = len(mesh.boundary_vertex_ids)
+    with pytest.raises(MeshError, match=rf"^boundary_vertex_ids must be 1-D, got shape "
+                                        rf"\({nb}, 1\)$"):
+        TetMesh(mesh.vertices, mesh.tets, mesh.boundary, mesh.boundary_vertex_ids[:, None])
+
+
+def test_tet_mesh_and_ball_builder_live_in_surface_mesh():
+    """The solver module re-exports them, under the names the benchmark
+    calls, and shares the mesh module's block size."""
+    assert ve.TetMesh is surface_mesh.TetMesh
+    assert ve.build_ball_tetmesh is surface_mesh.build_ball_tetmesh
+    assert curvbc.TetMesh is surface_mesh.TetMesh
+    assert curvbc.build_ball_tetmesh is surface_mesh.build_ball_tetmesh
+    assert ve._BLOCK == surface_mesh._BLOCK
 
 
 # ------------------------------------------------------------- field state
